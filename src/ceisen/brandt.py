@@ -318,6 +318,7 @@ def rational_eigensystem(
             raise ValueError(f"{p} is not a prime coprime to the level")
     n = classes.n
     blocks = [_Block(*_rref([[Fraction(int(i == j)) for j in range(n)] for i in range(n)]), eigs={})]
+    _pair_counts(classes, max(primes, default=0))  # one sweep serves every B_p
     mats = {p: brandt_matrix(classes, p).entries for p in primes}
     for p in primes:
         nxt: list[_Block] = []

@@ -1,83 +1,90 @@
 """Exact lattice-point enumeration under a positive-definite quadratic form.
 
-Standard Fincke-Pohst recursion, but every bound is computed with integer
-square roots on cleared denominators, so membership of a point in the search
-region is decided exactly.  Forms are given by Gram matrices with Fraction
-entries; evaluation happens in the coordinate lattice Z^n.
+Fincke-Pohst recursion on integers only.  Forms are given by Gram matrices
+with Fraction entries; evaluation happens in the coordinate lattice Z^n.
+
+One LDL decomposition G = R^T·diag(D)·R gives q(c) = Σ_i D_i·y_i² with
+y_i = c_i + Σ_{j>i} R_ij·c_j.  Each row of R is written over a common row
+denominator s_i as R_ij = r_ij/s_i (r_ii = s_i), so s_i·y_i = s_i·c_i + t_i
+with the integer centre t_i = Σ_{j>i} r_ij·c_j.  The least integer K that
+makes K·bound and every a_i = K·D_i/s_i² integral turns the search into
+
+    K·q(c) = Σ_i a_i·(s_i·c_i + t_i)²  ≤  K·bound,
+
+where every quantity is an integer.  Descending from i = n-1, the budget
+B_n = K·bound shrinks to B_i = B_{i+1} - a_i·x_i² with x_i = s_i·c_i + t_i.
+Coordinate i is admissible iff a_i·x_i² ≤ B_{i+1}, i.e. x_i² ≤ B_{i+1}/a_i,
+and for an integer x_i that holds exactly when x_i² ≤ ⌊B_{i+1}/a_i⌋, so
+|x_i| ≤ isqrt(B_{i+1} // a_i) decides membership with no rounding.  The value
+of a leaf is (K·bound - B_0)/K.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterator
 
 from .linalg import ldl
 
 
-def _floor_of(A: int, C: int, E: int) -> int:
-    """floor((A + sqrt(C)) / E) for integers A, C >= 0, E > 0, exactly."""
-    s = isqrt(C)
-    k = (A + s) // E
-    # isqrt truncates; nudge up while (k+1)·E - A <= sqrt(C) still holds
-    while True:
-        t = (k + 1) * E - A
-        if t <= 0 or t * t <= C:
-            k += 1
-        else:
-            return k
+class _Values(dict):
+    """Integer leaf value v -> Fraction(v, K), each built once."""
 
+    def __init__(self, K: int) -> None:
+        super().__init__()
+        self.K = K
 
-def _ceil_of(A: int, C: int, E: int) -> int:
-    """ceil((A - sqrt(C)) / E) for integers A, C >= 0, E > 0, exactly."""
-    return -_floor_of(-A, C, E)
-
-
-def _coeff_range(center: Fraction, radius_sq: Fraction) -> range:
-    """Integers m with (m + center)^2 <= radius_sq, exactly."""
-    if radius_sq < 0:
-        return range(0)
-    # m in [-center - r, -center + r] with r = sqrt(radius_sq)
-    a, b = (-center).numerator, (-center).denominator
-    p, q = radius_sq.numerator, radius_sq.denominator
-    # common denominator b·q: bounds ((a·q) ± sqrt(p·q·b²)) / (b·q)
-    A = a * q
-    C = p * q * b * b
-    E = b * q
-    lo = _ceil_of(A, C, E)
-    hi = _floor_of(A, C, E)
-    return range(lo, hi + 1)
+    def __missing__(self, v: int) -> Fraction:
+        f = self[v] = Fraction(v, self.K)
+        return f
 
 
 def points_up_to(G: list[list[Fraction]], bound: Fraction) -> Iterator[tuple[tuple[int, ...], Fraction]]:
     """Yield all nonzero integer vectors c with c^T G c <= bound, with the value.
 
-    Both c and -c are produced.  G must be symmetric positive definite.
+    Both c and -c are produced, with c_{n-1} in the outermost loop and c_0 in
+    the innermost, each ascending.  G must be symmetric positive definite.
     """
-    n = len(G)
     bound = Fraction(bound)
     if bound < 0:
         return
     D, R = ldl(G)
+    n = len(D)
+    s = [lcm(*(R[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
+    r = [[int(R[i][j] * s[i]) for j in range(n)] for i in range(n)]
+    scaled = [D[i] / (s[i] * s[i]) for i in range(n)]
+    K = lcm(bound.denominator, *(d.denominator for d in scaled))
+    a = [int(K * d) for d in scaled]
+    top = int(K * bound)
+    values = _Values(K)
     c = [0] * n
-    budget = [Fraction(0)] * (n + 1)
-    budget[n] = bound
 
-    def rec(i: int) -> Iterator[tuple[tuple[int, ...], Fraction]]:
-        if i < 0:
-            tup = tuple(c)
-            if any(tup):
-                yield tup, bound - budget[0]
+    def budgets(i: int, B: int) -> Iterator[int]:
+        """Set c_i..c_1 in turn; yield the budget B_1 left for c_0."""
+        if i == 0:
+            yield B
             return
-        center = sum((R[i][j] * c[j] for j in range(i + 1, n)), Fraction(0))
-        for m in _coeff_range(center, budget[i + 1] / D[i]):
+        ri, si, ai = r[i], s[i], a[i]
+        t = sum(ri[j] * c[j] for j in range(i + 1, n))
+        w = isqrt(B // ai)
+        for m in range(-((w + t) // si), (w - t) // si + 1):
             c[i] = m
-            term = D[i] * (m + center) ** 2
-            budget[i] = budget[i + 1] - term
-            yield from rec(i - 1)
-        c[i] = 0
+            x = si * m + t
+            yield from budgets(i - 1, B - ai * x * x)
 
-    yield from rec(n - 1)
+    r0, s0, a0 = r[0], s[0], a[0]
+    for B in budgets(n - 1, top):
+        rest = tuple(c[1:])
+        t = sum(r0[j] * c[j] for j in range(1, n))
+        w = isqrt(B // a0)
+        ms = range(-((w + t) // s0), (w - t) // s0 + 1)
+        if not any(rest):
+            ms = [m for m in ms if m]
+        base = top - B
+        for m in ms:
+            x = s0 * m + t
+            yield (m,) + rest, values[base + a0 * x * x]
 
 
 def counts_by_value(G: list[list[Fraction]], bound: Fraction) -> dict[Fraction, int]:
@@ -94,10 +101,7 @@ def counts_with_primitive(G: list[list[Fraction]], bound: Fraction) -> tuple[dic
     prim: dict[Fraction, int] = {}
     for coords, val in points_up_to(G, bound):
         allc[val] = allc.get(val, 0) + 1
-        g = 0
-        for x in coords:
-            g = gcd(g, abs(x))
-        if g == 1:
+        if gcd(*coords) == 1:
             prim[val] = prim.get(val, 0) + 1
     return allc, prim
 

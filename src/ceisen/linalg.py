@@ -76,11 +76,6 @@ def mat_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in M]
 
 
-def solve_right(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Solve A·X = B for square invertible A."""
-    return mat_mul(mat_inv(A), B)
-
-
 def charpoly(A: list[list[Fraction]]) -> list[Fraction]:
     """Coefficients [c_0, ..., c_{n-1}, 1] of det(xI - A), low degree first.
 

@@ -108,10 +108,6 @@ class Lat4:
             acc = acc + b * Fraction(c)
         return acc
 
-    def scaled(self, s: Fraction) -> "Lat4":
-        s = Fraction(s)
-        return Lat4.span(self.algebra, [b * s for b in self.basis])
-
     def conjugate(self) -> "Lat4":
         return Lat4.span(self.algebra, [b.conj() for b in self.basis])
 

@@ -2,11 +2,13 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
+import ceisen
 from ceisen.cli import main
 
 
@@ -203,6 +205,9 @@ def test_cache_corruption_recovers(tmp_path):
 
 
 def test_console_script_subprocess():
+    # children import the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(ceisen.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c",
          "from ceisen.cli import entry; entry()",
@@ -210,14 +215,18 @@ def test_console_script_subprocess():
         input="",
         capture_output=True,
         text=True,
+        env=env,
     )
     # no subcommand -> argparse usage error
     assert proc.returncode == 2
 
+    # the console script exists only after an install; fall back to the module
+    command = ["ceisen"] if shutil.which("ceisen") else [sys.executable, "-m", "ceisen"]
     proc = subprocess.run(
-        ["ceisen", "verify", "--suite", "mass", "--ramified", "11"],
+        command + ["verify", "--suite", "mass", "--ramified", "11"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "computed=5/12;expected=5/12" in proc.stdout

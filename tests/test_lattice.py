@@ -1,0 +1,113 @@
+"""points_up_to and its consumers against brute-force box enumeration."""
+
+import random
+from functools import lru_cache
+from fractions import Fraction
+from itertools import product
+from math import gcd, isqrt, lcm
+
+import pytest
+
+from ceisen.lattice import (
+    counts_by_value,
+    counts_with_primitive,
+    exists_value,
+    points_up_to,
+    shortest_vector,
+)
+from ceisen.linalg import mat_inv
+
+CASES_PER_RANK = 12
+
+
+def random_gram(rng: random.Random, n: int) -> list[list[Fraction]]:
+    """(MᵀM + diag(e)) / den with small integer M, e ≥ 1 and den in {1, 2, 3, 6}."""
+    den = rng.choice([1, 2, 3, 6])
+    M = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+    return [
+        [
+            Fraction(sum(M[k][i] * M[k][j] for k in range(n)) + (rng.randint(1, 2) if i == j else 0), den)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def brute_points(G, bound):
+    """Every nonzero c with cᵀGc ≤ bound, searched over the box |c_i|² ≤ bound·(G⁻¹)_ii."""
+    bound = Fraction(bound)
+    if bound <= 0:
+        return []
+    n = len(G)
+    Ginv = mat_inv(G)
+    widths = [isqrt(int(bound * Ginv[i][i])) for i in range(n)]
+    L = lcm(*(x.denominator for row in G for x in row))
+    GL = [[int(x * L) for x in row] for row in G]
+    out = []
+    for c in product(*(range(-w, w + 1) for w in widths)):
+        if any(c):
+            val = Fraction(sum(GL[i][j] * c[i] * c[j] for i in range(n) for j in range(n)), L)
+            if val <= bound:
+                out.append((c, val))
+    return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def cases(n):
+    """(G, bound, brute-force points) for seeded random rank-n forms."""
+    rng = random.Random(1000 + n)
+    out = []
+    for _ in range(CASES_PER_RANK):
+        G = random_gram(rng, n)
+        bound = Fraction(rng.randint(1, 24), rng.choice([1, 2, 3, 5]))
+        out.append((G, bound, brute_points(G, bound)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_points_match_brute_force(n):
+    for G, bound, pts in cases(n):
+        got = list(points_up_to(G, bound))
+        assert all(type(val) is Fraction for _, val in got)
+        assert sorted(got) == pts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bound_at_a_value_zero_and_negative(n):
+    rng = random.Random(n)
+    for G, _, _ in cases(n):
+        c = [0] * n
+        while not any(c):
+            c = [rng.randint(-1, 1) for _ in range(n)]
+        hit = sum(G[i][j] * c[i] * c[j] for i in range(n) for j in range(n))  # used as the bound
+        assert sorted(points_up_to(G, hit)) == brute_points(G, hit)
+        assert any(val == hit for _, val in points_up_to(G, hit))
+        assert list(points_up_to(G, 0)) == []
+        assert list(points_up_to(G, Fraction(-1, 3))) == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_consumers_match_brute_force(n):
+    for G, bound, pts in cases(n):
+        allc, prim = {}, {}
+        for c, val in pts:
+            allc[val] = allc.get(val, 0) + 1
+            if gcd(*c) == 1:
+                prim[val] = prim.get(val, 0) + 1
+        assert counts_by_value(G, bound) == allc
+        assert counts_with_primitive(G, bound) == (allc, prim)
+
+        values = set(allc)
+        for target in sorted(values)[:3]:
+            assert exists_value(G, target)
+        missing = next(Fraction(k, 7) for k in range(1, 10**6) if Fraction(k, 7) not in values)
+        if missing <= bound:
+            assert not exists_value(G, missing)
+        assert exists_value(G, 0)
+
+        # e_0 has value G[0][0], so the minimum lies within that bound
+        near = brute_points(G, G[0][0])
+        least = min(val for _, val in near)
+        canon = min(c if next(x for x in c if x) > 0 else tuple(-x for x in c)
+                    for c, val in near if val == least)
+        assert shortest_vector(G) == (canon, least)
