@@ -12,11 +12,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from .arith import factorize, is_prime
 from .lattice import counts_by_value
-from .linalg import charpoly, integer_roots, mat_mul, nullspace, primitive_vector
+from .linalg import (
+    charpoly,
+    clear_denominators,
+    identity,
+    integer_roots,
+    mat_mul,
+    nullspace,
+    primitive_vector,
+    rref,
+    transpose,
+)
 from .order import IdealClassSet, product_lattice
 from .qform import LevelConfig, mass
 
@@ -196,30 +205,6 @@ def good_primes(cfg: LevelConfig, count: int) -> list[int]:
     return out
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    M = [[Fraction(x) for x in row] for row in rows]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return [M[i] for i in range(r)], pivots
-
-
 @dataclass
 class _Block:
     basis: list[list[Fraction]]  # RREF rows spanning the subspace
@@ -239,8 +224,7 @@ def _restrict(B: tuple[tuple[Fraction, ...], ...], blk: _Block) -> list[list[Fra
     checked exactly.
     """
     V = blk.basis
-    n = len(B)
-    W = [[sum((V[r][t] * B[s][t] for t in range(n)), Fraction(0)) for s in range(n)] for r in range(len(V))]
+    W = mat_mul(V, transpose(B))
     A = [[W[r][c] for c in blk.pivots] for r in range(len(V))]
     # exact invariance check: A·V must reproduce W
     AV = mat_mul(A, V)
@@ -250,29 +234,19 @@ def _restrict(B: tuple[tuple[Fraction, ...], ...], blk: _Block) -> list[list[Fra
 
 def _split_block(blk: _Block, B, p: int) -> list[_Block]:
     """Refine one invariant block by the rational eigenspaces of B_p on it."""
-    if blk.dim == 1:
-        A = _restrict(B, blk)
-        lam = A[0][0]
-        blk.eigs[p] = lam
-        return [blk]
     A = _restrict(B, blk)
+    if blk.dim == 1:
+        blk.eigs[p] = A[0][0]
+        return [blk]
     k = len(A)
-    den = 1
-    for row in A:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    Ad = [[x * den for x in row] for row in A]
-    lams = [Fraction(r, den) for r in integer_roots(charpoly(Ad))]
+    den, Ad = clear_denominators(A)
+    # every eigenvalue on the block is one of B, so |den·λ| <= den·||B||_inf
+    bound = int(den * max(sum(map(abs, row)) for row in B))
+    lams = [Fraction(r, den) for r in integer_roots(charpoly(Ad), bound)]
 
     # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
-    # eigenvectors of A and invariant subspaces are row spaces
-    def lift(coeff_rows: list[list[Fraction]]) -> list[list[Fraction]]:
-        width = len(blk.basis[0])
-        return [
-            [sum((cv[t] * blk.basis[t][s] for t in range(k)), Fraction(0)) for s in range(width)]
-            for cv in coeff_rows
-        ]
-
+    # eigenvectors of A and invariant subspaces are row spaces, lifted to
+    # Q^n by right multiplication with the block basis
     out = []
     consumed = 0
     for lam in lams:
@@ -280,16 +254,16 @@ def _split_block(blk: _Block, B, p: int) -> list[_Block]:
         null = nullspace(shifted_T)
         if not null:
             continue
-        basis, pivots = _rref(lift(null))
+        basis, pivots = rref(mat_mul(null, blk.basis))
         out.append(_Block(basis, pivots, {**blk.eigs, p: lam}))
         consumed += len(basis)
     if consumed < k:
         # residual block: row space of Π(A - λI) over the rational eigenvalues
-        R = [[Fraction(int(r == c)) for c in range(k)] for r in range(k)]
+        R = identity(k)
         for lam in lams:
             shifted = [[A[r][c] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
             R = mat_mul(R, shifted)
-        basis, pivots = _rref(lift(R))
+        basis, pivots = rref(mat_mul(R, blk.basis))
         assert len(basis) == k - consumed, "semisimplicity violated (bug)"
         out.append(_Block(basis, pivots, dict(blk.eigs)))
     return out
@@ -317,7 +291,7 @@ def rational_eigensystem(
         if not is_prime(p) or cfg.N % p == 0:
             raise ValueError(f"{p} is not a prime coprime to the level")
     n = classes.n
-    blocks = [_Block(*_rref([[Fraction(int(i == j)) for j in range(n)] for i in range(n)]), eigs={})]
+    blocks = [_Block(*rref(identity(n)), eigs={})]
     _pair_counts(classes, max(primes, default=0))  # one sweep serves every B_p
     mats = {p: brandt_matrix(classes, p).entries for p in primes}
     for p in primes:

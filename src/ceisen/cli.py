@@ -16,6 +16,7 @@ byte-identical across runs and thread counts for the same configuration.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -173,10 +174,24 @@ def _get_classes(cfg: RunConfig):
                 json.JSONDecodeError):
             pass  # invalid cache: fall through and rebuild
     classes = build_class_set(level)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(classes_to_json(classes), fh, indent=2)
-        fh.write("\n")
+    _write_snapshot(path, classes)
     return classes
+
+
+def _write_snapshot(path: str, classes) -> None:
+    """Write the class-set snapshot so that readers see the old file or the
+    whole new one: dump to a temp file in the same directory, then rename it
+    onto `path`.  A failed or interrupted dump removes the temp file."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(classes_to_json(classes), fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
-"""Exact linear algebra over Q and Z, sized for rank-4 lattices.
+"""Exact linear algebra over Q and Z, sized for rank-4 lattices and the
+Brandt eigensystem.
 
-Everything here works on lists of lists of Fraction (or int for the
-HNF/kernel routines).  No floating point anywhere: comparisons that decide
+Matrices are lists of rows.  Rational routines take Fraction or int entries
+and return Fractions; the hot ones run on integers inside: `mat_mul` clears
+each factor to integer rows over one denominator, and `charpoly` and
+`integer_roots` take and return plain ints.  `hnf` and `int_kernel` work on
+integer matrices.  No floating point anywhere: comparisons that decide
 anything are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, lcm
+from operator import mul
 
 
 def identity(n: int) -> list[list[Fraction]]:
@@ -16,16 +21,24 @@ def identity(n: int) -> list[list[Fraction]]:
 
 
 def mat_mul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
-    out = []
-    for i in range(n):
-        row = []
-        Ai = A[i]
-        for j in range(m):
-            row.append(sum((Ai[t] * B[t][j] for t in range(k)), Fraction(0)))
-        out.append(row)
-    return out
+    """Exact product A·B of rational (Fraction or int) matrices, as Fractions.
+
+    Each factor is cleared to integer rows over one common denominator, so the
+    inner products run on Python ints and each entry is built once as
+    Fraction(sum, d_A·d_B).
+    """
+    assert len(A[0]) == len(B)
+    dA, Ai = clear_denominators(A)
+    dB, Bi = clear_denominators(B)
+    d = dA * dB
+    cols = list(zip(*Bi))
+    return [[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in Ai]
+
+
+def clear_denominators(A) -> tuple[int, list[list[int]]]:
+    """(d, rows) with d the least common denominator of A and rows = d·A in ints."""
+    d = lcm(*(x.denominator for row in A for x in row))
+    return d, [[x.numerator * (d // x.denominator) for x in row] for row in A]
 
 
 def mat_vec(A: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:
@@ -76,43 +89,61 @@ def mat_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in M]
 
 
-def charpoly(A: list[list[Fraction]]) -> list[Fraction]:
+def charpoly(A: list[list[int]]) -> list[int]:
     """Coefficients [c_0, ..., c_{n-1}, 1] of det(xI - A), low degree first.
 
-    Faddeev-LeVerrier recurrence: exact over Q (divisions by integers only).
+    A must have integer entries (ints, or Fractions with denominator 1);
+    anything else raises ValueError.  Faddeev-LeVerrier over Z with one
+    product per step: M_1 = I, c_{n-k} = -tr(A·M_k)/k, and
+    M_{k+1} = A·M_k + c_{n-k}·I.  The division is exact because the c_i are
+    integers; its remainder is checked.
     """
     n = len(A)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    M = [[Fraction(0)] * n for _ in range(n)]
+    rows = []
+    for row in A:
+        ints = [int(x) for x in row]
+        if ints != list(row):
+            raise ValueError("charpoly expects an integer matrix")
+        rows.append(ints)
+    coeffs = [0] * n + [1]
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        M = mat_mul(A, M)
-        prev = coeffs[n - k + 1]
+        cols = list(zip(*M))
+        AM = [[sum(map(mul, row, col)) for col in cols] for row in rows]
+        c, rem = divmod(-sum(AM[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
+        coeffs[n - k] = c
         for i in range(n):
-            M[i][i] += prev
-        AM = mat_mul(A, M)
-        tr = sum((AM[i][i] for i in range(n)), Fraction(0))
-        coeffs[n - k] = -tr / k
+            AM[i][i] += c
+        M = AM
     return coeffs
 
 
-def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def poly_eval(coeffs, x):
+    """Horner evaluation of sum_i coeffs[i]·x^i (ints stay ints)."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def integer_roots(coeffs: list[Fraction]) -> list[int]:
-    """Integer roots of a monic polynomial with integer coefficients.
+def integer_roots(coeffs: list[int], bound: int) -> list[int]:
+    """Integer roots r with |r| <= bound of a monic integer polynomial.
 
-    Roots of the monic charpoly of a matrix with algebraic-integer spectrum
-    are integers iff rational, so divisor search over the constant term is
-    complete.  Returns roots sorted ascending, each listed once.
+    A nonzero integer root divides the constant term c of the polynomial with
+    its x^k factor stripped, and either |r| or |c/r| is at most isqrt(|c|).
+    So testing the divisors d <= min(bound, isqrt(|c|)), and each cofactor
+    |c|/d only when it is <= bound, finds every root of absolute value
+    <= bound, at a cost set by the bound rather than by |c|.  For the
+    charpoly of a restriction of a matrix B (scaled by den) to an invariant
+    subspace, bound = den·||B||_inf covers every root: each eigenvalue there
+    is an eigenvalue of B, and the spectral radius is at most the inf-norm.
+    Returns roots sorted ascending, each listed once.
     """
-    ints = [c for c in coeffs]
-    assert all(c.denominator == 1 for c in ints), "charpoly expected integral"
-    cs = [int(c) for c in ints]
+    cs = [int(c) for c in coeffs]
+    if cs != list(coeffs):
+        raise ValueError("integer_roots expects integer coefficients")
     # strip x^k factor
     k = 0
     while cs[k] == 0 and k < len(cs) - 1:
@@ -120,22 +151,26 @@ def integer_roots(coeffs: list[Fraction]) -> list[int]:
     roots = [0] if k > 0 else []
     c0 = abs(cs[k])
     cand = set()
-    d = 1
-    while d * d <= c0:
+    for d in range(1, min(bound, isqrt(c0)) + 1):
         if c0 % d == 0:
-            cand.update((d, -d, c0 // d, -(c0 // d)))
-        d += 1
-    for r in sorted(cand):
-        if poly_eval(ints, Fraction(r)) == 0:
-            roots.append(r)
+            cand.update((d, -d))
+            if c0 // d <= bound:
+                cand.update((c0 // d, -(c0 // d)))
+    roots.extend(r for r in cand if poly_eval(cs, r) == 0)
     return sorted(set(roots))
 
 
-def nullspace(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {x : A·x = 0}, as primitive integer vectors (canonical RREF order)."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] for row in A]
+def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form of a rational matrix: (nonzero rows, pivot columns).
+
+    Fraction-free Gauss-Jordan: the rows are cleared to integers, each
+    elimination step is r_i <- a·r_i - b·r_piv with the row's content divided
+    out, and only the final pivot rows are divided by their pivots.  The RREF
+    is unique, so this is the same result as elimination over Q.
+    """
+    _, M = clear_denominators(rows)
+    m = len(M)
+    n = len(M[0]) if m else 0
     pivots = []
     r = 0
     for c in range(n):
@@ -143,36 +178,40 @@ def nullspace(A: list[list[Fraction]]) -> list[list[Fraction]]:
         if piv is None:
             continue
         M[r], M[piv] = M[piv], M[r]
-        inv = 1 / M[r][c]
-        M[r] = [x * inv for x in M[r]]
+        a, top = M[r][c], M[r]
         for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+            b = M[i][c]
+            if i != r and b:
+                row = [a * x - b * y for x, y in zip(M[i], top)]
+                g = gcd(*row)
+                M[i] = [x // g for x in row] if g > 1 else row
         pivots.append(c)
         r += 1
         if r == m:
             break
-    free = [c for c in range(n) if c not in pivots]
+    return [[Fraction(x, M[i][c]) for x in M[i]] for i, c in enumerate(pivots)], pivots
+
+
+def nullspace(A: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Basis of {x : A·x = 0}, as primitive integer vectors (canonical RREF order)."""
+    n = len(A[0]) if A else 0
+    R, pivots = rref(A)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):
-            v[pc] = -M[i][fc]
+            v[pc] = -R[i][fc]
         basis.append(primitive_vector(v))
     return basis
 
 
 def primitive_vector(v: list[Fraction]) -> list[Fraction]:
     """Scale a nonzero rational vector to primitive integer form, first nonzero > 0."""
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    _, (ints,) = clear_denominators([v])
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     lead = next((x for x in ints if x), 0)

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 import ceisen
+from ceisen import cli
 from ceisen.cli import main
+from ceisen.order import classes_from_json
 
 
 def run(args):
@@ -202,6 +204,33 @@ def test_cache_corruption_recovers(tmp_path):
     # the rebuild rewrote a valid snapshot
     with open(path, encoding="utf-8") as fh:
         assert json.load(fh)["version"] != 99
+
+
+def _dump_then_fail(obj, fh, **kwargs):
+    fh.write('{"version": ')
+    raise OSError("simulated failure mid-write")
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    cache = str(tmp_path / "cache")
+    argv = ["verify", "--suite", "mass", "--ramified", "11", "--cache-dir", cache]
+    assert run(argv)[0] == 0
+    path = os.path.join(cache, "classes_11_M1.json")
+    with open(path, "rb") as fh:
+        before = fh.read()
+    classes = classes_from_json(json.loads(before))
+    monkeypatch.setattr(cli.json, "dump", _dump_then_fail)
+    # a rewrite that dies mid-dump leaves the valid snapshot untouched
+    with pytest.raises(OSError, match="simulated"):
+        cli._write_snapshot(path, classes)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+    assert os.listdir(cache) == ["classes_11_M1.json"]
+    # a cold build whose write dies leaves no partial file behind
+    cold = str(tmp_path / "cold")
+    with pytest.raises(OSError, match="simulated"):
+        main(["verify", "--suite", "mass", "--ramified", "11", "--cache-dir", cold])
+    assert os.listdir(cold) == []
 
 
 def test_console_script_subprocess():
