@@ -64,7 +64,6 @@ class RunConfig:
     format: str
     cache_dir: str | None
     out: str | None
-    threads: int
 
     @property
     def level(self) -> LevelConfig:
@@ -96,7 +95,6 @@ class RunConfig:
             format=args.format,
             cache_dir=args.cache_dir,
             out=args.out,
-            threads=args.threads,
         )
         if need_level:
             cfg.level  # raises ValueError on an invalid level
@@ -202,7 +200,7 @@ def cmd_hseries(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     level = cfg.level
     classes = _get_classes(cfg)
-    prefill_counts(classes, max(cfg.D_max, 1), cfg.threads)
+    prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     header = ["D", "H_theta", "H_closed", "equal", "fundamental", "s", "h", "u"]
     rows = []
@@ -260,7 +258,7 @@ def _suite_rowsum(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
 
 
 def _suite_trace(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
-    prefill_counts(classes, max(4 * cfg.m_max, 1), cfg.threads)
+    prefill_counts(classes, max(4 * cfg.m_max, 1))
     return [
         (f"trace:m={row.m}", f"lhs={row.lhs};rhs={row.rhs}", row.ok)
         for row in trace_identity_check(classes, cfg.m_max)
@@ -298,7 +296,7 @@ def _suite_congruence(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
         raise CongruencePreconditionError("the congruence suite requires --l")
     level = cfg.level
     eig = rational_eigensystem(classes)
-    prefill_counts(classes, max(cfg.D_max, 1), cfg.threads)
+    prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     coef, v_used = best_coefficient_congruence(classes, eig, H, cfg.l)
     eigenrep = eigenvalue_congruence(eig, level, cfg.l, max(cfg.m_max, 2), v=v_used)
@@ -355,7 +353,7 @@ def cmd_shatable(args: argparse.Namespace) -> int:
         raise ValueError("shatable requires --l")
     classes = _get_classes(cfg)
     eig = rational_eigensystem(classes)
-    prefill_counts(classes, max(cfg.D_max, 1), cfg.threads)
+    prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     coef, v_used = best_coefficient_congruence(classes, eig, H, cfg.l)
     table = divisibility_table(classes, eig, cfg.l, cfg.D_max, v=v_used)
@@ -410,7 +408,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="directory for class-set snapshots (validated on load)")
     common.add_argument("--out", default=None, help="output file (default stdout)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker count; results are byte-identical for any value")
+                        help="accepted for compatibility (must be >= 1); has no effect, "
+                        "every run is serial")
 
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("hseries", parents=[common],

@@ -41,10 +41,6 @@ def clear_denominators(A) -> tuple[int, list[list[int]]]:
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in A]
 
 
-def mat_vec(A: list[list[Fraction]], v: list[Fraction]) -> list[Fraction]:
-    return [sum((A[i][t] * v[t] for t in range(len(v))), Fraction(0)) for i in range(len(A))]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)]
 
@@ -68,25 +64,6 @@ def mat_det(A: list[list[Fraction]]) -> Fraction:
                 f = M[r][c] * inv
                 M[r] = [x - f * y for x, y in zip(M[r], M[c])]
     return det
-
-
-def mat_inv(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Inverse by Gauss-Jordan; raises ZeroDivisionError on singular input."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        M[c], M[piv] = M[piv], M[c]
-        inv = 1 / M[c][c]
-        M[c] = [x * inv for x in M[c]]
-        for r in range(n):
-            if r != c and M[r][c]:
-                f = M[r][c]
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return [row[n:] for row in M]
 
 
 def charpoly(A: list[list[int]]) -> list[int]:

@@ -2,7 +2,10 @@
 
 A lattice is stored as a canonical pair (denominator, HNF integer rows) of
 coordinates over the algebra basis (1, i, j, k), so equal lattices compare
-equal.  Maximal orders come from prime-by-prime saturation of the obvious
+equal.  Lattices compute on that pair: products, conjugates, Gram matrices,
+norms and coordinates use integer rows (with `quatalg.quat_mul` and
+`quatalg.norm_pair`), and each new lattice is put in canonical form again.
+Maximal orders come from prime-by-prime saturation of the obvious
 starting order; level structure at primes coprime to the discriminant is cut
 out by a splitting idempotent.  Left ideal classes are enumerated by a
 neighbor walk at the smallest good prime, stopped exactly by the mass formula.
@@ -12,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .arith import factorize, is_prime, valuation
 from .lattice import counts_by_value, exists_value, shortest_vector
-from .linalg import hnf, mat_det, mat_inv, mat_vec
+from .linalg import clear_denominators, hnf, int_kernel, mat_det
 from .qform import LevelConfig, mass
-from .quatalg import QuatElement, QuaternionAlgebra
+from .quatalg import QuatElement, QuaternionAlgebra, norm_pair, quat_mul
 
 
 class SaturationError(Exception):
@@ -37,34 +40,24 @@ class ClassSearchError(Exception):
     """The neighbor walk stalled before reaching the mass (should be unreachable)."""
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
-def _canonical_basis(gens: list[QuatElement]) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Canonical (denominator, HNF rows) for the lattice spanned by gens."""
-    den = 1
-    for g in gens:
-        for x in g.coords:
-            den = _lcm(den, x.denominator)
-    rows = [[int(x * den) for x in g.coords] for g in gens]
+def _canonical(algebra: QuaternionAlgebra, den: int, rows) -> "Lat4":
+    """The lattice spanned by the integer rows over den, as (den, HNF rows) with
+    the common content of den and the rows divided out; equal lattices give
+    equal results."""
     H = hnf(rows)
     if len(H) != 4:
         raise ValueError(f"expected a full-rank lattice, got rank {len(H)}")
-    # normalize common content into the denominator
-    g = den
-    for row in H:
-        for x in row:
-            g = gcd(g, abs(x))
-    if g > 1:
-        den //= g
-        H = [[x // g for x in row] for row in H]
-    return den, tuple(tuple(row) for row in H)
+    g = gcd(den, *(x for row in H for x in row))
+    return Lat4(algebra, den // g, tuple(tuple(x // g for x in row) for row in H))
 
 
 @dataclass(frozen=True)
 class Lat4:
-    """A full rank-4 lattice in a quaternion algebra, in canonical form."""
+    """A full rank-4 lattice in a quaternion algebra, in canonical form.
+
+    Built only through `_canonical`.  The rows form an upper-triangular HNF
+    with positive pivots, and every operation below runs on (den, rows).
+    """
 
     algebra: QuaternionAlgebra
     den: int
@@ -72,8 +65,8 @@ class Lat4:
 
     @classmethod
     def span(cls, algebra: QuaternionAlgebra, gens: list[QuatElement]) -> "Lat4":
-        den, rows = _canonical_basis(gens)
-        return cls(algebra, den, rows)
+        den, rows = clear_denominators([g.coords for g in gens])
+        return _canonical(algebra, den, rows)
 
     @property
     def basis(self) -> list[QuatElement]:
@@ -82,16 +75,13 @@ class Lat4:
             for row in self.rows
         ]
 
-    def basis_matrix(self) -> list[list[Fraction]]:
-        return [[Fraction(x, self.den) for x in row] for row in self.rows]
-
     def gram(self) -> list[list[Fraction]]:
         """Gram matrix of the reduced norm form on this basis."""
-        bs = self.basis
+        a, b, rows, d2 = self.algebra.a, self.algebra.b, self.rows, self.den**2
         G = [[Fraction(0)] * 4 for _ in range(4)]
         for k in range(4):
             for l in range(k, 4):
-                G[k][l] = G[l][k] = (bs[k] * bs[l].conj()).trace() / 2
+                G[k][l] = G[l][k] = Fraction(norm_pair(a, b, rows[k], rows[l]), d2)
         return G
 
     def contains(self, x: QuatElement) -> bool:
@@ -99,64 +89,46 @@ class Lat4:
         return all(v.denominator == 1 for v in c)
 
     def coords_of(self, x: QuatElement) -> list[Fraction]:
-        inv = _inv_cache(self)
-        return mat_vec(inv, list(x.coords))
+        """The c with x = Σ c_k·b_k: solve c·H = den·x by forward substitution
+        on the upper-triangular rows H."""
+        c: list[Fraction] = []
+        for m in range(4):
+            acc = self.den * x.coords[m] - sum(ck * row[m] for ck, row in zip(c, self.rows))
+            c.append(Fraction(acc, self.rows[m][m]))
+        return c
 
     def element_from(self, coords) -> QuatElement:
-        acc = self.algebra.element(0)
-        for c, b in zip(coords, self.basis):
-            acc = acc + b * Fraction(c)
-        return acc
+        """Σ c_k·b_k for integer coordinates c."""
+        return QuatElement(self.algebra, tuple(
+            Fraction(sum(c * row[m] for c, row in zip(coords, self.rows)), self.den)
+            for m in range(4)
+        ))
 
     def conjugate(self) -> "Lat4":
-        return Lat4.span(self.algebra, [b.conj() for b in self.basis])
+        rows = [(r[0], -r[1], -r[2], -r[3]) for r in self.rows]
+        return _canonical(self.algebra, self.den, rows)
 
     def norm(self) -> Fraction:
-        """gcd of the reduced norms of all lattice elements (a positive rational)."""
-        G = self.gram()
-        vals = [G[k][k] for k in range(4)]
+        """gcd of the reduced norms of all lattice elements (a positive rational):
+        the gcd of N(b_k) and N(b_k + b_l), which span the norm form's values."""
+        a, b, rows = self.algebra.a, self.algebra.b, self.rows
+        vals = [norm_pair(a, b, u, u) for u in rows]
         for k in range(4):
             for l in range(k + 1, 4):
-                vals.append(G[k][k] + G[l][l] + 2 * G[k][l])
-        num = 0
-        den = 1
-        for v in vals:
-            num, den = _frac_gcd(num, den, v.numerator, v.denominator)
-        return Fraction(num, den)
+                vals.append(vals[k] + vals[l] + 2 * norm_pair(a, b, rows[k], rows[l]))
+        return Fraction(gcd(*vals), self.den**2)
 
     def is_multiplicatively_closed(self) -> bool:
         bs = self.basis
         return all(self.contains(u * v) for u in bs for v in bs)
 
 
-_INV_CACHE: dict[tuple, list[list[Fraction]]] = {}
-
-
-def _inv_cache(lat: Lat4) -> list[list[Fraction]]:
-    key = (lat.algebra.a, lat.algebra.b, lat.den, lat.rows)
-    got = _INV_CACHE.get(key)
-    if got is None:
-        got = mat_inv(lat.basis_matrix())
-        # transpose so coords_of works on row-coordinate convention:
-        # x = c · B  =>  c = x · B^{-1}; mat_vec applies the matrix on the left,
-        # so store the transpose of B^{-1}.
-        got = [list(col) for col in zip(*got)]
-        _INV_CACHE[key] = got
-    return got
-
-
-def _frac_gcd(n1: int, d1: int, n2: int, d2: int) -> tuple[int, int]:
-    """gcd of two nonneg rationals n1/d1, n2/d2 as (num, den)."""
-    num = gcd(n1 * d2, n2 * d1)
-    den = d1 * d2
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def product_lattice(A: Lat4, B: Lat4) -> Lat4:
-    """Z-span of all products a·b over the two bases."""
-    gens = [u * v for u in A.basis for v in B.basis]
-    return Lat4.span(A.algebra, gens)
+    """Z-span of all products a·b over the two bases: the 16 integer row
+    products over A.den·B.den."""
+    a, b = A.algebra.a, A.algebra.b
+    rows = [quat_mul(a, b, u, v) for u in A.rows for v in B.rows]
+    return _canonical(A.algebra, A.den * B.den, rows)
 
 
 @dataclass(frozen=True)
@@ -222,7 +194,7 @@ def _saturate_at(O: OrderLattice, p: int) -> OrderLattice:
     bs = O.basis
     d_old = reduced_discriminant(O)
     for c in _nonzero_tuples(p):
-        x = O.lattice.element_from([Fraction(ci, p) for ci in c])
+        x = O.lattice.element_from(c) / p
         if x.trace().denominator != 1 or x.norm().denominator != 1:
             continue
         if any(((x * b.conj()).trace()).denominator != 1 for b in bs):
@@ -353,48 +325,13 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
         w = _mul_mod(S, w, one_minus_e, q)
         cols.append(w)
     A = [[cols[l][r] % q for l in range(4)] for r in range(4)]  # rows: output coords
-    kernel = _fq_kernel(A, q)
-    assert len(kernel) == 3, "upper-triangular part mod q must have dimension 3"
-    gens = [O.lattice.element_from([q * x for x in row]) for row in _unit_rows()]
-    for v in kernel:
-        gens.append(O.lattice.element_from(v))
-    sub = make_order(O.algebra, gens)
+    # the c-parts of the integer kernel of [A | q·I] span {c : A·c ≡ 0 mod q}
+    kernel = int_kernel([A[r] + [q * int(r == t) for t in range(4)] for r in range(4)])
+    H = hnf([v[:4] for v in kernel])
+    assert prod(H[k][k] for k in range(4)) == q, "upper-triangular part mod q must have index q"
+    sub = make_order(O.algebra, [O.lattice.element_from(row) for row in H])
     assert reduced_discriminant(sub) == q * reduced_discriminant(O)
     return sub
-
-
-def _unit_rows():
-    return [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-
-
-def _fq_kernel(A: list[list[int]], q: int) -> list[list[int]]:
-    """Kernel basis of the 4x4 matrix A over F_q (lifted to integer vectors)."""
-    M = [[A[r][c] % q for c in range(4)] for r in range(4)]
-    pivots = []
-    r = 0
-    for c in range(4):
-        piv = next((i for i in range(r, 4) if M[i][c] % q), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        inv = pow(M[r][c], -1, q)
-        M[r] = [(x * inv) % q for x in M[r]]
-        for i in range(4):
-            if i != r and M[i][c] % q:
-                f = M[i][c]
-                M[i] = [(x - f * y) % q for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    out = []
-    for fc in range(4):
-        if fc in pivots:
-            continue
-        v = [0] * 4
-        v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-M[i][fc]) % q
-        out.append(v)
-    return out
 
 
 @dataclass(frozen=True)

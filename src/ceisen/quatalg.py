@@ -1,9 +1,12 @@
 """Definite rational quaternion algebras (a, b) with exact element arithmetic.
 
 An algebra is generated by i, j with i² = a < 0, j² = b < 0, ij = -ji = k.
-Elements carry Fraction coordinates over the basis (1, i, j, k).  Ramified
-primes are certified by Hilbert symbols, and algebras with a prescribed
-ramified set are found by a bounded deterministic search.
+Elements carry Fraction coordinates over the basis (1, i, j, k).  The product
+and the bilinear norm form are written once, in `quat_mul` and `norm_pair`, on
+plain 4-tuples of coordinates: `QuatElement` applies them to Fractions and
+`order.Lat4` to the integer rows of a lattice.  Ramified primes are certified
+by Hilbert symbols, and algebras with a prescribed ramified set are found by a
+bounded deterministic search.
 """
 
 from __future__ import annotations
@@ -77,6 +80,24 @@ def ramified_primes(a, b) -> tuple[int, ...]:
     return ram
 
 
+def quat_mul(a, b, x, y) -> tuple:
+    """Coordinates of x·y in (a, b), for coordinate 4-tuples x, y over (1, i, j, k)."""
+    x0, x1, x2, x3 = x
+    y0, y1, y2, y3 = y
+    return (
+        x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
+        x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
+        x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
+        x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
+    )
+
+
+def norm_pair(a, b, x, y):
+    """The bilinear form of the reduced norm, trace(x·conj(y))/2, on coordinate
+    4-tuples; norm_pair(a, b, x, x) is the reduced norm of x."""
+    return x[0] * y[0] - a * x[1] * y[1] - b * x[2] * y[2] + a * b * x[3] * y[3]
+
+
 @dataclass(frozen=True)
 class QuaternionAlgebra:
     """The definite algebra with i² = a, j² = b, ij = -ji = k."""
@@ -136,19 +157,8 @@ class QuatElement:
         if isinstance(other, (int, Fraction)):
             return QuatElement(self.algebra, tuple(x * other for x in self.coords))
         self._check(other)
-        a = self.algebra.a
-        b = self.algebra.b
-        x0, x1, x2, x3 = self.coords
-        y0, y1, y2, y3 = other.coords
-        return QuatElement(
-            self.algebra,
-            (
-                x0 * y0 + a * x1 * y1 + b * x2 * y2 - a * b * x3 * y3,
-                x0 * y1 + x1 * y0 - b * x2 * y3 + b * x3 * y2,
-                x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
-                x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
-            ),
-        )
+        A = self.algebra
+        return QuatElement(A, quat_mul(A.a, A.b, self.coords, other.coords))
 
     def __rmul__(self, other) -> "QuatElement":
         if isinstance(other, (int, Fraction)):
@@ -166,10 +176,7 @@ class QuatElement:
         return 2 * self.coords[0]
 
     def norm(self) -> Fraction:
-        a = self.algebra.a
-        b = self.algebra.b
-        x0, x1, x2, x3 = self.coords
-        return x0 * x0 - a * x1 * x1 - b * x2 * x2 + a * b * x3 * x3
+        return norm_pair(self.algebra.a, self.algebra.b, self.coords, self.coords)
 
     def is_zero(self) -> bool:
         return not any(self.coords)

@@ -120,22 +120,10 @@ def vector_count(classes: IdealClassSet, i: int, D: int) -> int:
     return allc.get(D, 0)
 
 
-def prefill_counts(classes: IdealClassSet, bound: int, threads: int = 1) -> None:
-    """Fill every per-class count cache up to `bound`, one class per task.
-
-    Each task touches only its own class index, and every cache entry is a
-    pure function of (class, bound), so the merged cache — and everything
-    derived from it — is identical for any thread count.
-    """
-    indices = range(1, classes.n + 1)
-    if threads <= 1:
-        for i in indices:
-            _ternary_counts(classes, i, bound)
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda i: _ternary_counts(classes, i, bound), indices))
+def prefill_counts(classes: IdealClassSet, bound: int) -> None:
+    """Fill every per-class count cache up to `bound`, one class at a time."""
+    for i in range(1, classes.n + 1):
+        _ternary_counts(classes, i, bound)
 
 
 def cohen_H(classes: IdealClassSet, D_max: int) -> HalfIntegralSeries:

@@ -15,7 +15,7 @@ from ceisen.lattice import (
     points_up_to,
     shortest_vector,
 )
-from ceisen.linalg import mat_inv
+from ceisen.linalg import mat_det
 
 CASES_PER_RANK = 12
 
@@ -34,13 +34,17 @@ def random_gram(rng: random.Random, n: int) -> list[list[Fraction]]:
 
 
 def brute_points(G, bound):
-    """Every nonzero c with cᵀGc ≤ bound, searched over the box |c_i|² ≤ bound·(G⁻¹)_ii."""
+    """Every nonzero c with cᵀGc ≤ bound, searched over the box |c_i|² ≤ bound·(G⁻¹)_ii.
+
+    (G⁻¹)_ii is the cofactor det(G minus row and column i) / det(G).
+    """
     bound = Fraction(bound)
     if bound <= 0:
         return []
     n = len(G)
-    Ginv = mat_inv(G)
-    widths = [isqrt(int(bound * Ginv[i][i])) for i in range(n)]
+    det = mat_det(G)
+    minors = [[[G[r][c] for c in range(n) if c != i] for r in range(n) if r != i] for i in range(n)]
+    widths = [isqrt(int(bound * mat_det(m) / det)) for m in minors]
     L = lcm(*(x.denominator for row in G for x in row))
     GL = [[int(x * L) for x in row] for row in G]
     out = []

@@ -1,9 +1,13 @@
 """Orders, ideals, and class-set enumeration."""
 
+import random
 from fractions import Fraction
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
+from ceisen.linalg import mat_det
 from ceisen.order import (
     CacheError,
     Lat4,
@@ -187,3 +191,118 @@ def test_product_lattice_norm_multiplicative(classes11):
     K = _neighbor_ideals(right_order(I), 2)[0]
     J = LeftIdeal.of(classes11.order, product_lattice(I.lattice, K))
     assert J.norm == I.norm * K.norm()
+
+
+# --- integer lattice operations against the QuatElement path -----------------
+
+LATTICE_ALGEBRAS = [(-1, -1), (-1, -3), (-2, -5), (-3, -7)]
+LATTICES_PER_ALGEBRA = 6
+
+
+def random_lattice(rng: random.Random, B: QuaternionAlgebra) -> Lat4:
+    """The span of four random integer rows over den, den in {1, 2, 3, 6}."""
+    den = rng.choice([1, 2, 3, 6])
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
+        if mat_det(rows):
+            break
+    return Lat4.span(B, [B.element(*(Fraction(x, den) for x in row)) for row in rows])
+
+
+def lattice_cases():
+    rng = random.Random(2015)
+    out = []
+    for a, b in LATTICE_ALGEBRAS:
+        B = QuaternionAlgebra.create(a, b)
+        out += [(random_lattice(rng, B), random_lattice(rng, B), rng) for _ in range(LATTICES_PER_ALGEBRA)]
+    return out
+
+
+def cramer_coords(basis, x) -> list[Fraction]:
+    """The c with x = Σ c_k·basis[k], by Cramer's rule."""
+    M = [list(b.coords) for b in basis]
+    det = mat_det(M)
+    return [mat_det(M[:k] + [list(x.coords)] + M[k + 1:]) / det for k in range(4)]
+
+
+def combination(basis, coords):
+    """Σ c_k·basis[k] in QuatElement arithmetic."""
+    acc = basis[0] * 0
+    for c, b in zip(coords, basis):
+        acc = acc + b * c
+    return acc
+
+
+def rational_gcd(values) -> Fraction:
+    L = lcm(*(v.denominator for v in values))
+    return Fraction(gcd(*(int(v * L) for v in values)), L)
+
+
+def test_product_and_conjugate_match_quaternion_products():
+    for A, B, _ in lattice_cases():
+        alg = A.algebra
+        assert product_lattice(A, B) == Lat4.span(alg, [u * v for u in A.basis for v in B.basis])
+        assert product_lattice(B, A) == Lat4.span(alg, [v * u for v in B.basis for u in A.basis])
+        assert A.conjugate() == Lat4.span(alg, [b.conj() for b in A.basis])
+    for a, b in LATTICE_ALGEBRAS:
+        O = maximal_order(QuaternionAlgebra.create(a, b)).lattice
+        assert product_lattice(O, O) == O  # 1 ∈ O: the product over den² must reduce to O
+        assert O.conjugate() == O
+
+
+def test_gram_is_half_trace_pairing():
+    for A, _, _ in lattice_cases():
+        bs = A.basis
+        G = A.gram()
+        for k in range(4):
+            for l in range(4):
+                assert G[k][l] == (bs[k] * bs[l].conj()).trace() / 2
+
+
+def test_norm_is_gcd_of_element_norms():
+    for A, _, _ in lattice_cases():
+        norms = [combination(A.basis, c).norm() for c in product(range(-1, 2), repeat=4) if any(c)]
+        assert A.norm() == rational_gcd(norms)
+
+
+def test_coords_round_trip_and_non_members():
+    for A, _, rng in lattice_cases():
+        bs = A.basis
+        for _ in range(5):
+            c = [rng.randint(-9, 9) for _ in range(4)]
+            x = combination(bs, c)
+            assert A.element_from(c) == x
+            assert A.coords_of(x) == c == cramer_coords(bs, x)
+            assert A.element_from(A.coords_of(x)) == x
+            assert A.contains(x)
+            off = x + bs[rng.randrange(4)] * Fraction(1, rng.choice([2, 3, 5]))
+            assert A.coords_of(off) == cramer_coords(bs, off)
+            assert not A.contains(off)
+
+
+def brute_eichler(Omax, q: int) -> Lat4:
+    """The level-q suborder of Omax, found by brute force over (Z/q)^4: take
+    the first idempotent e ≢ 0, 1 mod q·Omax in lexicographic coordinate
+    order, and the preimage of {c : e·x_c·(1 - e) ∈ q·Omax}."""
+    bs = Omax.basis
+    one = Omax.algebra.one
+
+    def in_q_order(x) -> bool:
+        return all((c / q).denominator == 1 for c in cramer_coords(bs, x))
+
+    tuples = [c for c in product(range(q), repeat=4) if any(c)]
+    e = next(
+        x for x in (combination(bs, c) for c in tuples)
+        if not in_q_order(x - one) and in_q_order(x * x - x)
+    )
+    kept = [c for c in tuples if in_q_order(e * combination(bs, c) * (one - e))]
+    assert len(kept) + 1 == q**3
+    return Lat4.span(Omax.algebra, [b * q for b in bs] + [combination(bs, c) for c in kept])
+
+
+@pytest.mark.parametrize("p, q", [(11, 2), (11, 3), (11, 5), (2, 3), (2, 5), (3, 2)])
+def test_eichler_order_is_brute_force_preimage(p, q):
+    Omax = maximal_order(construct_algebra({p}))
+    O = eichler_order(Omax, q)
+    assert O.lattice == brute_eichler(Omax, q)
+    assert reduced_discriminant(O) == q * reduced_discriminant(Omax)

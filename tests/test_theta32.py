@@ -180,19 +180,3 @@ def test_nonpositive_inputs_rejected(level11):
         trace_identity_check(level11, -1)
     with pytest.raises(ValueError):
         optimal_embedding_count(level11, 1, -5)  # -5 is not a discriminant
-
-
-def test_prefill_threads_same_cache(level66):
-    import copy
-
-    fresh = {}
-    saved = level66.cache
-    try:
-        level66.cache = fresh
-        prefill_counts(level66, 150, threads=3)
-        threaded = copy.deepcopy(fresh)
-        level66.cache = {}
-        prefill_counts(level66, 150, threads=1)
-        assert level66.cache["ternary_counts"] == threaded["ternary_counts"]
-    finally:
-        level66.cache = saved
