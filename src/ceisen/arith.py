@@ -163,10 +163,14 @@ class Discriminant:
     def of(cls, d: int) -> "Discriminant":
         if d >= 0 or d % 4 not in (0, 1):
             raise ValueError(f"{d} is not a negative discriminant")
+        # f takes p^⌊e/2⌋ from each p^e ∥ d, but at p = 2 the fundamental
+        # part keeps 2² (or 2³ for odd e) unless e is even and the odd part
+        # of d is ≡ 1 (mod 4), when d/f² ≡ 1 (mod 4) is itself fundamental.
         f = 1
-        for g in range(2, isqrt(-d) + 1):
-            if d % (g * g) == 0 and (d // (g * g)) % 4 in (0, 1):
-                f = g
+        for p, e in factorize(-d).factors:
+            if p == 2 and (e % 2 or (-d >> e) % 4 == 1):
+                e -= 2
+            f *= p ** (e // 2)
         return cls(d, f == 1, f)
 
     @property

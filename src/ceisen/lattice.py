@@ -89,21 +89,32 @@ def points_up_to(G: list[list[Fraction]], bound: Fraction) -> Iterator[tuple[tup
 
 def counts_by_value(G: list[list[Fraction]], bound: Fraction) -> dict[Fraction, int]:
     """Number of nonzero lattice vectors at each form value <= bound (both signs counted)."""
-    out: dict[Fraction, int] = {}
+    tally: dict[tuple[int, int], int] = {}
     for _, val in points_up_to(G, bound):
-        out[val] = out.get(val, 0) + 1
-    return out
+        key = val.numerator, val.denominator
+        tally[key] = tally.get(key, 0) + 1
+    return _by_fraction(tally)
 
 
 def counts_with_primitive(G: list[list[Fraction]], bound: Fraction) -> tuple[dict[Fraction, int], dict[Fraction, int]]:
     """Like counts_by_value, plus separate counts of primitive vectors (coordinate gcd 1)."""
-    allc: dict[Fraction, int] = {}
-    prim: dict[Fraction, int] = {}
+    allc: dict[tuple[int, int], int] = {}
+    prim: dict[tuple[int, int], int] = {}
     for coords, val in points_up_to(G, bound):
-        allc[val] = allc.get(val, 0) + 1
+        key = val.numerator, val.denominator
+        allc[key] = allc.get(key, 0) + 1
         if gcd(*coords) == 1:
-            prim[val] = prim.get(val, 0) + 1
-    return allc, prim
+            prim[key] = prim.get(key, 0) + 1
+    return _by_fraction(allc), _by_fraction(prim)
+
+
+def _by_fraction(tally: dict[tuple[int, int], int]) -> dict[Fraction, int]:
+    """Re-key a tally from (numerator, denominator) to Fraction.
+
+    The tallies key on integer pairs because Fraction.__hash__ takes a modular
+    inverse on every dict access; each Fraction key is built once, here.
+    """
+    return {Fraction(n, d): c for (n, d), c in tally.items()}
 
 
 def exists_value(G: list[list[Fraction]], target: Fraction) -> bool:

@@ -1,8 +1,9 @@
 """Binary quadratic forms, class numbers, and the closed coefficient formulas.
 
-Class numbers are obtained by counting primitive reduced forms directly; the
-closed formulas combine them with the local symbols from `arith`.  All values
-are exact (int / Fraction).
+Class numbers come from one sieve over the primitive reduced forms, tabulated
+for every discriminant up to the largest |d| asked for; the closed formulas
+combine them with the local symbols from `arith`.  All values are exact
+(int / Fraction).
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 from .arith import (
     Discriminant,
@@ -62,10 +63,50 @@ def reduced_forms(d: int) -> list[ReducedForm]:
     return forms
 
 
+def sieve_class_numbers(h: list[int], X: int) -> None:
+    """Extend h in place so that h[n] = h(-n) for every n <= X.
+
+    h must already hold h(-n) at each index n < len(h); it holds 0 where -n is
+    not a discriminant.  One sweep over the primitive reduced forms (a, b, c)
+    with len(h) <= 4ac - b² <= X (Cohen, GTM 138, §5.3): for each (a, b),
+    4ac - b² moves in steps of 4a as c grows from c = a (c = a + 1 when
+    b < 0, since a = c needs b >= 0).  When gcd(a, b) = 1 every c gives a
+    primitive form; otherwise c must be prime to gcd(a, b).
+    """
+    lo = len(h)
+    h.extend([0] * (X + 1 - lo))
+    a = 1
+    while 3 * a * a <= X:
+        step = 4 * a
+        for b in range(1 - a, a + 1):
+            c0 = max(a if b >= 0 else a + 1, -(-(lo + b * b) // step))
+            g = gcd(a, b)
+            if g == 1:
+                for n in range(step * c0 - b * b, X + 1, step):
+                    h[n] += 1
+            else:
+                for c in range(c0, (X + b * b) // step + 1):
+                    if gcd(g, c) == 1:
+                        h[step * c - b * b] += 1
+        a += 1
+
+
+_class_numbers: list[int] = []  # h(-n) at index n, extended by class_number
+
+
 @lru_cache(maxsize=None)
 def class_number(d: int) -> int:
-    """h(d): the number of classes of primitive forms of discriminant d < 0."""
-    return len(reduced_forms(d))
+    """h(d): the number of classes of primitive forms of discriminant d < 0.
+
+    A lookup into one table of h(-n).  A request past its end sieves the new
+    range, to at least twice the old length, so a run asking for every
+    |d| up to X makes O(log X) sweeps and sieves each form once.
+    """
+    if d >= 0 or d % 4 not in (0, 1):
+        raise ValueError(f"{d} is not a negative discriminant")
+    if -d >= len(_class_numbers):
+        sieve_class_numbers(_class_numbers, max(-d, 2 * len(_class_numbers)))
+    return _class_numbers[-d]
 
 
 def unit_factor(d: int) -> int:
@@ -142,19 +183,21 @@ def closed_form_H(D: int, cfg: LevelConfig) -> Fraction:
     """The closed class-number formula for the degree-D coefficient, D > 0.
 
     Sums h(d)/u(d) times the local factors over all splittings -D = d·f²,
-    then halves.  Zero exactly when D ≡ 1, 2 (mod 4) (empty sum).
+    then halves.  Zero exactly when D ≡ 1, 2 (mod 4) (empty sum).  Since
+    u(d) ∈ {1, 2, 3}, the sum is carried in integers as 12 times the value.
     """
     if D <= 0:
         raise ValueError("D must be positive")
-    total = Fraction(0)
+    total = 0
     for disc, _f in discriminant_decompositions(D):
-        term = Fraction(class_number(disc.d), unit_factor(disc.d))
+        local = 1
         for p in cfg.P.primes:
-            term *= 1 - eichler_symbol(-disc.d, p)
+            local *= 1 - eichler_symbol(-disc.d, p)
         for q in cfg.M.primes:
-            term *= 1 + eichler_symbol(-disc.d, q)
-        total += term
-    return total / 2
+            local *= 1 + eichler_symbol(-disc.d, q)
+        if local:
+            total += local * class_number(disc.d) * (6 // unit_factor(disc.d))
+    return Fraction(total, 12)
 
 
 def kronecker_condition(D: int, cfg: LevelConfig) -> bool:

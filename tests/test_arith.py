@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from math import isqrt
 
 import pytest
 
@@ -124,6 +125,22 @@ def test_discriminant_metadata():
         Discriminant.of(-5)
     with pytest.raises(ValueError):
         Discriminant.of(4)
+
+
+def scan_discriminant(d: int) -> tuple[int, bool, int]:
+    """Reference: the conductor is the largest g with g² | d and d/g² ≡ 0, 1 (mod 4)."""
+    f = 1
+    for g in range(2, isqrt(-d) + 1):
+        if d % (g * g) == 0 and (d // (g * g)) % 4 in (0, 1):
+            f = g
+    return d, f == 1, f
+
+
+def test_discriminant_matches_conductor_scan():
+    for n in range(3, 20001):
+        if (-n) % 4 in (0, 1):
+            disc = Discriminant.of(-n)
+            assert (disc.d, disc.is_fundamental, disc.conductor) == scan_discriminant(-n)
 
 
 def test_fundamental_discriminant_of_field():

@@ -98,8 +98,12 @@ def test_consumers_match_brute_force(n):
             allc[val] = allc.get(val, 0) + 1
             if gcd(*c) == 1:
                 prim[val] = prim.get(val, 0) + 1
-        assert counts_by_value(G, bound) == allc
-        assert counts_with_primitive(G, bound) == (allc, prim)
+        byval = counts_by_value(G, bound)
+        both = counts_with_primitive(G, bound)
+        assert byval == allc
+        assert both == (allc, prim)
+        for tally in (byval, *both):
+            assert all(type(v) is Fraction for v in tally)
 
         values = set(allc)
         for target in sorted(values)[:3]:
@@ -115,3 +119,10 @@ def test_consumers_match_brute_force(n):
         canon = min(c if next(x for x in c if x) > 0 else tuple(-x for x in c)
                     for c, val in near if val == least)
         assert shortest_vector(G) == (canon, least)
+
+
+def test_cases_cover_fractional_bounds_and_values():
+    every = [case for n in (1, 2, 3, 4) for case in cases(n)]
+    assert any(bound.denominator > 1 for _, bound, _ in every)
+    dens = {val.denominator for _, _, pts in every for _, val in pts}
+    assert {2, 3, 6} <= dens

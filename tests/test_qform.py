@@ -1,10 +1,17 @@
 from __future__ import annotations
 
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 
+import ceisen
+from ceisen.arith import discriminant_decompositions, eichler_symbol, squarefree_kernel
 from ceisen.qform import (
     LevelConfig,
     class_number,
@@ -14,6 +21,7 @@ from ceisen.qform import (
     mass,
     reduced_forms,
     s_ramified,
+    sieve_class_numbers,
     unit_factor,
 )
 
@@ -54,6 +62,60 @@ def test_class_number_against_oracle():
         d = -D
         if d % 4 in (0, 1):
             assert class_number(d) == brute_force_class_number(d), d
+
+
+def test_class_number_matches_reduced_forms_to_3000():
+    for n in range(3, 3001):
+        if (-n) % 4 in (0, 1):
+            assert class_number(-n) == len(reduced_forms(-n)), -n
+
+
+def test_sieve_from_empty_and_in_steps():
+    whole = []
+    sieve_class_numbers(whole, 3000)
+    steps = []
+    for X in (0, 1, 4, 100, 101, 1500, 3000):
+        sieve_class_numbers(steps, X)
+        assert len(steps) == X + 1
+    assert steps == whole
+    for n, h in enumerate(whole):
+        assert h == (len(reduced_forms(-n)) if n and (-n) % 4 in (0, 1) else 0), n
+
+
+def test_class_number_on_sampled_fundamental_4k():
+    # -4k is fundamental for squarefree k ≡ 1, 2 (mod 4)
+    ks = [k for k in range(1, 5001) if k % 4 in (1, 2) and squarefree_kernel(k) == k]
+    for k in random.Random(5).sample(ks, 200):
+        assert class_number(-4 * k) == len(reduced_forms(-4 * k)), -4 * k
+
+
+def _class_numbers_in_fresh_process(ds: list[int]) -> dict[int, int]:
+    src = os.path.dirname(os.path.dirname(ceisen.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import json, sys\n"
+        "from ceisen.qform import class_number\n"
+        "print(json.dumps([[d, class_number(d)] for d in json.loads(sys.argv[1])]))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(ds)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return dict(map(tuple, json.loads(out)))
+
+
+def test_class_number_independent_of_request_order():
+    small = [-n for n in range(3, 400) if (-n) % 4 in (0, 1)]
+    large = [-19996, -19999, -15004]
+    big_first = _class_numbers_in_fresh_process(large + small)
+    small_first = _class_numbers_in_fresh_process(small + large[::-1])
+    assert big_first == small_first
+    assert all(big_first[d] == len(reduced_forms(d)) for d in small + large)
+
+
+def test_class_number_rejects_non_discriminants_inside_the_table():
+    class_number(-4000)
+    for d in (0, 5, -1, -2, -5, -6):
+        with pytest.raises(ValueError):
+            class_number(d)
 
 
 def test_reduced_forms_are_reduced_and_primitive():
@@ -117,6 +179,30 @@ def test_closed_form_denominators_divide_six():
     ):
         for D in range(1, 300):
             assert 6 % closed_form_H(D, cfg).denominator == 0
+
+
+def fraction_closed_form_H(D: int, cfg: LevelConfig) -> Fraction:
+    """Reference: the closed formula summed term by term in Fractions."""
+    total = Fraction(0)
+    for disc, _f in discriminant_decompositions(D):
+        term = Fraction(class_number(disc.d), unit_factor(disc.d))
+        for p in cfg.P.primes:
+            term *= 1 - eichler_symbol(-disc.d, p)
+        for q in cfg.M.primes:
+            term *= 1 + eichler_symbol(-disc.d, q)
+        total += term
+    return total / 2
+
+
+@pytest.mark.parametrize("ramified, M", [((11,), 1), ((2, 3, 11), 1), ((2, 3, 7), 5)])
+def test_closed_form_matches_fraction_reference(ramified, M):
+    cfg = LevelConfig.from_primes(ramified, M)
+    for D in range(1, 601):
+        H = closed_form_H(D, cfg)
+        assert type(H) is Fraction
+        assert H == fraction_closed_form_H(D, cfg), D
+        if D % 4 in (1, 2):
+            assert H == 0
 
 
 def test_corollary_examples_and_consistency():
