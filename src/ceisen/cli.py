@@ -169,8 +169,8 @@ def _get_classes(cfg: RunConfig):
                 data = json.load(fh)
             return classes_from_json(data)
         except (CacheError, ValueError, KeyError, TypeError, OSError,
-                json.JSONDecodeError):
-            pass  # invalid cache: fall through and rebuild
+                json.JSONDecodeError) as e:
+            print(f"ceisen: rebuilding {path}: {type(e).__name__}: {e}", file=sys.stderr)
     classes = build_class_set(level)
     _write_snapshot(path, classes)
     return classes

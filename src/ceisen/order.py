@@ -1,11 +1,12 @@
 """Orders and left ideals in definite quaternion algebras, with exact lattices.
 
-A lattice is stored as a canonical pair (denominator, HNF integer rows) of
-coordinates over the algebra basis (1, i, j, k), so equal lattices compare
-equal.  Lattices compute on that pair: products, conjugates, Gram matrices,
-norms and coordinates use integer rows (with `quatalg.quat_mul` and
-`quatalg.norm_pair`), and each new lattice is put in canonical form again.
-Maximal orders come from prime-by-prime saturation of the obvious
+An element is a coordinate 4-tuple over the algebra basis (1, i, j, k), and
+`quatalg.quat_mul` and `quatalg.norm_pair` are its only product and norm form.
+A lattice is stored as a canonical pair (denominator, HNF integer rows), so
+equal lattices compare equal, and every order and ideal operation computes on
+that pair: products, conjugates, Gram matrices, norms, covolumes and
+coordinates use integer rows, and each new lattice is put in canonical form
+again.  Maximal orders come from prime-by-prime saturation of the obvious
 starting order; level structure at primes coprime to the discriminant is cut
 out by a splitting idempotent.  Left ideal classes are enumerated by a
 neighbor walk at the smallest good prime, stopped exactly by the mass formula.
@@ -15,13 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, isqrt, prod
+from math import gcd, prod
 
 from .arith import factorize, is_prime, valuation
 from .lattice import counts_by_value, exists_value, shortest_vector
-from .linalg import clear_denominators, hnf, int_kernel, mat_det
+from .linalg import clear_denominators, hnf, int_kernel
 from .qform import LevelConfig, mass
-from .quatalg import QuatElement, QuaternionAlgebra, norm_pair, quat_mul
+from .quatalg import QuaternionAlgebra, norm_pair, quat_mul
 
 
 class SaturationError(Exception):
@@ -64,16 +65,14 @@ class Lat4:
     rows: tuple[tuple[int, ...], ...]
 
     @classmethod
-    def span(cls, algebra: QuaternionAlgebra, gens: list[QuatElement]) -> "Lat4":
-        den, rows = clear_denominators([g.coords for g in gens])
+    def span(cls, algebra: QuaternionAlgebra, gens) -> "Lat4":
+        """The lattice spanned by rational coordinate 4-tuples."""
+        den, rows = clear_denominators(gens)
         return _canonical(algebra, den, rows)
 
     @property
-    def basis(self) -> list[QuatElement]:
-        return [
-            QuatElement(self.algebra, tuple(Fraction(x, self.den) for x in row))
-            for row in self.rows
-        ]
+    def basis(self) -> list[tuple[Fraction, ...]]:
+        return [tuple(Fraction(x, self.den) for x in row) for row in self.rows]
 
     def gram(self) -> list[list[Fraction]]:
         """Gram matrix of the reduced norm form on this basis."""
@@ -84,25 +83,21 @@ class Lat4:
                 G[k][l] = G[l][k] = Fraction(norm_pair(a, b, rows[k], rows[l]), d2)
         return G
 
-    def contains(self, x: QuatElement) -> bool:
-        c = self.coords_of(x)
-        return all(v.denominator == 1 for v in c)
+    def covolume(self) -> Fraction:
+        """|det| of the basis over (1, i, j, k): the HNF pivots' product over den⁴."""
+        return Fraction(prod(row[k] for k, row in enumerate(self.rows)), self.den**4)
 
-    def coords_of(self, x: QuatElement) -> list[Fraction]:
+    def contains(self, x) -> bool:
+        return all(v.denominator == 1 for v in self.coords_of(x))
+
+    def coords_of(self, x) -> list[Fraction]:
         """The c with x = Σ c_k·b_k: solve c·H = den·x by forward substitution
         on the upper-triangular rows H."""
         c: list[Fraction] = []
         for m in range(4):
-            acc = self.den * x.coords[m] - sum(ck * row[m] for ck, row in zip(c, self.rows))
+            acc = self.den * x[m] - sum(ck * row[m] for ck, row in zip(c, self.rows))
             c.append(Fraction(acc, self.rows[m][m]))
         return c
-
-    def element_from(self, coords) -> QuatElement:
-        """Σ c_k·b_k for integer coordinates c."""
-        return QuatElement(self.algebra, tuple(
-            Fraction(sum(c * row[m] for c, row in zip(coords, self.rows)), self.den)
-            for m in range(4)
-        ))
 
     def conjugate(self) -> "Lat4":
         rows = [(r[0], -r[1], -r[2], -r[3]) for r in self.rows]
@@ -118,9 +113,10 @@ class Lat4:
                 vals.append(vals[k] + vals[l] + 2 * norm_pair(a, b, rows[k], rows[l]))
         return Fraction(gcd(*vals), self.den**2)
 
-    def is_multiplicatively_closed(self) -> bool:
-        bs = self.basis
-        return all(self.contains(u * v) for u in bs for v in bs)
+
+def _combine(c, rows) -> tuple[int, ...]:
+    """The integer row Σ c_k·rows_k."""
+    return tuple(sum(ck * row[m] for ck, row in zip(c, rows)) for m in range(4))
 
 
 def product_lattice(A: Lat4, B: Lat4) -> Lat4:
@@ -142,34 +138,35 @@ class OrderLattice:
         return self.lattice.algebra
 
     @property
-    def basis(self) -> list[QuatElement]:
+    def basis(self) -> list[tuple[Fraction, ...]]:
         return self.lattice.basis
 
     def gram(self) -> list[list[Fraction]]:
         return self.lattice.gram()
 
-    def contains(self, x: QuatElement) -> bool:
+    def contains(self, x) -> bool:
         return self.lattice.contains(x)
 
 
-def make_order(algebra: QuaternionAlgebra, gens: list[QuatElement], check: bool = True) -> OrderLattice:
-    lat = Lat4.span(algebra, gens)
-    if check:
-        if not lat.contains(algebra.one):
-            raise ValueError("order must contain 1")
-        if not lat.is_multiplicatively_closed():
-            raise ValueError("order must be closed under multiplication")
+def make_order(lat: Lat4) -> OrderLattice:
+    """The order on lat; ValueError unless 1 ∈ lat and lat·lat = lat (1 ∈ lat
+    gives lat ⊆ lat·lat, so equality is closure)."""
+    if not lat.contains((1, 0, 0, 0)):
+        raise ValueError("order must contain 1")
+    if product_lattice(lat, lat) != lat:
+        raise ValueError("order must be closed under multiplication")
     return OrderLattice(lat)
 
 
 def reduced_discriminant(O: OrderLattice) -> int:
-    """The integer d with d² = |det(trace pairing)| on the order."""
-    # 16·det(gram of the norm form) = det of the trace pairing
-    det = mat_det(O.gram()) * 16
-    assert det.denominator == 1 and det > 0, "trace pairing must have positive integer det"
-    d = isqrt(int(det))
-    assert d * d == int(det), "trace pairing determinant must be a perfect square"
-    return d
+    """The integer d with d² = |det(trace pairing)| on the order.
+
+    The trace pairing on (1, i, j, k) is diag(2, -2a, -2b, 2ab), of
+    determinant (4ab)², so d = 4·|ab|·covol(O).
+    """
+    d = 4 * abs(O.algebra.a * O.algebra.b) * O.lattice.covolume()
+    assert d.denominator == 1 and d > 0, "reduced discriminant must be a positive integer"
+    return int(d)
 
 
 def unit_count(O: OrderLattice) -> int:
@@ -180,26 +177,29 @@ def unit_count(O: OrderLattice) -> int:
 
 
 def standard_order(B: QuaternionAlgebra) -> OrderLattice:
-    return make_order(B, list(B.gens))
+    return make_order(Lat4.span(B, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
 
 
 def _saturate_at(O: OrderLattice, p: int) -> OrderLattice:
     """Find a strictly larger order O' with p·O' ⊆ O, or raise SaturationError.
 
-    Candidates x = (sum c_k b_k)/p are filtered by integrality of trace, norm
-    and the trace pairing against the basis, then the ring closure of O and x
+    Candidates x = r/(p·den), r = Σ c_k·rows_k, are filtered by integrality of
+    the trace 2·r₀/(p·den), the norm N(r)/(p·den)² and the trace pairings
+    2·⟨r, rows_k⟩/(p·den²) against the basis, then the ring closure of O and x
     is computed; the first candidate whose closure stabilizes on a genuinely
     larger order wins (deterministic in lexicographic candidate order).
     """
-    bs = O.basis
+    L = O.lattice
+    a, b, rows, pd = L.algebra.a, L.algebra.b, L.rows, p * L.den
+    scaled = [tuple(p * v for v in row) for row in rows]
     d_old = reduced_discriminant(O)
     for c in _nonzero_tuples(p):
-        x = O.lattice.element_from(c) / p
-        if x.trace().denominator != 1 or x.norm().denominator != 1:
+        r = _combine(c, rows)
+        if (2 * r[0]) % pd or norm_pair(a, b, r, r) % (pd * pd):
             continue
-        if any(((x * b.conj()).trace()).denominator != 1 for b in bs):
+        if any((2 * norm_pair(a, b, r, row)) % (pd * L.den) for row in rows):
             continue
-        closure = _ring_closure(O.lattice, x)
+        closure = _ring_closure(_canonical(L.algebra, pd, scaled + [r]))
         if closure is None:
             continue
         d_new = reduced_discriminant(OrderLattice(closure))
@@ -217,14 +217,12 @@ def _nonzero_tuples(p: int):
                         yield (c0, c1, c2, c3)
 
 
-def _ring_closure(lat: Lat4, x: QuatElement, max_rounds: int = 8) -> Lat4 | None:
-    """Smallest multiplicatively closed lattice containing lat and x, if it
-    stabilizes within a few rounds (non-integral candidates blow up and return None)."""
-    cur = Lat4.span(lat.algebra, lat.basis + [x])
+def _ring_closure(cur: Lat4, max_rounds: int = 8) -> Lat4 | None:
+    """The smallest multiplicatively closed lattice containing cur, which holds
+    1, so cur ⊆ cur·cur: iterate cur ← cur·cur until it stabilizes within a
+    few rounds (non-integral candidates blow up and return None)."""
     for _ in range(max_rounds):
-        bs = cur.basis
-        prods = [u * v for u in bs for v in bs]
-        nxt = Lat4.span(cur.algebra, bs + prods)
+        nxt = product_lattice(cur, cur)
         if nxt == cur:
             return cur
         cur = nxt
@@ -250,13 +248,15 @@ def maximal_order(B: QuaternionAlgebra) -> OrderLattice:
 
 
 def _structure_constants(O: OrderLattice) -> list[list[list[int]]]:
-    """Integer table S with b_k·b_l = sum_m S[k][l][m]·b_m."""
-    bs = O.basis
+    """Integer table S with b_k·b_l = sum_m S[k][l][m]·b_m, from the coordinates
+    of the row products over den²."""
+    L = O.lattice
+    a, b, d2 = L.algebra.a, L.algebra.b, L.den**2
     table = []
-    for u in bs:
+    for u in L.rows:
         row = []
-        for v in bs:
-            coords = O.lattice.coords_of(u * v)
+        for v in L.rows:
+            coords = L.coords_of([Fraction(x, d2) for x in quat_mul(a, b, u, v)])
             assert all(c.denominator == 1 for c in coords), "order not closed (bug)"
             row.append([int(c) for c in coords])
         table.append(row)
@@ -305,7 +305,8 @@ def eichler_order(Omax: OrderLattice, M: int) -> OrderLattice:
 
 def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
     S = _structure_constants(O)
-    one = [int(c) for c in O.lattice.coords_of(O.algebra.one)]
+    L = O.lattice
+    one = [int(c) for c in L.coords_of((1, 0, 0, 0))]
     e = None
     for c in _nonzero_tuples(q):
         if all((x - y) % q == 0 for x, y in zip(c, one)):
@@ -329,7 +330,7 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
     kernel = int_kernel([A[r] + [q * int(r == t) for t in range(4)] for r in range(4)])
     H = hnf([v[:4] for v in kernel])
     assert prod(H[k][k] for k in range(4)) == q, "upper-triangular part mod q must have index q"
-    sub = make_order(O.algebra, [O.lattice.element_from(row) for row in H])
+    sub = make_order(_canonical(L.algebra, L.den, [_combine(h, L.rows) for h in H]))
     assert reduced_discriminant(sub) == q * reduced_discriminant(O)
     return sub
 
@@ -345,14 +346,18 @@ class LeftIdeal:
     @classmethod
     def of(cls, order: OrderLattice, lattice: Lat4) -> "LeftIdeal":
         n = lattice.norm()
-        # certificate: covolume matches norm^4 relative to the order
-        dI = mat_det(lattice.gram())
-        dO = mat_det(order.gram())
-        assert dI == n**4 * dO, "ideal is not locally principal (covolume certificate failed)"
+        assert _covolume_certificate(order, lattice, n), (
+            "ideal is not locally principal (covolume certificate failed)")
         return cls(order, lattice, n)
 
     def gram(self) -> list[list[Fraction]]:
         return self.lattice.gram()
+
+
+def _covolume_certificate(O: OrderLattice, lat: Lat4, n: Fraction) -> bool:
+    """covol(lat) = n²·covol(O), true for a locally principal left O-ideal of
+    norm n (the same as det gram(lat) = n⁴·det gram(O))."""
+    return lat.covolume() == n * n * O.lattice.covolume()
 
 
 def unit_ideal(O: OrderLattice) -> LeftIdeal:
@@ -360,9 +365,12 @@ def unit_ideal(O: OrderLattice) -> LeftIdeal:
 
 
 def right_order(I: LeftIdeal) -> OrderLattice:
-    """O_r(I) = conj(I)·I / N(I) for locally principal I."""
-    prod = product_lattice(I.lattice.conjugate(), I.lattice)
-    return make_order(I.order.algebra, [b * (1 / I.norm) for b in prod.basis])
+    """O_r(I) = conj(I)·I / N(I) for locally principal I: the row products
+    scaled by 1/N(I)."""
+    P = product_lattice(I.lattice.conjugate(), I.lattice)
+    n = I.norm
+    rows = [[x * n.denominator for x in row] for row in P.rows]
+    return make_order(_canonical(P.algebra, P.den * n.numerator, rows))
 
 
 def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
@@ -379,30 +387,36 @@ def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
 
 def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
     """Replace I by the equivalent integral ideal I·conj(x)/N(I) for a canonical
-    shortest vector x; keeps norms (hence later enumerations) small."""
+    shortest vector x = Σ c_k·rows_k/den: the row products b_k·conj(x) over
+    den²·N(I)."""
     coords, _ = shortest_vector(I.gram())
-    x = I.lattice.element_from(coords)
-    gens = [b * x.conj() * (1 / I.norm) for b in I.lattice.basis]
-    lat = Lat4.span(I.lattice.algebra, gens)
-    return LeftIdeal.of(I.order, lat)
+    L, n = I.lattice, I.norm
+    a, b = L.algebra.a, L.algebra.b
+    x = _combine(coords, L.rows)
+    xbar = (x[0], -x[1], -x[2], -x[3])
+    rows = [[v * n.denominator for v in quat_mul(a, b, row, xbar)] for row in L.rows]
+    return LeftIdeal.of(I.order, _canonical(L.algebra, L.den**2 * n.numerator, rows))
 
 
 def _neighbor_ideals(R: OrderLattice, p: int) -> list[Lat4]:
-    """The p+1 left R-ideals of reduced norm p (p coprime to disc(R))."""
-    bs = R.basis
+    """The p+1 left R-ideals of reduced norm p (p coprime to disc(R)).
+
+    For each projective x = Σ c_k·rows_k/den with p | N(x), the ideal
+    p·R + R·x is spanned by p·den·rows_k and rows_k·x over den².
+    """
+    L = R.lattice
+    a, b, rows, d2 = L.algebra.a, L.algebra.b, L.rows, L.den**2
+    scaled = [tuple(p * L.den * v for v in row) for row in rows]
     seen: dict[tuple, Lat4] = {}
     for c in _projective_tuples(p):
-        x = R.lattice.element_from(c)
-        n = x.norm()
-        assert n.denominator == 1
-        if int(n) % p:
+        x = _combine(c, rows)
+        n, rem = divmod(norm_pair(a, b, x, x), d2)
+        assert rem == 0
+        if n % p:
             continue
-        gens = [b * p for b in bs] + [b * x for b in bs]
-        K = Lat4.span(R.lattice.algebra, gens)
-        key = (K.den, K.rows)
-        if key not in seen:
-            seen[key] = K
-    out = sorted(seen.values(), key=lambda L: (L.den, L.rows))
+        K = _canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows])
+        seen.setdefault((K.den, K.rows), K)
+    out = sorted(seen.values(), key=lambda K: (K.den, K.rows))
     assert len(out) == p + 1, f"expected {p + 1} neighbors, got {len(out)}"
     return out
 
@@ -466,7 +480,7 @@ def classes_to_json(cs: IdealClassSet) -> dict:
         "algebra": {"a": cs.algebra.a, "b": cs.algebra.b},
         "classes": [
             {
-                "basis": [str(x) for b in I.lattice.basis for x in b.coords],
+                "basis": [str(x) for b in I.lattice.basis for x in b],
                 "norm": str(I.norm),
                 "e": e,
                 "w": w,
@@ -499,13 +513,15 @@ def classes_from_json(data: dict) -> IdealClassSet:
         coords = [Fraction(s) for s in rec["basis"]]
         if len(coords) != 16:
             raise CacheError("each class needs 16 basis coordinates")
-        gens = [B.element(*coords[4 * k : 4 * k + 4]) for k in range(4)]
-        lat = Lat4.span(B, gens)
-        I = LeftIdeal.of(O, lat)
-        if str(I.norm) != rec["norm"]:
-            raise CacheError("stored norm disagrees with the lattice")
-        if not all(lat.contains(b * v) for b in O.basis for v in lat.basis):
+        lat = Lat4.span(B, [coords[4 * k : 4 * k + 4] for k in range(4)])
+        if product_lattice(O.lattice, lat) != lat:
             raise CacheError("cached lattice is not a left ideal of the order")
+        n = lat.norm()
+        if not _covolume_certificate(O, lat, n):
+            raise CacheError("cached lattice is not a locally principal ideal")
+        if str(n) != rec["norm"]:
+            raise CacheError("stored norm disagrees with the lattice")
+        I = LeftIdeal(O, lat, n)
         R = right_order(I)
         e = unit_count(R)
         if e != rec["e"] or e != 2 * rec["w"]:

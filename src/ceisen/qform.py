@@ -24,45 +24,6 @@ from .arith import (
 )
 
 
-@dataclass(frozen=True)
-class ReducedForm:
-    """A reduced primitive positive form a·x² + b·xy + c·y²."""
-
-    a: int
-    b: int
-    c: int
-
-    @property
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-
-def reduced_forms(d: int) -> list[ReducedForm]:
-    """All primitive reduced forms of negative discriminant d.
-
-    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
-    """
-    if d >= 0 or d % 4 not in (0, 1):
-        raise ValueError(f"{d} is not a negative discriminant")
-    forms = []
-    a = 1
-    while 3 * a * a <= -d:
-        for b in range(-a, a + 1):
-            num = b * b - d
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a:
-                continue
-            if b < 0 and (-b == a or a == c):
-                continue
-            if gcd(gcd(a, abs(b)), c) != 1:
-                continue
-            forms.append(ReducedForm(a, b, c))
-        a += 1
-    return forms
-
-
 def sieve_class_numbers(h: list[int], X: int) -> None:
     """Extend h in place so that h[n] = h(-n) for every n <= X.
 

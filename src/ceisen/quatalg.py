@@ -1,12 +1,11 @@
 """Definite rational quaternion algebras (a, b) with exact element arithmetic.
 
 An algebra is generated by i, j with i² = a < 0, j² = b < 0, ij = -ji = k.
-Elements carry Fraction coordinates over the basis (1, i, j, k).  The product
-and the bilinear norm form are written once, in `quat_mul` and `norm_pair`, on
-plain 4-tuples of coordinates: `QuatElement` applies them to Fractions and
-`order.Lat4` to the integer rows of a lattice.  Ramified primes are certified
-by Hilbert symbols, and algebras with a prescribed ramified set are found by a
-bounded deterministic search.
+An element is a 4-tuple of rational coordinates over the basis (1, i, j, k).
+The product and the bilinear norm form are written once, in `quat_mul` and
+`norm_pair`, and `order.Lat4` applies them to the integer rows of a lattice.
+Ramified primes are certified by Hilbert symbols, and algebras with a
+prescribed ramified set are found by a bounded deterministic search.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .arith import factorize, is_prime, squarefree_kernel, valuation, kronecker
 
@@ -112,80 +110,12 @@ class QuaternionAlgebra:
             raise ValueError("definite algebras need a < 0 and b < 0")
         return cls(a, b, ramified_primes(a, b))
 
-    def element(self, x0, x1=0, x2=0, x3=0) -> "QuatElement":
-        return QuatElement(self, (Fraction(x0), Fraction(x1), Fraction(x2), Fraction(x3)))
-
-    @property
-    def one(self) -> "QuatElement":
-        return self.element(1)
-
-    @property
-    def gens(self) -> tuple["QuatElement", ...]:
-        return (self.element(1), self.element(0, 1), self.element(0, 0, 1), self.element(0, 0, 0, 1))
-
     @property
     def discriminant(self) -> int:
         d = 1
         for p in self.ramified:
             d *= p
         return d
-
-
-@dataclass(frozen=True)
-class QuatElement:
-    """A quaternion with Fraction coordinates over (1, i, j, k)."""
-
-    algebra: QuaternionAlgebra
-    coords: tuple[Fraction, Fraction, Fraction, Fraction]
-
-    def _check(self, other: "QuatElement"):
-        if self.algebra != other.algebra:
-            raise ValueError("elements of different algebras")
-
-    def __add__(self, other: "QuatElement") -> "QuatElement":
-        self._check(other)
-        return QuatElement(self.algebra, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "QuatElement") -> "QuatElement":
-        self._check(other)
-        return QuatElement(self.algebra, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "QuatElement":
-        return QuatElement(self.algebra, tuple(-x for x in self.coords))
-
-    def __mul__(self, other) -> "QuatElement":
-        if isinstance(other, (int, Fraction)):
-            return QuatElement(self.algebra, tuple(x * other for x in self.coords))
-        self._check(other)
-        A = self.algebra
-        return QuatElement(A, quat_mul(A.a, A.b, self.coords, other.coords))
-
-    def __rmul__(self, other) -> "QuatElement":
-        if isinstance(other, (int, Fraction)):
-            return QuatElement(self.algebra, tuple(other * x for x in self.coords))
-        return NotImplemented
-
-    def __truediv__(self, scalar) -> "QuatElement":
-        return QuatElement(self.algebra, tuple(x / scalar for x in self.coords))
-
-    def conj(self) -> "QuatElement":
-        x0, x1, x2, x3 = self.coords
-        return QuatElement(self.algebra, (x0, -x1, -x2, -x3))
-
-    def trace(self) -> Fraction:
-        return 2 * self.coords[0]
-
-    def norm(self) -> Fraction:
-        return norm_pair(self.algebra.a, self.algebra.b, self.coords, self.coords)
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def inverse(self) -> "QuatElement":
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("zero quaternion")
-        return self.conj() / n
 
 
 def construct_algebra(ramified_set, bound: int | None = None) -> QuaternionAlgebra:

@@ -18,8 +18,9 @@ from .arith import Discriminant, discriminant_decompositions, eichler_symbol
 from .brandt import EigenSystem, brandt_matrices_upto
 from .lattice import counts_with_primitive
 from .linalg import int_kernel, ldl, mat_det
-from .order import IdealClassSet, Lat4
+from .order import IdealClassSet, _canonical, _combine
 from .qform import class_number, mass, unit_factor
+from .quatalg import norm_pair
 
 
 @dataclass(frozen=True)
@@ -60,20 +61,18 @@ def ternary_lattice(classes: IdealClassSet, i: int) -> TernaryLattice:
     cached = classes.cache.setdefault("ternary_lattice", {})
     if i in cached:
         return cached[i]
-    R = classes.right_orders[i - 1]
-    B = classes.algebra
-    L = Lat4.span(B, [B.one] + [b * 2 for b in R.basis])
-    # trace of (Σ c_k b_k)/den vanishes iff Σ c_k · (2·first coord of row k) = 0
+    R = classes.right_orders[i - 1].lattice
+    B = R.algebra
+    # Z + 2R over R.den: the row (den, 0, 0, 0) is 1
+    L = _canonical(B, R.den, [(R.den, 0, 0, 0)] + [tuple(2 * x for x in row) for row in R.rows])
+    # trace of (Σ c_k·rows_k)/den vanishes iff Σ c_k · (2·first coord of row k) = 0
     trace_row = [[2 * L.rows[k][0] for k in range(4)]]
     kernel = int_kernel(trace_row)
     assert len(kernel) == 3, "trace-zero sublattice must have rank 3"
-    elems = [L.element_from(c) for c in kernel]
-    assert all(e.trace() == 0 for e in elems)
-    G = [[Fraction(0)] * 3 for _ in range(3)]
-    for k in range(3):
-        for l in range(3):
-            G[k][l] = (elems[k] * elems[l].conj()).trace() / 2
-            assert G[k][l].denominator == 1, "ternary Gram must be integral"
+    elems = [_combine(v, L.rows) for v in kernel]
+    assert all(e[0] == 0 for e in elems)
+    G = [[Fraction(norm_pair(B.a, B.b, u, v), L.den**2) for v in elems] for u in elems]
+    assert all(x.denominator == 1 for row in G for x in row), "ternary Gram must be integral"
     ldl(G)  # raises if not positive definite
     lat = TernaryLattice(i, tuple(tuple(int(x) for x in row) for row in G))
     cached[i] = lat

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -197,13 +198,23 @@ def test_cache_corruption_recovers(tmp_path):
     base = ["hseries", "--ramified", "11", "--dmax", "25", "--cache-dir", cache]
     first = run(base)
     path = os.path.join(cache, "classes_11_M1.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\"version\": 99}")
-    again = run(base)
-    assert again == first
-    # the rebuild rewrote a valid snapshot
     with open(path, encoding="utf-8") as fh:
-        assert json.load(fh)["version"] != 99
+        snapshot = fh.read()
+    # a tampered lattice: one basis coordinate of one class doubled
+    data = json.loads(snapshot)
+    coords = data["classes"][1]["basis"]
+    k = next(k for k, x in enumerate(coords) if Fraction(x))
+    coords[k] = str(2 * Fraction(coords[k]))
+    for corrupt in ['{"version": 99}', json.dumps(data)]:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(corrupt)
+        rc, out, err = run(base)
+        assert (rc, out) == first[:2]
+        # one line on stderr names the snapshot and the reason for the rebuild
+        assert err.count("\n") == 1 and path in err and "CacheError: " in err
+        # the rebuild rewrote the valid snapshot
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == snapshot
 
 
 def _dump_then_fail(obj, fh, **kwargs):

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 
@@ -19,6 +19,7 @@ from ceisen.order import (
     is_equivalent,
     left_ideal_classes,
     level_config_of,
+    make_order,
     maximal_order,
     product_lattice,
     reduce_ideal,
@@ -27,10 +28,19 @@ from ceisen.order import (
     standard_order,
     unit_count,
     unit_ideal,
+    _covolume_certificate,
     _neighbor_ideals,
 )
 from ceisen.qform import LevelConfig, mass
-from ceisen.quatalg import QuaternionAlgebra, construct_algebra
+from ceisen.quatalg import QuaternionAlgebra, construct_algebra, norm_pair, quat_mul
+
+
+def mul(B: QuaternionAlgebra, x, y) -> tuple:
+    return quat_mul(B.a, B.b, x, y)
+
+
+def conj(x) -> tuple:
+    return (x[0], -x[1], -x[2], -x[3])
 
 
 @pytest.fixture(scope="module")
@@ -60,9 +70,9 @@ def test_hurwitz_order(hurwitz):
     assert reduced_discriminant(hurwitz) == 2
     assert unit_count(hurwitz) == 24
     B = hurwitz.algebra
-    omega = B.element(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
+    omega = (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2))
     assert hurwitz.contains(omega)
-    assert hurwitz.contains(B.one)
+    assert hurwitz.contains((1, 0, 0, 0))
 
 
 def test_hurwitz_single_class(hurwitz):
@@ -111,9 +121,9 @@ def test_classes_pairwise_inequivalent(classes11):
 
 def test_principal_ideal_is_trivial_class(order11):
     B = order11.algebra
-    x = B.element(1, 1)  # 1 + i, norm 2
-    I = LeftIdeal.of(order11, Lat4.span(B, [b * x for b in order11.basis]))
-    assert I.norm == x.norm()
+    x = (1, 1, 0, 0)  # 1 + i, norm 2
+    I = LeftIdeal.of(order11, Lat4.span(B, [mul(B, b, x) for b in order11.basis]))
+    assert I.norm == norm_pair(B.a, B.b, x, x)
     assert is_equivalent(I, unit_ideal(order11))
 
 
@@ -125,8 +135,8 @@ def test_reduce_ideal_keeps_class(classes11):
     O = classes11.order
     B = O.algebra
     # a non-reduced representative of the trivial class
-    x = B.element(2, 1, 0, 0)  # norm 5
-    I = LeftIdeal.of(O, Lat4.span(B, [b * x for b in O.basis]))
+    x = (2, 1, 0, 0)  # norm 5
+    I = LeftIdeal.of(O, Lat4.span(B, [mul(B, b, x) for b in O.basis]))
     J = reduce_ideal(I)
     assert J.norm <= I.norm
     assert is_equivalent(J, I)
@@ -184,6 +194,31 @@ def test_cache_rejects_corruption(classes11):
     bad = {**data, "classes": data["classes"][:1]}
     with pytest.raises(CacheError):
         classes_from_json(bad)
+    # one basis coordinate of one class doubled: no longer a left ideal
+    bad = {**data, "classes": [dict(c) for c in data["classes"]]}
+    coords = list(bad["classes"][1]["basis"])
+    k = next(k for k, x in enumerate(coords) if Fraction(x))
+    coords[k] = str(2 * Fraction(coords[k]))
+    bad["classes"][1]["basis"] = coords
+    with pytest.raises(CacheError, match="left ideal"):
+        classes_from_json(bad)
+    # the maximal order above an Eichler order is a left ideal of it, but not a
+    # locally principal one
+    Omax = maximal_order(construct_algebra({2}))
+    bad = classes_to_json(left_ideal_classes(eichler_order(Omax, 3)))
+    bad["classes"][0]["basis"] = [str(x) for b in Omax.basis for x in b]
+    with pytest.raises(CacheError, match="locally principal"):
+        classes_from_json(bad)
+
+
+def test_make_order_rejects_non_orders(hurwitz):
+    B = hurwitz.algebra
+    assert make_order(hurwitz.lattice) == hurwitz
+    with pytest.raises(ValueError, match="contain 1"):
+        make_order(Lat4.span(B, [tuple(2 * v for v in b) for b in hurwitz.basis]))
+    # 1 is present, but (i/2)² = -1/4 is not
+    with pytest.raises(ValueError, match="closed"):
+        make_order(Lat4.span(B, [(1, 0, 0, 0), (0, Fraction(1, 2), 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
 
 
 def test_product_lattice_norm_multiplicative(classes11):
@@ -193,7 +228,7 @@ def test_product_lattice_norm_multiplicative(classes11):
     assert J.norm == I.norm * K.norm()
 
 
-# --- integer lattice operations against the QuatElement path -----------------
+# --- integer lattice operations against products of coordinate tuples -------
 
 LATTICE_ALGEBRAS = [(-1, -1), (-1, -3), (-2, -5), (-3, -7)]
 LATTICES_PER_ALGEBRA = 6
@@ -206,7 +241,7 @@ def random_lattice(rng: random.Random, B: QuaternionAlgebra) -> Lat4:
         rows = [[rng.randint(-3, 3) for _ in range(4)] for _ in range(4)]
         if mat_det(rows):
             break
-    return Lat4.span(B, [B.element(*(Fraction(x, den) for x in row)) for row in rows])
+    return Lat4.span(B, [tuple(Fraction(x, den) for x in row) for row in rows])
 
 
 def lattice_cases():
@@ -220,17 +255,14 @@ def lattice_cases():
 
 def cramer_coords(basis, x) -> list[Fraction]:
     """The c with x = Σ c_k·basis[k], by Cramer's rule."""
-    M = [list(b.coords) for b in basis]
+    M = [list(b) for b in basis]
     det = mat_det(M)
-    return [mat_det(M[:k] + [list(x.coords)] + M[k + 1:]) / det for k in range(4)]
+    return [mat_det(M[:k] + [list(x)] + M[k + 1:]) / det for k in range(4)]
 
 
-def combination(basis, coords):
-    """Σ c_k·basis[k] in QuatElement arithmetic."""
-    acc = basis[0] * 0
-    for c, b in zip(coords, basis):
-        acc = acc + b * c
-    return acc
+def combination(basis, coords) -> tuple:
+    """Σ c_k·basis[k] on coordinate tuples."""
+    return tuple(sum(c * b[m] for c, b in zip(coords, basis)) for m in range(4))
 
 
 def rational_gcd(values) -> Fraction:
@@ -241,9 +273,9 @@ def rational_gcd(values) -> Fraction:
 def test_product_and_conjugate_match_quaternion_products():
     for A, B, _ in lattice_cases():
         alg = A.algebra
-        assert product_lattice(A, B) == Lat4.span(alg, [u * v for u in A.basis for v in B.basis])
-        assert product_lattice(B, A) == Lat4.span(alg, [v * u for v in B.basis for u in A.basis])
-        assert A.conjugate() == Lat4.span(alg, [b.conj() for b in A.basis])
+        assert product_lattice(A, B) == Lat4.span(alg, [mul(alg, u, v) for u in A.basis for v in B.basis])
+        assert product_lattice(B, A) == Lat4.span(alg, [mul(alg, v, u) for v in B.basis for u in A.basis])
+        assert A.conjugate() == Lat4.span(alg, [conj(b) for b in A.basis])
     for a, b in LATTICE_ALGEBRAS:
         O = maximal_order(QuaternionAlgebra.create(a, b)).lattice
         assert product_lattice(O, O) == O  # 1 ∈ O: the product over den² must reduce to O
@@ -256,13 +288,15 @@ def test_gram_is_half_trace_pairing():
         G = A.gram()
         for k in range(4):
             for l in range(4):
-                assert G[k][l] == (bs[k] * bs[l].conj()).trace() / 2
+                # trace(x)/2 is the first coordinate of x
+                assert G[k][l] == mul(A.algebra, bs[k], conj(bs[l]))[0]
 
 
 def test_norm_is_gcd_of_element_norms():
     for A, _, _ in lattice_cases():
-        norms = [combination(A.basis, c).norm() for c in product(range(-1, 2), repeat=4) if any(c)]
-        assert A.norm() == rational_gcd(norms)
+        a, b = A.algebra.a, A.algebra.b
+        xs = [combination(A.basis, c) for c in product(range(-1, 2), repeat=4) if any(c)]
+        assert A.norm() == rational_gcd([norm_pair(a, b, x, x) for x in xs])
 
 
 def test_coords_round_trip_and_non_members():
@@ -271,36 +305,83 @@ def test_coords_round_trip_and_non_members():
         for _ in range(5):
             c = [rng.randint(-9, 9) for _ in range(4)]
             x = combination(bs, c)
-            assert A.element_from(c) == x
             assert A.coords_of(x) == c == cramer_coords(bs, x)
-            assert A.element_from(A.coords_of(x)) == x
+            assert combination(bs, A.coords_of(x)) == x
             assert A.contains(x)
-            off = x + bs[rng.randrange(4)] * Fraction(1, rng.choice([2, 3, 5]))
+            m, r = rng.randrange(4), rng.choice([2, 3, 5])
+            off = tuple(v + w / r for v, w in zip(x, bs[m]))
             assert A.coords_of(off) == cramer_coords(bs, off)
             assert not A.contains(off)
+
+
+def trace_pairing_discriminant(O) -> int:
+    """The reference: the d with d² = 16·det gram(O), which must be a perfect square."""
+    det = 16 * mat_det(O.gram())
+    d = isqrt(int(det))
+    assert det.denominator == 1 and d * d == det
+    return d
+
+
+EICHLER_CASES = [(11, 2), (11, 3), (11, 5), (2, 3), (2, 5), (3, 2)]
+
+
+def test_reduced_discriminant_matches_trace_pairing_determinant(level11, level66):
+    orders = []
+    for a, b in LATTICE_ALGEBRAS:
+        B = QuaternionAlgebra.create(a, b)
+        orders += [standard_order(B), maximal_order(B)]
+    for p, q in EICHLER_CASES:
+        Omax = maximal_order(construct_algebra({p}))
+        orders += [Omax, eichler_order(Omax, q)]
+    orders += level11.right_orders + level66.right_orders
+    for O in orders:
+        assert reduced_discriminant(O) == trace_pairing_discriminant(O)
+
+
+def test_covolume_certificate_matches_gram_determinants(level11, level66):
+    randoms = [A for A, _, _ in lattice_cases()]
+    cases = []
+    for a, b in LATTICE_ALGEBRAS:
+        O = maximal_order(QuaternionAlgebra.create(a, b))
+        B = O.algebra
+        # principal ideals O·x are locally principal; random lattices mostly are not
+        for x in [(1, 1, 0, 0), (2, 1, 0, 0), (1, 0, 1, 1), (Fraction(1, 2), 0, 3, 0)]:
+            cases.append((O, Lat4.span(B, [mul(B, u, x) for u in O.basis])))
+        cases += [(O, A) for A in randoms if A.algebra == B]
+    for cs in (level11, level66):
+        cases += [(cs.order, I.lattice) for I in cs.ideals]
+    verdicts = []
+    for O, L in cases:
+        n = L.norm()
+        by_gram = mat_det(L.gram()) == n**4 * mat_det(O.gram())
+        assert _covolume_certificate(O, L, n) == by_gram
+        verdicts.append(by_gram)
+    assert True in verdicts and False in verdicts
 
 
 def brute_eichler(Omax, q: int) -> Lat4:
     """The level-q suborder of Omax, found by brute force over (Z/q)^4: take
     the first idempotent e ≢ 0, 1 mod q·Omax in lexicographic coordinate
     order, and the preimage of {c : e·x_c·(1 - e) ∈ q·Omax}."""
-    bs = Omax.basis
-    one = Omax.algebra.one
+    B, bs, one = Omax.algebra, Omax.basis, (1, 0, 0, 0)
 
     def in_q_order(x) -> bool:
         return all((c / q).denominator == 1 for c in cramer_coords(bs, x))
 
+    def sub(x, y) -> tuple:
+        return tuple(u - v for u, v in zip(x, y))
+
     tuples = [c for c in product(range(q), repeat=4) if any(c)]
     e = next(
         x for x in (combination(bs, c) for c in tuples)
-        if not in_q_order(x - one) and in_q_order(x * x - x)
+        if not in_q_order(sub(x, one)) and in_q_order(sub(mul(B, x, x), x))
     )
-    kept = [c for c in tuples if in_q_order(e * combination(bs, c) * (one - e))]
+    kept = [c for c in tuples if in_q_order(mul(B, mul(B, e, combination(bs, c)), sub(one, e)))]
     assert len(kept) + 1 == q**3
-    return Lat4.span(Omax.algebra, [b * q for b in bs] + [combination(bs, c) for c in kept])
+    return Lat4.span(B, [tuple(q * v for v in b) for b in bs] + [combination(bs, c) for c in kept])
 
 
-@pytest.mark.parametrize("p, q", [(11, 2), (11, 3), (11, 5), (2, 3), (2, 5), (3, 2)])
+@pytest.mark.parametrize("p, q", EICHLER_CASES)
 def test_eichler_order_is_brute_force_preimage(p, q):
     Omax = maximal_order(construct_algebra({p}))
     O = eichler_order(Omax, q)

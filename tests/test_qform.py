@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -19,11 +20,50 @@ from ceisen.qform import (
     corollary_H,
     kronecker_condition,
     mass,
-    reduced_forms,
     s_ramified,
     sieve_class_numbers,
     unit_factor,
 )
+
+
+# The per-d enumeration of reduced forms: the reference for the sieve.
+@dataclass(frozen=True)
+class ReducedForm:
+    """A reduced primitive positive form a·x² + b·xy + c·y²."""
+
+    a: int
+    b: int
+    c: int
+
+    @property
+    def discriminant(self) -> int:
+        return self.b * self.b - 4 * self.a * self.c
+
+
+def reduced_forms(d: int) -> list[ReducedForm]:
+    """All primitive reduced forms of negative discriminant d.
+
+    Reduced means |b| <= a <= c with b >= 0 whenever |b| = a or a = c.
+    """
+    if d >= 0 or d % 4 not in (0, 1):
+        raise ValueError(f"{d} is not a negative discriminant")
+    forms = []
+    a = 1
+    while 3 * a * a <= -d:
+        for b in range(-a, a + 1):
+            num = b * b - d
+            if num % (4 * a):
+                continue
+            c = num // (4 * a)
+            if c < a:
+                continue
+            if b < 0 and (-b == a or a == c):
+                continue
+            if gcd(gcd(a, abs(b)), c) != 1:
+                continue
+            forms.append(ReducedForm(a, b, c))
+        a += 1
+    return forms
 
 
 def brute_force_class_number(d: int) -> int:
