@@ -112,13 +112,15 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
         for j in range(i, classes.n):
             Ij = classes.ideals[j]
             W = product_lattice(Ij.lattice.conjugate(), Ii.lattice)
-            scale = Ii.norm * Ij.norm
-            raw = counts_by_value(W.gram(), bound * scale)
+            # W's integer Gram is den_W² times its norm form, so norm m·N_i·N_j
+            # is the value m·scale
+            scale = Ii.norm * Ij.norm * W.den**2
+            raw = counts_by_value(W.gram(), int(bound * scale))
             per_m: dict[int, int] = {}
             for val, cnt in raw.items():
-                q = val / scale
-                assert q.denominator == 1, "pairing lattice norm not divisible by N_i·N_j"
-                per_m[int(q)] = cnt
+                m, rem = divmod(val, scale)
+                assert rem == 0, "pairing lattice norm not divisible by N_i·N_j"
+                per_m[m] = cnt
             counts[(i, j)] = per_m
             counts[(j, i)] = per_m
     cache["bound"] = bound

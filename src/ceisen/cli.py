@@ -108,8 +108,6 @@ class RunConfig:
 def _cell(x) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
-    if isinstance(x, Fraction):
-        return str(x)
     return str(x)
 
 
@@ -167,7 +165,12 @@ def _get_classes(cfg: RunConfig):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 data = json.load(fh)
-            return classes_from_json(data)
+            classes = classes_from_json(data)
+            got = classes.cfg
+            if got != level:
+                raise CacheError(f"snapshot is for P={got.P.value}, M={got.M.value}, "
+                                 f"not P={level.P.value}, M={level.M.value}")
+            return classes
         except (CacheError, ValueError, KeyError, TypeError, OSError,
                 json.JSONDecodeError) as e:
             print(f"ceisen: rebuilding {path}: {type(e).__name__}: {e}", file=sys.stderr)

@@ -74,14 +74,11 @@ class Lat4:
     def basis(self) -> list[tuple[Fraction, ...]]:
         return [tuple(Fraction(x, self.den) for x in row) for row in self.rows]
 
-    def gram(self) -> list[list[Fraction]]:
-        """Gram matrix of the reduced norm form on this basis."""
-        a, b, rows, d2 = self.algebra.a, self.algebra.b, self.rows, self.den**2
-        G = [[Fraction(0)] * 4 for _ in range(4)]
-        for k in range(4):
-            for l in range(k, 4):
-                G[k][l] = G[l][k] = Fraction(norm_pair(a, b, rows[k], rows[l]), d2)
-        return G
+    def gram(self) -> list[list[int]]:
+        """den² times the Gram matrix of the reduced norm form on this basis:
+        the integer norm form on the rows."""
+        a, b, rows = self.algebra.a, self.algebra.b, self.rows
+        return [[norm_pair(a, b, u, v) for v in rows] for u in rows]
 
     def covolume(self) -> Fraction:
         """|det| of the basis over (1, i, j, k): the HNF pivots' product over den⁴."""
@@ -105,13 +102,10 @@ class Lat4:
 
     def norm(self) -> Fraction:
         """gcd of the reduced norms of all lattice elements (a positive rational):
-        the gcd of N(b_k) and N(b_k + b_l), which span the norm form's values."""
-        a, b, rows = self.algebra.a, self.algebra.b, self.rows
-        vals = [norm_pair(a, b, u, u) for u in rows]
-        for k in range(4):
-            for l in range(k + 1, 4):
-                vals.append(vals[k] + vals[l] + 2 * norm_pair(a, b, rows[k], rows[l]))
-        return Fraction(gcd(*vals), self.den**2)
+        the values of the integer form gram() have gcd G_kk, 2·G_kl (k < l)."""
+        G = self.gram()
+        g = gcd(*(G[k][l] * (1 + (k < l)) for k in range(4) for l in range(k, 4)))
+        return Fraction(g, self.den**2)
 
 
 def _combine(c, rows) -> tuple[int, ...]:
@@ -141,9 +135,6 @@ class OrderLattice:
     def basis(self) -> list[tuple[Fraction, ...]]:
         return self.lattice.basis
 
-    def gram(self) -> list[list[Fraction]]:
-        return self.lattice.gram()
-
     def contains(self, x) -> bool:
         return self.lattice.contains(x)
 
@@ -170,8 +161,10 @@ def reduced_discriminant(O: OrderLattice) -> int:
 
 
 def unit_count(O: OrderLattice) -> int:
-    """Number of elements of reduced norm 1 (always even: ± pairs)."""
-    cnt = counts_by_value(O.gram(), Fraction(1)).get(Fraction(1), 0)
+    """Number of elements of reduced norm 1 (always even: ± pairs), i.e. of
+    value den² under the integer Gram matrix."""
+    d2 = O.lattice.den**2
+    cnt = counts_by_value(O.lattice.gram(), d2).get(d2, 0)
     assert cnt % 2 == 0 and cnt > 0
     return cnt
 
@@ -350,13 +343,11 @@ class LeftIdeal:
             "ideal is not locally principal (covolume certificate failed)")
         return cls(order, lattice, n)
 
-    def gram(self) -> list[list[Fraction]]:
-        return self.lattice.gram()
-
 
 def _covolume_certificate(O: OrderLattice, lat: Lat4, n: Fraction) -> bool:
     """covol(lat) = n²·covol(O), true for a locally principal left O-ideal of
-    norm n (the same as det gram(lat) = n⁴·det gram(O))."""
+    norm n (the same as det = n⁴·det for the norm-form Gram matrices of lat
+    and O over their own bases)."""
     return lat.covolume() == n * n * O.lattice.covolume()
 
 
@@ -376,20 +367,22 @@ def right_order(I: LeftIdeal) -> OrderLattice:
 def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
     """Same left-ideal class: some x with J = I·x.
 
-    Witnessed by an element of conj(I)·J of reduced norm N(I)·N(J); the search
-    is an exact lattice enumeration with early exit.
+    Witnessed by an element of conj(I)·J of reduced norm N(I)·N(J): the value
+    N(I)·N(J)·den² of its integer Gram, never reached when not an integer.
+    The search is an exact lattice enumeration with early exit.
     """
     if I.order != J.order:
         raise ValueError("ideals must share the same left order")
     W = product_lattice(I.lattice.conjugate(), J.lattice)
-    return exists_value(W.gram(), I.norm * J.norm)
+    target = I.norm * J.norm * W.den**2
+    return target.denominator == 1 and exists_value(W.gram(), int(target))
 
 
 def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
     """Replace I by the equivalent integral ideal I·conj(x)/N(I) for a canonical
     shortest vector x = Σ c_k·rows_k/den: the row products b_k·conj(x) over
     den²·N(I)."""
-    coords, _ = shortest_vector(I.gram())
+    coords, _ = shortest_vector(I.lattice.gram())
     L, n = I.lattice, I.norm
     a, b = L.algebra.a, L.algebra.b
     x = _combine(coords, L.rows)
@@ -510,7 +503,10 @@ def classes_from_json(data: dict) -> IdealClassSet:
     ws = []
     rights = []
     for rec in data["classes"]:
-        coords = [Fraction(s) for s in rec["basis"]]
+        try:
+            coords = [Fraction(s) for s in rec["basis"]]
+        except ArithmeticError as e:  # "1/0", or an infinite JSON number
+            raise CacheError(f"bad basis coordinate: {e}") from e
         if len(coords) != 16:
             raise CacheError("each class needs 16 basis coordinates")
         lat = Lat4.span(B, [coords[4 * k : 4 * k + 4] for k in range(4)])

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 
-from .arith import Discriminant, discriminant_decompositions, eichler_symbol
+from .arith import Discriminant, eichler_symbol
 from .brandt import EigenSystem, brandt_matrices_upto
 from .lattice import counts_with_primitive
 from .linalg import int_kernel, ldl, mat_det
@@ -32,8 +31,7 @@ class TernaryLattice:
 
     @property
     def det(self) -> int:
-        d = mat_det([[Fraction(x) for x in row] for row in self.gram])
-        return int(d)
+        return int(mat_det(self.gram))
 
 
 @dataclass(frozen=True)
@@ -71,10 +69,12 @@ def ternary_lattice(classes: IdealClassSet, i: int) -> TernaryLattice:
     assert len(kernel) == 3, "trace-zero sublattice must have rank 3"
     elems = [_combine(v, L.rows) for v in kernel]
     assert all(e[0] == 0 for e in elems)
-    G = [[Fraction(norm_pair(B.a, B.b, u, v), L.den**2) for v in elems] for u in elems]
-    assert all(x.denominator == 1 for row in G for x in row), "ternary Gram must be integral"
+    d2 = L.den**2
+    N = [[norm_pair(B.a, B.b, u, v) for v in elems] for u in elems]
+    assert all(x % d2 == 0 for row in N for x in row), "ternary Gram must be integral"
+    G = tuple(tuple(x // d2 for x in row) for row in N)
     ldl(G)  # raises if not positive definite
-    lat = TernaryLattice(i, tuple(tuple(int(x) for x in row) for row in G))
+    lat = TernaryLattice(i, G)
     cached[i] = lat
     return lat
 
@@ -84,14 +84,10 @@ def _ternary_counts(classes: IdealClassSet, i: int, bound: int) -> tuple[dict, d
     cache = classes.cache.setdefault("ternary_counts", {})
     got = cache.get(i)
     if got is None or got["bound"] < bound:
-        lat = ternary_lattice(classes, i)
-        G = [[Fraction(x) for x in row] for row in lat.gram]
-        allc, prim = counts_with_primitive(G, Fraction(bound))
-        alld = {int(v): c for v, c in allc.items()}
-        primd = {int(v): c for v, c in prim.items()}
-        for D in alld:
+        allc, prim = counts_with_primitive(ternary_lattice(classes, i).gram, bound)
+        for D in allc:
             assert D % 4 in (0, 3), "represented value outside the plus space"
-        got = {"bound": bound, "all": alld, "prim": primd}
+        got = {"bound": bound, "all": allc, "prim": prim}
         cache[i] = got
     return got["all"], got["prim"]
 
@@ -100,14 +96,11 @@ def g_coefficients(lat: TernaryLattice, D_max: int) -> HalfIntegralSeries:
     """g_i = ½ + ½ Σ_D a_i(D) q^D where a_i(D) counts trace-zero vectors of norm D."""
     if D_max < 0:
         raise ValueError("D_max must be >= 0")
-    G = [[Fraction(x) for x in row] for row in lat.gram]
-    allc, _ = counts_with_primitive(G, Fraction(max(D_max, 0)))
+    allc, _ = counts_with_primitive(lat.gram, D_max)
     coeffs = [Fraction(1, 2)] + [Fraction(0)] * D_max
-    for v, c in allc.items():
-        D = int(v)
-        if D <= D_max:
-            assert D % 4 in (0, 3), "represented value outside the plus space"
-            coeffs[D] = Fraction(c, 2)
+    for D, c in allc.items():
+        assert D % 4 in (0, 3), "represented value outside the plus space"
+        coeffs[D] = Fraction(c, 2)
     return HalfIntegralSeries(tuple(coeffs), kind="g")
 
 

@@ -205,7 +205,9 @@ def test_cache_corruption_recovers(tmp_path):
     coords = data["classes"][1]["basis"]
     k = next(k for k, x in enumerate(coords) if Fraction(x))
     coords[k] = str(2 * Fraction(coords[k]))
-    for corrupt in ['{"version": 99}', json.dumps(data)]:
+    zero_den = json.loads(snapshot)
+    zero_den["classes"][1]["basis"][0] = "1/0"
+    for corrupt in ['{"version": 99}', json.dumps(data), json.dumps(zero_den)]:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(corrupt)
         rc, out, err = run(base)
@@ -215,6 +217,19 @@ def test_cache_corruption_recovers(tmp_path):
         # the rebuild rewrote the valid snapshot
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == snapshot
+
+
+def test_cache_of_another_level_rebuilds(tmp_path):
+    cache = str(tmp_path / "cache")
+    argv = ["verify", "--suite", "mass", "--ramified", "11"]
+    cold = run(argv)
+    assert run(["verify", "--suite", "mass", "--ramified", "2,3,11", "--cache-dir", cache])[0] == 0
+    path = os.path.join(cache, "classes_11_M1.json")
+    shutil.copy(os.path.join(cache, "classes_2-3-11_M1.json"), path)
+    rc, out, err = run(argv + ["--cache-dir", cache])
+    assert (rc, out) == cold[:2]
+    assert err.count("\n") == 1 and path in err and "CacheError: " in err
+    assert run(argv + ["--cache-dir", cache]) == cold
 
 
 def _dump_then_fail(obj, fh, **kwargs):

@@ -202,6 +202,10 @@ def test_cache_rejects_corruption(classes11):
     bad["classes"][1]["basis"] = coords
     with pytest.raises(CacheError, match="left ideal"):
         classes_from_json(bad)
+    # a zero denominator
+    bad["classes"][1]["basis"] = ["1/0"] + coords[1:]
+    with pytest.raises(CacheError, match="basis coordinate"):
+        classes_from_json(bad)
     # the maximal order above an Eichler order is a left ideal of it, but not a
     # locally principal one
     Omax = maximal_order(construct_algebra({2}))
@@ -288,8 +292,9 @@ def test_gram_is_half_trace_pairing():
         G = A.gram()
         for k in range(4):
             for l in range(4):
-                # trace(x)/2 is the first coordinate of x
-                assert G[k][l] == mul(A.algebra, bs[k], conj(bs[l]))[0]
+                # trace(x)/2 is the first coordinate of x; the Gram is scaled by den²
+                assert type(G[k][l]) is int
+                assert G[k][l] == A.den**2 * mul(A.algebra, bs[k], conj(bs[l]))[0]
 
 
 def test_norm_is_gcd_of_element_norms():
@@ -315,8 +320,9 @@ def test_coords_round_trip_and_non_members():
 
 
 def trace_pairing_discriminant(O) -> int:
-    """The reference: the d with d² = 16·det gram(O), which must be a perfect square."""
-    det = 16 * mat_det(O.gram())
+    """The reference: the d with d² = 16·det of the norm form's Gram matrix,
+    which must be a perfect square (the integer Gram is den² times it)."""
+    det = 16 * mat_det(O.lattice.gram()) / O.lattice.den**8
     d = isqrt(int(det))
     assert det.denominator == 1 and d * d == det
     return d
@@ -353,7 +359,7 @@ def test_covolume_certificate_matches_gram_determinants(level11, level66):
     verdicts = []
     for O, L in cases:
         n = L.norm()
-        by_gram = mat_det(L.gram()) == n**4 * mat_det(O.gram())
+        by_gram = mat_det(L.gram()) / L.den**8 == n**4 * mat_det(O.lattice.gram()) / O.lattice.den**8
         assert _covolume_certificate(O, L, n) == by_gram
         verdicts.append(by_gram)
     assert True in verdicts and False in verdicts
