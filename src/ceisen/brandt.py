@@ -5,12 +5,14 @@ norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
 All matrices commute, have the all-ones vector as an eigenvector, and are
 semisimple (conjugate to symmetric), so the rational simultaneous eigenspaces
 can be extracted exactly with integer root searches on characteristic
-polynomials.
+polynomials.  Each one-dimensional eigenspace other than the all-ones line is
+a rational cusp line, handed on as a plain integer vector v; q-series are
+plain tuples of exact coefficients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import factorize, is_prime
@@ -53,24 +55,6 @@ def expected_row_sum(m: int, cfg: LevelConfig) -> int:
         else:
             total *= sigma_k
     return total
-
-
-@dataclass(frozen=True)
-class QSeries:
-    """Exact q-expansion coefficients c_0..c_max of a modular form."""
-
-    coeffs: tuple[Fraction, ...]
-    label: str = ""
-
-    def __getitem__(self, m: int) -> Fraction:
-        return self.coeffs[m]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def max_index(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -150,51 +134,45 @@ def brandt_matrices_upto(classes: IdealClassSet, m_max: int) -> list[BrandtMatri
     return [brandt_matrix(classes, m) for m in range(m_max + 1)]
 
 
-def theta_weight2(classes: IdealClassSet, i: int, j: int, m_max: int) -> QSeries:
-    """θ_ij = Σ_m b_ij(m) q^m for the classes numbered i, j in 1..n."""
+def theta_weight2(classes: IdealClassSet, i: int, j: int, m_max: int) -> tuple[Fraction, ...]:
+    """Coefficients b_ij(0..m_max) of θ_ij = Σ_m b_ij(m) q^m, classes i, j in 1..n."""
     if not (1 <= i <= classes.n and 1 <= j <= classes.n):
         raise ValueError("class indices are 1-based and must be in 1..n")
     counts = _pair_counts(classes, max(m_max, 1))
     e_j = classes.e[j - 1]
     per_m = counts[(i - 1, j - 1)]
-    coeffs = [Fraction(1, e_j)]
-    coeffs += [Fraction(per_m.get(m, 0), e_j) for m in range(1, m_max + 1)]
-    return QSeries(tuple(coeffs), label=f"theta[{i},{j}]")
+    return (Fraction(1, e_j),) + tuple(Fraction(per_m.get(m, 0), e_j) for m in range(1, m_max + 1))
 
 
-def eisenstein_e2(classes: IdealClassSet, m_max: int) -> QSeries:
+def eisenstein_e2(classes: IdealClassSet, m_max: int) -> tuple[Fraction, ...]:
     """The weight-2 Eisenstein series: constant term = mass, then row sums b_m."""
     cfg = classes.cfg
     const = classes.total_mass()
     assert const == mass(cfg), "class-set mass disagrees with the formula"
-    coeffs = [const] + [Fraction(expected_row_sum(m, cfg)) for m in range(1, m_max + 1)]
-    return QSeries(tuple(coeffs), label="e2")
+    return (const,) + tuple(Fraction(expected_row_sum(m, cfg)) for m in range(1, m_max + 1))
 
 
 class EigenSplitError(Exception):
-    """Simultaneous rational eigenspaces stayed above dimension one."""
+    """The all-ones line did not separate from the other rational eigenspaces."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenSystem:
-    """Simultaneous rational eigendata of the Brandt matrices.
+    """Simultaneous rational eigendata of the Brandt matrices at `primes`.
 
-    u is the all-ones eigenvector (eigenvalue b_p, verified); lines holds each
-    remaining one-dimensional rational eigenspace as (eigenvalue map, v) with
-    v normalized so that (v_i/w_i) is a primitive integer vector whose first
-    nonzero entry is positive.  v/eigenvalues point at the selected line.
-    unresolved lists the dimensions of rational-irreducible blocks of
-    dimension > 1 (with any rational eigenvalues they do carry).
+    u_eigenvalues are those of the all-ones eigenvector (verified to be b_p);
+    lines holds each remaining one-dimensional rational eigenspace as
+    (eigenvalue map, v), sorted by eigenvalue tuple, with v normalized so
+    that (v_i/w_i) is a primitive integer vector whose first nonzero entry is
+    positive.  unresolved lists the dimensions of rational-irreducible blocks
+    of dimension > 1 (with any rational eigenvalues they do carry).
     """
 
     classes: IdealClassSet
     primes: tuple[int, ...]
-    u: tuple[int, ...]
     u_eigenvalues: dict[int, int]
     lines: list[tuple[dict[int, int], tuple[int, ...]]]
     unresolved: list[tuple[int, dict[int, int]]]
-    v: tuple[int, ...] | None = None
-    eigenvalues: dict[int, int] = field(default_factory=dict)
 
 
 def good_primes(cfg: LevelConfig, count: int) -> list[int]:
@@ -271,36 +249,23 @@ def _split_block(blk: _Block, B, p: int) -> list[_Block]:
     return out
 
 
-def rational_eigensystem(
-    classes: IdealClassSet,
-    primes: list[int] | None = None,
-    ap_hint: list[int] | None = None,
-    require_full: bool = False,
-) -> EigenSystem:
+def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     """Split Q^n into simultaneous rational eigenspaces of the Brandt matrices
-    at the given good primes (default: the first five primes coprime to N).
+    at the first five primes coprime to N.
 
     Every one-dimensional piece other than the all-ones line is reported with
     integer eigenvalues and its normalized vector; blocks that stay higher-
-    dimensional are reported (raise EigenSplitError instead if require_full).
-    The selected v is the hinted line if ap_hint matches, else the first line
-    in eigenvalue-tuple order.
+    dimensional are reported as unresolved.  EigenSplitError is raised if the
+    all-ones line itself does not separate.
     """
     cfg = classes.cfg
-    if primes is None:
-        primes = good_primes(cfg, 5)
-    for p in primes:
-        if not is_prime(p) or cfg.N % p == 0:
-            raise ValueError(f"{p} is not a prime coprime to the level")
+    primes = good_primes(cfg, 5)
     n = classes.n
     blocks = [_Block(*rref(identity(n)), eigs={})]
-    _pair_counts(classes, max(primes, default=0))  # one sweep serves every B_p
-    mats = {p: brandt_matrix(classes, p).entries for p in primes}
+    _pair_counts(classes, max(primes))  # one sweep serves every B_p
     for p in primes:
-        nxt: list[_Block] = []
-        for blk in blocks:
-            nxt.extend(_split_block(blk, mats[p], p))
-        blocks = nxt
+        B = brandt_matrix(classes, p).entries
+        blocks = [piece for blk in blocks for piece in _split_block(blk, B, p)]
     u_eigs: dict[int, int] = {}
     lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
     unresolved: list[tuple[int, dict[int, int]]] = []
@@ -323,33 +288,9 @@ def rational_eigensystem(
         vvec = tuple(int(prim[i] * w[i]) for i in range(n))
         lines.append((eigs, vvec))
     if not u_eigs:
-        raise EigenSplitError("the all-ones line did not separate; extend the prime list")
-    if require_full and unresolved:
-        raise EigenSplitError(
-            "rational eigenspaces stayed above dimension one: "
-            + ", ".join(f"dim {d} with eigenvalues {e}" for d, e in unresolved)
-        )
+        raise EigenSplitError(f"the all-ones line did not separate at the primes {primes}")
     lines.sort(key=lambda le: tuple(le[0][p] for p in primes))
-    eig = EigenSystem(
-        classes=classes,
-        primes=tuple(primes),
-        u=tuple([1] * n),
-        u_eigenvalues=u_eigs,
-        lines=lines,
-        unresolved=unresolved,
-    )
-    chosen = None
-    if ap_hint is not None:
-        for eigs, vvec in lines:
-            if all(eigs[primes[k]] == ap_hint[k] for k in range(min(len(ap_hint), len(primes)))):
-                chosen = (eigs, vvec)
-                break
-    elif lines:
-        chosen = lines[0]
-    if chosen is not None:
-        eig.eigenvalues = dict(chosen[0])
-        eig.v = chosen[1]
-    return eig
+    return EigenSystem(classes, tuple(primes), u_eigs, lines, unresolved)
 
 
 def eigenvalue_of(classes: IdealClassSet, v: tuple[int, ...], p: int) -> int:

@@ -295,14 +295,11 @@ def _suite_hecke(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
 
 
 def _suite_congruence(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
-    if cfg.l is None:
-        raise CongruencePreconditionError("the congruence suite requires --l")
-    level = cfg.level
     eig = rational_eigensystem(classes)
     prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     coef, v_used = best_coefficient_congruence(classes, eig, H, cfg.l)
-    eigenrep = eigenvalue_congruence(eig, level, cfg.l, max(cfg.m_max, 2), v=v_used)
+    eigenrep = eigenvalue_congruence(classes, v_used, cfg.l, max(cfg.m_max, 2))
     checks = [
         (
             "congruence:eigenvalue",
@@ -338,6 +335,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     if args.suite == "congruence" and cfg.l is None:
         raise ValueError("the congruence suite requires --l")
+    if args.suite == "hecke" and cfg.m_max < 1:
+        raise ValueError("the hecke suite needs --mmax >= 1")
     classes = _get_classes(cfg)
     checks = _SUITES[args.suite](cfg, classes)
     passed = all(ok for _, _, ok in checks)
@@ -359,7 +358,7 @@ def cmd_shatable(args: argparse.Namespace) -> int:
     prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     coef, v_used = best_coefficient_congruence(classes, eig, H, cfg.l)
-    table = divisibility_table(classes, eig, cfg.l, cfg.D_max, v=v_used)
+    table = divisibility_table(classes, v_used, cfg.l, cfg.D_max)
     agree = sum(1 for row in table if row.agree)
     total = len(table)
     rate = Fraction(agree, total) if total else Fraction(1)

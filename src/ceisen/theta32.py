@@ -2,19 +2,21 @@
 
 For each ideal class, the trace-zero part of Z + 2R_i is a rank-3 positive
 definite lattice with integral Gram matrix whose represented values are
-≡ 0, 3 (mod 4).  Counting vectors gives the series g_i; the weighted sums
-Σ g_i/w_i and Σ v_i g_i/w_i are the half-integral-weight Eisenstein series H
-and the cusp-side series G.  Primitive-vector counts give optimal-embedding
-numbers which tie H to pure class-number data.
+≡ 0, 3 (mod 4).  Counting vectors gives the series g_i; one weighted sum
+Σ x_i g_i/w_i gives the half-integral-weight Eisenstein series H (x = all
+ones) and the cusp-side series G (x = a rational cusp line v).  Series are
+plain tuples of exact coefficients, indexed by D.  Primitive-vector counts
+give optimal-embedding numbers which tie H to pure class-number data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .arith import Discriminant, eichler_symbol
-from .brandt import EigenSystem, brandt_matrices_upto
+from .brandt import brandt_matrices_upto
 from .lattice import counts_with_primitive
 from .linalg import int_kernel, ldl, mat_det
 from .order import IdealClassSet, _canonical, _combine
@@ -32,24 +34,6 @@ class TernaryLattice:
     @property
     def det(self) -> int:
         return int(mat_det(self.gram))
-
-
-@dataclass(frozen=True)
-class HalfIntegralSeries:
-    """Coefficients c_0..c_max of a weight-3/2 form; kind ∈ {g, H, G}."""
-
-    coeffs: tuple[Fraction, ...]
-    kind: str
-
-    def __getitem__(self, D: int) -> Fraction:
-        return self.coeffs[D]
-
-    def __len__(self) -> int:
-        return len(self.coeffs)
-
-    @property
-    def max_index(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def ternary_lattice(classes: IdealClassSet, i: int) -> TernaryLattice:
@@ -92,7 +76,7 @@ def _ternary_counts(classes: IdealClassSet, i: int, bound: int) -> tuple[dict, d
     return got["all"], got["prim"]
 
 
-def g_coefficients(lat: TernaryLattice, D_max: int) -> HalfIntegralSeries:
+def g_coefficients(lat: TernaryLattice, D_max: int) -> tuple[Fraction, ...]:
     """g_i = ½ + ½ Σ_D a_i(D) q^D where a_i(D) counts trace-zero vectors of norm D."""
     if D_max < 0:
         raise ValueError("D_max must be >= 0")
@@ -101,7 +85,7 @@ def g_coefficients(lat: TernaryLattice, D_max: int) -> HalfIntegralSeries:
     for D, c in allc.items():
         assert D % 4 in (0, 3), "represented value outside the plus space"
         coeffs[D] = Fraction(c, 2)
-    return HalfIntegralSeries(tuple(coeffs), kind="g")
+    return tuple(coeffs)
 
 
 def vector_count(classes: IdealClassSet, i: int, D: int) -> int:
@@ -118,40 +102,40 @@ def prefill_counts(classes: IdealClassSet, bound: int) -> None:
         _ternary_counts(classes, i, bound)
 
 
-def cohen_H(classes: IdealClassSet, D_max: int) -> HalfIntegralSeries:
-    """The weight-3/2 Eisenstein series H = Σ g_i/w_i from lattice counts alone."""
+def _theta_sum(
+    classes: IdealClassSet, weights: tuple[int, ...], D_max: int
+) -> tuple[Fraction, ...]:
+    """Coefficients 0..D_max of Σ_i weights_i·g_i/w_i from the cached ternary
+    counts; g_i/w_i is 1/e_i at D = 0 and a_i(D)/e_i at D ≥ 1."""
     if D_max < 0:
         raise ValueError("D_max must be >= 0")
-    n = classes.n
-    sweeps = [_ternary_counts(classes, i, max(D_max, 1))[0] for i in range(1, n + 1)]
-    const = classes.total_mass()
-    assert const == mass(classes.cfg)
-    coeffs = [const] + [Fraction(0)] * D_max
-    for i in range(n):
-        e_i = classes.e[i]
-        for D, c in sweeps[i].items():
+    if len(weights) != classes.n:
+        raise ValueError(f"need one weight per class ({classes.n}), got {len(weights)}")
+    L = lcm(*classes.e)
+    nums = [0] * (D_max + 1)  # numerators over the common denominator L
+    for i, x in enumerate(weights):
+        scale = x * (L // classes.e[i])
+        nums[0] += scale
+        for D, c in _ternary_counts(classes, i + 1, max(D_max, 1))[0].items():
             if 1 <= D <= D_max:
-                coeffs[D] += Fraction(c, e_i)  # a_i(D)/(2 w_i)
-    return HalfIntegralSeries(tuple(coeffs), kind="H")
+                nums[D] += scale * c
+    return tuple(Fraction(c, L) for c in nums)
 
 
-def cusp_G(classes: IdealClassSet, eig: EigenSystem, D_max: int) -> HalfIntegralSeries:
-    """The cusp-side series G = Σ v_i g_i/w_i; coefficients m_D are integers."""
-    if eig.v is None:
-        raise ValueError("the eigensystem carries no rational cusp line v")
-    v = eig.v
-    n = classes.n
-    sweeps = [_ternary_counts(classes, i, max(D_max, 1))[0] for i in range(1, n + 1)]
-    const = sum((Fraction(v[i], classes.e[i]) for i in range(n)), Fraction(0))
-    coeffs = [const] + [Fraction(0)] * D_max
-    for i in range(n):
-        e_i = classes.e[i]
-        for D, c in sweeps[i].items():
-            if 1 <= D <= D_max:
-                coeffs[D] += Fraction(v[i] * c, e_i)
+def cohen_H(classes: IdealClassSet, D_max: int) -> tuple[Fraction, ...]:
+    """The weight-3/2 Eisenstein series H = Σ g_i/w_i from lattice counts alone."""
+    H = _theta_sum(classes, (1,) * classes.n, D_max)
+    assert H[0] == mass(classes.cfg), "class-set mass disagrees with the formula"
+    return H
+
+
+def cusp_G(classes: IdealClassSet, v: tuple[int, ...], D_max: int) -> tuple[Fraction, ...]:
+    """The cusp-side series G = Σ v_i g_i/w_i of a rational cusp line v; its
+    coefficients m_D (D ≥ 1) are integers."""
+    G = _theta_sum(classes, v, D_max)
     for D in range(1, D_max + 1):
-        assert coeffs[D].denominator == 1, f"m_{D} is not an integer (normalization bug)"
-    return HalfIntegralSeries(tuple(coeffs), kind="G")
+        assert G[D].denominator == 1, f"m_{D} is not an integer (normalization bug)"
+    return G
 
 
 def optimal_embedding_count(classes: IdealClassSet, i: int, d) -> int:

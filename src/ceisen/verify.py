@@ -4,7 +4,9 @@ Two congruences are checked mod an odd prime l: the eigenvalue congruence
 a_p ≡ (row sum) for good primes p, and the coefficient congruence
 λ·(cusp coefficients) ≡ (Eisenstein coefficients) for a single unit λ.  The
 divisibility table then compares l | m_D against l | h(−D) over the
-admissible family of fundamental discriminants.
+admissible family of fundamental discriminants.  Every check takes the
+rational cusp line v as a plain integer vector; only the search for the best
+line reads the whole eigensystem.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .arith import is_prime, primes_up_to
 from .brandt import EigenSystem, eigenvalue_of, expected_row_sum
 from .order import IdealClassSet
 from .qform import LevelConfig, class_number, kronecker_condition, s_ramified
-from .theta32 import HalfIntegralSeries, cusp_G
+from .theta32 import cusp_G
 
 
 class CongruencePreconditionError(Exception):
@@ -46,24 +48,20 @@ def _require_odd_prime(l: int) -> None:
 
 
 def eigenvalue_congruence(
-    eig: EigenSystem, cfg: LevelConfig, l: int, p_max: int, v: tuple[int, ...] | None = None
+    classes: IdealClassSet, v: tuple[int, ...], l: int, p_max: int
 ) -> CongruenceReport:
-    """Check a_p ≡ b_p (mod l) for every prime p ≤ p_max coprime to the level."""
+    """Check a_p ≡ b_p (mod l) for the cusp line v at every prime p ≤ p_max
+    coprime to the level."""
     _require_odd_prime(l)
-    for w in eig.classes.w:
+    for w in classes.w:
         if w % l == 0:
             raise CongruencePreconditionError(f"w_i = {w} is not invertible mod {l}")
-    if v is None:
-        v = eig.v
-    if v is None:
-        raise CongruencePreconditionError("no rational cusp line available")
+    cfg = classes.cfg
     failures = []
     for p in primes_up_to(p_max):
         if cfg.N % p == 0:
             continue
-        a_p = eig.eigenvalues.get(p) if v == eig.v else None
-        if a_p is None:
-            a_p = eigenvalue_of(eig.classes, v, p)
+        a_p = eigenvalue_of(classes, v, p)
         b_p = expected_row_sum(p, cfg)
         if (a_p - b_p) % l != 0:
             failures.append((p, a_p % l, b_p % l))
@@ -71,7 +69,9 @@ def eigenvalue_congruence(
                             checked_max=p_max, failures=failures)
 
 
-def coefficient_congruence(H: HalfIntegralSeries, G: HalfIntegralSeries, l: int) -> CongruenceReport:
+def coefficient_congruence(
+    H: tuple[Fraction, ...], G: tuple[Fraction, ...], l: int
+) -> CongruenceReport:
     """Find a unit λ with λ·G ≡ H (mod l) coefficientwise, if one exists.
 
     Both series are first cleared by the global lcm of their coefficient
@@ -83,10 +83,10 @@ def coefficient_congruence(H: HalfIntegralSeries, G: HalfIntegralSeries, l: int)
     _require_odd_prime(l)
     if len(H) != len(G):
         raise CongruencePreconditionError("series cover different coefficient ranges")
-    D_max = H.max_index
+    D_max = len(H) - 1
     L = 1
     for series in (H, G):
-        for c in series.coeffs:
+        for c in series:
             L = L * c.denominator // gcd(L, c.denominator)
     A = [int(H[D] * L) for D in range(D_max + 1)]  # Eisenstein side, cleared
     B = [int(G[D] * L) for D in range(D_max + 1)]  # cusp side, cleared
@@ -113,21 +113,16 @@ def coefficient_congruence(H: HalfIntegralSeries, G: HalfIntegralSeries, l: int)
 
 
 def best_coefficient_congruence(
-    classes: IdealClassSet, eig: EigenSystem, H: HalfIntegralSeries, l: int
-) -> tuple[CongruenceReport, tuple[int, ...] | None]:
+    classes: IdealClassSet, eig: EigenSystem, H: tuple[Fraction, ...], l: int
+) -> tuple[CongruenceReport, tuple[int, ...]]:
     """Try every rational cusp line in deterministic order; return the first
     whose G admits a global λ, else the first line's report."""
     _require_odd_prime(l)
     if not eig.lines:
         raise CongruencePreconditionError("no rational cusp line available")
     first_report = None
-    for eigs, v in eig.lines:
-        sub = EigenSystem(
-            classes=classes, primes=eig.primes, u=eig.u, u_eigenvalues=eig.u_eigenvalues,
-            lines=eig.lines, unresolved=eig.unresolved, v=v, eigenvalues=dict(eigs),
-        )
-        G = cusp_G(classes, sub, H.max_index)
-        report = coefficient_congruence(H, G, l)
+    for _, v in eig.lines:
+        report = coefficient_congruence(H, cusp_G(classes, v, len(H) - 1), l)
         if report.lam is not None:
             return report, v
         if first_report is None:
@@ -164,20 +159,12 @@ def admissible_fundamental_Ds(cfg: LevelConfig, D_max: int) -> list[int]:
 
 
 def divisibility_table(
-    classes: IdealClassSet, eig: EigenSystem, l: int, D_max: int,
-    v: tuple[int, ...] | None = None,
+    classes: IdealClassSet, v: tuple[int, ...], l: int, D_max: int
 ) -> list[DivisibilityRow]:
-    """One row per admissible fundamental −D: does l | h(−D) ⇔ l | m_D hold?"""
+    """One row per admissible fundamental −D: does l | h(−D) ⇔ l | m_D hold
+    for the cusp line v?"""
     _require_odd_prime(l)
-    if v is None:
-        v = eig.v
-    if v is None:
-        raise CongruencePreconditionError("no rational cusp line available")
-    sub = EigenSystem(
-        classes=classes, primes=eig.primes, u=eig.u, u_eigenvalues=eig.u_eigenvalues,
-        lines=eig.lines, unresolved=eig.unresolved, v=v, eigenvalues={},
-    )
-    G = cusp_G(classes, sub, D_max)
+    G = cusp_G(classes, v, D_max)
     cfg = classes.cfg
     rows = []
     for D in admissible_fundamental_Ds(cfg, D_max):

@@ -28,3 +28,10 @@ def eig11(level11):
 @pytest.fixture(scope="session")
 def eig66(level66):
     return rational_eigensystem(level66)
+
+
+@pytest.fixture(scope="session")
+def v11(eig11):
+    """The level-11 cusp line (the only one)."""
+    ((_, v),) = eig11.lines
+    return v

@@ -9,7 +9,7 @@ must agree with an independent brute-force enumeration.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 
@@ -205,23 +205,23 @@ def _divisors(m):
 # congruences at level 11: l = 5 passes, l = 7 is the negative control
 
 
-def test_congruence_suite_level11_l5(level11, eig11):
-    rep = eigenvalue_congruence(eig11, level11.cfg, 5, 50)
+def test_congruence_suite_level11_l5(level11, v11):
+    rep = eigenvalue_congruence(level11, v11, 5, 50)
     assert rep.passed and rep.failures == []
     H = cohen_H(level11, 300)
-    G = cusp_G(level11, eig11, 300)
+    G = cusp_G(level11, v11, 300)
     coef = coefficient_congruence(H, G, 5)
     assert coef.lam in {1, 2, 3, 4}
     assert coef.passed and coef.failures == []
-    rows = divisibility_table(level11, eig11, 5, 500)
+    rows = divisibility_table(level11, v11, 5, 500)
     assert rows and all(r.agree for r in rows)
 
 
-def test_congruence_suite_level11_l7_negative(level11, eig11):
-    rep = eigenvalue_congruence(eig11, level11.cfg, 7, 50)
+def test_congruence_suite_level11_l7_negative(level11, v11):
+    rep = eigenvalue_congruence(level11, v11, 7, 50)
     assert not rep.passed and rep.failures
     H = cohen_H(level11, 300)
-    G = cusp_G(level11, eig11, 300)
+    G = cusp_G(level11, v11, 300)
     coef = coefficient_congruence(H, G, 7)
     assert coef.lam is None and not coef.passed
 
@@ -265,12 +265,12 @@ def test_class_number_spot_values():
 # property suites
 
 
-def test_plus_space_everywhere(level11, eig11, H11, H66, H210):
+def test_plus_space_everywhere(level11, v11, H11, H66, H210):
     for H in (H11, H66, H210):
         for D in range(D_MAX + 1):
             if D % 4 in (1, 2):
                 assert H[D] == 0
-    G = cusp_G(level11, eig11, 600)
+    G = cusp_G(level11, v11, 600)
     for D in range(601):
         if D % 4 in (1, 2):
             assert G[D] == 0

@@ -5,7 +5,6 @@ import pytest
 
 from ceisen.arith import divisors_of
 from ceisen.brandt import (
-    EigenSplitError,
     brandt_matrices_upto,
     brandt_matrix,
     eigenvalue_of,
@@ -147,14 +146,12 @@ def test_eisenstein_e2(classes):
 
 
 def test_eigensystem_level11(level11, eig11):
-    assert eig11.u == (1,) * level11.n
+    assert eig11.primes == (2, 3, 5, 7, 13)
     assert eig11.u_eigenvalues == {2: 3, 3: 4, 5: 6, 7: 8, 13: 14}
-    assert len(eig11.lines) == 1
+    assert eig11.lines == [({2: -2, 3: -1, 5: 1, 7: -2, 13: 4}, (2, -3))]
     assert not eig11.unresolved
-    assert eig11.v == (2, -3)
-    assert eig11.eigenvalues == {2: -2, 3: -1, 5: 1, 7: -2, 13: 4}
     # Hasse bound for the cusp eigenvalues
-    for p, a in eig11.eigenvalues.items():
+    for p, a in eig11.lines[0][0].items():
         assert a * a <= 4 * p
 
 
@@ -164,6 +161,12 @@ def test_eigensystem_level66(level66, eig66):
     assert not eig66.unresolved
     vs = [v for _, v in eig66.lines]
     assert (3, -2, -2, 3) in vs
+    # the line with a_5 = 2 and a_7 = -4
+    assert any(eigs[5] == 2 and eigs[7] == -4 and v == (0, 2, -2, 0)
+               for eigs, v in eig66.lines)
+    # sorted by the eigenvalue tuple over the primes (5, 7, 13, 17, 19)
+    keys = [tuple(eigs[p] for p in eig66.primes) for eigs, _ in eig66.lines]
+    assert eig66.primes == (5, 7, 13, 17, 19) and keys == sorted(keys)
     # v is normalized so that (v_i/w_i) is integral and primitive
     for _, v in eig66.lines:
         coords = [Fraction(v[i], level66.w[i]) for i in range(level66.n)]
@@ -173,9 +176,9 @@ def test_eigensystem_level66(level66, eig66):
 
 def test_eigenvalue_of_consistency(level11, eig11):
     for p in (17, 19, 23):
-        a = eigenvalue_of(level11, eig11.v, p)
+        v = eig11.lines[0][1]
+        a = eigenvalue_of(level11, v, p)
         B = brandt_matrix(level11, p)
-        v = eig11.v
         prod = [sum(B.entries[i][j] * v[j] for j in range(2)) for i in range(2)]
         assert prod == [a * v[0], a * v[1]]
         assert a * a <= 4 * p
@@ -184,9 +187,7 @@ def test_eigenvalue_of_consistency(level11, eig11):
 def test_eigensystem_determinism(level11):
     e1 = rational_eigensystem(level11)
     e2 = rational_eigensystem(level11)
-    assert e1.primes == e2.primes
-    assert e1.lines == e2.lines
-    assert e1.v == e2.v and e1.eigenvalues == e2.eigenvalues
+    assert e1 == e2
 
 
 def test_level210_oldform_block(level210):
@@ -195,18 +196,9 @@ def test_level210_oldform_block(level210):
     assert eig.u_eigenvalues == {p: p + 1 for p in (11, 13, 17, 19, 23)}
     # one two-dimensional space never splits rationally (oldform multiplicity)
     assert [dim for dim, _ in eig.unresolved] == [2]
-    with pytest.raises(EigenSplitError):
-        rational_eigensystem(level210, require_full=True)
 
 
 def test_good_primes_avoid_level():
     cfg = LevelConfig.from_primes((2, 3, 7), 5)
     ps = good_primes(cfg, 5)
     assert ps == [11, 13, 17, 19, 23]
-
-
-def test_ap_hint_selects_line(level66):
-    # hints are positional over the prime list (5, 7, 13, 17, 19)
-    eig = rational_eigensystem(level66, ap_hint=[2, -4])
-    assert eig.eigenvalues[5] == 2 and eig.eigenvalues[7] == -4
-    assert eig.v == (0, 2, -2, 0)

@@ -63,6 +63,13 @@ def test_congruence_precondition_exit_two():
     assert "not invertible" in err
 
 
+def test_hecke_suite_needs_mmax_one():
+    # the suite checks B_1 = identity, so m = 0 alone is a configuration error
+    rc, out, err = run(["verify", "--suite", "hecke", "--ramified", "11", "--mmax", "0"])
+    assert rc == 2 and out == ""
+    assert "--mmax >= 1" in err
+
+
 def test_negative_control_exit_one():
     rc, out, _ = run(["verify", "--suite", "congruence", "--ramified", "11",
                       "--l", "7", "--dmax", "60", "--mmax", "20"])

@@ -7,7 +7,6 @@ from functools import partial
 
 import pytest
 
-from ceisen.arith import primes_up_to
 from ceisen.quatalg import (
     AlgebraSearchError,
     QuaternionAlgebra,

@@ -2,9 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ceisen.arith import Discriminant
-from ceisen.brandt import rational_eigensystem
-from ceisen.qform import LevelConfig, class_number, closed_form_H, mass, unit_factor
+from ceisen.qform import closed_form_H, mass, unit_factor
 from ceisen.theta32 import (
     cohen_H,
     cusp_G,
@@ -127,8 +125,8 @@ def test_trace_identity(classes):
     assert rows[0].lhs == mass(classes.cfg)
 
 
-def test_cusp_G_integrality_and_start(level11, eig11):
-    G = cusp_G(level11, eig11, 300)
+def test_cusp_G_integrality_and_start(level11, v11):
+    G = cusp_G(level11, v11, 300)
     for D in range(1, 301):
         assert G[D].denominator == 1
         if D % 4 in (1, 2):
@@ -140,25 +138,14 @@ def test_cusp_G_integrality_and_start(level11, eig11):
 
 
 def test_cusp_G_all_lines_level66(level66, eig66):
-    from ceisen.brandt import EigenSystem
-
-    for eigs, v in eig66.lines:
-        sub = EigenSystem(
-            classes=level66, primes=eig66.primes, u=eig66.u,
-            u_eigenvalues=eig66.u_eigenvalues, lines=eig66.lines,
-            unresolved=eig66.unresolved, v=v, eigenvalues=dict(eigs),
-        )
-        G = cusp_G(level66, sub, 200)
+    for _, v in eig66.lines:
+        G = cusp_G(level66, v, 200)
         assert all(G[D].denominator == 1 for D in range(1, 201))
 
 
-def test_cusp_G_requires_line(level11):
-    from ceisen.brandt import EigenSystem
-
-    bare = EigenSystem(classes=level11, primes=(2,), u=(1, 1),
-                       u_eigenvalues={}, lines=[], unresolved=[])
+def test_cusp_G_rejects_wrong_length(level11):
     with pytest.raises(ValueError):
-        cusp_G(level11, bare, 10)
+        cusp_G(level11, (1,), 10)
 
 
 def test_vector_count_examples(level11):

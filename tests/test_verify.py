@@ -1,9 +1,11 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
+from ceisen.brandt import expected_row_sum
 from ceisen.qform import class_number
-from ceisen.theta32 import HalfIntegralSeries, cohen_H, cusp_G
+from ceisen.theta32 import cohen_H, cusp_G
 from ceisen.verify import (
     CongruencePreconditionError,
     admissible_fundamental_Ds,
@@ -14,77 +16,88 @@ from ceisen.verify import (
 )
 
 
-def test_eigenvalue_congruence_level11_l5(level11, eig11):
-    rep = eigenvalue_congruence(eig11, level11.cfg, 5, 50)
+def test_eigenvalue_congruence_level11_l5(level11, v11):
+    rep = eigenvalue_congruence(level11, v11, 5, 50)
     assert rep.passed and rep.failures == []
     assert rep.l == 5 and rep.kind == "eigenvalue"
 
 
-def test_eigenvalue_congruence_l7_fails(level11, eig11):
-    rep = eigenvalue_congruence(eig11, level11.cfg, 7, 50)
+def test_eigenvalue_congruence_l7_fails(level11, v11):
+    rep = eigenvalue_congruence(level11, v11, 7, 50)
     assert not rep.passed
     assert (2, 5, 3) in rep.failures  # a_2 = -2 ≡ 5, 1+2 = 3 (mod 7)
 
 
-def test_coefficient_congruence_level11_l5(level11, eig11):
+def test_coefficient_congruence_level11_l5(level11, v11):
     H = cohen_H(level11, 300)
-    G = cusp_G(level11, eig11, 300)
+    G = cusp_G(level11, v11, 300)
     rep = coefficient_congruence(H, G, 5)
     assert rep.lam in {1, 2, 3, 4}
     assert rep.reason == "found" and rep.passed and rep.failures == []
     assert rep.checked_max == 300
 
 
-def test_coefficient_congruence_l7_fails(level11, eig11):
+def test_coefficient_congruence_l7_fails(level11, v11):
     H = cohen_H(level11, 300)
-    G = cusp_G(level11, eig11, 300)
+    G = cusp_G(level11, v11, 300)
     rep = coefficient_congruence(H, G, 7)
     assert rep.lam is None and rep.reason == "inconsistent"
     assert rep.failures and not rep.passed
 
 
-def test_coefficient_congruence_l3_cleared_mode(level11, eig11):
+def test_coefficient_congruence_l3_cleared_mode(level11, v11):
     # 3 divides denominators of H here; the cleared comparison runs and
     # honestly reports that no unit λ works
     H = cohen_H(level11, 120)
-    G = cusp_G(level11, eig11, 120)
+    G = cusp_G(level11, v11, 120)
     assert any(H[D].denominator % 3 == 0 for D in range(121))
     rep = coefficient_congruence(H, G, 3)
     assert rep.lam is None and not rep.passed
 
 
-def test_eigenvalue_congruence_l3_precondition(level11, eig11):
+def test_eigenvalue_congruence_each_line_level66(level66, eig66):
+    # the primes <= 19 coprime to 66 are exactly the eigensystem's primes, so
+    # the failures follow from each line's own eigenvalues
+    b = {p: expected_row_sum(p, level66.cfg) for p in eig66.primes}
+    for l in (5, 7):
+        for eigs, v in eig66.lines:
+            rep = eigenvalue_congruence(level66, v, l, 19)
+            assert rep.failures == [(p, eigs[p] % l, b[p] % l)
+                                    for p in eig66.primes if (eigs[p] - b[p]) % l]
+
+
+def test_eigenvalue_congruence_l3_precondition(level11, v11):
     with pytest.raises(CongruencePreconditionError):
-        eigenvalue_congruence(eig11, level11.cfg, 3, 50)
+        eigenvalue_congruence(level11, v11, 3, 50)
 
 
-def test_bad_moduli_rejected(level11, eig11):
+def test_bad_moduli_rejected(level11, v11):
     H = cohen_H(level11, 20)
-    G = cusp_G(level11, eig11, 20)
+    G = cusp_G(level11, v11, 20)
     for l in (2, 9, 15):
         with pytest.raises(CongruencePreconditionError):
             coefficient_congruence(H, G, l)
         with pytest.raises(CongruencePreconditionError):
-            eigenvalue_congruence(eig11, level11.cfg, l, 20)
+            eigenvalue_congruence(level11, v11, l, 20)
 
 
-def test_series_range_mismatch(level11, eig11):
+def test_series_range_mismatch(level11, v11):
     H = cohen_H(level11, 30)
-    G = cusp_G(level11, eig11, 20)
+    G = cusp_G(level11, v11, 20)
     with pytest.raises(CongruencePreconditionError):
         coefficient_congruence(H, G, 5)
 
 
 def test_indeterminate_report():
-    zero = HalfIntegralSeries((Fraction(0),) * 11, kind="H")
+    zero = (Fraction(0),) * 11
     rep = coefficient_congruence(zero, zero, 5)
     assert rep.lam is None and rep.reason == "indeterminate"
     assert not rep.failures
 
 
 def test_inconsistent_vanishing_report():
-    H = HalfIntegralSeries(tuple(Fraction(x) for x in (0, 5, 1)), kind="H")
-    G = HalfIntegralSeries(tuple(Fraction(x) for x in (0, 5, 5)), kind="G")
+    H = tuple(Fraction(x) for x in (0, 5, 1))
+    G = tuple(Fraction(x) for x in (0, 5, 5))
     rep = coefficient_congruence(H, G, 5)
     assert rep.lam is None and rep.reason == "inconsistent"
     assert (2, 0, 1) in rep.failures
@@ -114,8 +127,8 @@ def test_admissible_family_level11(level11):
         assert (-D) % 4 in (0, 1)
 
 
-def test_divisibility_table_level11_l5(level11, eig11):
-    rows = divisibility_table(level11, eig11, 5, 500)
+def test_divisibility_table_level11_l5(level11, v11):
+    rows = divisibility_table(level11, v11, 5, 500)
     assert len(rows) == 83
     assert all(r.agree for r in rows)
     for r in rows:
@@ -127,20 +140,14 @@ def test_divisibility_table_level11_l5(level11, eig11):
     assert row47.h == 5 and row47.m_D % 5 == 0
 
 
-def test_divisibility_table_l7_negative_control(level11, eig11):
-    rows = divisibility_table(level11, eig11, 7, 500)
+def test_divisibility_table_l7_negative_control(level11, v11):
+    rows = divisibility_table(level11, v11, 7, 500)
     assert any(not r.agree for r in rows)
     rate = Fraction(sum(r.agree for r in rows), len(rows))
     assert rate < 1
 
 
-def test_divisibility_requires_line(level11, eig11):
-    from ceisen.brandt import EigenSystem
-
-    bare = EigenSystem(classes=level11, primes=eig11.primes, u=eig11.u,
-                       u_eigenvalues=eig11.u_eigenvalues, lines=[],
-                       unresolved=[])
-    with pytest.raises(CongruencePreconditionError):
-        divisibility_table(level11, bare, 5, 100)
+def test_best_line_requires_line(level11, eig11):
+    bare = dataclasses.replace(eig11, lines=[])
     with pytest.raises(CongruencePreconditionError):
         best_coefficient_congruence(level11, bare, cohen_H(level11, 10), 5)
