@@ -161,9 +161,6 @@ def test_eigensystem_level66(level66, eig66):
     assert not eig66.unresolved
     vs = [v for _, v in eig66.lines]
     assert (3, -2, -2, 3) in vs
-    # the line with a_5 = 2 and a_7 = -4
-    assert any(eigs[5] == 2 and eigs[7] == -4 and v == (0, 2, -2, 0)
-               for eigs, v in eig66.lines)
     # sorted by the eigenvalue tuple over the primes (5, 7, 13, 17, 19)
     keys = [tuple(eigs[p] for p in eig66.primes) for eigs, _ in eig66.lines]
     assert eig66.primes == (5, 7, 13, 17, 19) and keys == sorted(keys)
@@ -172,6 +169,12 @@ def test_eigensystem_level66(level66, eig66):
         coords = [Fraction(v[i], level66.w[i]) for i in range(level66.n)]
         assert all(x.denominator == 1 for x in coords)
         assert gcd(*[int(x) for x in coords]) == 1
+
+
+def test_ap_hint_selects_line(eig66):
+    # the eigenvalues a_5 = 2, a_7 = -4 pick out exactly one line
+    picked = [v for eigs, v in eig66.lines if eigs[5] == 2 and eigs[7] == -4]
+    assert picked == [(0, 2, -2, 0)]
 
 
 def test_eigenvalue_of_consistency(level11, eig11):
