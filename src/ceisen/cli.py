@@ -335,8 +335,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     if args.suite == "congruence" and cfg.l is None:
         raise ValueError("the congruence suite requires --l")
-    if args.suite == "hecke" and cfg.m_max < 1:
-        raise ValueError("the hecke suite needs --mmax >= 1")
+    if args.suite in ("hecke", "rowsum") and cfg.m_max < 1:
+        raise ValueError(f"the {args.suite} suite needs --mmax >= 1")
     classes = _get_classes(cfg)
     checks = _SUITES[args.suite](cfg, classes)
     passed = all(ok for _, _, ok in checks)

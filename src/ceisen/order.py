@@ -9,7 +9,8 @@ coordinates use integer rows, and each new lattice is put in canonical form
 again.  Maximal orders come from prime-by-prime saturation of the obvious
 starting order; level structure at primes coprime to the discriminant is cut
 out by a splitting idempotent.  Left ideal classes are enumerated by a
-neighbor walk at the smallest good prime, stopped exactly by the mass formula.
+neighbor walk at the smallest good prime, stopped exactly by the mass formula,
+with equivalence tests only between ideals of equal normalized theta series.
 """
 
 from __future__ import annotations
@@ -378,6 +379,27 @@ def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
     return target.denominator == 1 and exists_value(W.gram(), int(target))
 
 
+# The bound b of the walk's class keys, on Nrd(x)/N(I): b = 16 leaves a few
+# classes per key at levels near 1000 for a few milliseconds per key, where
+# b <= 8 leaves keys shared by dozens of classes.
+_THETA_BOUND = 16
+
+
+def _theta_key(I: LeftIdeal) -> tuple[tuple[int, int], ...]:
+    """The normalized theta series of I up to _THETA_BOUND: sorted pairs
+    (v, number of x in I with Nrd(x) = v·N(I)) for v <= b (Kirschmer-Voight,
+    SIAM J. Comput. 39, 2010, section 6).
+
+    A class invariant: J = I·x scales the norm form by N(x), and
+    N(J) = N(I)·N(x), so Nrd/N(I) on I and Nrd/N(J) on J are isometric.  The
+    integer Gram is den² times the norm form, and g = N(I)·den² is the gcd of
+    its values, so every value is some v·g, and v <= b means value <= b·g.
+    """
+    g = int(I.norm * I.lattice.den**2)
+    counts = counts_by_value(I.lattice.gram(), _THETA_BOUND * g)
+    return tuple(sorted((val // g, cnt) for val, cnt in counts.items()))
+
+
 def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
     """Replace I by the equivalent integral ideal I·conj(x)/N(I) for a canonical
     shortest vector x = Σ c_k·rows_k/den: the row products b_k·conj(x) over
@@ -549,6 +571,12 @@ def left_ideal_classes(O: OrderLattice) -> IdealClassSet:
     """Enumerate the left ideal classes of O by a neighbor walk at the smallest
     prime coprime to the level, stopping exactly when the mass formula is met.
 
+    Each class and each reduced candidate is keyed by its normalized theta
+    series (`_theta_key`), and a candidate is tested for equivalence only
+    against the classes with its key.  The key is a class invariant, so no
+    true equivalence is skipped: the walk, its representatives and the
+    stopping point are those of testing against every class.
+
     Overshooting the mass raises MassOvershootError (it would mean an
     equivalence was missed); stalling raises ClassSearchError.
     """
@@ -558,6 +586,7 @@ def left_ideal_classes(O: OrderLattice) -> IdealClassSet:
     while not (is_prime(p) and cfg.N % p != 0):
         p += 1
     classes = [unit_ideal(O)]
+    buckets = {_theta_key(classes[0]): [classes[0]]}
     rights = [O]
     es = [unit_count(O)]
     acc = Fraction(1, es[0])
@@ -571,8 +600,10 @@ def left_ideal_classes(O: OrderLattice) -> IdealClassSet:
         for K in _neighbor_ideals(rights[idx], p):
             J = LeftIdeal.of(O, product_lattice(classes[idx].lattice, K))
             J = reduce_ideal(J)
-            if any(is_equivalent(J, C) for C in classes):
+            bucket = buckets.setdefault(_theta_key(J), [])
+            if any(is_equivalent(J, C) for C in bucket):
                 continue
+            bucket.append(J)
             classes.append(J)
             R = right_order(J)
             rights.append(R)

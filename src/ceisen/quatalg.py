@@ -122,8 +122,13 @@ def construct_algebra(ramified_set, bound: int | None = None) -> QuaternionAlgeb
     """Smallest (|a|+|b|, |a|) pair of negative squarefree a, b realizing the
     prescribed finite ramified set (which must have odd size).
 
-    The returned algebra carries its certified ramified tuple; raises
-    AlgebraSearchError if nothing is found within the bound.
+    At an odd prime p dividing neither a nor b the Hilbert symbol (a, b)_p is
+    1 (Serre, A Course in Arithmetic, III.1), so every odd p in the set must
+    divide ab: pairs with ab not divisible by the odd part of the set's
+    product are skipped before any symbol is computed, which leaves the first
+    pair found unchanged.  The returned algebra carries its certified
+    ramified tuple; raises AlgebraSearchError if nothing is found within the
+    bound.
     """
     S = tuple(sorted(set(int(p) for p in ramified_set)))
     if not S or len(S) % 2 == 0:
@@ -131,13 +136,14 @@ def construct_algebra(ramified_set, bound: int | None = None) -> QuaternionAlgeb
     for p in S:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    prod = 1
-    for p in S:
-        prod *= p
+    prod = math.prod(S)
+    odd = prod // 2 if S[0] == 2 else prod
     limit = bound if bound is not None else 8 * prod + 16
     for t in range(2, limit + 1):
         for na in range(1, t):
             nb = t - na
+            if (na * nb) % odd:
+                continue
             a, b = -na, -nb
             if squarefree_kernel(a) != a or squarefree_kernel(b) != b:
                 continue

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .arith import is_prime, primes_up_to
-from .brandt import EigenSystem, eigenvalue_of, expected_row_sum
+from .brandt import EigenSystem, _pair_counts, eigenvalue_of, expected_row_sum
 from .order import IdealClassSet
 from .qform import LevelConfig, class_number, kronecker_condition, s_ramified
 from .theta32 import cusp_G
@@ -57,10 +57,11 @@ def eigenvalue_congruence(
         if w % l == 0:
             raise CongruencePreconditionError(f"w_i = {w} is not invertible mod {l}")
     cfg = classes.cfg
+    primes = [p for p in primes_up_to(p_max) if cfg.N % p]
+    if primes:
+        _pair_counts(classes, primes[-1])  # one sweep serves every B_p
     failures = []
-    for p in primes_up_to(p_max):
-        if cfg.N % p == 0:
-            continue
+    for p in primes:
         a_p = eigenvalue_of(classes, v, p)
         b_p = expected_row_sum(p, cfg)
         if (a_p - b_p) % l != 0:

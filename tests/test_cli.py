@@ -70,6 +70,13 @@ def test_hecke_suite_needs_mmax_one():
     assert "--mmax >= 1" in err
 
 
+def test_rowsum_suite_needs_mmax_one():
+    # rowsum checks m = 1..mmax only, so mmax = 0 would pass with no check
+    rc, out, err = run(["verify", "--suite", "rowsum", "--ramified", "11", "--mmax", "0"])
+    assert rc == 2 and out == ""
+    assert "the rowsum suite needs --mmax >= 1" in err
+
+
 def test_negative_control_exit_one():
     rc, out, _ = run(["verify", "--suite", "congruence", "--ramified", "11",
                       "--l", "7", "--dmax", "60", "--mmax", "20"])

@@ -7,6 +7,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
+import ceisen.order as order_module
 from ceisen.linalg import mat_det
 from ceisen.order import (
     CacheError,
@@ -393,3 +394,59 @@ def test_eichler_order_is_brute_force_preimage(p, q):
     O = eichler_order(Omax, q)
     assert O.lattice == brute_eichler(Omax, q)
     assert reduced_discriminant(O) == q * reduced_discriminant(Omax)
+
+
+@pytest.fixture(scope="module")
+def level389():
+    return build_class_set(LevelConfig.from_primes((389,)))
+
+
+@pytest.mark.parametrize("name", ["level11", "level66", "level389"])
+def test_theta_key_is_a_class_invariant(name, request):
+    cs = request.getfixturevalue(name)
+    O, B = cs.order, cs.algebra
+    rng = random.Random(cs.cfg.N)
+    keys = set()
+    for I in cs.ideals:
+        key = order_module._theta_key(I)
+        keys.add(key)
+        for _ in range(2):
+            # x of norm <= 100: the key of an unreduced J enumerates a skewed basis
+            x = (0, 0, 0, 0)
+            while not 0 < norm_pair(B.a, B.b, x, x) <= 100:
+                x = tuple(rng.randint(-3, 3) for _ in range(4))
+            J = LeftIdeal.of(O, Lat4.span(B, [mul(B, b, x) for b in I.lattice.basis]))
+            assert J.norm == I.norm * norm_pair(B.a, B.b, x, x)
+            assert order_module._theta_key(J) == key
+            assert order_module._theta_key(reduce_ideal(J)) == key
+    if cs.n > 2:
+        assert len(keys) > 1  # the keys do separate classes
+
+
+def _counted_walk(monkeypatch, O):
+    """left_ideal_classes(O) with its equivalence tests counted: (classes, calls, hits)."""
+    tally = [0, 0]
+
+    def counted(I, J):
+        hit = is_equivalent(I, J)
+        tally[0] += 1
+        tally[1] += hit
+        return hit
+
+    with monkeypatch.context() as m:
+        m.setattr(order_module, "is_equivalent", counted)
+        cs = left_ideal_classes(O)
+    return cs, tally[0], tally[1]
+
+
+@pytest.mark.parametrize("primes, M", [((11,), 1), ((2, 3, 11), 1), ((2, 3, 7), 5),
+                                       ((3, 5, 7), 2), ((197,), 1)],
+                         ids=["N11", "N66", "N210_M5", "N210_M2", "N197"])
+def test_bucketed_walk_matches_unbucketed(monkeypatch, primes, M):
+    O = eichler_order(maximal_order(construct_algebra(set(primes))), M)
+    cs, calls, hits = _counted_walk(monkeypatch, O)
+    monkeypatch.setattr(order_module, "_theta_key", lambda I: 0)  # one bucket
+    ref, ref_calls, ref_hits = _counted_walk(monkeypatch, O)
+    assert classes_to_json(cs) == classes_to_json(ref)
+    assert hits == ref_hits
+    assert calls < ref_calls

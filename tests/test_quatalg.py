@@ -7,6 +7,7 @@ from functools import partial
 
 import pytest
 
+from ceisen.arith import squarefree_kernel
 from ceisen.quatalg import (
     AlgebraSearchError,
     QuaternionAlgebra,
@@ -153,3 +154,23 @@ def test_norm_positive_definite():
 def test_definite_required():
     with pytest.raises(ValueError):
         QuaternionAlgebra.create(1, -1)
+
+
+def unfiltered_search(S: tuple[int, ...]) -> tuple[int, int]:
+    """The algebra search with no divisor filter: the first (|a|+|b|, |a|)
+    pair of negative squarefree a, b ramified exactly at S."""
+    for t in range(2, 8 * math.prod(S) + 17):
+        for na in range(1, t):
+            a, b = -na, na - t
+            if squarefree_kernel(a) == a and squarefree_kernel(b) == b:
+                if ramified_primes(a, b) == S:
+                    return a, b
+    raise AssertionError(f"no algebra for {S}")
+
+
+@pytest.mark.parametrize("S", [(2,), (3,), (11,), (197,), (2, 3, 7), (3, 5, 7),
+                               (2, 3, 11), (2, 3, 5, 7, 11)])
+def test_construct_algebra_matches_unfiltered_search(S):
+    B = construct_algebra(set(S))
+    assert (B.a, B.b) == unfiltered_search(S)
+    assert B.ramified == S
