@@ -42,6 +42,7 @@ from .qform import (
 from .theta32 import cohen_H, prefill_counts, trace_identity_check
 from .verify import (
     CongruencePreconditionError,
+    admissible_fundamental_Ds,
     best_coefficient_congruence,
     divisibility_table,
     eigenvalue_congruence,
@@ -353,6 +354,8 @@ def cmd_shatable(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     if cfg.l is None:
         raise ValueError("shatable requires --l")
+    if not admissible_fundamental_Ds(cfg.level, cfg.D_max):
+        raise ValueError(f"no admissible fundamental D <= {cfg.D_max}; raise --dmax")
     classes = _get_classes(cfg)
     eig = rational_eigensystem(classes)
     prefill_counts(classes, max(cfg.D_max, 1))
@@ -361,7 +364,7 @@ def cmd_shatable(args: argparse.Namespace) -> int:
     table = divisibility_table(classes, v_used, cfg.l, cfg.D_max)
     agree = sum(1 for row in table if row.agree)
     total = len(table)
-    rate = Fraction(agree, total) if total else Fraction(1)
+    rate = Fraction(agree, total)
     header = ["D", "fundamental", "s", "h", "h_mod_l", "m_D", "m_D_mod_l", "agree"]
     rows = [
         [r.D, r.fundamental, r.s, r.h, r.h_mod_l, r.m_D, r.m_D_mod_l, r.agree]

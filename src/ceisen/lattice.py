@@ -4,12 +4,14 @@ Fincke-Pohst recursion on integers only.  Forms are given by integer Gram
 matrices, bounds and values are integers, and evaluation happens in the
 coordinate lattice Z^n.
 
-One LDL decomposition G = R^T·diag(D)·R gives q(c) = Σ_i D_i·y_i² with
-y_i = c_i + Σ_{j>i} R_ij·c_j; D and R are rational even for an integer G.
-Each row of R is written over a common row denominator s_i as
-R_ij = r_ij/s_i (r_ii = s_i), so s_i·y_i = s_i·c_i + t_i with the integer
-centre t_i = Σ_{j>i} r_ij·c_j.  The least integer K that makes every
-a_i = K·D_i/s_i² integral turns the search into
+Bareiss elimination (`linalg.echelon`) of G gives integer rows U whose
+diagonal holds the leading minors d_1..d_n of G (d_0 = 1), and
+
+    q(c) = Σ_i (Σ_{j≥i} U_ij·c_j)² / e_i,   e_i = d_i·d_{i+1}.
+
+With g_i the content of row i, r_ij = U_ij/g_i and s_i = r_ii, row i gives
+g_i·(s_i·c_i + t_i) with the integer centre t_i = Σ_{j>i} r_ij·c_j, and the
+least integer K that makes every a_i = K·g_i²/e_i integral turns the search into
 
     K·q(c) = Σ_i a_i·(s_i·c_i + t_i)²  ≤  K·bound,
 
@@ -23,10 +25,27 @@ of a leaf is the integer q(c) = (K·bound - B_0) // K, an exact division.
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from typing import Iterator
 
-from .linalg import ldl
+from .linalg import echelon
+
+
+def definite_echelon(G: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """(U, e): the echelon rows of an integer symmetric G and e_i = d_i·d_{i+1};
+    ValueError unless diagonal pivots, all d_i > 0 and G = Σ_i u_i·u_iᵀ/e_i over
+    the rows u_i certify G positive definite (Sylvester).  The diagonal alone
+    does not: elimination swaps rows past a vanishing leading minor."""
+    n = len(G)
+    U, pivots, _ = echelon(G)
+    d = [1] + [U[i][i] for i in range(len(U))]
+    e = [x * y for x, y in zip(d, d[1:])]
+    L = lcm(*e)
+    if pivots != list(range(n)) or min(d) <= 0 or any(
+            sum(U[i][k] * U[i][l] * (L // e[i]) for i in range(k + 1)) != L * G[k][l]
+            for k in range(n) for l in range(k, n)):
+        raise ValueError("form is not positive definite")
+    return U, e
 
 
 def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -38,13 +57,12 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
     """
     if bound < 0:
         return
-    D, R = ldl(G)
-    n = len(D)
-    s = [lcm(*(R[i][j].denominator for j in range(i + 1, n))) for i in range(n)]
-    r = [[int(R[i][j] * s[i]) for j in range(n)] for i in range(n)]
-    scaled = [D[i] / (s[i] * s[i]) for i in range(n)]
-    K = lcm(*(d.denominator for d in scaled))
-    a = [int(K * d) for d in scaled]
+    U, e = definite_echelon(G)
+    n = len(U)
+    g = [gcd(*row) for row in U]
+    r = [[x // g[i] for x in U[i]] for i in range(n)]
+    K = lcm(*(e[i] // gcd(g[i] * g[i], e[i]) for i in range(n)))
+    a = [K * g[i] * g[i] // e[i] for i in range(n)]
     top = K * bound
     c = [0] * n
 
@@ -53,7 +71,7 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
         if i == 0:
             yield B
             return
-        ri, si, ai = r[i], s[i], a[i]
+        ri, si, ai = r[i], r[i][i], a[i]
         t = sum(ri[j] * c[j] for j in range(i + 1, n))
         w = isqrt(B // ai)
         for m in range(-((w + t) // si), (w - t) // si + 1):
@@ -61,7 +79,7 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
             x = si * m + t
             yield from budgets(i - 1, B - ai * x * x)
 
-    r0, s0, a0 = r[0], s[0], a[0]
+    r0, s0, a0 = r[0], r[0][0], a[0]
     for B in budgets(n - 1, top):
         rest = tuple(c[1:])
         t = sum(r0[j] * c[j] for j in range(1, n))
@@ -111,7 +129,7 @@ def shortest_vector(G: list[list[int]]) -> tuple[tuple[int, ...], int]:
     # least diagonal entry; double until something is found
     n = len(G)
     if n == 4:
-        bound = isqrt(isqrt(int(prod(ldl(G)[0])))) + 1
+        bound = isqrt(isqrt(definite_echelon(G)[0][-1][-1])) + 1
     else:
         bound = min(G[i][i] for i in range(n))
     while True:

@@ -2,11 +2,11 @@
 Brandt eigensystem.
 
 Matrices are lists of rows.  Rational routines take Fraction or int entries
-and return Fractions; the hot ones run on integers inside: `mat_mul` clears
-each factor to integer rows over one denominator, and `charpoly` and
-`integer_roots` take and return plain ints.  `hnf` and `int_kernel` work on
-integer matrices.  No floating point anywhere: comparisons that decide
-anything are exact.
+and return Fractions; they run on integers inside: `mat_mul` clears each
+factor to integer rows over one denominator, and `mat_det` and `rref` clear
+the matrix and run the one Gaussian elimination, the fraction-free `echelon`.
+`charpoly` and `integer_roots` take and return plain ints, and `hnf` and
+`int_kernel` work on integer matrices.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -46,24 +46,42 @@ def transpose(A):
 
 
 def mat_det(A: list[list[Fraction]]) -> Fraction:
-    """Determinant by exact Gaussian elimination."""
-    n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if M[r][c]), None)
+    """Determinant of a square rational matrix: sign·U[-1][-1]/dⁿ from the
+    echelon rows U of the integer matrix d·A, and 0 at short rank."""
+    d, M = clear_denominators(A)
+    U, pivots, sign = echelon(M)
+    if len(pivots) < len(A):
+        return Fraction(0)
+    return Fraction(sign * U[-1][-1], d ** len(A)) if A else Fraction(1)
+
+
+def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free (Bareiss) row echelon form of an integer matrix: (U,
+    pivots, sign), with U the nonzero rows, pivots their pivot columns (a column
+    with no nonzero entry left is skipped) and sign the parity of the row swaps.
+
+    Below the pivot p = U[k][c_k], r_i <- (p·r_i - b·r_k)/p_prev, p_prev the
+    previous pivot or 1.  Every entry is a minor of the row-permuted input, so
+    the division is exact (Bareiss, Math. Comp. 22, 1968).
+    """
+    M = [list(row) for row in rows]
+    pivots: list[int] = []
+    sign, prev = 1, 1
+    for c in range(len(M[0]) if M else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
         if piv is None:
-            return Fraction(0)
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c]:
-                f = M[r][c] * inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[c])]
-    return det
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        p, top = M[r][c], M[r]
+        for i in range(r + 1, len(M)):
+            b = M[i][c]
+            M[i] = [(p * x - b * y) // prev for x, y in zip(M[i], top)]
+        prev = p
+        pivots.append(c)
+    return M[: len(pivots)], pivots, sign
 
 
 def charpoly(A: list[list[int]]) -> list[int]:
@@ -140,33 +158,20 @@ def integer_roots(coeffs: list[int], bound: int) -> list[int]:
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a rational matrix: (nonzero rows, pivot columns).
 
-    Fraction-free Gauss-Jordan: the rows are cleared to integers, each
-    elimination step is r_i <- a·r_i - b·r_piv with the row's content divided
-    out, and only the final pivot rows are divided by their pivots.  The RREF
-    is unique, so this is the same result as elimination over Q.
+    From the echelon form of the cleared rows, an upward pass r_i <- a·r_i - b·r_k
+    with the row's content divided out clears each pivot column, then each row
+    is divided by its pivot.  The RREF is unique, so this equals elimination over Q.
     """
-    _, M = clear_denominators(rows)
-    m = len(M)
-    n = len(M[0]) if m else 0
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        a, top = M[r][c], M[r]
-        for i in range(m):
-            b = M[i][c]
-            if i != r and b:
-                row = [a * x - b * y for x, y in zip(M[i], top)]
+    U, pivots, _ = echelon(clear_denominators(rows)[1])
+    for k, c in enumerate(pivots):
+        a, top = U[k][c], U[k]
+        for i in range(k):
+            b = U[i][c]
+            if b:
+                row = [a * x - b * y for x, y in zip(U[i], top)]
                 g = gcd(*row)
-                M[i] = [x // g for x in row] if g > 1 else row
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return [[Fraction(x, M[i][c]) for x in M[i]] for i, c in enumerate(pivots)], pivots
+                U[i] = [x // g for x in row] if g > 1 else row
+    return [[Fraction(x, U[i][c]) for x in U[i]] for i, c in enumerate(pivots)], pivots
 
 
 def nullspace(A: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -247,26 +252,3 @@ def int_kernel(A: list[list[int]]) -> list[list[int]]:
                for j in range(n)]
     H = hnf(stacked)
     return [row[m:] for row in H if not any(row[:m])]
-
-
-def ldl(G: list[list[Fraction]]) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Decompose symmetric positive-definite G as R^T·diag(D)·R, R unit upper triangular.
-
-    Then the form is q(c) = sum_i D_i (c_i + sum_{j>i} R_ij c_j)^2.
-    Raises ValueError if G is not positive definite.
-    """
-    n = len(G)
-    D = [Fraction(0)] * n
-    R = identity(n)
-    W = [[Fraction(x) for x in row] for row in G]
-    for i in range(n):
-        D[i] = W[i][i]
-        if D[i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            R[i][j] = W[i][j] / D[i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                W[k][l] -= D[i] * R[i][k] * R[i][l]
-                W[l][k] = W[k][l]
-    return D, R

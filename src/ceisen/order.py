@@ -7,10 +7,12 @@ equal lattices compare equal, and every order and ideal operation computes on
 that pair: products, conjugates, Gram matrices, norms, covolumes and
 coordinates use integer rows, and each new lattice is put in canonical form
 again.  Maximal orders come from prime-by-prime saturation of the obvious
-starting order; level structure at primes coprime to the discriminant is cut
-out by a splitting idempotent.  Left ideal classes are enumerated by a
-neighbor walk at the smallest good prime, stopped exactly by the mass formula,
-with equivalence tests only between ideals of equal normalized theta series.
+starting order; level structure at primes q coprime to the discriminant is
+cut out by a splitting idempotent of O/qO, multiplied with `quat_mul` on the
+order's rows and read back in its coordinates by `Lat4.coords_of`.  Left
+ideal classes are enumerated by a neighbor walk at the smallest good prime,
+stopped exactly by the mass formula, with equivalence tests only between
+ideals of equal normalized theta series.
 """
 
 from __future__ import annotations
@@ -211,11 +213,11 @@ def _nonzero_tuples(p: int):
                         yield (c0, c1, c2, c3)
 
 
-def _ring_closure(cur: Lat4, max_rounds: int = 8) -> Lat4 | None:
+def _ring_closure(cur: Lat4) -> Lat4 | None:
     """The smallest multiplicatively closed lattice containing cur, which holds
-    1, so cur ⊆ cur·cur: iterate cur ← cur·cur until it stabilizes within a
-    few rounds (non-integral candidates blow up and return None)."""
-    for _ in range(max_rounds):
+    1, so cur ⊆ cur·cur: iterate cur ← cur·cur until it stabilizes within
+    eight rounds (non-integral candidates blow up and return None)."""
+    for _ in range(8):
         nxt = product_lattice(cur, cur)
         if nxt == cur:
             return cur
@@ -241,47 +243,13 @@ def maximal_order(B: QuaternionAlgebra) -> OrderLattice:
     return O
 
 
-def _structure_constants(O: OrderLattice) -> list[list[list[int]]]:
-    """Integer table S with b_k·b_l = sum_m S[k][l][m]·b_m, from the coordinates
-    of the row products over den²."""
-    L = O.lattice
-    a, b, d2 = L.algebra.a, L.algebra.b, L.den**2
-    table = []
-    for u in L.rows:
-        row = []
-        for v in L.rows:
-            coords = L.coords_of([Fraction(x, d2) for x in quat_mul(a, b, u, v)])
-            assert all(c.denominator == 1 for c in coords), "order not closed (bug)"
-            row.append([int(c) for c in coords])
-        table.append(row)
-    return table
-
-
-def _mul_mod(S, a, b, q):
-    out = [0, 0, 0, 0]
-    for k in range(4):
-        ak = a[k] % q
-        if not ak:
-            continue
-        Sk = S[k]
-        for l in range(4):
-            bl = b[l] % q
-            if not bl:
-                continue
-            Skl = Sk[l]
-            f = ak * bl
-            for m in range(4):
-                out[m] = (out[m] + f * Skl[m]) % q
-    return out
-
-
 def eichler_order(Omax: OrderLattice, M: int) -> OrderLattice:
     """Cut level-q structure into Omax for each prime q | M (M squarefree,
     coprime to the algebra discriminant).
 
     At each q a splitting idempotent e of Omax/qOmax is found by exhaustive
     search in lexicographic order, and the suborder is the preimage of the
-    'upper triangular' part {x : e·x·(1-e) ≡ 0 mod q}.
+    'upper triangular' part {x : e·x·(1-e) ≡ 0 mod q}, multiplied by `quat_mul`.
     """
     B = Omax.algebra
     if M < 1:
@@ -298,28 +266,27 @@ def eichler_order(Omax: OrderLattice, M: int) -> OrderLattice:
 
 
 def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
-    S = _structure_constants(O)
     L = O.lattice
+    a, b, d2 = L.algebra.a, L.algebra.b, L.den**2
+
+    def mul(c, c2) -> list[int]:
+        """Coordinates mod q of x_c·x_c2, where x_c = Σ c_k·b_k lies in O."""
+        x = quat_mul(a, b, _combine(c, L.rows), _combine(c2, L.rows))
+        return [int(v) % q for v in L.coords_of([Fraction(v, d2) for v in x])]
+
     one = [int(c) for c in L.coords_of((1, 0, 0, 0))]
-    e = None
-    for c in _nonzero_tuples(q):
-        if all((x - y) % q == 0 for x, y in zip(c, one)):
-            continue
-        if _mul_mod(S, list(c), list(c), q) == [x % q for x in c]:
-            e = list(c)
-            break
+    # x² = trd(x)·x - nrd(x), so an idempotent mod q other than 0 and 1 has
+    # trd(x) = 2·x₀ ≡ 1 mod q: the trace test skips most candidates cheaply
+    e = next((list(c) for c in _nonzero_tuples(q)
+              if (2 * _combine(c, L.rows)[0] - L.den) % (q * L.den) == 0
+              and any((x - y) % q for x, y in zip(c, one))
+              and mul(c, c) == [x % q for x in c]), None)
     if e is None:
         raise SplittingError(f"no nontrivial idempotent mod {q}")
     one_minus_e = [(x - y) % q for x, y in zip(one, e)]
     # linear map c -> coords(e·x_c·(1-e)) mod q; its kernel is the suborder mod q
-    cols = []
-    for l in range(4):
-        basis_vec = [0] * 4
-        basis_vec[l] = 1
-        w = _mul_mod(S, e, basis_vec, q)
-        w = _mul_mod(S, w, one_minus_e, q)
-        cols.append(w)
-    A = [[cols[l][r] % q for l in range(4)] for r in range(4)]  # rows: output coords
+    cols = [mul(mul(e, [int(k == l) for k in range(4)]), one_minus_e) for l in range(4)]
+    A = [[cols[l][r] for l in range(4)] for r in range(4)]  # rows: output coords
     # the c-parts of the integer kernel of [A | q·I] span {c : A·c ≡ 0 mod q}
     kernel = int_kernel([A[r] + [q * int(r == t) for t in range(4)] for r in range(4)])
     H = hnf([v[:4] for v in kernel])

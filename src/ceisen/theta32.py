@@ -17,8 +17,8 @@ from math import lcm
 
 from .arith import Discriminant, eichler_symbol
 from .brandt import brandt_matrices_upto
-from .lattice import counts_with_primitive
-from .linalg import int_kernel, ldl, mat_det
+from .lattice import counts_with_primitive, definite_echelon
+from .linalg import int_kernel, mat_det
 from .order import IdealClassSet, _canonical, _combine
 from .qform import class_number, mass, unit_factor
 from .quatalg import norm_pair
@@ -57,7 +57,7 @@ def ternary_lattice(classes: IdealClassSet, i: int) -> TernaryLattice:
     N = [[norm_pair(B.a, B.b, u, v) for v in elems] for u in elems]
     assert all(x % d2 == 0 for row in N for x in row), "ternary Gram must be integral"
     G = tuple(tuple(x // d2 for x in row) for row in N)
-    ldl(G)  # raises if not positive definite
+    definite_echelon(G)  # raises if not positive definite
     lat = TernaryLattice(i, G)
     cached[i] = lat
     return lat

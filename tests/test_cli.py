@@ -77,6 +77,14 @@ def test_rowsum_suite_needs_mmax_one():
     assert "the rowsum suite needs --mmax >= 1" in err
 
 
+def test_shatable_needs_an_admissible_d():
+    # the first admissible fundamental D at N = 11 is 3, so --dmax 2 leaves an
+    # empty family, which has no agreement rate
+    rc, out, err = run(["shatable", "--ramified", "11", "--l", "5", "--dmax", "2"])
+    assert rc == 2 and out == ""
+    assert "no admissible fundamental D <= 2" in err
+
+
 def test_negative_control_exit_one():
     rc, out, _ = run(["verify", "--suite", "congruence", "--ramified", "11",
                       "--l", "7", "--dmax", "60", "--mmax", "20"])

@@ -1,20 +1,22 @@
 """points_up_to and its consumers against brute-force box enumeration."""
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 import pytest
 
 from ceisen.lattice import (
     counts_by_value,
     counts_with_primitive,
+    definite_echelon,
     exists_value,
     points_up_to,
     shortest_vector,
 )
-from ceisen.linalg import ldl, mat_det
+from ceisen.linalg import mat_det
 
 CASES_PER_RANK = 12
 
@@ -113,9 +115,44 @@ def test_consumers_match_brute_force(n):
         assert shortest_vector(G) == (canon, least)
 
 
-def test_cases_exercise_the_rational_ldl():
-    # integer Grams still have a rational LDL: some D_i non-integral makes the
-    # scale K > 1, and some R_ij non-integral makes a row denominator s_i > 1
-    ldls = [ldl(G) for n in (1, 2, 3, 4) for G, _, _ in cases(n)]
-    assert any(d.denominator > 1 for D, _ in ldls for d in D)
-    assert any(x.denominator > 1 for _, R in ldls for row in R for x in row)
+def test_cases_exercise_the_minors_form():
+    # the echelon diagonal holds the leading minors d_i, and
+    # q(c) = Σ (U_i·c)²/(d_i·d_{i+1}) on the seeded cases, which reach a
+    # scale K > 1 and a row content g_i > 1, so both divisions are exercised
+    rng = random.Random(7)
+    Ks, contents = [], []
+    for n in (1, 2, 3, 4):
+        for G, _, _ in cases(n):
+            U, e = definite_echelon(G)
+            d = [1] + [int(mat_det([row[:k] for row in G[:k]])) for k in range(1, n + 1)]
+            assert [U[i][i] for i in range(n)] == d[1:]
+            assert e == [d[i] * d[i + 1] for i in range(n)]
+            g = [gcd(*row) for row in U]
+            Ks.append(lcm(*(e[i] // gcd(g[i] ** 2, e[i]) for i in range(n))))
+            contents += g
+            for _ in range(5):
+                c = [rng.randint(-3, 3) for _ in range(n)]
+                q = sum(G[i][j] * c[i] * c[j] for i in range(n) for j in range(n))
+                assert q == sum(Fraction(sum(u * x for u, x in zip(U[i], c)) ** 2, e[i]) for i in range(n))
+    assert max(Ks) > 1
+    assert max(contents) > 1
+
+
+@pytest.mark.parametrize("G", [
+    [[0]],
+    [[-1]],
+    [[1, 2], [2, 1]],                  # indefinite
+    [[1, 1], [1, 1]],                  # semidefinite, rank 1
+    [[0, 1], [1, 0]],                  # leading minor 0: elimination swaps rows
+    [[2, 1, 0], [1, 2, 0], [0, 0, 0]],  # semidefinite, zero last column
+    [[0, 0, 1, -1], [0, 0, -1, 2], [1, -1, 2, 0], [-1, 2, 0, 2]],
+    [[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -1]],
+])
+def test_non_definite_grams_raise(G):
+    # [[0, 1], [1, 0]] and the 4×4 with a zero leading block reach diagonal
+    # pivots and a positive echelon diagonal after row swaps (two in the 4×4,
+    # an even number), so only the identity G = Σ u_i·u_iᵀ/e_i rejects them
+    with pytest.raises(ValueError):
+        definite_echelon(G)
+    with pytest.raises(ValueError):
+        list(points_up_to(G, 5))

@@ -8,6 +8,8 @@ import pytest
 
 from ceisen.linalg import (
     charpoly,
+    clear_denominators,
+    echelon,
     integer_roots,
     mat_det,
     mat_mul,
@@ -75,6 +77,28 @@ def naive_rref(rows):
         pivots.append(c)
         r += 1
     return M[:r], pivots
+
+
+def naive_echelon(rows):
+    """Textbook Gaussian elimination over Q with the same pivot rule as
+    `echelon` (first nonzero entry at or below, columns without one skipped):
+    (rows, pivots, sign), as the reference for `echelon` and `mat_det`."""
+    M = [[Fraction(x) for x in row] for row in rows]
+    m, n = len(M), (len(M[0]) if M else 0)
+    pivots, sign = [], 1
+    for c in range(n):
+        r = len(pivots)
+        piv = next((i for i in range(r, m) if M[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
+        for i in range(r + 1, m):
+            f = M[i][c] / M[r][c]
+            M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    return M[: len(pivots)], pivots, sign
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +210,52 @@ def test_mat_mul_matches_naive_product():
 
 def test_mat_mul_all_int():
     assert mat_mul([[1, 2], [3, 4]], [[5], [6]]) == [[Fraction(17)], [Fraction(39)]]
+
+
+# ---------------------------------------------------------------------------
+# echelon / mat_det
+
+
+def echelon_cases():
+    """Square, singular, rational and rectangular rank-deficient matrices."""
+    rng = random.Random(SEED + 4)
+    cases = [[], [[0, 0]], [[0, 1], [1, 0]], [[0, 0, 2], [0, 3, 1]]]
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        cases.append(random_int_matrix(rng, n, n))
+        A = random_int_matrix(rng, n, n)
+        A[-1] = [2 * x for x in A[0]]  # singular
+        cases.append(A)
+        cases.append(random_rational_matrix(rng, n, n))
+        m, k = rng.randint(1, 7), rng.randint(1, 7)
+        cases.append(low_rank_matrix(rng, m, k, rng.randint(0, min(m, k) - 1)))
+    return cases
+
+
+def test_echelon_rows_are_scaled_gaussian_rows():
+    # Bareiss row k is Gaussian row k times the product of the earlier pivots
+    for A in echelon_cases():
+        _, M = clear_denominators(A)
+        U, pivots, sign = echelon(M)
+        E, ref_pivots, ref_sign = naive_echelon(M)
+        assert (pivots, sign) == (ref_pivots, ref_sign), A
+        assert all(type(x) is int for row in U for x in row), A
+        scale = Fraction(1)
+        for u, e, c in zip(U, E, pivots):
+            assert u == [scale * x for x in e], A
+            scale *= e[c]
+
+
+def test_mat_det_matches_gaussian_elimination():
+    for A in echelon_cases():
+        if A and len(A) != len(A[0]):
+            continue
+        E, pivots, sign = naive_echelon(A)
+        det = Fraction(sign) if len(pivots) == len(A) else Fraction(0)
+        for e, c in zip(E, pivots):
+            det *= e[c]
+        got = mat_det(A)
+        assert got == det and type(got) is Fraction, A
 
 
 # ---------------------------------------------------------------------------
