@@ -178,14 +178,6 @@ class Discriminant:
         return self.d // (self.conductor * self.conductor)
 
 
-def divisors_of(n: int) -> list[int]:
-    """Sorted positive divisors of n >= 1."""
-    ds = [1]
-    for p, e in factorize(n).factors:
-        ds = [d * p ** k for d in ds for k in range(e + 1)]
-    return sorted(ds)
-
-
 def fundamental_discriminant(m: int) -> int:
     """Discriminant of Q(sqrt(m)) for m < 0: the fundamental discriminant below m's kernel."""
     k = squarefree_kernel(m)

@@ -4,6 +4,16 @@ Fincke-Pohst recursion on integers only.  Forms are given by integer Gram
 matrices, bounds and values are integers, and evaluation happens in the
 coordinate lattice Z^n.
 
+Every consumer reduces the form first.  Quaternion lattices arrive in HNF, a
+skewed basis, and Fincke-Pohst visits nodes in proportion to that skew rather
+than to the points it returns (Fincke-Pohst, Math. Comp. 44, 1985).  `lll` is
+integral LLL on the Gram matrix (Cohen, GTM 138, Algorithm 2.6.7, δ = 3/4):
+G' = T·G·Tᵀ with T unimodular, both checked exactly.  The tallies and
+`exists_value` enumerate G' and map nothing back, because c ↦ c·T keeps the
+value and the gcd of the coordinates.  `shortest_vector` maps back only its
+minimal vectors, so its tie-break on the coordinates of G does not change.
+`points_up_to` enumerates the G it is given.
+
 Bareiss elimination (`linalg.echelon`) of G gives integer rows U whose
 diagonal holds the leading minors d_1..d_n of G (d_0 = 1), and
 
@@ -26,6 +36,7 @@ of a leaf is the integer q(c) = (K·bound - B_0) // K, an exact division.
 from __future__ import annotations
 
 from math import gcd, isqrt, lcm
+from operator import mul
 from typing import Iterator
 
 from .linalg import echelon
@@ -93,10 +104,93 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
             yield (m,) + rest, (base + a0 * x * x) // K
 
 
+def lll(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(G', T): an LLL-reduced Gram matrix G' = T·G·Tᵀ (δ = 3/4) of the integer
+    positive-definite G, with T unimodular; row i of T gives basis vector i of
+    G' in the coordinates of G.
+
+    Integral LLL on the Gram matrix (Cohen, GTM 138, Algorithm 2.6.7): d_k is
+    the Gram determinant of the first k basis vectors and λ_kj = d_{j+1}·μ_kj,
+    both integers.  ValueError as soon as some d_k <= 0: G is not positive
+    definite.  The result is checked: ArithmeticError unless det T = ±1 and
+    T·G·Tᵀ equals the Gram matrix carried through the reduction.
+    """
+    n = len(G)
+    R = [list(row) for row in G]
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+
+    def red(k: int, l: int) -> None:
+        """Size-reduce b_k against b_l: |2λ_kl| <= d_{l+1}."""
+        dl = d[l + 1]
+        q = (2 * lam[k][l] + dl) // (2 * dl)
+        T[k] = [x - q * y for x, y in zip(T[k], T[l])]
+        R[k] = [x - q * y for x, y in zip(R[k], R[l])]
+        for row in R:
+            row[k] -= q * row[l]
+        lk, ll = lam[k], lam[l]
+        lk[l] -= q * dl
+        for i in range(l):
+            lk[i] -= q * ll[i]
+
+    def swap(k: int) -> None:
+        """Exchange b_{k-1} and b_k and update d_k and the λ they touch."""
+        T[k - 1], T[k] = T[k], T[k - 1]
+        R[k - 1], R[k] = R[k], R[k - 1]
+        for row in R:
+            row[k - 1], row[k] = row[k], row[k - 1]
+        for j in range(k - 1):
+            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
+        m = lam[k][k - 1]
+        dk = (d[k - 1] * d[k + 1] + m * m) // d[k]
+        for i in range(k + 1, kmax + 1):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
+            lam[i][k - 1] = (dk * t + m * lam[i][k]) // d[k + 1]
+        d[k] = dk
+
+    k, kmax = 0, -1
+    while k < n:
+        if k > kmax:
+            kmax = k
+            for j in range(k + 1):
+                u = R[k][j]
+                for i in range(j):
+                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+                if j < k:
+                    lam[k][j] = u
+                elif u <= 0:
+                    raise ValueError("form is not positive definite")
+                else:
+                    d[k + 1] = u
+        if k == 0:
+            k = 1
+            continue
+        if 2 * abs(lam[k][k - 1]) > d[k]:
+            red(k, k - 1)
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
+            swap(k)
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                if 2 * abs(lam[k][l]) > d[l + 1]:
+                    red(k, l)
+            k += 1
+
+    U, pivots, _ = echelon(T)
+    if len(pivots) < n or abs(U[-1][-1]) != 1:
+        raise ArithmeticError("LLL certificate failed: det T != ±1")
+    TG = [[sum(map(mul, row, col)) for col in zip(*G)] for row in T]
+    if [[sum(map(mul, a, b)) for b in T] for a in TG] != R:
+        raise ArithmeticError("LLL certificate failed: T·G·Tᵀ != G'")
+    return R, T
+
+
 def counts_by_value(G: list[list[int]], bound: int) -> dict[int, int]:
     """Number of nonzero lattice vectors at each form value <= bound (both signs counted)."""
     tally: dict[int, int] = {}
-    for _, val in points_up_to(G, bound):
+    for _, val in points_up_to(lll(G)[0], bound):
         tally[val] = tally.get(val, 0) + 1
     return tally
 
@@ -105,7 +199,7 @@ def counts_with_primitive(G: list[list[int]], bound: int) -> tuple[dict[int, int
     """Like counts_by_value, plus separate counts of primitive vectors (coordinate gcd 1)."""
     allc: dict[int, int] = {}
     prim: dict[int, int] = {}
-    for coords, val in points_up_to(G, bound):
+    for coords, val in points_up_to(lll(G)[0], bound):
         allc[val] = allc.get(val, 0) + 1
         if gcd(*coords) == 1:
             prim[val] = prim.get(val, 0) + 1
@@ -116,7 +210,7 @@ def exists_value(G: list[list[int]], target: int) -> bool:
     """Whether some lattice vector has form value exactly target (early exit)."""
     if target == 0:
         return True
-    for _, val in points_up_to(G, target):
+    for _, val in points_up_to(lll(G)[0], target):
         if val == target:
             return True
     return False
@@ -125,21 +219,18 @@ def exists_value(G: list[list[int]], target: int) -> bool:
 def shortest_vector(G: list[list[int]]) -> tuple[tuple[int, ...], int]:
     """A canonical shortest nonzero vector: minimal value, then lexicographically
     least coordinate tuple after normalizing the sign of the first nonzero entry."""
-    # start near the 4th root of the integer det(G) in rank 4, else at the
-    # least diagonal entry; double until something is found
-    n = len(G)
-    if n == 4:
-        bound = isqrt(isqrt(definite_echelon(G)[0][-1][-1])) + 1
-    else:
-        bound = min(G[i][i] for i in range(n))
-    while True:
-        best: tuple[int, tuple[int, ...]] | None = None
-        for coords, val in points_up_to(G, bound):
-            lead = next(x for x in coords if x)
-            canon = coords if lead > 0 else tuple(-x for x in coords)
-            key = (val, canon)
-            if best is None or key < best:
-                best = key
-        if best is not None:
-            return best[1], best[0]
-        bound *= 2
+    # a basis vector of G' attains its least diagonal entry, so that bound
+    # holds every minimal vector; only those are mapped back by T
+    R, T = lll(G)
+    least = min(R[i][i] for i in range(len(R)))
+    tied: list[tuple[int, ...]] = []
+    for coords, val in points_up_to(R, least):
+        if val < least:
+            least, tied = val, []
+        if val == least:
+            tied.append(coords)
+    canon = []
+    for c in tied:
+        x = tuple(sum(map(mul, c, col)) for col in zip(*T))
+        canon.append(x if next(v for v in x if v) > 0 else tuple(-v for v in x))
+    return min(canon), least

@@ -76,18 +76,6 @@ def _ternary_counts(classes: IdealClassSet, i: int, bound: int) -> tuple[dict, d
     return got["all"], got["prim"]
 
 
-def g_coefficients(lat: TernaryLattice, D_max: int) -> tuple[Fraction, ...]:
-    """g_i = ½ + ½ Σ_D a_i(D) q^D where a_i(D) counts trace-zero vectors of norm D."""
-    if D_max < 0:
-        raise ValueError("D_max must be >= 0")
-    allc, _ = counts_with_primitive(lat.gram, D_max)
-    coeffs = [Fraction(1, 2)] + [Fraction(0)] * D_max
-    for D, c in allc.items():
-        assert D % 4 in (0, 3), "represented value outside the plus space"
-        coeffs[D] = Fraction(c, 2)
-    return tuple(coeffs)
-
-
 def vector_count(classes: IdealClassSet, i: int, D: int) -> int:
     """a_i(D): number of trace-zero vectors of norm D in class i (1-based)."""
     if D == 0:

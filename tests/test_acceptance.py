@@ -19,6 +19,7 @@ from ceisen.brandt import (
     brandt_matrix,
     expected_row_sum,
 )
+from ceisen.lattice import counts_with_primitive
 from ceisen.qform import (
     LevelConfig,
     class_number,
@@ -34,7 +35,6 @@ from ceisen.theta32 import (
     cohen_H,
     cusp_G,
     embedding_count_identity,
-    g_coefficients,
     optimal_embedding_count,
     prefill_counts,
     ternary_lattice,
@@ -275,10 +275,8 @@ def test_plus_space_everywhere(level11, v11, H11, H66, H210):
         if D % 4 in (1, 2):
             assert G[D] == 0
     for i in range(1, level11.n + 1):
-        g = g_coefficients(ternary_lattice(level11, i), 200)
-        for D in range(1, 201):
-            if D % 4 in (1, 2):
-                assert g[D] == 0
+        allc, _ = counts_with_primitive(ternary_lattice(level11, i).gram, 200)
+        assert all(D % 4 in (0, 3) for D in allc)
 
 
 def test_embedding_suite_to_500(level11, level66):

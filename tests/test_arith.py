@@ -8,7 +8,6 @@ import pytest
 from ceisen.arith import (
     Discriminant,
     discriminant_decompositions,
-    divisors_of,
     eichler_symbol,
     factorize,
     fundamental_discriminant,
@@ -165,8 +164,3 @@ def test_decompositions():
             assert decs == []
         else:
             assert decs and all((-D) == disc.d * f * f for disc, f in decs)
-
-
-def test_divisors():
-    assert divisors_of(66) == [1, 2, 3, 6, 11, 22, 33, 66]
-    assert divisors_of(1) == [1]

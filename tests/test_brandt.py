@@ -3,7 +3,7 @@ from math import gcd
 
 import pytest
 
-from ceisen.arith import divisors_of
+from ceisen.arith import factorize
 from ceisen.brandt import (
     brandt_matrices_upto,
     brandt_matrix,
@@ -22,6 +22,19 @@ LEVELS = ["level11", "level66", "level210"]
 @pytest.fixture(params=LEVELS)
 def classes(request):
     return request.getfixturevalue(request.param)
+
+
+def divisors_of(n: int) -> list[int]:
+    """Sorted positive divisors of n >= 1: the reference for the divisor sums."""
+    ds = [1]
+    for p, e in factorize(n).factors:
+        ds = [d * p ** k for d in ds for k in range(e + 1)]
+    return sorted(ds)
+
+
+def test_divisors():
+    assert divisors_of(66) == [1, 2, 3, 6, 11, 22, 33, 66]
+    assert divisors_of(1) == [1]
 
 
 def test_expected_row_sum_values():

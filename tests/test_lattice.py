@@ -13,6 +13,7 @@ from ceisen.lattice import (
     counts_with_primitive,
     definite_echelon,
     exists_value,
+    lll,
     points_up_to,
     shortest_vector,
 )
@@ -156,3 +157,84 @@ def test_non_definite_grams_raise(G):
         definite_echelon(G)
     with pytest.raises(ValueError):
         list(points_up_to(G, 5))
+    # lll stops at the first Gram-Schmidt d_k <= 0, so no consumer hangs
+    for call in (lll, shortest_vector):
+        with pytest.raises(ValueError):
+            call(G)
+    for call in (counts_by_value, counts_with_primitive, exists_value):
+        with pytest.raises(ValueError):
+            call(G, 5)
+
+
+def skew(rng: random.Random, n: int):
+    """(U, U⁻¹): a unimodular U with large entries from 16 random row
+    operations r_i += q·r_j, |q| <= 9, and a sign flip."""
+    U = [[int(i == j) for j in range(n)] for i in range(n)]
+    V = [row[:] for row in U]
+    for _ in range(16):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice([x for x in range(-9, 10) if x])
+        U[i] = [a + q * b for a, b in zip(U[i], U[j])]  # U <- E·U
+        for row in V:  # V <- V·E⁻¹
+            row[j] -= q * row[i]
+    U[0] = [-x for x in U[0]]
+    for row in V:
+        row[0] = -row[0]
+    return U, V
+
+
+def congruent(U, G):
+    """U·G·Uᵀ."""
+    n = len(G)
+    return [[sum(U[i][a] * G[a][b] * U[j][b] for a in range(n) for b in range(n))
+             for j in range(n)] for i in range(n)]
+
+
+def gram_schmidt(G):
+    """(μ, B) of the Gram matrix G over Q: μ_kj for j < k and the squared
+    lengths B_k of the Gram-Schmidt vectors."""
+    n = len(G)
+    mu = [[Fraction(0)] * n for _ in range(n)]
+    B = [Fraction(0)] * n
+    for k in range(n):
+        for j in range(k):
+            mu[k][j] = (G[k][j] - sum(mu[j][i] * mu[k][i] * B[i] for i in range(j))) / B[j]
+        B[k] = G[k][k] - sum(mu[k][i] ** 2 * B[i] for i in range(k))
+    return mu, B
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lll_on_skewed_grams(n):
+    # G = U·G0·Uᵀ with a unimodular U of large entries: the reduction must
+    # move the basis (T ≠ I) and every consumer must see G0's lattice
+    rng = random.Random(2000 + n)
+    for G0, bound, pts in cases(n):
+        U, V = skew(rng, n)
+        G = congruent(U, G0)
+        assert max(abs(x) for row in G for x in row) > 1000
+        R, T = lll(G)
+        assert T != [[int(i == j) for j in range(n)] for i in range(n)]
+        assert R == congruent(T, G)
+        assert abs(mat_det(T)) == 1
+        mu, B = gram_schmidt(R)
+        for k in range(1, n):
+            assert all(abs(2 * mu[k][j]) <= 1 for j in range(k))  # |2λ_kj| <= d_{j+1}
+            assert B[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * B[k - 1]
+
+        allc, prim = {}, {}
+        for c, val in pts:
+            allc[val] = allc.get(val, 0) + 1
+            if gcd(*c) == 1:
+                prim[val] = prim.get(val, 0) + 1
+        assert counts_by_value(G, bound) == allc
+        assert counts_with_primitive(G, bound) == (allc, prim)
+        for target in range(1, bound + 1):
+            assert exists_value(G, target) == (target in allc)
+
+        # G0-coordinates c0 are the G-coordinates c0·U⁻¹
+        near = brute_points(G0, G0[0][0])
+        least = min(val for _, val in near)
+        tied = [tuple(sum(c[a] * V[a][b] for a in range(n)) for b in range(n))
+                for c, val in near if val == least]
+        canon = min(c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in tied)
+        assert shortest_vector(G) == (canon, least)

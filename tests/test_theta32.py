@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from ceisen.lattice import counts_with_primitive
 from ceisen.qform import closed_form_H, mass, unit_factor
 from ceisen.theta32 import (
     cohen_H,
     cusp_G,
     embedding_count_identity,
-    g_coefficients,
     optimal_embedding_count,
     prefill_counts,
     ternary_lattice,
@@ -44,6 +44,17 @@ def test_plus_space_vanishing(classes):
     for D in range(201):
         if D % 4 in (1, 2):
             assert H[D] == 0
+
+
+def g_coefficients(lat, D_max: int) -> tuple[Fraction, ...]:
+    """g_i = ½ + ½ Σ_D a_i(D) q^D where a_i(D) counts trace-zero vectors of
+    norm D, straight from one enumeration of the lattice: the reference for
+    vector_count's cached counts."""
+    allc, _ = counts_with_primitive(lat.gram, D_max)
+    coeffs = [Fraction(1, 2)] + [Fraction(0)] * D_max
+    for D, c in allc.items():
+        coeffs[D] = Fraction(c, 2)
+    return tuple(coeffs)
 
 
 def test_g_series_halved_counts(level11):
