@@ -182,20 +182,3 @@ def fundamental_discriminant(m: int) -> int:
     """Discriminant of Q(sqrt(m)) for m < 0: the fundamental discriminant below m's kernel."""
     k = squarefree_kernel(m)
     return k if k % 4 == 1 else 4 * k
-
-
-def discriminant_decompositions(D: int) -> list[tuple[Discriminant, int]]:
-    """All ways -D = d·f² with d a negative discriminant, f >= 1, sorted by f.
-
-    Empty exactly when D ≡ 1, 2 (mod 4).
-    """
-    if D <= 0:
-        raise ValueError("D must be positive")
-    out = []
-    for f in range(1, isqrt(D) + 1):
-        if D % (f * f):
-            continue
-        d = -(D // (f * f))
-        if d % 4 in (0, 1):
-            out.append((Discriminant.of(d), f))
-    return out

@@ -206,16 +206,14 @@ def cmd_hseries(args: argparse.Namespace) -> int:
     classes = _get_classes(cfg)
     prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
+    C = closed_form_H(level, cfg.D_max)
     header = ["D", "H_theta", "H_closed", "equal", "fundamental", "s", "h", "u"]
     rows = []
     all_equal = True
-    for D in range(cfg.D_max + 1):
-        theta = H[D]
+    for D, (theta, closed) in enumerate(zip(H, C)):
         if D == 0:
-            closed = mass(level)
             fund, s, h, u = False, 0, 0, 1
         else:
-            closed = closed_form_H(D, level)
             fd = fundamental_discriminant(-D)
             fund = fd == -D
             s = s_ramified(D, level)

@@ -39,6 +39,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator
 
+from .arith import factorize
 from .linalg import echelon
 
 
@@ -196,14 +197,26 @@ def counts_by_value(G: list[list[int]], bound: int) -> dict[int, int]:
 
 
 def counts_with_primitive(G: list[list[int]], bound: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Like counts_by_value, plus separate counts of primitive vectors (coordinate gcd 1)."""
-    allc: dict[int, int] = {}
-    prim: dict[int, int] = {}
-    for coords, val in points_up_to(lll(G)[0], bound):
-        allc[val] = allc.get(val, 0) + 1
-        if gcd(*coords) == 1:
-            prim[val] = prim.get(val, 0) + 1
-    return allc, prim
+    """Like counts_by_value, plus separate counts of primitive vectors (coordinate gcd 1).
+
+    A vector of content k and value n is k times a primitive one of value
+    n/k², so all(n) = Σ_{k²|n} prim(n/k²), and by Möbius inversion
+    prim(n) = Σ_{k²|n} μ(k)·all(n/k²).  Values with no primitive vector are
+    left out, as they are of `all`.
+    """
+    allc = counts_by_value(G, bound)
+    prim = dict(allc)
+    ranked = sorted(allc.items())
+    for k in range(2, isqrt(max(bound, 0)) + 1):
+        f = factorize(k)
+        if not f.is_squarefree:
+            continue
+        mu, kk = (-1) ** len(f.factors), k * k
+        for n, c in ranked:
+            if n * kk > bound:
+                break
+            prim[n * kk] += mu * c
+    return allc, {n: c for n, c in prim.items() if c}
 
 
 def exists_value(G: list[list[int]], target: int) -> bool:

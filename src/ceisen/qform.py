@@ -1,9 +1,11 @@
 """Binary quadratic forms, class numbers, and the closed coefficient formulas.
 
 Class numbers come from one sieve over the primitive reduced forms, tabulated
-for every discriminant up to the largest |d| asked for; the closed formulas
-combine them with the local symbols from `arith`.  All values are exact
-(int / Fraction).
+for every discriminant up to the largest |d| asked for.  The closed formula is
+one series, like the theta side's `cohen_H`: a single pass over the
+discriminants up to D_max, each split as a fundamental discriminant times a
+square conductor, adds its class number times its local factor at every
+D = |d|·f².  All values are exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -13,15 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .arith import (
-    Discriminant,
-    FactoredInt,
-    discriminant_decompositions,
-    eichler_symbol,
-    factorize,
-    is_prime,
-    kronecker,
-)
+from .arith import Discriminant, FactoredInt, factorize, is_prime, kronecker
 
 
 def sieve_class_numbers(h: list[int], X: int) -> None:
@@ -29,45 +23,54 @@ def sieve_class_numbers(h: list[int], X: int) -> None:
 
     h must already hold h(-n) at each index n < len(h); it holds 0 where -n is
     not a discriminant.  One sweep over the primitive reduced forms (a, b, c)
-    with len(h) <= 4ac - b² <= X (Cohen, GTM 138, §5.3): for each (a, b),
-    4ac - b² moves in steps of 4a as c grows from c = a (c = a + 1 when
-    b < 0, since a = c needs b >= 0).  When gcd(a, b) = 1 every c gives a
-    primitive form; otherwise c must be prime to gcd(a, b).
+    with len(h) <= 4ac - b² <= X (Cohen, GTM 138, §5.3): for each a and
+    0 <= b <= a, 4ac - b² moves in steps of 4a as c grows.  (a, b, c) and
+    (a, -b, c) are counted together: both are reduced when 0 < b < a < c, only
+    b >= 0 when b = a or c = a.  The form is primitive iff c is prime to
+    g = gcd(a, b), so each residue class of c mod g is either wholly primitive
+    or wholly not, and each primitive class is one slice of h with step 4a·g.
     """
     lo = len(h)
     h.extend([0] * (X + 1 - lo))
     a = 1
     while 3 * a * a <= X:
         step = 4 * a
-        for b in range(1 - a, a + 1):
-            c0 = max(a if b >= 0 else a + 1, -(-(lo + b * b) // step))
+        for b in range(a + 1):
             g = gcd(a, b)
-            if g == 1:
-                for n in range(step * c0 - b * b, X + 1, step):
-                    h[n] += 1
+            bb = b * b
+            if 0 < b < a:
+                if g == 1 and lo <= step * a - bb <= X:
+                    h[step * a - bb] += 1  # c = a: only (a, b, a)
+                c_min, k = a + 1, 2
             else:
-                for c in range(c0, (X + b * b) // step + 1):
-                    if gcd(g, c) == 1:
-                        h[step * c - b * b] += 1
+                c_min, k = a, 1
+            c0 = max(c_min, -(-(lo + bb) // step))
+            for c in range(c0, c0 + g):
+                if gcd(c, g) == 1:
+                    s = slice(step * c - bb, X + 1, step * g)
+                    h[s] = [x + k for x in h[s]]
         a += 1
 
 
-_class_numbers: list[int] = []  # h(-n) at index n, extended by class_number
+_class_numbers: list[int] = []  # h(-n) at index n, extended by _class_numbers_to
+
+
+def _class_numbers_to(X: int) -> list[int]:
+    """The class-number table, sieved to at least X.  A request past its end
+    sieves the new range, to at least twice the old length, so a run asking
+    for every |d| up to X makes O(log X) sweeps and sieves each form once."""
+    if X >= len(_class_numbers):
+        sieve_class_numbers(_class_numbers, max(X, 2 * len(_class_numbers)))
+    return _class_numbers
 
 
 @lru_cache(maxsize=None)
 def class_number(d: int) -> int:
-    """h(d): the number of classes of primitive forms of discriminant d < 0.
-
-    A lookup into one table of h(-n).  A request past its end sieves the new
-    range, to at least twice the old length, so a run asking for every
-    |d| up to X makes O(log X) sweeps and sieves each form once.
-    """
+    """h(d): the number of classes of primitive forms of discriminant d < 0,
+    a lookup into one table of h(-n)."""
     if d >= 0 or d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a negative discriminant")
-    if -d >= len(_class_numbers):
-        sieve_class_numbers(_class_numbers, max(-d, 2 * len(_class_numbers)))
-    return _class_numbers[-d]
+    return _class_numbers_to(-d)[-d]
 
 
 def unit_factor(d: int) -> int:
@@ -140,25 +143,46 @@ def mass(cfg: LevelConfig) -> Fraction:
     return m
 
 
-def closed_form_H(D: int, cfg: LevelConfig) -> Fraction:
-    """The closed class-number formula for the degree-D coefficient, D > 0.
+def closed_form_H(cfg: LevelConfig, D_max: int) -> tuple[Fraction, ...]:
+    """The closed class-number formula as a series: coefficients 0..D_max.
 
-    Sums h(d)/u(d) times the local factors over all splittings -D = d·f²,
-    then halves.  Zero exactly when D ≡ 1, 2 (mod 4) (empty sum).  Since
-    u(d) ∈ {1, 2, 3}, the sum is carried in integers as 12 times the value.
+    Index 0 is mass(cfg).  At D >= 1 the coefficient is half the sum, over all
+    splittings -D = d·f² with d a discriminant, of
+    h(d)/u(d)·∏_{p|P}(1 − χ_d(p))·∏_{q|M}(1 + χ_d(q)); it is zero exactly when
+    D ≡ 1, 2 (mod 4) (empty sum).  With d = d0·g², d0 fundamental, χ_d(p) is 1
+    when p | g and (d0/p) otherwise.
+
+    One pass over n <= D_max in increasing order: a discriminant -n that no
+    smaller one reached as -n0·g² is fundamental, and it reaches its own
+    multiples -n·g² with their conductors g.  Each discriminant's term is then
+    added at every D = n·f² <= D_max.  Since u(d) ∈ {1, 2, 3}, the sums are
+    carried in integers as 12 times the value.
     """
-    if D <= 0:
-        raise ValueError("D must be positive")
-    total = 0
-    for disc, _f in discriminant_decompositions(D):
-        local = 1
-        for p in cfg.P.primes:
-            local *= 1 - eichler_symbol(-disc.d, p)
-        for q in cfg.M.primes:
-            local *= 1 + eichler_symbol(-disc.d, q)
-        if local:
-            total += local * class_number(disc.d) * (6 // unit_factor(disc.d))
-    return Fraction(total, 12)
+    if D_max < 0:
+        raise ValueError("D_max must be >= 0")
+    h = _class_numbers_to(D_max)
+    total = [0] * (D_max + 1)
+    reached = bytearray(D_max + 1)
+    for n0 in range(3, D_max + 1):
+        if reached[n0] or n0 % 4 in (1, 2):
+            continue
+        chi = [(p, -1, kronecker(-n0, p)) for p in cfg.P.primes]
+        chi += [(q, 1, kronecker(-n0, q)) for q in cfg.M.primes]
+        g = 1
+        while n0 * g * g <= D_max:
+            n = n0 * g * g
+            reached[n] = 1
+            local = 1
+            for p, sign, x in chi:  # 1 − χ_d(p) at p | P, 1 + χ_d(q) at q | M
+                local *= 1 + sign * (1 if g % p == 0 else x)
+            if local:
+                term = local * h[n] * (6 // unit_factor(-n))
+                f = 1
+                while n * f * f <= D_max:
+                    total[n * f * f] += term
+                    f += 1
+            g += 1
+    return (mass(cfg),) + tuple(Fraction(t, 12) for t in total[1:])
 
 
 def kronecker_condition(D: int, cfg: LevelConfig) -> bool:
@@ -169,8 +193,9 @@ def kronecker_condition(D: int, cfg: LevelConfig) -> bool:
 
 
 def s_ramified(D: int, cfg: LevelConfig) -> int:
-    """Number of level primes at which -D ramifies (Kronecker symbol zero)."""
-    return sum(1 for p in cfg.level_primes if kronecker(-D, p) == 0)
+    """Number of level primes at which -D ramifies: (-D/p) = 0 exactly when
+    p | D, at p = 2 as well."""
+    return sum(1 for p in cfg.level_primes if D % p == 0)
 
 
 def corollary_H(D: int, cfg: LevelConfig) -> Fraction:

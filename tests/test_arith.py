@@ -7,7 +7,6 @@ import pytest
 
 from ceisen.arith import (
     Discriminant,
-    discriminant_decompositions,
     eichler_symbol,
     factorize,
     fundamental_discriminant,
@@ -148,19 +147,3 @@ def test_fundamental_discriminant_of_field():
     assert fundamental_discriminant(-4) == -4
     assert fundamental_discriminant(-47) == -47
     assert fundamental_discriminant(-50) == -8
-
-
-def test_decompositions():
-    result = [(disc.d, f) for disc, f in discriminant_decompositions(12)]
-    assert result == [(-12, 1), (-3, 2)]
-    assert discriminant_decompositions(1) == []
-    assert discriminant_decompositions(2) == []
-    result = [(disc.d, f) for disc, f in discriminant_decompositions(16)]
-    assert result == [(-16, 1), (-4, 2)]
-    # D ≡ 1, 2 mod 4 always empty
-    for D in range(1, 200):
-        decs = discriminant_decompositions(D)
-        if D % 4 in (1, 2):
-            assert decs == []
-        else:
-            assert decs and all((-D) == disc.d * f * f for disc, f in decs)

@@ -7,12 +7,12 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 import ceisen
-from ceisen.arith import discriminant_decompositions, eichler_symbol, squarefree_kernel
+from ceisen.arith import Discriminant, eichler_symbol, kronecker, squarefree_kernel
 from ceisen.qform import (
     LevelConfig,
     class_number,
@@ -64,6 +64,27 @@ def reduced_forms(d: int) -> list[ReducedForm]:
             forms.append(ReducedForm(a, b, c))
         a += 1
     return forms
+
+
+def reference_sieve_class_numbers(h: list[int], X: int) -> None:
+    """The form-by-form sieve: the same reduced forms as sieve_class_numbers,
+    one `h[n] += 1` per form and one gcd per c when gcd(a, b) > 1."""
+    lo = len(h)
+    h.extend([0] * (X + 1 - lo))
+    a = 1
+    while 3 * a * a <= X:
+        step = 4 * a
+        for b in range(1 - a, a + 1):
+            c0 = max(a if b >= 0 else a + 1, -(-(lo + b * b) // step))
+            g = gcd(a, b)
+            if g == 1:
+                for n in range(step * c0 - b * b, X + 1, step):
+                    h[n] += 1
+            else:
+                for c in range(c0, (X + b * b) // step + 1):
+                    if gcd(g, c) == 1:
+                        h[step * c - b * b] += 1
+        a += 1
 
 
 def brute_force_class_number(d: int) -> int:
@@ -120,6 +141,18 @@ def test_sieve_from_empty_and_in_steps():
     assert steps == whole
     for n, h in enumerate(whole):
         assert h == (len(reduced_forms(-n)) if n and (-n) % 4 in (0, 1) else 0), n
+
+
+def test_sieve_matches_reference_sieve_to_20000():
+    reference = []
+    reference_sieve_class_numbers(reference, 20000)
+    whole = []
+    sieve_class_numbers(whole, 20000)
+    assert whole == reference
+    steps = []
+    for X in (0, 1, 4, 7, 101, 1500, 20000):
+        sieve_class_numbers(steps, X)
+        assert steps == reference[:X + 1], X
 
 
 def test_class_number_on_sampled_fundamental_4k():
@@ -201,13 +234,17 @@ def test_mass_values():
 
 def test_closed_form_spot_values():
     cfg11 = LevelConfig.from_primes([11])
-    assert closed_form_H(3, cfg11) == Fraction(1, 3)
-    assert closed_form_H(4, cfg11) == Fraction(1, 2)
-    assert closed_form_H(11, cfg11) == Fraction(1, 2)
+    C = closed_form_H(cfg11, 200)
+    assert len(C) == 201
+    assert C[0] == mass(cfg11)
+    assert closed_form_H(cfg11, 0) == (mass(cfg11),)
+    assert C[3] == Fraction(1, 3)
+    assert C[4] == Fraction(1, 2)
+    assert C[11] == Fraction(1, 2)
     # vanishing in the excluded residue classes
-    for D in range(1, 200):
+    for D in range(1, 201):
         if D % 4 in (1, 2):
-            assert closed_form_H(D, cfg11) == 0
+            assert C[D] == 0
 
 
 def test_closed_form_denominators_divide_six():
@@ -217,12 +254,54 @@ def test_closed_form_denominators_divide_six():
         LevelConfig.from_primes([2, 3, 7], M=5),
         LevelConfig.from_primes([3]),
     ):
-        for D in range(1, 300):
-            assert 6 % closed_form_H(D, cfg).denominator == 0
+        for D, H in enumerate(closed_form_H(cfg, 299)):
+            if D:
+                assert 6 % H.denominator == 0
+
+
+@pytest.mark.parametrize("ramified, M", [((11,), 1), ((2, 3, 11), 1), ((2, 3, 7), 5)])
+def test_closed_form_prefixes(ramified, M):
+    cfg = LevelConfig.from_primes(ramified, M)
+    full = closed_form_H(cfg, 2000)
+    for k in (0, 1, 2, 3, 4, 7, 100):
+        assert closed_form_H(cfg, k) == full[:k + 1], k
+
+
+def discriminant_decompositions(D: int) -> list[tuple[Discriminant, int]]:
+    """All ways -D = d·f² with d a negative discriminant, f >= 1, sorted by f.
+
+    Empty exactly when D ≡ 1, 2 (mod 4).
+    """
+    if D <= 0:
+        raise ValueError("D must be positive")
+    out = []
+    for f in range(1, isqrt(D) + 1):
+        if D % (f * f):
+            continue
+        d = -(D // (f * f))
+        if d % 4 in (0, 1):
+            out.append((Discriminant.of(d), f))
+    return out
+
+
+def test_decompositions():
+    result = [(disc.d, f) for disc, f in discriminant_decompositions(12)]
+    assert result == [(-12, 1), (-3, 2)]
+    assert discriminant_decompositions(1) == []
+    assert discriminant_decompositions(2) == []
+    result = [(disc.d, f) for disc, f in discriminant_decompositions(16)]
+    assert result == [(-16, 1), (-4, 2)]
+    # D ≡ 1, 2 mod 4 always empty
+    for D in range(1, 200):
+        decs = discriminant_decompositions(D)
+        if D % 4 in (1, 2):
+            assert decs == []
+        else:
+            assert decs and all((-D) == disc.d * f * f for disc, f in decs)
 
 
 def fraction_closed_form_H(D: int, cfg: LevelConfig) -> Fraction:
-    """Reference: the closed formula summed term by term in Fractions."""
+    """Reference: the closed formula at one D, summed term by term in Fractions."""
     total = Fraction(0)
     for disc, _f in discriminant_decompositions(D):
         term = Fraction(class_number(disc.d), unit_factor(disc.d))
@@ -234,15 +313,18 @@ def fraction_closed_form_H(D: int, cfg: LevelConfig) -> Fraction:
     return total / 2
 
 
-@pytest.mark.parametrize("ramified, M", [((11,), 1), ((2, 3, 11), 1), ((2, 3, 7), 5)])
+@pytest.mark.parametrize("ramified, M", [
+    ((11,), 1), ((2, 3, 11), 1), ((2, 3, 7), 5), ((2, 3, 5, 7, 11), 1), ((5,), 1001),
+])
 def test_closed_form_matches_fraction_reference(ramified, M):
     cfg = LevelConfig.from_primes(ramified, M)
-    for D in range(1, 601):
-        H = closed_form_H(D, cfg)
-        assert type(H) is Fraction
-        assert H == fraction_closed_form_H(D, cfg), D
+    C = closed_form_H(cfg, 2000)
+    assert len(C) == 2001 and C[0] == mass(cfg)
+    for D in range(1, 2001):
+        assert type(C[D]) is Fraction
+        assert C[D] == fraction_closed_form_H(D, cfg), D
         if D % 4 in (1, 2):
-            assert H == 0
+            assert C[D] == 0
 
 
 def test_corollary_examples_and_consistency():
@@ -257,18 +339,29 @@ def test_corollary_examples_and_consistency():
 
     # corollary agrees with the full formula wherever it applies
     for cfg in (cfg11, LevelConfig.from_primes([2, 3, 11]), LevelConfig.from_primes([2, 3, 7], M=5)):
+        C = closed_form_H(cfg, 499)
         for D in range(3, 500):
             try:
                 cor = corollary_H(D, cfg)
             except ValueError:
                 continue
-            assert cor == closed_form_H(D, cfg), (D, cfg.describe())
+            assert cor == C[D], (D, cfg.describe())
 
 
 def test_s_ramified():
     cfg66 = LevelConfig.from_primes([2, 3, 11])
     assert s_ramified(11, cfg66) == 1  # kronecker(-11, 11) = 0 only
     assert s_ramified(66 * 4, cfg66) >= 2
+
+
+@pytest.mark.parametrize("ramified, M", [
+    ((11,), 1), ((2, 3, 11), 1), ((2, 3, 7), 5), ((2, 3, 5, 7, 11), 1),
+])
+def test_s_ramified_counts_vanishing_kronecker_symbols(ramified, M):
+    cfg = LevelConfig.from_primes(ramified, M)
+    for D in range(1, 3001):
+        expected = sum(1 for p in cfg.level_primes if kronecker(-D, p) == 0)
+        assert s_ramified(D, cfg) == expected, D
 
 
 def test_kronecker_condition():
