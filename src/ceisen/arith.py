@@ -1,4 +1,5 @@
-"""Elementary number theory: factorization, Kronecker symbol, discriminants.
+"""Elementary number theory: primes, factorization, square-free kernels and
+the Kronecker symbol.
 
 Inputs live at desk scale (|values| well under 10^7), so factorization is
 plain trial division and symbols are computed by the classical reciprocity
@@ -123,62 +124,3 @@ def kronecker(d: int, n: int) -> int:
         if d % 8 in (3, 5):
             result = -result
     return result * _jacobi(d, n)
-
-
-@lru_cache(maxsize=None)
-def eichler_symbol(D: int, p: int) -> int:
-    """Local symbol of the quadratic order of discriminant -D at p.
-
-    When -D is a discriminant d0·f², the value is 1 if p divides the conductor
-    f and kronecker(d0, p) otherwise.  For odd p this is exactly the familiar
-    three-case split (1 if p²|D, 0 if p∥D, kronecker(-D,p) if p∤D); at p = 2
-    the conductor test is the correct one — an even fundamental part must
-    report ramification (0), not 1, even though 4 | D.  When -D ≡ 2, 3 (mod 4)
-    the three-case split is used as the total extension.
-    """
-    if D <= 0:
-        raise ValueError("D must be positive")
-    d = -D
-    if d % 4 in (0, 1):
-        disc = Discriminant.of(d)
-        if disc.conductor % p == 0:
-            return 1
-        return kronecker(disc.fundamental_part, p)
-    if D % (p * p) == 0:
-        return 1
-    if D % p == 0:
-        return 0
-    return kronecker(-D, p)
-
-
-@dataclass(frozen=True)
-class Discriminant:
-    """A negative discriminant d ≡ 0, 1 (mod 4), with fundamentality data."""
-
-    d: int
-    is_fundamental: bool
-    conductor: int
-
-    @classmethod
-    def of(cls, d: int) -> "Discriminant":
-        if d >= 0 or d % 4 not in (0, 1):
-            raise ValueError(f"{d} is not a negative discriminant")
-        # f takes p^⌊e/2⌋ from each p^e ∥ d, but at p = 2 the fundamental
-        # part keeps 2² (or 2³ for odd e) unless e is even and the odd part
-        # of d is ≡ 1 (mod 4), when d/f² ≡ 1 (mod 4) is itself fundamental.
-        f = 1
-        for p, e in factorize(-d).factors:
-            if p == 2 and (e % 2 or (-d >> e) % 4 == 1):
-                e -= 2
-            f *= p ** (e // 2)
-        return cls(d, f == 1, f)
-
-    @property
-    def fundamental_part(self) -> int:
-        return self.d // (self.conductor * self.conductor)
-
-
-def fundamental_discriminant(m: int) -> int:
-    """Discriminant of Q(sqrt(m)) for m < 0: the fundamental discriminant below m's kernel."""
-    k = squarefree_kernel(m)
-    return k if k % 4 == 1 else 4 * k

@@ -9,7 +9,7 @@ Subcommands:
   classnum  imaginary quadratic class numbers h(-D), u(-D) for -D a discriminant.
 
 Exit codes: 0 success / all checks pass, 1 a verified identity failed,
-2 configuration or precondition error.  All arithmetic is exact; output is
+2 configuration or precondition error (an unwritable --out or --cache-dir too).  All arithmetic is exact; output is
 byte-identical across runs and thread counts for the same configuration.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import Discriminant, fundamental_discriminant, is_prime
+from .arith import is_prime
 from .brandt import (
     brandt_matrices_upto,
     expected_row_sum,
@@ -35,6 +35,7 @@ from .qform import (
     LevelConfig,
     class_number,
     closed_form_H,
+    fundamental_parts,
     mass,
     s_ramified,
     unit_factor,
@@ -207,6 +208,8 @@ def cmd_hseries(args: argparse.Namespace) -> int:
     prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     C = closed_form_H(level, cfg.D_max)
+    # -F[4D] is the discriminant of Q(sqrt(-D)); -D is fundamental iff F[4D] == D
+    F = fundamental_parts(4 * cfg.D_max)
     header = ["D", "H_theta", "H_closed", "equal", "fundamental", "s", "h", "u"]
     rows = []
     all_equal = True
@@ -214,11 +217,11 @@ def cmd_hseries(args: argparse.Namespace) -> int:
         if D == 0:
             fund, s, h, u = False, 0, 0, 1
         else:
-            fd = fundamental_discriminant(-D)
-            fund = fd == -D
+            n0 = F[4 * D]
+            fund = n0 == D
             s = s_ramified(D, level)
-            h = class_number(fd)
-            u = unit_factor(fd)
+            h = class_number(-n0)
+            u = unit_factor(-n0)
         equal = theta == closed
         all_equal = all_equal and equal
         rows.append([D, theta, closed, equal, fund, s, h, u])
@@ -231,12 +234,11 @@ def cmd_classnum(args: argparse.Namespace) -> int:
     if cfg.D_max < 3:
         raise ValueError("--dmax must be >= 3 for classnum")
     header = ["D", "fundamental", "h", "u"]
-    rows = []
-    for D in range(3, cfg.D_max + 1):
-        if (-D) % 4 not in (0, 1):
-            continue
-        disc = Discriminant.of(-D)
-        rows.append([D, disc.is_fundamental, class_number(-D), unit_factor(-D)])
+    F = fundamental_parts(cfg.D_max)
+    rows = [
+        [D, F[D] == D, class_number(-D), unit_factor(-D)]
+        for D in range(3, cfg.D_max + 1) if F[D]
+    ]
     _emit(cfg, header, rows, {"D_max": cfg.D_max})
     return EXIT_OK
 
@@ -435,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, CongruencePreconditionError) as exc:
+    except (ValueError, CongruencePreconditionError, OSError) as exc:
         print(f"ceisen: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -1,11 +1,12 @@
 """Binary quadratic forms, class numbers, and the closed coefficient formulas.
 
 Class numbers come from one sieve over the primitive reduced forms, tabulated
-for every discriminant up to the largest |d| asked for.  The closed formula is
-one series, like the theta side's `cohen_H`: a single pass over the
-discriminants up to D_max, each split as a fundamental discriminant times a
-square conductor, adds its class number times its local factor at every
-D = |d|·f².  All values are exact (int / Fraction).
+for every discriminant up to the largest |d| asked for.  Every negative
+discriminant is split as a fundamental discriminant times a square conductor
+by one table, `fundamental_parts`, and its local factor at the level primes
+comes from `local_factor`.  The closed formula is one series, like the theta
+side's `cohen_H`: each discriminant's class number times its local factor is
+added at every D = |d|·f² up to D_max.  All values are exact (int / Fraction).
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, isqrt
 
-from .arith import Discriminant, FactoredInt, factorize, is_prime, kronecker
+from .arith import FactoredInt, factorize, is_prime, kronecker
 
 
 def sieve_class_numbers(h: list[int], X: int) -> None:
@@ -124,10 +125,6 @@ class LevelConfig:
     def ramified(self) -> tuple[int, ...]:
         return self.P.primes
 
-    @property
-    def level_primes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.P.primes + self.M.primes))
-
     def describe(self) -> str:
         return f"N={self.N} (ramified {list(self.P.primes)}, M={self.M.value})"
 
@@ -143,45 +140,59 @@ def mass(cfg: LevelConfig) -> Fraction:
     return m
 
 
+def fundamental_parts(X: int) -> list[int]:
+    """Entry n, for n <= X, is n0 when -n = -n0·f² with -n0 fundamental, and 0
+    when -n is not a discriminant.
+
+    One pass over n in increasing order: a discriminant -n that no smaller one
+    reached as -n0·f² is fundamental, and it reaches its multiples -n·f².
+    """
+    if X < 0:
+        raise ValueError("X must be >= 0")
+    parts = [0] * (X + 1)
+    for n0 in range(3, X + 1):
+        if parts[n0] or n0 % 4 in (1, 2):
+            continue
+        f = 1
+        while n0 * f * f <= X:
+            parts[n0 * f * f] = n0
+            f += 1
+    return parts
+
+
+def local_factor(cfg: LevelConfig, n0: int, f: int) -> int:
+    """∏_{p|P}(1 − χ(p))·∏_{q|M}(1 + χ(q)) for the discriminant -n0·f² with -n0
+    fundamental: χ(p) is 1 when p | f and (-n0/p) otherwise."""
+    local = 1
+    for primes, sign in ((cfg.P.primes, -1), (cfg.M.primes, 1)):
+        for p in primes:
+            local *= 1 + sign * (1 if f % p == 0 else kronecker(-n0, p))
+    return local
+
+
 def closed_form_H(cfg: LevelConfig, D_max: int) -> tuple[Fraction, ...]:
     """The closed class-number formula as a series: coefficients 0..D_max.
 
     Index 0 is mass(cfg).  At D >= 1 the coefficient is half the sum, over all
-    splittings -D = d·f² with d a discriminant, of
-    h(d)/u(d)·∏_{p|P}(1 − χ_d(p))·∏_{q|M}(1 + χ_d(q)); it is zero exactly when
-    D ≡ 1, 2 (mod 4) (empty sum).  With d = d0·g², d0 fundamental, χ_d(p) is 1
-    when p | g and (d0/p) otherwise.
-
-    One pass over n <= D_max in increasing order: a discriminant -n that no
-    smaller one reached as -n0·g² is fundamental, and it reaches its own
-    multiples -n·g² with their conductors g.  Each discriminant's term is then
-    added at every D = n·f² <= D_max.  Since u(d) ∈ {1, 2, 3}, the sums are
-    carried in integers as 12 times the value.
+    splittings -D = d·f² with d a discriminant, of h(d)/u(d) times the local
+    factor of d; it is zero exactly when D ≡ 1, 2 (mod 4) (empty sum).  Each
+    discriminant's term is added at every D = |d|·f² <= D_max.  Since
+    u(d) ∈ {1, 2, 3}, the sums are carried in integers as 12 times the value.
     """
     if D_max < 0:
         raise ValueError("D_max must be >= 0")
     h = _class_numbers_to(D_max)
     total = [0] * (D_max + 1)
-    reached = bytearray(D_max + 1)
-    for n0 in range(3, D_max + 1):
-        if reached[n0] or n0 % 4 in (1, 2):
+    for n, n0 in enumerate(fundamental_parts(D_max)):
+        if not n0:
             continue
-        chi = [(p, -1, kronecker(-n0, p)) for p in cfg.P.primes]
-        chi += [(q, 1, kronecker(-n0, q)) for q in cfg.M.primes]
-        g = 1
-        while n0 * g * g <= D_max:
-            n = n0 * g * g
-            reached[n] = 1
-            local = 1
-            for p, sign, x in chi:  # 1 − χ_d(p) at p | P, 1 + χ_d(q) at q | M
-                local *= 1 + sign * (1 if g % p == 0 else x)
-            if local:
-                term = local * h[n] * (6 // unit_factor(-n))
-                f = 1
-                while n * f * f <= D_max:
-                    total[n * f * f] += term
-                    f += 1
-            g += 1
+        local = local_factor(cfg, n0, isqrt(n // n0))
+        if local:
+            term = local * h[n] * (6 // unit_factor(-n))
+            f = 1
+            while n * f * f <= D_max:
+                total[n * f * f] += term
+                f += 1
     return (mass(cfg),) + tuple(Fraction(t, 12) for t in total[1:])
 
 
@@ -194,8 +205,9 @@ def kronecker_condition(D: int, cfg: LevelConfig) -> bool:
 
 def s_ramified(D: int, cfg: LevelConfig) -> int:
     """Number of level primes at which -D ramifies: (-D/p) = 0 exactly when
-    p | D, at p = 2 as well."""
-    return sum(1 for p in cfg.level_primes if D % p == 0)
+    p | D, at p = 2 as well.  N is square-free, so these are the prime
+    factors of gcd(D, N)."""
+    return len(factorize(gcd(D, cfg.N)).factors)
 
 
 def corollary_H(D: int, cfg: LevelConfig) -> Fraction:
@@ -204,8 +216,7 @@ def corollary_H(D: int, cfg: LevelConfig) -> Fraction:
     Requires -D fundamental and the Kronecker admissibility condition; then the
     value is 2^(omega(N)-1-s(D)) · h(-D)/u(-D).
     """
-    disc = Discriminant.of(-D)
-    if not disc.is_fundamental:
+    if D < 1 or fundamental_parts(D)[D] != D:
         raise ValueError(f"-{D} is not a fundamental discriminant")
     if not kronecker_condition(D, cfg):
         raise ValueError(f"-{D} fails the admissibility condition at {cfg.describe()}")

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
-from .arith import Discriminant, eichler_symbol
 from .brandt import brandt_matrices_upto
 from .lattice import counts_with_primitive, definite_echelon
 from .linalg import int_kernel, mat_det
 from .order import IdealClassSet, _canonical, _combine
-from .qform import class_number, mass, unit_factor
+from .qform import class_number, fundamental_parts, local_factor, mass, unit_factor
 from .quatalg import norm_pair
 
 
@@ -126,34 +125,30 @@ def cusp_G(classes: IdealClassSet, v: tuple[int, ...], D_max: int) -> tuple[Frac
     return G
 
 
-def optimal_embedding_count(classes: IdealClassSet, i: int, d) -> int:
+def optimal_embedding_count(classes: IdealClassSet, i: int, d: int) -> int:
     """h(O_d, R_i): optimal-embedding classes of the quadratic order of
     discriminant d into R_i, as u(d)·(primitive vectors of norm |d|)/w_i.
 
-    A non-integer value signals a lattice or unit-count bug and raises.
+    A d that is not a negative discriminant raises ValueError; a non-integer
+    value signals a lattice or unit-count bug and raises ArithmeticError.
     """
-    disc = d if isinstance(d, Discriminant) else Discriminant.of(d)
-    _, prim = _ternary_counts(classes, i, -disc.d)
-    cnt = prim.get(-disc.d, 0)
-    val = Fraction(unit_factor(disc.d) * cnt, classes.w[i - 1])
+    u = unit_factor(d)
+    _, prim = _ternary_counts(classes, i, -d)
+    cnt = prim.get(-d, 0)
+    val = Fraction(u * cnt, classes.w[i - 1])
     if val.denominator != 1:
         raise ArithmeticError(
-            f"embedding count u(d)·{cnt}/w_{i} = {val} is not an integer (d={disc.d})"
+            f"embedding count u(d)·{cnt}/w_{i} = {val} is not an integer (d={d})"
         )
     return int(val)
 
 
-def embedding_count_identity(classes: IdealClassSet, d) -> tuple[int, int]:
+def embedding_count_identity(classes: IdealClassSet, d: int) -> tuple[int, int]:
     """(lhs, rhs) of the embedding-count sum identity:
-    Σ_i h(O_d, R_i)  vs  h(d)·∏_{p|P}(1−{d/p})·∏_{q|M}(1+{d/q})."""
-    disc = d if isinstance(d, Discriminant) else Discriminant.of(d)
-    lhs = sum(optimal_embedding_count(classes, i, disc) for i in range(1, classes.n + 1))
-    rhs = class_number(disc.d)
-    for p in classes.cfg.P.primes:
-        rhs *= 1 - eichler_symbol(-disc.d, p)
-    for q in classes.cfg.M.primes:
-        rhs *= 1 + eichler_symbol(-disc.d, q)
-    return lhs, rhs
+    Σ_i h(O_d, R_i)  vs  h(d) times the local factor of d at the level."""
+    lhs = sum(optimal_embedding_count(classes, i, d) for i in range(1, classes.n + 1))
+    n0 = fundamental_parts(-d)[-d]
+    return lhs, class_number(d) * local_factor(classes.cfg, n0, isqrt(-d // n0))
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,8 @@ from math import gcd
 from .arith import is_prime, primes_up_to
 from .brandt import EigenSystem, _pair_counts, eigenvalue_of, expected_row_sum
 from .order import IdealClassSet
-from .qform import LevelConfig, class_number, kronecker_condition, s_ramified
+from .qform import (LevelConfig, class_number, fundamental_parts, kronecker_condition,
+                    s_ramified)
 from .theta32 import cusp_G
 
 
@@ -145,18 +146,8 @@ class DivisibilityRow:
 
 def admissible_fundamental_Ds(cfg: LevelConfig, D_max: int) -> list[int]:
     """D ≤ D_max with −D fundamental and the level's Kronecker condition."""
-    from .arith import Discriminant
-
-    out = []
-    for D in range(3, D_max + 1):
-        if (-D) % 4 not in (0, 1):
-            continue
-        disc = Discriminant.of(-D)
-        if not disc.is_fundamental:
-            continue
-        if kronecker_condition(D, cfg):
-            out.append(D)
-    return out
+    F = fundamental_parts(D_max)
+    return [D for D in range(3, D_max + 1) if F[D] == D and kronecker_condition(D, cfg)]
 
 
 def divisibility_table(

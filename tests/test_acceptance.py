@@ -13,7 +13,7 @@ from math import gcd
 
 import pytest
 
-from ceisen.arith import Discriminant, kronecker, primes_up_to
+from ceisen.arith import kronecker, primes_up_to
 from ceisen.brandt import (
     brandt_matrices_upto,
     brandt_matrix,
@@ -25,6 +25,7 @@ from ceisen.qform import (
     class_number,
     closed_form_H,
     corollary_H,
+    fundamental_parts,
     kronecker_condition,
     mass,
     s_ramified,
@@ -90,8 +91,9 @@ def test_dual_pipeline_agreement_to_2000(request, fixture):
 def test_two_power_table_level66(level66, H66):
     cfg = level66.cfg
     hits = 0
+    parts = fundamental_parts(D_MAX)
     for D in range(3, D_MAX + 1):
-        if (-D) % 4 not in (0, 1) or not Discriminant.of(-D).is_fundamental:
+        if parts[D] != D:
             continue
         if any(kronecker(-D, p) == 1 for p in (2, 3, 11)):
             continue
@@ -106,8 +108,9 @@ def test_two_power_table_level210(level210, H210):
     cfg = level210.cfg
     hits = 0
     seen_s = set()
+    parts = fundamental_parts(D_MAX)
     for D in range(3, D_MAX + 1):
-        if (-D) % 4 not in (0, 1) or not Discriminant.of(-D).is_fundamental:
+        if parts[D] != D:
             continue
         if any(kronecker(-D, p) == 1 for p in (2, 3, 7)):
             continue

@@ -6,16 +6,14 @@ from math import isqrt
 import pytest
 
 from ceisen.arith import (
-    Discriminant,
-    eichler_symbol,
     factorize,
-    fundamental_discriminant,
     is_prime,
     kronecker,
     primes_up_to,
     squarefree_kernel,
     valuation,
 )
+from ceisen.qform import LevelConfig, fundamental_parts, local_factor
 
 
 def test_factorize_examples():
@@ -82,27 +80,37 @@ def test_kronecker_at_two_period_eight():
         assert kronecker(d, 2) == -1
 
 
+def local_symbol(D: int, p: int, parts: list[int] | None = None) -> int:
+    """χ(p) of the order of discriminant -D, read back from its local factor
+    1 − χ(p) at the level P = {p}."""
+    n0 = (parts or fundamental_parts(D))[D]
+    return 1 - local_factor(LevelConfig.from_primes([p]), n0, isqrt(D // n0))
+
+
 def test_eichler_symbol_cases():
-    assert eichler_symbol(3, 11) == -1  # 11 coprime to 3
-    assert eichler_symbol(11, 11) == 0  # divides exactly once
-    assert eichler_symbol(12, 2) == 1  # 2 divides the conductor of -12
-    assert eichler_symbol(6, 3) == 0  # p exactly divides
-    assert eichler_symbol(3, 3) == 0
-    assert eichler_symbol(27, 3) == 1  # conductor 3
+    assert local_symbol(3, 11) == -1  # 11 coprime to 3
+    assert local_symbol(11, 11) == 0  # divides exactly once
+    assert local_symbol(12, 2) == 1  # 2 divides the conductor of -12
+    assert local_symbol(15, 3) == 0  # p exactly divides
+    assert local_symbol(3, 3) == 0
+    assert local_symbol(27, 3) == 1  # conductor 3
     # even fundamental parts report ramification at 2, despite 4 | D
-    assert eichler_symbol(4, 2) == 0
-    assert eichler_symbol(8, 2) == 0
-    assert eichler_symbol(16, 2) == 1  # -16 = -4·2², conductor 2
-    assert eichler_symbol(20, 2) == 0  # -20 fundamental, even
+    assert local_symbol(4, 2) == 0
+    assert local_symbol(8, 2) == 0
+    assert local_symbol(16, 2) == 1  # -16 = -4·2², conductor 2
+    assert local_symbol(20, 2) == 0  # -20 fundamental, even
+    assert local_symbol(32, 2) == 1  # -32 = -8·2², conductor 2
+    assert local_symbol(28, 2) == 1  # -28 = -7·2², conductor 2
+    assert local_symbol(7, 2) == 1  # -7 ≡ 1 (mod 8): 2 splits
 
 
 def test_eichler_symbol_matches_kronecker_on_coprime_part():
-    from ceisen.arith import primes_up_to
-
-    for D in range(1, 2001):
-        for p in primes_up_to(50):
-            if D % p:
-                assert eichler_symbol(D, p) == kronecker(-D, p), (D, p)
+    parts = fundamental_parts(2000)
+    for D in range(3, 2001):
+        if parts[D]:
+            for p in primes_up_to(50):
+                if D % p:
+                    assert local_symbol(D, p, parts) == kronecker(-D, p), (D, p)
 
 
 def test_valuation_and_kernel():
@@ -113,16 +121,16 @@ def test_valuation_and_kernel():
 
 
 def test_discriminant_metadata():
-    d = Discriminant.of(-4)
-    assert d.is_fundamental and d.conductor == 1
-    d = Discriminant.of(-12)
-    assert not d.is_fundamental and d.conductor == 2 and d.fundamental_part == -3
-    d = Discriminant.of(-27)
-    assert d.conductor == 3 and d.fundamental_part == -3
+    parts = fundamental_parts(27)
+    assert parts[4] == 4  # -4 fundamental
+    assert parts[12] == 3  # -12 = -3·2²
+    assert parts[27] == 3  # -27 = -3·3²
+    assert parts[:3] == [0, 0, 0] and parts[5] == parts[6] == 0  # not discriminants
+    parts[4] = 99  # a fresh list each call
+    assert fundamental_parts(27)[4] == 4
+    assert fundamental_parts(0) == [0]
     with pytest.raises(ValueError):
-        Discriminant.of(-5)
-    with pytest.raises(ValueError):
-        Discriminant.of(4)
+        fundamental_parts(-1)
 
 
 def scan_discriminant(d: int) -> tuple[int, bool, int]:
@@ -135,15 +143,23 @@ def scan_discriminant(d: int) -> tuple[int, bool, int]:
 
 
 def test_discriminant_matches_conductor_scan():
-    for n in range(3, 20001):
-        if (-n) % 4 in (0, 1):
-            disc = Discriminant.of(-n)
-            assert (disc.d, disc.is_fundamental, disc.conductor) == scan_discriminant(-n)
+    parts = fundamental_parts(20000)
+    assert len(parts) == 20001
+    for n in range(20001):
+        if n >= 3 and (-n) % 4 in (0, 1):
+            _, is_fundamental, f = scan_discriminant(-n)
+            assert parts[n] * f * f == n and (parts[n] == n) == is_fundamental, n
+        else:
+            assert parts[n] == 0, n
 
 
 def test_fundamental_discriminant_of_field():
-    assert fundamental_discriminant(-1) == -4
-    assert fundamental_discriminant(-3) == -3
-    assert fundamental_discriminant(-4) == -4
-    assert fundamental_discriminant(-47) == -47
-    assert fundamental_discriminant(-50) == -8
+    # -F[4D] is the discriminant of Q(sqrt(-D)), fundamental at -D iff F[4D] == D
+    parts = fundamental_parts(200)
+    assert parts[4 * 1] == 4
+    assert parts[4 * 3] == 3
+    assert parts[4 * 4] == 4
+    assert parts[4 * 47] == 47
+    assert parts[4 * 50] == 8
+    for D in range(1, 51):
+        assert (parts[4 * D] == D) == (parts[D] == D), D

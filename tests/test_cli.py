@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -53,6 +54,19 @@ def test_hseries_all_equal_exit_zero():
 def test_config_errors_exit_two(argv):
     rc, _, _ = run(argv)
     assert rc == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["hseries", "--ramified", "11", "--dmax", "5", "--out", "{tmp}/missing/table.csv"],
+    ["hseries", "--ramified", "11", "--dmax", "5", "--out", "{tmp}"],
+    ["verify", "--suite", "mass", "--ramified", "11", "--cache-dir", "{tmp}/file"],
+], ids=["out-missing-parent", "out-is-directory", "cache-dir-is-file"])
+def test_file_errors_exit_two(tmp_path, argv):
+    # an unusable --out or --cache-dir is a configuration error, not a failed identity
+    (tmp_path / "file").write_text("")
+    rc, out, err = run([a.replace("{tmp}", str(tmp_path)) for a in argv])
+    assert rc == 2 and out == ""
+    assert err.startswith("ceisen: ") and err.count("\n") == 1
 
 
 def test_congruence_precondition_exit_two():
@@ -134,6 +148,18 @@ def test_classnum_values():
     assert table[47] == "47,true,5,1"
     assert table[12] == "12,false,1,1"
     assert 5 not in table and 6 not in table  # -5, -6 are not discriminants
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["classnum", "--dmax", "5000"],
+     "4918f1305dd82ba31f198bd07b8912fdec4937bb06ca04679b13ace770e90e21"),
+    (["hseries", "--ramified", "2,3,7", "--M", "5", "--dmax", "2000", "--format", "json"],
+     "c775de44ab9293f1e49df2e1bb20aa41f71b696a7ca3a6cbca5f4a4479f87a45"),
+], ids=["classnum", "hseries-210-json"])
+def test_pinned_stdout(argv, digest):
+    rc, out, _ = run(argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 def test_verify_suites_pass():
@@ -274,10 +300,11 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     with open(path, "rb") as fh:
         assert fh.read() == before
     assert os.listdir(cache) == ["classes_11_M1.json"]
-    # a cold build whose write dies leaves no partial file behind
+    # a cold build whose write dies exits 2 and leaves no partial file behind
     cold = str(tmp_path / "cold")
-    with pytest.raises(OSError, match="simulated"):
-        main(["verify", "--suite", "mass", "--ramified", "11", "--cache-dir", cold])
+    rc, out, err = run(["verify", "--suite", "mass", "--ramified", "11", "--cache-dir", cold])
+    assert rc == 2 and out == ""
+    assert err.startswith("ceisen: ") and err.count("\n") == 1 and "simulated" in err
     assert os.listdir(cold) == []
 
 
@@ -307,3 +334,16 @@ def test_console_script_subprocess():
     )
     assert proc.returncode == 0
     assert "computed=5/12;expected=5/12" in proc.stdout
+
+
+def test_readme_library_example_runs():
+    # the documented example imports only what `ceisen` exports
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    section = readme[readme.index("## Library"):]
+    code = section[section.index("```python\n") + len("```python\n"):section.index("\n```")]
+    src = os.path.dirname(os.path.dirname(ceisen.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr

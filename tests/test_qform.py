@@ -7,12 +7,14 @@ import subprocess
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ceisen
-from ceisen.arith import Discriminant, eichler_symbol, kronecker, squarefree_kernel
+from ceisen.arith import kronecker, primes_up_to, squarefree_kernel
 from ceisen.qform import (
     LevelConfig,
     class_number,
@@ -24,6 +26,7 @@ from ceisen.qform import (
     sieve_class_numbers,
     unit_factor,
 )
+from test_arith import scan_discriminant  # the conductor scan, the split's reference
 
 
 # The per-d enumeration of reduced forms: the reference for the sieve.
@@ -267,7 +270,7 @@ def test_closed_form_prefixes(ramified, M):
         assert closed_form_H(cfg, k) == full[:k + 1], k
 
 
-def discriminant_decompositions(D: int) -> list[tuple[Discriminant, int]]:
+def discriminant_decompositions(D: int) -> list[tuple[int, int]]:
     """All ways -D = d·f² with d a negative discriminant, f >= 1, sorted by f.
 
     Empty exactly when D ≡ 1, 2 (mod 4).
@@ -280,35 +283,36 @@ def discriminant_decompositions(D: int) -> list[tuple[Discriminant, int]]:
             continue
         d = -(D // (f * f))
         if d % 4 in (0, 1):
-            out.append((Discriminant.of(d), f))
+            out.append((d, f))
     return out
 
 
 def test_decompositions():
-    result = [(disc.d, f) for disc, f in discriminant_decompositions(12)]
-    assert result == [(-12, 1), (-3, 2)]
+    assert discriminant_decompositions(12) == [(-12, 1), (-3, 2)]
     assert discriminant_decompositions(1) == []
     assert discriminant_decompositions(2) == []
-    result = [(disc.d, f) for disc, f in discriminant_decompositions(16)]
-    assert result == [(-16, 1), (-4, 2)]
+    assert discriminant_decompositions(16) == [(-16, 1), (-4, 2)]
     # D ≡ 1, 2 mod 4 always empty
     for D in range(1, 200):
         decs = discriminant_decompositions(D)
         if D % 4 in (1, 2):
             assert decs == []
         else:
-            assert decs and all((-D) == disc.d * f * f for disc, f in decs)
+            assert decs and all(-D == d * f * f for d, f in decs)
 
 
 def fraction_closed_form_H(D: int, cfg: LevelConfig) -> Fraction:
-    """Reference: the closed formula at one D, summed term by term in Fractions."""
+    """Reference: the closed formula at one D, summed term by term in Fractions,
+    with each d split as d0·g² by the conductor scan."""
     total = Fraction(0)
-    for disc, _f in discriminant_decompositions(D):
-        term = Fraction(class_number(disc.d), unit_factor(disc.d))
+    for d, _f in discriminant_decompositions(D):
+        _, _, g = scan_discriminant(d)
+        d0 = d // (g * g)
+        term = Fraction(class_number(d), unit_factor(d))
         for p in cfg.P.primes:
-            term *= 1 - eichler_symbol(-disc.d, p)
+            term *= 1 - (1 if g % p == 0 else kronecker(d0, p))
         for q in cfg.M.primes:
-            term *= 1 + eichler_symbol(-disc.d, q)
+            term *= 1 + (1 if g % q == 0 else kronecker(d0, q))
         total += term
     return total / 2
 
@@ -325,6 +329,25 @@ def test_closed_form_matches_fraction_reference(ramified, M):
         assert C[D] == fraction_closed_form_H(D, cfg), D
         if D % 4 in (1, 2):
             assert C[D] == 0
+
+
+@st.composite
+def small_levels(draw) -> LevelConfig:
+    """An odd-size set of primes below 30, and a square-free M < 60 coprime to it."""
+    ramified = draw(st.sets(st.sampled_from(primes_up_to(29)), min_size=1, max_size=5)
+                    .filter(lambda ps: len(ps) % 2))
+    P = prod(ramified)
+    M = draw(st.sampled_from(
+        [m for m in range(1, 60) if gcd(m, P) == 1 and squarefree_kernel(m) == m]))
+    return LevelConfig.from_primes(sorted(ramified), M)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(small_levels())
+def test_closed_form_matches_fraction_reference_on_drawn_levels(cfg):
+    C = closed_form_H(cfg, 300)
+    for D in range(1, 301):
+        assert C[D] == fraction_closed_form_H(D, cfg), (D, cfg.describe())
 
 
 def test_corollary_examples_and_consistency():
@@ -360,7 +383,7 @@ def test_s_ramified():
 def test_s_ramified_counts_vanishing_kronecker_symbols(ramified, M):
     cfg = LevelConfig.from_primes(ramified, M)
     for D in range(1, 3001):
-        expected = sum(1 for p in cfg.level_primes if kronecker(-D, p) == 0)
+        expected = sum(1 for p in cfg.P.primes + cfg.M.primes if kronecker(-D, p) == 0)
         assert s_ramified(D, cfg) == expected, D
 
 
