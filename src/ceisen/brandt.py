@@ -91,11 +91,12 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
     if cache["bound"] >= bound:
         return cache["counts"]
     counts: dict = {}
+    conjugates = [I.lattice.conjugate() for I in classes.ideals]
     for i in range(classes.n):
         Ii = classes.ideals[i]
         for j in range(i, classes.n):
             Ij = classes.ideals[j]
-            W = product_lattice(Ij.lattice.conjugate(), Ii.lattice)
+            W = product_lattice(conjugates[j], Ii.lattice)
             # W's integer Gram is den_W² times its norm form, so norm m·N_i·N_j
             # is the value m·scale
             scale = Ii.norm * Ij.norm * W.den**2

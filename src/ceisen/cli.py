@@ -107,12 +107,6 @@ class RunConfig:
 # output helpers
 
 
-def _cell(x) -> str:
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return str(x)
-
-
 def _json_value(x):
     if isinstance(x, Fraction):
         return str(x)
@@ -132,7 +126,9 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list], json_extra: dict,
     """Emit one table as CSV (header + rows) or JSON (row objects + extras)."""
     if cfg.format == "csv":
         lines = [",".join(header)]
-        lines.extend(",".join(_cell(x) for x in row) for row in rows)
+        # compared by identity: 1 == True
+        lines.extend(",".join(["true" if x is True else "false" if x is False else str(x)
+                               for x in row]) for row in rows)
         _write("\n".join(lines) + "\n", cfg.out)
         if stderr_summary is not None:
             print(stderr_summary, file=sys.stderr)

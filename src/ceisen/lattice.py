@@ -31,6 +31,8 @@ Coordinate i is admissible iff a_i·x_i² ≤ B_{i+1}, i.e. x_i² ≤ B_{i+1}/a_
 and for an integer x_i that holds exactly when x_i² ≤ ⌊B_{i+1}/a_i⌋, so
 |x_i| ≤ isqrt(B_{i+1} // a_i) decides membership with no rounding.  The value
 of a leaf is the integer q(c) = (K·bound - B_0) // K, an exact division.
+The search walks a half-space: of each pair ±c it visits only the c whose
+last nonzero coordinate is positive.
 """
 
 from __future__ import annotations
@@ -61,11 +63,13 @@ def definite_echelon(G: list[list[int]]) -> tuple[list[list[int]], list[int]]:
 
 
 def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield all nonzero integer vectors c with c^T G c <= bound, with the value.
+    """Yield one of each pair ±c of nonzero integer vectors with c^T G c <= bound,
+    with the value: the one whose last nonzero coordinate is positive.
 
-    Both c and -c are produced, with c_{n-1} in the outermost loop and c_0 in
-    the innermost, each ascending.  G must be an integer symmetric positive
-    definite matrix and bound an int.
+    c_{n-1} runs in the outermost loop and c_0 in the innermost, each
+    ascending.  While every outer coordinate is 0 the centre is 0 and the loop
+    starts at 0, or at 1 for c_0, so the half-space costs no filter.  G must
+    be an integer symmetric positive definite matrix and bound an int.
     """
     if bound < 0:
         return
@@ -78,29 +82,27 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
     top = K * bound
     c = [0] * n
 
-    def budgets(i: int, B: int) -> Iterator[int]:
-        """Set c_i..c_1 in turn; yield the budget B_1 left for c_0."""
+    def budgets(i: int, B: int, zero: bool) -> Iterator[tuple[int, bool]]:
+        """Set c_i..c_1 in turn; yield the budget B_1 left for c_0 and whether
+        c_1..c_{n-1} are all 0."""
         if i == 0:
-            yield B
+            yield B, zero
             return
         ri, si, ai = r[i], r[i][i], a[i]
         t = sum(ri[j] * c[j] for j in range(i + 1, n))
         w = isqrt(B // ai)
-        for m in range(-((w + t) // si), (w - t) // si + 1):
+        for m in range(0 if zero else -((w + t) // si), (w - t) // si + 1):
             c[i] = m
             x = si * m + t
-            yield from budgets(i - 1, B - ai * x * x)
+            yield from budgets(i - 1, B - ai * x * x, zero and not m)
 
     r0, s0, a0 = r[0], r[0][0], a[0]
-    for B in budgets(n - 1, top):
+    for B, zero in budgets(n - 1, top, True):
         rest = tuple(c[1:])
         t = sum(r0[j] * c[j] for j in range(1, n))
         w = isqrt(B // a0)
-        ms = range(-((w + t) // s0), (w - t) // s0 + 1)
-        if not any(rest):
-            ms = [m for m in ms if m]
         base = top - B
-        for m in ms:
+        for m in range(1 if zero else -((w + t) // s0), (w - t) // s0 + 1):
             x = s0 * m + t
             yield (m,) + rest, (base + a0 * x * x) // K
 
@@ -189,10 +191,11 @@ def lll(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def counts_by_value(G: list[list[int]], bound: int) -> dict[int, int]:
-    """Number of nonzero lattice vectors at each form value <= bound (both signs counted)."""
+    """Number of nonzero lattice vectors at each form value <= bound (both
+    signs counted: 2 per ± pair)."""
     tally: dict[int, int] = {}
     for _, val in points_up_to(lll(G)[0], bound):
-        tally[val] = tally.get(val, 0) + 1
+        tally[val] = tally.get(val, 0) + 2
     return tally
 
 

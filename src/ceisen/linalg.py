@@ -7,6 +7,13 @@ factor to integer rows over one denominator, and `mat_det` and `rref` clear
 the matrix and run the one Gaussian elimination, the fraction-free `echelon`.
 `charpoly` and `integer_roots` take and return plain ints, and `hnf` and
 `int_kernel` work on integer matrices.  No floating point anywhere.
+
+`hnf` inserts rows one at a time into a triangular basis, merging two rows
+at a pivot column by one extended gcd (Cohen, GTM 138, §2.4.2); every
+canonical lattice form in `order`, `brandt` and `theta32` goes through it.
+The Hermite normal form of a row lattice is unique, so the lattices, the
+class-set snapshots and every output are fixed by the lattices alone, not by
+the algorithm that computes their HNF.
 """
 
 from __future__ import annotations
@@ -202,46 +209,63 @@ def primitive_vector(v: list[Fraction]) -> list[Fraction]:
     return [Fraction(x) for x in ints]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s·a + t·b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
 def hnf(rows: list[list[int]]) -> list[list[int]]:
     """Canonical row Hermite normal form of an integer matrix.
 
     Pivots positive, entries above each pivot reduced into [0, pivot).
     Zero rows are dropped.  The result is the unique HNF basis of the row
     lattice, so equal lattices give equal output.
+
+    Rows are inserted one at a time into a triangular basis with one slot per
+    pivot column.  A row v is cleared column by column against that column's
+    pivot row P, with p = P[c] > 0 and x = v[c]: if p divides x,
+    v <- v - (x/p)·P; otherwise the unimodular step
+    P <- s·P + t·v, v <- (p/g)·v - (x/g)·P with s·p + t·x = g = gcd(p, x)
+    leaves g in P and 0 in v.  A row that reaches a column with no pivot yet
+    takes that slot, sign made positive.  One last pass reduces the entries
+    above each pivot.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    n = len(work[0])
-    r = 0
-    for c in range(n):
-        while True:
-            nz = [k for k in range(r, len(work)) if work[k][c]]
-            if not nz:
+    n = len(rows[0]) if rows else 0
+    slot: list[list[int] | None] = [None] * n
+    for v in rows:
+        for c in range(n):
+            x = v[c]
+            if not x:
+                continue
+            P = slot[c]
+            if P is None:
+                slot[c] = list(v) if x > 0 else [-y for y in v]
                 break
-            k0 = min(nz, key=lambda k: (abs(work[k][c]), k))
-            if k0 != r:
-                work[r], work[k0] = work[k0], work[r]
-            done = True
-            for k in range(r + 1, len(work)):
-                if work[k][c]:
-                    q = work[k][c] // work[r][c]
-                    work[k] = [x - q * y for x, y in zip(work[k], work[r])]
-                    if work[k][c]:
-                        done = False
-            if done:
-                break
-        if r < len(work) and work[r][c]:
-            if work[r][c] < 0:
-                work[r] = [-x for x in work[r]]
-            for k in range(r):
-                q = work[k][c] // work[r][c]
-                if q:
-                    work[k] = [x - q * y for x, y in zip(work[k], work[r])]
-            r += 1
-            if r == len(work):
-                break
-    return [row for row in work[:r]]
+            p = P[c]
+            q, r = divmod(x, p)
+            if not r:
+                v = [y - q * z for y, z in zip(v, P)]
+                continue
+            g, s, t = _xgcd(p, x)
+            a, b = p // g, x // g
+            slot[c] = [s * z + t * y for y, z in zip(v, P)]
+            v = [a * y - b * z for y, z in zip(v, P)]
+    cols = [c for c in range(n) if slot[c] is not None]
+    H = [slot[c] for c in cols]
+    for k, c in enumerate(cols):
+        P = H[k]
+        p = P[c]
+        for i in range(k):
+            q = H[i][c] // p
+            if q:
+                H[i] = [y - q * z for y, z in zip(H[i], P)]
+    return H
 
 
 def int_kernel(A: list[list[int]]) -> list[list[int]]:

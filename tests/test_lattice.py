@@ -51,6 +51,20 @@ def brute_points(G, bound):
     return sorted(out)
 
 
+def representatives(pts):
+    """The points whose last nonzero coordinate is positive: one of each ±c pair."""
+    return [(c, val) for c, val in pts if next(x for x in reversed(c) if x) > 0]
+
+
+def check_half_space(got, pts):
+    """`got` is the brute-force representatives in full, and with the negatives
+    of its vectors it gives back the brute-force set, no pair yielded twice."""
+    assert sorted(got) == representatives(pts)
+    both = [(c, val) for c, val in got] + [(tuple(-x for x in c), val) for c, val in got]
+    assert len(set(both)) == len(both) == 2 * len(got)
+    assert sorted(both) == pts
+
+
 @lru_cache(maxsize=None)
 def cases(n):
     """(G, bound, brute-force points) for seeded random rank-n forms."""
@@ -68,7 +82,7 @@ def test_points_match_brute_force(n):
     for G, bound, pts in cases(n):
         got = list(points_up_to(G, bound))
         assert all(type(val) is int for _, val in got)
-        assert sorted(got) == pts
+        check_half_space(got, pts)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -79,7 +93,7 @@ def test_bound_at_a_value_zero_and_negative(n):
         while not any(c):
             c = [rng.randint(-1, 1) for _ in range(n)]
         hit = sum(G[i][j] * c[i] * c[j] for i in range(n) for j in range(n))  # used as the bound
-        assert sorted(points_up_to(G, hit)) == brute_points(G, hit)
+        check_half_space(list(points_up_to(G, hit)), brute_points(G, hit))
         assert any(val == hit for _, val in points_up_to(G, hit))
         assert list(points_up_to(G, 0)) == []
         assert list(points_up_to(G, -1)) == []

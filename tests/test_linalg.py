@@ -3,6 +3,7 @@
 import random
 import time
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -10,6 +11,8 @@ from ceisen.linalg import (
     charpoly,
     clear_denominators,
     echelon,
+    hnf,
+    int_kernel,
     integer_roots,
     mat_det,
     mat_mul,
@@ -287,3 +290,124 @@ def test_nullspace_kernel_and_rank():
             assert all(sum((Fraction(a) * v for a, v in zip(row, x)), Fraction(0)) == 0 for row in A), A
         # the basis is independent: its own rank equals its size
         assert len(rref(basis)[1]) == len(basis), A
+
+
+# ---------------------------------------------------------------------------
+# hnf / int_kernel
+
+
+def column_euclid_hnf(rows):
+    """Row HNF by repeated column sweeps: the smallest nonzero entry of the
+    column at or below row r moves to row r and divides the rows below it,
+    until the column clears.  The earlier `hnf`, kept as the reference."""
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return []
+    n = len(work[0])
+    r = 0
+    for c in range(n):
+        while True:
+            nz = [k for k in range(r, len(work)) if work[k][c]]
+            if not nz:
+                break
+            k0 = min(nz, key=lambda k: (abs(work[k][c]), k))
+            work[r], work[k0] = work[k0], work[r]
+            done = True
+            for k in range(r + 1, len(work)):
+                if work[k][c]:
+                    q = work[k][c] // work[r][c]
+                    work[k] = [x - q * y for x, y in zip(work[k], work[r])]
+                    done = done and not work[k][c]
+            if done:
+                break
+        if r < len(work) and work[r][c]:
+            if work[r][c] < 0:
+                work[r] = [-x for x in work[r]]
+            for k in range(r):
+                q = work[k][c] // work[r][c]
+                work[k] = [x - q * y for x, y in zip(work[k], work[r])]
+            r += 1
+            if r == len(work):
+                break
+    return work[:r]
+
+
+def hnf_cases():
+    """Zero rows, negative and large entries, rank-deficient and wide shapes."""
+    rng = random.Random(SEED + 5)
+    cases = [[], [[0, 0, 0]], [[0, -3], [0, 0]], [[-6, 4], [4, -6]], [[2, 0], [0, 3], [1, 1]]]
+    for _ in range(300):
+        m, n = rng.randint(1, 9), rng.randint(1, 7)
+        E = rng.choice([2, 9, 10**6])
+        A = [[rng.randint(-E, E) if rng.random() < 0.7 else 0 for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.3:  # rank-deficient: rows are combinations of a few
+            base = A[: rng.randint(1, m)]
+            A = [[sum(q * row[j] for q, row in zip(mix, base)) for j in range(n)]
+                 for mix in ([rng.randint(-3, 3) for _ in base] for _ in range(m))]
+        if rng.random() < 0.3:
+            A.insert(rng.randint(0, m), [0] * n)
+        cases.append(A)
+    for _ in range(40):  # int_kernel's [Aᵀ | I]
+        m, n = rng.randint(1, 4), rng.randint(1, 6)
+        A = random_int_matrix(rng, m, n, -20, 20)
+        cases.append([[A[i][j] for i in range(m)] + [int(j == t) for t in range(n)] for j in range(n)])
+    return cases
+
+
+def is_hnf(H):
+    cols = [next(c for c, x in enumerate(row) if x) for row in H]
+    return (cols == sorted(set(cols))
+            and all(H[k][c] > 0 for k, c in enumerate(cols))
+            and all(0 <= H[i][c] < H[k][c] for k, c in enumerate(cols) for i in range(k)))
+
+
+def test_hnf_matches_column_euclid():
+    for A in hnf_cases():
+        H = hnf(A)
+        assert H == column_euclid_hnf(A), A
+        assert is_hnf(H), A
+        assert all(type(x) is int for row in H for x in row), A
+
+
+def unimodular(rng: random.Random, m: int) -> list[list[int]]:
+    """A random m×m integer matrix of determinant ±1: row operations and swaps on I."""
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    for _ in range(3 * m):
+        i, j = rng.sample(range(m), 2) if m > 1 else (0, 0)
+        if i != j:
+            q = rng.randint(-5, 5)
+            U[i] = [a + q * b for a, b in zip(U[i], U[j])]
+            if rng.random() < 0.3:
+                U[i], U[j] = U[j], U[i]
+    if rng.random() < 0.5:
+        U[0] = [-x for x in U[0]]
+    return U
+
+
+def test_hnf_is_invariant_under_unimodular_row_changes():
+    rng = random.Random(SEED + 6)
+    for A in hnf_cases():
+        if not A:
+            continue
+        U = unimodular(rng, len(A))
+        assert abs(mat_det(U)) == 1
+        UA = [[sum(u * row[j] for u, row in zip(Ui, A)) for j in range(len(A[0]))] for Ui in U]
+        assert hnf(UA) == hnf(A), A
+
+
+def test_int_kernel_is_the_saturated_kernel():
+    rng = random.Random(SEED + 7)
+    for _ in range(60):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        A = random_int_matrix(rng, m, n, -3, 3)
+        if rng.random() < 0.3:
+            A.append([2 * x - y for x, y in zip(A[0], A[-1])])  # dependent row
+        K = int_kernel(A)
+        assert all(sum(a * k for a, k in zip(row, v)) == 0 for row in A for v in K), A
+        assert len(K) == n - len(echelon(A)[1]), A
+        # every small kernel vector lies in the lattice K spans, so adding it
+        # leaves hnf(K) as it is: K is the whole of ker(A) ∩ Zⁿ
+        H = hnf(K)
+        for v in product(range(-2, 3), repeat=n):
+            if all(sum(a * x for a, x in zip(row, v)) == 0 for row in A):
+                assert hnf(K + [list(v)]) == H, (A, v)
