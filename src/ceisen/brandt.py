@@ -104,7 +104,8 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
             per_m: dict[int, int] = {}
             for val, cnt in raw.items():
                 m, rem = divmod(val, scale)
-                assert rem == 0, "pairing lattice norm not divisible by N_i·N_j"
+                if rem:
+                    raise ArithmeticError("pairing lattice norm not divisible by N_i·N_j")
                 per_m[m] = cnt
             counts[(i, j)] = per_m
             counts[(j, i)] = per_m
@@ -149,7 +150,8 @@ def eisenstein_e2(classes: IdealClassSet, m_max: int) -> tuple[Fraction, ...]:
     """The weight-2 Eisenstein series: constant term = mass, then row sums b_m."""
     cfg = classes.cfg
     const = classes.total_mass()
-    assert const == mass(cfg), "class-set mass disagrees with the formula"
+    if const != mass(cfg):
+        raise ArithmeticError("class-set mass disagrees with the formula")
     return (const,) + tuple(Fraction(expected_row_sum(m, cfg)) for m in range(1, m_max + 1))
 
 
@@ -208,13 +210,14 @@ def _restrict(B: tuple[tuple[Fraction, ...], ...], blk: _Block) -> list[list[Fra
     W = mat_mul(V, transpose(B))
     A = [[W[r][c] for c in blk.pivots] for r in range(len(V))]
     # exact invariance check: A·V must reproduce W
-    AV = mat_mul(A, V)
-    assert AV == W, "subspace not invariant under the Brandt matrix (bug)"
+    if mat_mul(A, V) != W:
+        raise ArithmeticError("subspace not invariant under the Brandt matrix")
     return A
 
 
-def _split_block(blk: _Block, B, p: int) -> list[_Block]:
-    """Refine one invariant block by the rational eigenspaces of B_p on it."""
+def _split_block(blk: _Block, B, p: int, norm: Fraction) -> list[_Block]:
+    """Refine one invariant block by the rational eigenspaces of B_p on it;
+    norm is ||B_p||_inf, the largest absolute row sum."""
     A = _restrict(B, blk)
     if blk.dim == 1:
         blk.eigs[p] = A[0][0]
@@ -222,8 +225,7 @@ def _split_block(blk: _Block, B, p: int) -> list[_Block]:
     k = len(A)
     den, Ad = clear_denominators(A)
     # every eigenvalue on the block is one of B, so |den·λ| <= den·||B||_inf
-    bound = int(den * max(sum(map(abs, row)) for row in B))
-    lams = [Fraction(r, den) for r in integer_roots(charpoly(Ad), bound)]
+    lams = [Fraction(r, den) for r in integer_roots(charpoly(Ad), int(den * norm))]
 
     # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
     # eigenvectors of A and invariant subspaces are row spaces, lifted to
@@ -245,7 +247,8 @@ def _split_block(blk: _Block, B, p: int) -> list[_Block]:
             shifted = [[A[r][c] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
             R = mat_mul(R, shifted)
         basis, pivots = rref(mat_mul(R, blk.basis))
-        assert len(basis) == k - consumed, "semisimplicity violated (bug)"
+        if len(basis) != k - consumed:
+            raise ArithmeticError("semisimplicity violated")
         out.append(_Block(basis, pivots, dict(blk.eigs)))
     return out
 
@@ -266,13 +269,15 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     _pair_counts(classes, max(primes))  # one sweep serves every B_p
     for p in primes:
         B = brandt_matrix(classes, p).entries
-        blocks = [piece for blk in blocks for piece in _split_block(blk, B, p)]
+        norm = max(sum(map(abs, row)) for row in B)
+        blocks = [piece for blk in blocks for piece in _split_block(blk, B, p, norm)]
     u_eigs: dict[int, int] = {}
     lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
     unresolved: list[tuple[int, dict[int, int]]] = []
     w = classes.w
     for blk in blocks:
-        assert all(l.denominator == 1 for l in blk.eigs.values()), "non-integer rational eigenvalue"
+        if any(l.denominator != 1 for l in blk.eigs.values()):
+            raise ArithmeticError("non-integer rational eigenvalue")
         eigs = {p: int(l) for p, l in blk.eigs.items()}
         if blk.dim != 1:
             unresolved.append((blk.dim, eigs))
@@ -281,7 +286,8 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
         if all(x[i] == x[0] for i in range(n)):
             for p in primes:
                 bp = expected_row_sum(p, cfg)
-                assert eigs[p] == bp, f"all-ones eigenvalue {eigs[p]} != b_{p} = {bp}"
+                if eigs[p] != bp:
+                    raise ArithmeticError(f"all-ones eigenvalue {eigs[p]} != b_{p} = {bp}")
             u_eigs = eigs
             continue
         ratios = [x[i] / w[i] for i in range(n)]
@@ -299,12 +305,10 @@ def eigenvalue_of(classes: IdealClassSet, v: tuple[int, ...], p: int) -> int:
     B = brandt_matrix(classes, p).entries
     n = classes.n
     i = next(i for i in range(n) if v[i])
-    num = sum((B[i][j] * v[j] for j in range(n)), Fraction(0))
-    lam = num / v[i]
+    lam = sum((B[i][j] * v[j] for j in range(n)), Fraction(0)) / v[i]
     # verify on all coordinates
-    for r in range(n):
-        assert sum((B[r][j] * v[j] for j in range(n)), Fraction(0)) == lam * v[r], (
-            "v is not an eigenvector of B_%d" % p
-        )
-    assert lam.denominator == 1
+    if any(sum(B[r][j] * v[j] for j in range(n)) != lam * v[r] for r in range(n)):
+        raise ArithmeticError(f"v is not an eigenvector of B_{p}")
+    if lam.denominator != 1:
+        raise ArithmeticError(f"eigenvalue {lam} of B_{p} is not an integer")
     return int(lam)

@@ -6,12 +6,15 @@ coordinate lattice Z^n.
 
 Every consumer reduces the form first.  Quaternion lattices arrive in HNF, a
 skewed basis, and Fincke-Pohst visits nodes in proportion to that skew rather
-than to the points it returns (Fincke-Pohst, Math. Comp. 44, 1985).  `lll` is
-integral LLL on the Gram matrix (Cohen, GTM 138, Algorithm 2.6.7, δ = 3/4):
-G' = T·G·Tᵀ with T unimodular, both checked exactly.  The tallies and
-`exists_value` enumerate G' and map nothing back, because c ↦ c·T keeps the
-value and the gcd of the coordinates.  `shortest_vector` maps back only its
-minimal vectors, so its tie-break on the coordinates of G does not change.
+than to the points it returns (Fincke-Pohst, Math. Comp. 44, 1985).
+`reduce_gram` reduces every pair of basis vectors (Lagrange): G' = T·G·Tᵀ
+with T unimodular, both checked exactly.  Unlike the greedy reduction of
+Nguyen-Stehlé (ACM Trans. Algorithms 5, 2009), Minkowski in rank <= 4, it may
+leave a sum ±b_0 ± b_1 ± b_2 (± b_3) much shorter than the b_i, and
+Fincke-Pohst then pays for that skew.  The tallies and `exists_value`
+enumerate G' and map nothing back, because c ↦ c·T keeps the value and the
+gcd of the coordinates.  `shortest_vector` maps back only its minimal
+vectors, so its tie-break on the coordinates of G does not change.
 `points_up_to` enumerates the G it is given.
 
 Bareiss elimination (`linalg.echelon`) of G gives integer rows U whose
@@ -107,86 +110,45 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
             yield (m,) + rest, (base + a0 * x * x) // K
 
 
-def lll(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
-    """(G', T): an LLL-reduced Gram matrix G' = T·G·Tᵀ (δ = 3/4) of the integer
+def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(G', T): a pairwise reduced Gram matrix G' = T·G·Tᵀ of the integer
     positive-definite G, with T unimodular; row i of T gives basis vector i of
     G' in the coordinates of G.
 
-    Integral LLL on the Gram matrix (Cohen, GTM 138, Algorithm 2.6.7): d_k is
-    the Gram determinant of the first k basis vectors and λ_kj = d_{j+1}·μ_kj,
-    both integers.  ValueError as soon as some d_k <= 0: G is not positive
-    definite.  The result is checked: ArithmeticError unless det T = ±1 and
-    T·G·Tᵀ equals the Gram matrix carried through the reduction.
+    Pairwise Lagrange reduction: while some |2·G_ij| > G_jj with i ≠ j, set
+    b_i ← b_i − q·b_j with q the integer nearest G_ij/G_jj, taking the b_j in
+    order of length.  That lowers G_ii by G_jj·(x² − (q − x)²) > 0 with
+    x = G_ij/G_jj, so the loop ends.  Then the basis is ordered by ascending
+    diagonal, and 2·|G'_ij| <= min(G'_ii, G'_jj).
+    ValueError unless G is positive definite (`definite_echelon`).  The result
+    is checked: ArithmeticError unless det T = ±1 and T·G·Tᵀ equals G'.
     """
+    definite_echelon(G)
     n = len(G)
     R = [list(row) for row in G]
     T = [[int(i == j) for j in range(n)] for i in range(n)]
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
-
-    def red(k: int, l: int) -> None:
-        """Size-reduce b_k against b_l: |2λ_kl| <= d_{l+1}."""
-        dl = d[l + 1]
-        q = (2 * lam[k][l] + dl) // (2 * dl)
-        T[k] = [x - q * y for x, y in zip(T[k], T[l])]
-        R[k] = [x - q * y for x, y in zip(R[k], R[l])]
-        for row in R:
-            row[k] -= q * row[l]
-        lk, ll = lam[k], lam[l]
-        lk[l] -= q * dl
-        for i in range(l):
-            lk[i] -= q * ll[i]
-
-    def swap(k: int) -> None:
-        """Exchange b_{k-1} and b_k and update d_k and the λ they touch."""
-        T[k - 1], T[k] = T[k], T[k - 1]
-        R[k - 1], R[k] = R[k], R[k - 1]
-        for row in R:
-            row[k - 1], row[k] = row[k], row[k - 1]
-        for j in range(k - 1):
-            lam[k - 1][j], lam[k][j] = lam[k][j], lam[k - 1][j]
-        m = lam[k][k - 1]
-        dk = (d[k - 1] * d[k + 1] + m * m) // d[k]
-        for i in range(k + 1, kmax + 1):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - m * t) // d[k]
-            lam[i][k - 1] = (dk * t + m * lam[i][k]) // d[k + 1]
-        d[k] = dk
-
-    k, kmax = 0, -1
-    while k < n:
-        if k > kmax:
-            kmax = k
-            for j in range(k + 1):
-                u = R[k][j]
-                for i in range(j):
-                    u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-                if j < k:
-                    lam[k][j] = u
-                elif u <= 0:
-                    raise ValueError("form is not positive definite")
-                else:
-                    d[k + 1] = u
-        if k == 0:
-            k = 1
-            continue
-        if 2 * abs(lam[k][k - 1]) > d[k]:
-            red(k, k - 1)
-        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] * d[k] - 4 * lam[k][k - 1] ** 2:
-            swap(k)
-            k = max(1, k - 1)
-        else:
-            for l in range(k - 2, -1, -1):
-                if 2 * abs(lam[k][l]) > d[l + 1]:
-                    red(k, l)
-            k += 1
+    done = False
+    while not done:
+        done = True
+        for j in sorted(range(n), key=lambda k: R[k][k]):
+            for i in range(n):
+                if i != j and 2 * abs(R[i][j]) > R[j][j]:
+                    q = (2 * R[i][j] + R[j][j]) // (2 * R[j][j])
+                    T[i] = [x - q * y for x, y in zip(T[i], T[j])]
+                    R[i] = [x - q * y for x, y in zip(R[i], R[j])]
+                    for row in R:
+                        row[i] -= q * row[j]
+                    done = False
+    order = sorted(range(n), key=lambda i: R[i][i])
+    R = [[R[i][j] for j in order] for i in order]
+    T = [T[i] for i in order]
 
     U, pivots, _ = echelon(T)
     if len(pivots) < n or abs(U[-1][-1]) != 1:
-        raise ArithmeticError("LLL certificate failed: det T != ±1")
+        raise ArithmeticError("reduction certificate failed: det T != ±1")
     TG = [[sum(map(mul, row, col)) for col in zip(*G)] for row in T]
     if [[sum(map(mul, a, b)) for b in T] for a in TG] != R:
-        raise ArithmeticError("LLL certificate failed: T·G·Tᵀ != G'")
+        raise ArithmeticError("reduction certificate failed: T·G·Tᵀ != G'")
     return R, T
 
 
@@ -194,7 +156,7 @@ def counts_by_value(G: list[list[int]], bound: int) -> dict[int, int]:
     """Number of nonzero lattice vectors at each form value <= bound (both
     signs counted: 2 per ± pair)."""
     tally: dict[int, int] = {}
-    for _, val in points_up_to(lll(G)[0], bound):
+    for _, val in points_up_to(reduce_gram(G)[0], bound):
         tally[val] = tally.get(val, 0) + 2
     return tally
 
@@ -226,7 +188,7 @@ def exists_value(G: list[list[int]], target: int) -> bool:
     """Whether some lattice vector has form value exactly target (early exit)."""
     if target == 0:
         return True
-    for _, val in points_up_to(lll(G)[0], target):
+    for _, val in points_up_to(reduce_gram(G)[0], target):
         if val == target:
             return True
     return False
@@ -235,16 +197,12 @@ def exists_value(G: list[list[int]], target: int) -> bool:
 def shortest_vector(G: list[list[int]]) -> tuple[tuple[int, ...], int]:
     """A canonical shortest nonzero vector: minimal value, then lexicographically
     least coordinate tuple after normalizing the sign of the first nonzero entry."""
-    # a basis vector of G' attains its least diagonal entry, so that bound
+    # basis vector 0 of G' attains its least diagonal entry, so that bound
     # holds every minimal vector; only those are mapped back by T
-    R, T = lll(G)
-    least = min(R[i][i] for i in range(len(R)))
-    tied: list[tuple[int, ...]] = []
-    for coords, val in points_up_to(R, least):
-        if val < least:
-            least, tied = val, []
-        if val == least:
-            tied.append(coords)
+    R, T = reduce_gram(G)
+    near = list(points_up_to(R, R[0][0]))
+    least = min(val for _, val in near)
+    tied = [c for c, val in near if val == least]
     canon = []
     for c in tied:
         x = tuple(sum(map(mul, c, col)) for col in zip(*T))

@@ -14,6 +14,7 @@ from ceisen.brandt import (
     rational_eigensystem,
     theta_weight2,
 )
+from ceisen.order import build_class_set
 from ceisen.qform import LevelConfig, mass
 
 LEVELS = ["level11", "level66", "level210"]
@@ -198,6 +199,24 @@ def test_eigenvalue_of_consistency(level11, eig11):
         prod = [sum(B.entries[i][j] * v[j] for j in range(2)) for i in range(2)]
         assert prod == [a * v[0], a * v[1]]
         assert a * a <= 4 * p
+
+
+def test_eigenvalue_of_rejects_a_non_eigenvector(level11):
+    # (1, 0) is not an eigenvector of B_2 at N = 11: the check must raise
+    # under any interpreter flags, not return the ratio read off at one entry
+    with pytest.raises(ArithmeticError):
+        eigenvalue_of(level11, (1, 0), 2)
+
+
+def test_eigensystem_level197():
+    # 17 classes: the all-ones line, one rational cusp line and a residual
+    # 15-dimensional block with no rational eigenvalue, so the residual split
+    # and its semisimplicity check run
+    eig = rational_eigensystem(build_class_set(LevelConfig.from_primes((197,), 1)))
+    assert eig.u_eigenvalues == {2: 3, 3: 4, 5: 6, 7: 8, 11: 12}
+    assert eig.lines == [({2: -2, 3: 0, 5: 0, 7: -3, 11: 4},
+                          (0, 0, 0, 1, -1, 1, -1, -1, 1, 1, -1, -1, 1, 0, 0, 0, 0))]
+    assert eig.unresolved == [(15, {})]
 
 
 def test_eigensystem_determinism(level11):
