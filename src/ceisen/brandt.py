@@ -2,18 +2,22 @@
 
 The (i, j) entry of the m-th Brandt matrix counts lattice points of a fixed
 norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
-All matrices commute, have the all-ones vector as an eigenvector, and are
-semisimple (conjugate to symmetric), so the rational simultaneous eigenspaces
-can be extracted exactly with integer root searches on characteristic
-polynomials.  Each one-dimensional eigenspace other than the all-ones line is
-a rational cusp line, handed on as a plain integer vector v; q-series are
-plain tuples of exact coefficients.
+For m ≥ 1 the entries are integers, as `_pair_counts` certifies; B_0 holds
+the Fractions 1/e_j.  The counts are symmetric in (i, j), so every B_m is
+self-adjoint for ⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple; all commute and
+have the all-ones vector as an eigenvector.  So the rational simultaneous
+eigenspaces can be extracted exactly with integer root searches on
+characteristic polynomials.  Each one-dimensional eigenspace other than the
+all-ones line is a rational cusp line, handed on as a plain integer vector v;
+q-series are plain tuples of exact coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .arith import factorize, is_prime
 from .lattice import counts_by_value
@@ -59,24 +63,24 @@ def expected_row_sum(m: int, cfg: LevelConfig) -> int:
 
 @dataclass(frozen=True)
 class BrandtMatrix:
-    """The n×n matrix B_m, entries b_ij(m) = (pair count)/e_j, exact."""
+    """The n×n matrix B_m, entries b_ij(m) = (pair count)/e_j: ints, or 1/e_j at m = 0."""
 
     m: int
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return len(self.entries)
 
-    def row_sums(self) -> list[Fraction]:
-        return [sum(row, Fraction(0)) for row in self.entries]
+    def row_sums(self) -> list[int]:
+        return [sum(row) for row in self.entries]
 
-    def trace(self) -> Fraction:
-        return sum((self.entries[i][i] for i in range(self.n)), Fraction(0))
+    def trace(self) -> int:
+        return sum(self.entries[i][i] for i in range(self.n))
 
-    def __matmul__(self, other: "BrandtMatrix") -> tuple[tuple[Fraction, ...], ...]:
-        prod = mat_mul([list(r) for r in self.entries], [list(r) for r in other.entries])
-        return tuple(tuple(row) for row in prod)
+    def __matmul__(self, other: "BrandtMatrix") -> tuple[tuple[int, ...], ...]:
+        cols = list(zip(*other.entries))
+        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
 
 
 def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
@@ -84,6 +88,8 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
 
     Counts are symmetric in (i, j) (conjugation gives a norm-preserving
     bijection between the two pairing lattices), so only i ≤ j is enumerated.
+    The units of both right orders act freely on each norm's vectors, so every
+    count is checked to be a multiple of lcm(e_i, e_j): B_m (m ≥ 1) is integral.
     Results live on classes.cache and are extended when a larger bound is
     requested.
     """
@@ -100,12 +106,15 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
             # W's integer Gram is den_W² times its norm form, so norm m·N_i·N_j
             # is the value m·scale
             scale = Ii.norm * Ij.norm * W.den**2
+            units = lcm(classes.e[i], classes.e[j])
             raw = counts_by_value(W.gram(), int(bound * scale))
             per_m: dict[int, int] = {}
             for val, cnt in raw.items():
                 m, rem = divmod(val, scale)
                 if rem:
                     raise ArithmeticError("pairing lattice norm not divisible by N_i·N_j")
+                if cnt % units:
+                    raise ArithmeticError("pair count not divisible by lcm(e_i, e_j)")
                 per_m[m] = cnt
             counts[(i, j)] = per_m
             counts[(j, i)] = per_m
@@ -124,7 +133,7 @@ def brandt_matrix(classes: IdealClassSet, m: int) -> BrandtMatrix:
         return BrandtMatrix(0, tuple(row for _ in range(n)))
     counts = _pair_counts(classes, m)
     entries = tuple(
-        tuple(Fraction(counts[(i, j)].get(m, 0), classes.e[j]) for j in range(n))
+        tuple(counts[(i, j)].get(m, 0) // classes.e[j] for j in range(n))
         for i in range(n)
     )
     return BrandtMatrix(m, entries)
@@ -136,23 +145,23 @@ def brandt_matrices_upto(classes: IdealClassSet, m_max: int) -> list[BrandtMatri
     return [brandt_matrix(classes, m) for m in range(m_max + 1)]
 
 
-def theta_weight2(classes: IdealClassSet, i: int, j: int, m_max: int) -> tuple[Fraction, ...]:
+def theta_weight2(classes: IdealClassSet, i: int, j: int, m_max: int) -> tuple[Fraction | int, ...]:
     """Coefficients b_ij(0..m_max) of θ_ij = Σ_m b_ij(m) q^m, classes i, j in 1..n."""
     if not (1 <= i <= classes.n and 1 <= j <= classes.n):
         raise ValueError("class indices are 1-based and must be in 1..n")
     counts = _pair_counts(classes, max(m_max, 1))
     e_j = classes.e[j - 1]
     per_m = counts[(i - 1, j - 1)]
-    return (Fraction(1, e_j),) + tuple(Fraction(per_m.get(m, 0), e_j) for m in range(1, m_max + 1))
+    return (Fraction(1, e_j),) + tuple(per_m.get(m, 0) // e_j for m in range(1, m_max + 1))
 
 
-def eisenstein_e2(classes: IdealClassSet, m_max: int) -> tuple[Fraction, ...]:
+def eisenstein_e2(classes: IdealClassSet, m_max: int) -> tuple[Fraction | int, ...]:
     """The weight-2 Eisenstein series: constant term = mass, then row sums b_m."""
     cfg = classes.cfg
     const = classes.total_mass()
     if const != mass(cfg):
         raise ArithmeticError("class-set mass disagrees with the formula")
-    return (const,) + tuple(Fraction(expected_row_sum(m, cfg)) for m in range(1, m_max + 1))
+    return (const,) + tuple(expected_row_sum(m, cfg) for m in range(1, m_max + 1))
 
 
 class EigenSplitError(Exception):
@@ -199,7 +208,7 @@ class _Block:
         return len(self.basis)
 
 
-def _restrict(B: tuple[tuple[Fraction, ...], ...], blk: _Block) -> list[list[Fraction]]:
+def _restrict(B: tuple[tuple[int, ...], ...], blk: _Block) -> list[list[Fraction]]:
     """Matrix of x ↦ B·x on the block, in the block's RREF basis.
 
     With RREF basis V (pivot columns forming an identity), the image rows
@@ -215,7 +224,7 @@ def _restrict(B: tuple[tuple[Fraction, ...], ...], blk: _Block) -> list[list[Fra
     return A
 
 
-def _split_block(blk: _Block, B, p: int, norm: Fraction) -> list[_Block]:
+def _split_block(blk: _Block, B, p: int, norm: int) -> list[_Block]:
     """Refine one invariant block by the rational eigenspaces of B_p on it;
     norm is ||B_p||_inf, the largest absolute row sum."""
     A = _restrict(B, blk)
@@ -225,7 +234,7 @@ def _split_block(blk: _Block, B, p: int, norm: Fraction) -> list[_Block]:
     k = len(A)
     den, Ad = clear_denominators(A)
     # every eigenvalue on the block is one of B, so |den·λ| <= den·||B||_inf
-    lams = [Fraction(r, den) for r in integer_roots(charpoly(Ad), int(den * norm))]
+    lams = [Fraction(r, den) for r in integer_roots(charpoly(Ad), den * norm)]
 
     # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
     # eigenvectors of A and invariant subspaces are row spaces, lifted to
@@ -301,14 +310,15 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
 
 
 def eigenvalue_of(classes: IdealClassSet, v: tuple[int, ...], p: int) -> int:
-    """a_p for a known eigenvector v: read off from one nonzero coordinate."""
-    B = brandt_matrix(classes, p).entries
+    """The integer a_p for a known eigenvector v, read off one coordinate and checked on all."""
     n = classes.n
+    if len(v) != n:
+        raise ValueError(f"need one weight per class ({n}), got {len(v)}")
+    if not any(v):
+        raise ValueError("the zero vector is not an eigenvector")
+    Bv = [sum(map(mul, row, v)) for row in brandt_matrix(classes, p).entries]
     i = next(i for i in range(n) if v[i])
-    lam = sum((B[i][j] * v[j] for j in range(n)), Fraction(0)) / v[i]
-    # verify on all coordinates
-    if any(sum(B[r][j] * v[j] for j in range(n)) != lam * v[r] for r in range(n)):
+    lam, rem = divmod(Bv[i], v[i])
+    if rem or any(Bv[r] != lam * v[r] for r in range(n)):
         raise ArithmeticError(f"v is not an eigenvector of B_{p}")
-    if lam.denominator != 1:
-        raise ArithmeticError(f"eigenvalue {lam} of B_{p} is not an integer")
-    return int(lam)
+    return lam

@@ -250,7 +250,7 @@ def _suite_rowsum(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
     checks = []
     for m in range(1, cfg.m_max + 1):
         sums = mats[m].row_sums()
-        expected = Fraction(expected_row_sum(m, cfg.level))
+        expected = expected_row_sum(m, cfg.level)
         ok = all(s == expected for s in sums)
         observed = sums[0] if len(set(sums)) == 1 else "nonconstant"
         checks.append((f"rowsum:m={m}", f"observed={observed};expected={expected}", ok))

@@ -154,7 +154,7 @@ def embedding_count_identity(classes: IdealClassSet, d: int) -> tuple[int, int]:
 @dataclass(frozen=True)
 class TraceCheckRow:
     m: int
-    lhs: Fraction  # Tr(B_m)
+    lhs: int | Fraction  # Tr(B_m): an int for m ≥ 1, the mass at m = 0
     rhs: Fraction  # Σ_{s² ≤ 4m} H(4m − s²)
     ok: bool
 

@@ -14,6 +14,7 @@ from ceisen.brandt import (
     rational_eigensystem,
     theta_weight2,
 )
+from ceisen.lattice import counts_by_value
 from ceisen.order import build_class_set
 from ceisen.qform import LevelConfig, mass
 
@@ -77,18 +78,34 @@ def test_b1_is_identity(classes):
 
 
 def test_b0_rows_and_trace(classes):
+    # B_0 is the one matrix of Fractions; for m >= 1 the entries, row sums,
+    # traces, products and weight-2 series coefficients are all plain ints
     B0 = brandt_matrix(classes, 0)
     n = classes.n
     for i in range(n):
         for j in range(n):
-            assert B0.entries[i][j] == Fraction(1, classes.e[j])
+            x = B0.entries[i][j]
+            assert type(x) is Fraction and x == Fraction(1, classes.e[j])
     assert B0.trace() == mass(classes.cfg)
+    mats = brandt_matrices_upto(classes, 30)
+    for m in range(1, 31):
+        B = mats[m]
+        assert all(type(x) is int for row in B.entries for x in row), m
+        assert all(type(s) is int for s in B.row_sums()), m
+        assert type(B.trace()) is int, m
+        assert all(type(x) is int for row in B @ mats[31 - m] for x in row), m
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            theta = theta_weight2(classes, i, j, 30)
+            assert type(theta[0]) is Fraction
+            assert all(type(x) is int for x in theta[1:])
+    assert all(type(x) is int for x in eisenstein_e2(classes, 30)[1:])
 
 
 def test_row_sums(classes):
     mats = brandt_matrices_upto(classes, 50)
     for m in range(1, 51):
-        expected = Fraction(expected_row_sum(m, classes.cfg))
+        expected = expected_row_sum(m, classes.cfg)
         assert all(s == expected for s in mats[m].row_sums()), m
 
 
@@ -206,6 +223,31 @@ def test_eigenvalue_of_rejects_a_non_eigenvector(level11):
     # under any interpreter flags, not return the ratio read off at one entry
     with pytest.raises(ArithmeticError):
         eigenvalue_of(level11, (1, 0), 2)
+
+
+def test_eigenvalue_of_rejects_malformed_vectors(level11):
+    # a wrong length and the zero vector are input errors, not eigenvectors
+    with pytest.raises(ValueError, match="need one weight per class"):
+        eigenvalue_of(level11, (2, -3, 1), 2)
+    with pytest.raises(ValueError):
+        eigenvalue_of(level11, (0, 0), 2)
+
+
+def test_pair_count_certificate(monkeypatch):
+    # every pair count is a multiple of lcm(e_i, e_j) (here e = (4, 6));
+    # one tally off by a ± pair must raise under any interpreter flags.  A
+    # fresh class set keeps the session fixtures' cached counts untouched.
+    classes = build_class_set(LevelConfig.from_primes((11,), 1))
+    assert sorted(classes.e) == [4, 6]
+
+    def skewed(G, bound):
+        tally = counts_by_value(G, bound)
+        tally[min(tally)] += 2
+        return tally
+
+    monkeypatch.setattr("ceisen.brandt.counts_by_value", skewed)
+    with pytest.raises(ArithmeticError, match="lcm"):
+        brandt_matrix(classes, 2)
 
 
 def test_eigensystem_level197():
