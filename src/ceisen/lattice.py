@@ -15,7 +15,10 @@ Fincke-Pohst then pays for that skew.  The tallies and `exists_value`
 enumerate G' and map nothing back, because c ↦ c·T keeps the value and the
 gcd of the coordinates.  `shortest_vector` maps back only its minimal
 vectors, so its tie-break on the coordinates of G does not change.
-`points_up_to` enumerates the G it is given.
+`points_up_to` enumerates the G it is given and certifies it positive
+definite (`definite_echelon`), so each consumer runs one Bareiss elimination:
+`reduce_gram` stops only at a diagonal entry <= 0, and as T is unimodular,
+G' is definite exactly when G is.
 
 Bareiss elimination (`linalg.echelon`) of G gives integer rows U whose
 diagonal holds the leading minors d_1..d_n of G (d_0 = 1), and
@@ -74,9 +77,9 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
     starts at 0, or at 1 for c_0, so the half-space costs no filter.  G must
     be an integer symmetric positive definite matrix and bound an int.
     """
+    U, e = definite_echelon(G)
     if bound < 0:
         return
-    U, e = definite_echelon(G)
     n = len(U)
     g = [gcd(*row) for row in U]
     r = [[x // g[i] for x in U[i]] for i in range(n)]
@@ -117,13 +120,15 @@ def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 
     Pairwise Lagrange reduction: while some |2·G_ij| > G_jj with i ≠ j, set
     b_i ← b_i − q·b_j with q the integer nearest G_ij/G_jj, taking the b_j in
-    order of length.  That lowers G_ii by G_jj·(x² − (q − x)²) > 0 with
-    x = G_ij/G_jj, so the loop ends.  Then the basis is ordered by ascending
-    diagonal, and 2·|G'_ij| <= min(G'_ii, G'_jj).
-    ValueError unless G is positive definite (`definite_echelon`).  The result
-    is checked: ArithmeticError unless det T = ±1 and T·G·Tᵀ equals G'.
+    order of length.  That lowers the integer G_ii by G_jj·(x² − (q − x)²) > 0
+    with x = G_ij/G_jj, and a diagonal entry <= 0, which no positive-definite
+    G reaches, raises ValueError, so the loop ends on every G.  Then the basis
+    is ordered by ascending diagonal, and 2·|G'_ij| <= min(G'_ii, G'_jj).
+    A G that is not definite but keeps a positive diagonal is left to the
+    consumer's `points_up_to`: its `definite_echelon(G')` certifies G', and so
+    G, as T is unimodular.  The result is checked: ArithmeticError unless
+    det T = ±1 and T·G·Tᵀ equals G'.
     """
-    definite_echelon(G)
     n = len(G)
     R = [list(row) for row in G]
     T = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -131,6 +136,8 @@ def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     while not done:
         done = True
         for j in sorted(range(n), key=lambda k: R[k][k]):
+            if R[j][j] <= 0:
+                raise ValueError("form is not positive definite")
             for i in range(n):
                 if i != j and 2 * abs(R[i][j]) > R[j][j]:
                     q = (2 * R[i][j] + R[j][j]) // (2 * R[j][j])

@@ -12,13 +12,17 @@ cut out by a splitting idempotent of O/qO, multiplied with `quat_mul` on the
 order's rows and read back in its coordinates by `Lat4.coords_of`.  Left
 ideal classes are enumerated by a neighbor walk at the smallest good prime,
 stopped exactly by the mass formula, with equivalence tests only between
-ideals of equal normalized theta series.
+ideals of equal normalized theta series.  A walk step finds the (p+1)²
+isotropic points mod p of the integer norm form, one quadratic in the last
+coordinate per projective prefix, and canonicalizes only the p+1 points
+that lie in no neighbor found before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from math import gcd, prod
 
 from .arith import factorize, is_prime, valuation
@@ -88,7 +92,22 @@ class Lat4:
         return Fraction(prod(row[k] for k, row in enumerate(self.rows)), self.den**4)
 
     def contains(self, x) -> bool:
-        return all(v.denominator == 1 for v in self.coords_of(x))
+        """Whether the rational 4-tuple x lies in the lattice."""
+        d, (row,) = clear_denominators([x])
+        return self.holds(d, row)
+
+    def holds(self, d: int, v) -> bool:
+        """Whether the integer row v over d lies in the lattice: d·c·H = den·v
+        must have an integer solution c, found by forward substitution on the
+        upper-triangular rows H."""
+        c: list[int] = []
+        for m in range(4):
+            acc = self.den * v[m] - d * sum(ck * row[m] for ck, row in zip(c, self.rows))
+            ck, rem = divmod(acc, d * self.rows[m][m])
+            if rem:
+                return False
+            c.append(ck)
+        return True
 
     def coords_of(self, x) -> list[Fraction]:
         """The c with x = Σ c_k·b_k: solve c·H = den·x by forward substitution
@@ -381,37 +400,63 @@ def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
 
 
 def _neighbor_ideals(R: OrderLattice, p: int) -> list[Lat4]:
-    """The p+1 left R-ideals of reduced norm p (p coprime to disc(R)).
+    """The p+1 left R-ideals of reduced norm p (p coprime to disc(R)), sorted
+    by (den, rows).
 
-    For each projective x = Σ c_k·rows_k/den with p | N(x), the ideal
-    p·R + R·x is spanned by p·den·rows_k and rows_k·x over den².
+    R/pR is the matrix ring M_2(F_p) with the determinant as norm, so the
+    x = Σ c_k·rows_k/den with c nonzero mod p and p | N(x) are the (p+1)²
+    projective points of a quadric (`_isotropic_points`).  The ideal
+    p·R + R·x, spanned by p·den·rows_k and rows_k·x over den², is the one
+    left ideal of norm p that holds x, and each of the p+1 ideals holds p+1
+    of the points.  So a point is canonicalized only when it lies in no ideal
+    found before (`Lat4.holds`), and every point is visited: ArithmeticError
+    unless the norm form is integral on R and the points give exactly p+1
+    ideals.
     """
     L = R.lattice
-    a, b, rows, d2 = L.algebra.a, L.algebra.b, L.rows, L.den**2
-    scaled = [tuple(p * L.den * v for v in row) for row in rows]
-    seen: dict[tuple, Lat4] = {}
-    for c in _projective_tuples(p):
+    a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
+    d2 = den * den
+    G = L.gram()
+    # N(x) = Σ_{k<=l} Q_kl·c_k·c_l with Q_kk = G_kk/den² and Q_kl = 2·G_kl/den²
+    Q = [[(1 + (k < l)) * G[k][l] if k <= l else 0 for l in range(4)] for k in range(4)]
+    if any(v % d2 for row in Q for v in row):
+        raise ArithmeticError("the norm form is not integral on the order")
+    scaled = [tuple(p * den * v for v in row) for row in rows]
+    found: list[Lat4] = []
+    for c in _isotropic_points([[v // d2 for v in row] for row in Q], p):
         x = _combine(c, rows)
-        n, rem = divmod(norm_pair(a, b, x, x), d2)
-        assert rem == 0
-        if n % p:
-            continue
-        K = _canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows])
-        seen.setdefault((K.den, K.rows), K)
-    out = sorted(seen.values(), key=lambda K: (K.den, K.rows))
-    assert len(out) == p + 1, f"expected {p + 1} neighbors, got {len(out)}"
-    return out
+        if not any(K.holds(den, x) for K in found):
+            found.append(_canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows]))
+    if len(found) != p + 1:
+        raise ArithmeticError(f"expected {p + 1} neighbors, got {len(found)}")
+    return sorted(found, key=lambda K: (K.den, K.rows))
 
 
-def _projective_tuples(p: int):
-    """Coordinate tuples with first nonzero entry 1: one per projective point."""
-    for lead in range(4):
-        head = [0] * lead + [1]
-        tails = [[]]
-        for _ in range(3 - lead):
-            tails = [t + [v] for t in tails for v in range(p)]
-        for t in tails:
-            yield head + t
+def _isotropic_points(Q, p: int):
+    """The 4-tuples c with first nonzero entry 1 (one per projective point mod
+    p) and Σ_{k<=l} Q_kl·c_k·c_l ≡ 0 mod p: by the position of the leading 1,
+    then lexicographically.
+
+    On a prefix (c_0, c_1, c_2) the form is α + β·t + γ·t² in the last entry
+    t, with γ = Q_33 the same for every prefix.  One pass over (β, t) tables
+    the roots t of β·t + γ·t² ≡ -α for every (β, α), so each of the
+    p² + p + 1 prefixes costs one lookup, at p = 2 and at γ ≡ 0 as well.
+    The last point (0, 0, 0, 1) is isotropic iff γ ≡ 0.
+    """
+    g = Q[3][3] % p
+    roots: list[list[list[int]]] = [[[] for _ in range(p)] for _ in range(p)]
+    for beta in range(p):
+        for t in range(p):
+            roots[beta][-(beta * t + g * t * t) % p].append(t)
+    for lead in range(3):
+        for tail in product(range(p), repeat=2 - lead):
+            c = (0,) * lead + (1,) + tail
+            alpha = sum(Q[k][l] * c[k] * c[l] for k in range(3) for l in range(k, 3)) % p
+            beta = sum(Q[k][3] * c[k] for k in range(3)) % p
+            for t in roots[beta][alpha]:
+                yield (*c, t)
+    if g == 0:
+        yield (0, 0, 0, 1)
 
 
 @dataclass

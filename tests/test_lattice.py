@@ -8,6 +8,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
+import ceisen.lattice as lattice_module
 from ceisen.lattice import (
     counts_by_value,
     counts_with_primitive,
@@ -178,6 +179,39 @@ def test_non_definite_grams_raise(G):
     for call in (counts_by_value, counts_with_primitive, exists_value):
         with pytest.raises(ValueError):
             call(G, 5)
+
+
+def test_semidefinite_gram_with_positive_diagonal_raises():
+    # G·(1, 1, 1) = 0, yet every diagonal entry is 2 and 2·|G_ij| <= G_jj:
+    # reduce_gram takes no step and returns G, and the Bareiss certificate
+    # of points_up_to rejects it in every consumer
+    G = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
+    assert reduce_gram(G) == (G, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    for bound in (5, -1):
+        with pytest.raises(ValueError):
+            list(points_up_to(G, bound))
+    with pytest.raises(ValueError):
+        shortest_vector(G)
+    for call in (counts_by_value, counts_with_primitive, exists_value):
+        with pytest.raises(ValueError):
+            call(G, 5)
+
+
+def test_one_bareiss_per_consumer(monkeypatch):
+    calls = [0]
+
+    def counted(G):
+        calls[0] += 1
+        return definite_echelon(G)
+
+    monkeypatch.setattr(lattice_module, "definite_echelon", counted)
+    for n in (1, 2, 3, 4):
+        for G, bound, _ in cases(n):
+            for run in (lambda: counts_by_value(G, bound), lambda: counts_with_primitive(G, bound),
+                        lambda: exists_value(G, G[0][0]), lambda: shortest_vector(G)):
+                calls[0] = 0
+                run()
+                assert calls[0] == 1
 
 
 def skew(rng: random.Random, n: int):

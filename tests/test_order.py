@@ -13,6 +13,7 @@ from ceisen.order import (
     CacheError,
     Lat4,
     LeftIdeal,
+    OrderLattice,
     build_class_set,
     classes_from_json,
     classes_to_json,
@@ -30,6 +31,7 @@ from ceisen.order import (
     unit_count,
     unit_ideal,
     _covolume_certificate,
+    _isotropic_points,
     _neighbor_ideals,
 )
 from ceisen.qform import LevelConfig, mass
@@ -450,3 +452,114 @@ def test_bucketed_walk_matches_unbucketed(monkeypatch, primes, M):
     assert classes_to_json(cs) == classes_to_json(ref)
     assert hits == ref_hits
     assert calls < ref_calls
+
+
+# --- the neighbour step against the full scan it replaced ------------------
+
+
+def reference_projective_tuples(p: int):
+    """Coordinate tuples with first nonzero entry 1: one per projective point."""
+    for lead in range(4):
+        head = [0] * lead + [1]
+        tails = [[]]
+        for _ in range(3 - lead):
+            tails = [t + [v] for t in tails for v in range(p)]
+        for t in tails:
+            yield head + t
+
+
+def reference_neighbor_ideals(R, p: int) -> list[Lat4]:
+    """The neighbour step as a full scan: every projective point is tested,
+    and every isotropic one is canonicalized."""
+    L = R.lattice
+    a, b, rows, d2 = L.algebra.a, L.algebra.b, L.rows, L.den**2
+    scaled = [tuple(p * L.den * v for v in row) for row in rows]
+    seen: dict[tuple, Lat4] = {}
+    for c in reference_projective_tuples(p):
+        x = order_module._combine(c, rows)
+        n, rem = divmod(norm_pair(a, b, x, x), d2)
+        assert rem == 0
+        if n % p:
+            continue
+        K = order_module._canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows])
+        seen.setdefault((K.den, K.rows), K)
+    out = sorted(seen.values(), key=lambda K: (K.den, K.rows))
+    assert len(out) == p + 1, f"expected {p + 1} neighbors, got {len(out)}"
+    return out
+
+
+def norm_form(R) -> list[list[int]]:
+    """Q with N(Σ c_k·b_k) = Σ_{k<=l} Q_kl·c_k·c_l on the basis of R."""
+    G, d2 = R.lattice.gram(), R.lattice.den**2
+    return [[(1 + (k < l)) * G[k][l] // d2 if k <= l else 0 for l in range(4)] for k in range(4)]
+
+
+@pytest.fixture(scope="module")
+def level210_m2():
+    return build_class_set(LevelConfig.from_primes((3, 5, 7), 2))
+
+
+def test_neighbor_ideals_match_full_scan(order11, level210_m2, level389):
+    cases = [(order11, p) for p in (2, 3, 5, 7)]
+    cases += [(R, 11) for R in level210_m2.right_orders]
+    # at N = 389 the walk prime 2 divides the denominator of some right orders
+    assert any(R.lattice.den % 2 == 0 for R in level389.right_orders)
+    cases += [(R, 2) for R in level389.right_orders]
+    for R, p in cases:
+        assert _neighbor_ideals(R, p) == reference_neighbor_ideals(R, p)
+
+
+def scanned_points(Q, p: int) -> list[tuple]:
+    return [tuple(c) for c in reference_projective_tuples(p)
+            if sum(Q[k][l] * c[k] * c[l] for k in range(4) for l in range(k, 4)) % p == 0]
+
+
+def test_isotropic_points_are_the_scanned_points(order11, level210_m2):
+    # R/pR is M_2(F_p) at a good p, and its nonzero singular matrices are
+    # (p+1)² projective points, at p = 2 as well
+    cases = [(order11, p) for p in (2, 3, 5, 7, 13)]
+    cases += [(R, p) for R in level210_m2.right_orders[:2] for p in (11, 13)]
+    for R, p in cases:
+        Q = norm_form(R)
+        got = list(_isotropic_points(Q, p))
+        assert len(got) == (p + 1) ** 2
+        assert got == scanned_points(Q, p)
+    # no order above has Q_33 ≡ 0: random forms reach the linear and the
+    # constant equation in t, and the point (0, 0, 0, 1)
+    rng = random.Random(17)
+    for p in (2, 3, 5, 7):
+        for trial in range(12):
+            Q = [[rng.randint(-9, 9) if k <= l else 0 for l in range(4)] for k in range(4)]
+            if trial % 2:
+                Q[3][3] = p * rng.randint(-2, 2)
+            if trial % 4 == 3:
+                Q[0][3] = Q[1][3] = Q[2][3] = 0
+            assert list(_isotropic_points(Q, p)) == scanned_points(Q, p)
+
+
+def test_neighbor_step_canonicalizes_once_per_neighbor(monkeypatch, order11, level210_m2):
+    calls = [0]
+    canonical = order_module._canonical
+
+    def counted(*args):
+        calls[0] += 1
+        return canonical(*args)
+
+    monkeypatch.setattr(order_module, "_canonical", counted)
+    cases = [(order11, p) for p in (2, 3, 7)] + [(R, 11) for R in level210_m2.right_orders]
+    for R, p in cases:
+        calls[0] = 0
+        assert len(_neighbor_ideals(R, p)) == p + 1
+        assert calls[0] == p + 1
+
+
+def test_neighbor_certificates_raise(order11, hurwitz):
+    # at a ramified p, R/pR is not M_2(F_p): the points give fewer ideals
+    with pytest.raises(ArithmeticError, match="neighbors"):
+        _neighbor_ideals(order11, 11)
+    with pytest.raises(ArithmeticError, match="neighbors"):
+        _neighbor_ideals(hurwitz, 2)
+    # half the Hurwitz order is no order: its norms lie in Z/4
+    L = hurwitz.lattice
+    with pytest.raises(ArithmeticError, match="integral"):
+        _neighbor_ideals(OrderLattice(Lat4(L.algebra, 2 * L.den, L.rows)), 3)
