@@ -5,33 +5,27 @@ norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
 For m ≥ 1 the entries are integers, as `_pair_counts` certifies; B_0 holds
 the Fractions 1/e_j.  The counts are symmetric in (i, j), so every B_m is
 self-adjoint for ⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple; all commute and
-have the all-ones vector as an eigenvector.  So the rational simultaneous
-eigenspaces can be extracted exactly with integer root searches on
-characteristic polynomials.  Each one-dimensional eigenspace other than the
-all-ones line is a rational cusp line, handed on as a plain integer vector v;
-q-series are plain tuples of exact coefficients.
+have the all-ones vector as an eigenvector.  For a prime p ∤ N, a rational
+eigenvalue of B_p is an integer, and it is either p + 1 (the all-ones line)
+or the a_p of a weight-2 cusp form, with |a_p| ≤ 2√p by the Ramanujan–
+Petersson bound, which in weight 2 is a theorem (Eichler–Shimura, Weil).  So
+the rational eigenlines are found as kernels of B_p − a over those few a,
+prime by prime, with no characteristic polynomial.  Each one-dimensional
+eigenspace other than the all-ones line is a rational cusp line, handed on
+as a plain integer vector v; q-series are plain tuples of exact coefficients.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 
 from .arith import factorize, is_prime
 from .lattice import counts_by_value
-from .linalg import (
-    charpoly,
-    clear_denominators,
-    identity,
-    integer_roots,
-    mat_mul,
-    nullspace,
-    primitive_vector,
-    rref,
-    transpose,
-)
+from .linalg import charpoly  # noqa: F401  no caller; benchmarks/tracer.py wraps it at this site
+from .linalg import mat_mul, nullspace, primitive_vector, rref, transpose
 from .order import IdealClassSet, product_lattice
 from .qform import LevelConfig, mass
 
@@ -176,8 +170,10 @@ class EigenSystem:
     lines holds each remaining one-dimensional rational eigenspace as
     (eigenvalue map, v), sorted by eigenvalue tuple, with v normalized so
     that (v_i/w_i) is a primitive integer vector whose first nonzero entry is
-    positive.  unresolved lists the dimensions of rational-irreducible blocks
-    of dimension > 1 (with any rational eigenvalues they do carry).
+    positive.  unresolved lists (dimension, eigenvalue map) for every
+    simultaneous kernel of dimension > 1 left after the last prime, then for
+    every part set aside because B_p has no rational eigenvector on it, with
+    the eigenvalues its block had at the primes before p.
     """
 
     classes: IdealClassSet
@@ -201,7 +197,7 @@ def good_primes(cfg: LevelConfig, count: int) -> list[int]:
 class _Block:
     basis: list[list[Fraction]]  # RREF rows spanning the subspace
     pivots: list[int]
-    eigs: dict[int, Fraction]
+    eigs: dict[int, int]
 
     @property
     def dim(self) -> int:
@@ -224,42 +220,43 @@ def _restrict(B: tuple[tuple[int, ...], ...], blk: _Block) -> list[list[Fraction
     return A
 
 
-def _split_block(blk: _Block, B, p: int, norm: int) -> list[_Block]:
-    """Refine one invariant block by the rational eigenspaces of B_p on it;
-    norm is ||B_p||_inf, the largest absolute row sum."""
-    A = _restrict(B, blk)
-    if blk.dim == 1:
-        blk.eigs[p] = A[0][0]
-        return [blk]
-    k = len(A)
-    den, Ad = clear_denominators(A)
-    # every eigenvalue on the block is one of B, so |den·λ| <= den·||B||_inf
-    lams = [Fraction(r, den) for r in integer_roots(charpoly(Ad), den * norm)]
+def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Block], int]:
+    """The kernels of B_p − a on one invariant block, for every integer a
+    that can be a rational eigenvalue of B_p, and the dimension left over.
 
+    Each nonzero kernel becomes a block with eigenvalue a at p.  The rest of
+    the block holds no rational eigenvector of B_p, so no rational line, and
+    it is only counted.  Kernels for distinct a must be orthogonal for
+    Σ x_i·y_i·weights_i (weights_i ∝ 1/e_i), as B_p is self-adjoint for it.
+    """
+    A = _restrict(B, blk)
+    k = len(A)
+    if k == 1:
+        a = A[0][0]
+        if a.denominator != 1:
+            raise ArithmeticError(f"non-integer eigenvalue {a} of B_{p} on a line")
+        blk.eigs[p] = int(a)
+        return [blk], 0
     # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
     # eigenvectors of A and invariant subspaces are row spaces, lifted to
     # Q^n by right multiplication with the block basis
-    out = []
+    r = isqrt(4 * p)
+    out: list[_Block] = []
     consumed = 0
-    for lam in lams:
-        shifted_T = [[A[c][r] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
+    for a in [*range(-r, r + 1), p + 1]:
+        shifted_T = [[A[c][i] - (a if i == c else 0) for c in range(k)] for i in range(k)]
         null = nullspace(shifted_T)
         if not null:
             continue
         basis, pivots = rref(mat_mul(null, blk.basis))
-        out.append(_Block(basis, pivots, {**blk.eigs, p: lam}))
+        for prev in out:
+            if any(sum(map(mul, x, map(mul, y, weights))) for x in basis for y in prev.basis):
+                raise ArithmeticError(f"eigenspaces of B_{p} not orthogonal for Σ x_i·y_i/e_i")
+        out.append(_Block(basis, pivots, {**blk.eigs, p: a}))
         consumed += len(basis)
-    if consumed < k:
-        # residual block: row space of Π(A - λI) over the rational eigenvalues
-        R = identity(k)
-        for lam in lams:
-            shifted = [[A[r][c] - (lam if r == c else 0) for c in range(k)] for r in range(k)]
-            R = mat_mul(R, shifted)
-        basis, pivots = rref(mat_mul(R, blk.basis))
-        if len(basis) != k - consumed:
-            raise ArithmeticError("semisimplicity violated")
-        out.append(_Block(basis, pivots, dict(blk.eigs)))
-    return out
+        if consumed == k:
+            break
+    return out, k - consumed
 
 
 def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
@@ -267,30 +264,37 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     at the first five primes coprime to N.
 
     Every one-dimensional piece other than the all-ones line is reported with
-    integer eigenvalues and its normalized vector; blocks that stay higher-
-    dimensional are reported as unresolved.  EigenSplitError is raised if the
-    all-ones line itself does not separate.
+    integer eigenvalues and its normalized vector; kernels that stay higher-
+    dimensional, and the parts set aside as holding no rational line, are
+    reported as unresolved.  EigenSplitError is raised if the all-ones line
+    itself does not separate.
     """
     cfg = classes.cfg
     primes = good_primes(cfg, 5)
     n = classes.n
-    blocks = [_Block(*rref(identity(n)), eigs={})]
+    e_lcm = lcm(*classes.e)
+    weights = [e_lcm // e for e in classes.e]
+    unit_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    blocks = [_Block(unit_rows, list(range(n)), {})]
+    set_aside: list[tuple[int, dict[int, int]]] = []
     _pair_counts(classes, max(primes))  # one sweep serves every B_p
     for p in primes:
         B = brandt_matrix(classes, p).entries
-        norm = max(sum(map(abs, row)) for row in B)
-        blocks = [piece for blk in blocks for piece in _split_block(blk, B, p, norm)]
+        split: list[_Block] = []
+        for blk in blocks:
+            kernels, rest = _split_block(blk, B, p, weights)
+            split += kernels
+            if rest:
+                set_aside.append((rest, dict(blk.eigs)))
+        blocks = split
     u_eigs: dict[int, int] = {}
     lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
-    unresolved: list[tuple[int, dict[int, int]]] = []
+    unresolved = [(blk.dim, blk.eigs) for blk in blocks if blk.dim != 1] + set_aside
     w = classes.w
     for blk in blocks:
-        if any(l.denominator != 1 for l in blk.eigs.values()):
-            raise ArithmeticError("non-integer rational eigenvalue")
-        eigs = {p: int(l) for p, l in blk.eigs.items()}
         if blk.dim != 1:
-            unresolved.append((blk.dim, eigs))
             continue
+        eigs = blk.eigs
         x = blk.basis[0]
         if all(x[i] == x[0] for i in range(n)):
             for p in primes:

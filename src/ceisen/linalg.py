@@ -5,8 +5,10 @@ Matrices are lists of rows.  Rational routines take Fraction or int entries
 and return Fractions; they run on integers inside: `mat_mul` clears each
 factor to integer rows over one denominator, and `mat_det` and `rref` clear
 the matrix and run the one Gaussian elimination, the fraction-free `echelon`.
-`charpoly` and `integer_roots` take and return plain ints, and `hnf` and
-`int_kernel` work on integer matrices.  No floating point anywhere.
+`hnf` and `int_kernel` work on integer matrices.  `charpoly` takes and
+returns plain ints; no src path calls it, and it is kept as the independent
+reference the tests check the Brandt eigensystem against.  No floating
+point anywhere.
 
 `hnf` inserts rows one at a time into a triangular basis, merging two rows
 at a pivot column by one extended gcd (Cohen, GTM 138, §2.4.2); every
@@ -19,12 +21,8 @@ the algorithm that computes their HNF.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from operator import mul
-
-
-def identity(n: int) -> list[list[Fraction]]:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
@@ -122,46 +120,6 @@ def charpoly(A: list[list[int]]) -> list[int]:
     return coeffs
 
 
-def poly_eval(coeffs, x):
-    """Horner evaluation of sum_i coeffs[i]·x^i (ints stay ints)."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
-def integer_roots(coeffs: list[int], bound: int) -> list[int]:
-    """Integer roots r with |r| <= bound of a monic integer polynomial.
-
-    A nonzero integer root divides the constant term c of the polynomial with
-    its x^k factor stripped, and either |r| or |c/r| is at most isqrt(|c|).
-    So testing the divisors d <= min(bound, isqrt(|c|)), and each cofactor
-    |c|/d only when it is <= bound, finds every root of absolute value
-    <= bound, at a cost set by the bound rather than by |c|.  For the
-    charpoly of a restriction of a matrix B (scaled by den) to an invariant
-    subspace, bound = den·||B||_inf covers every root: each eigenvalue there
-    is an eigenvalue of B, and the spectral radius is at most the inf-norm.
-    Returns roots sorted ascending, each listed once.
-    """
-    cs = [int(c) for c in coeffs]
-    if cs != list(coeffs):
-        raise ValueError("integer_roots expects integer coefficients")
-    # strip x^k factor
-    k = 0
-    while cs[k] == 0 and k < len(cs) - 1:
-        k += 1
-    roots = [0] if k > 0 else []
-    c0 = abs(cs[k])
-    cand = set()
-    for d in range(1, min(bound, isqrt(c0)) + 1):
-        if c0 % d == 0:
-            cand.update((d, -d))
-            if c0 // d <= bound:
-                cand.update((c0 // d, -(c0 // d)))
-    roots.extend(r for r in cand if poly_eval(cs, r) == 0)
-    return sorted(set(roots))
-
-
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form of a rational matrix: (nonzero rows, pivot columns).
 
@@ -170,6 +128,11 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
     is divided by its pivot.  The RREF is unique, so this equals elimination over Q.
     """
     U, pivots, _ = echelon(clear_denominators(rows)[1])
+    return _reduce_upward(U, pivots), pivots
+
+
+def _reduce_upward(U: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
+    """The RREF rows over Q from integer echelon rows U (modified in place)."""
     for k, c in enumerate(pivots):
         a, top = U[k][c], U[k]
         for i in range(k):
@@ -178,13 +141,19 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
                 row = [a * x - b * y for x, y in zip(U[i], top)]
                 g = gcd(*row)
                 U[i] = [x // g for x in row] if g > 1 else row
-    return [[Fraction(x, U[i][c]) for x in U[i]] for i, c in enumerate(pivots)], pivots
+    return [[Fraction(x, U[i][c]) for x in U[i]] for i, c in enumerate(pivots)]
 
 
 def nullspace(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {x : A·x = 0}, as primitive integer vectors (canonical RREF order)."""
+    """Basis of {x : A·x = 0}, as primitive integer vectors (canonical RREF order).
+
+    A matrix of full column rank returns [] after the forward elimination alone.
+    """
     n = len(A[0]) if A else 0
-    R, pivots = rref(A)
+    U, pivots, _ = echelon(clear_denominators(A)[1])
+    if len(pivots) == n:
+        return []
+    R = _reduce_upward(U, pivots)
     basis = []
     for fc in range(n):
         if fc in pivots:

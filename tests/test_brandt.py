@@ -1,10 +1,11 @@
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 
 from ceisen.arith import factorize
 from ceisen.brandt import (
+    BrandtMatrix,
     brandt_matrices_upto,
     brandt_matrix,
     eigenvalue_of,
@@ -15,6 +16,7 @@ from ceisen.brandt import (
     theta_weight2,
 )
 from ceisen.lattice import counts_by_value
+from ceisen.linalg import charpoly
 from ceisen.order import build_class_set
 from ceisen.qform import LevelConfig, mass
 
@@ -250,15 +252,79 @@ def test_pair_count_certificate(monkeypatch):
         brandt_matrix(classes, 2)
 
 
-def test_eigensystem_level197():
-    # 17 classes: the all-ones line, one rational cusp line and a residual
-    # 15-dimensional block with no rational eigenvalue, so the residual split
-    # and its semisimplicity check run
-    eig = rational_eigensystem(build_class_set(LevelConfig.from_primes((197,), 1)))
+@pytest.fixture(scope="module")
+def level197():
+    return build_class_set(LevelConfig.from_primes((197,), 1))
+
+
+def test_eigensystem_level197(level197):
+    # 17 classes: the all-ones line, one rational cusp line, and a
+    # 15-dimensional part with no rational eigenvector of B_2, set aside at
+    # the first prime
+    eig = rational_eigensystem(level197)
     assert eig.u_eigenvalues == {2: 3, 3: 4, 5: 6, 7: 8, 11: 12}
     assert eig.lines == [({2: -2, 3: 0, 5: 0, 7: -3, 11: 4},
                           (0, 0, 0, 1, -1, 1, -1, -1, 1, 1, -1, -1, 1, 0, 0, 0, 0))]
     assert eig.unresolved == [(15, {})]
+
+
+def test_eigensystem_level389():
+    # 33 classes: the rational cusp line is the rank-2 curve 389a; the other
+    # 31 dimensions hold no rational eigenvector of B_2 and are set aside
+    # whole (a full refinement would report blocks of dimension 2, 3 and 26)
+    eig = rational_eigensystem(build_class_set(LevelConfig.from_primes((389,), 1)))
+    assert eig.u_eigenvalues == {2: 3, 3: 4, 5: 6, 7: 8, 11: 12}
+    assert eig.lines == [({2: -2, 3: -2, 5: -3, 7: -5, 11: -4},
+                          (0, 0, 0, 1, -1, -1, 1, -1, -1, 2, 0, -1, -1, 0, 1, 1, 0,
+                           -2, 2, 1, 0, 1, 0, 0, 1, -2, -1, 0, 1, -2, -1, 0, 2))]
+    assert eig.unresolved == [(31, {})]
+
+
+def horner(coeffs: list[int], x: int) -> int:
+    """Σ coeffs[i]·x^i, low degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@pytest.mark.parametrize("name", ["level11", "level66", "level197", "level210"])
+def test_hasse_candidates_hold_every_rational_eigenvalue(request, name):
+    # the kernel search tries only |a| <= isqrt(4p) and a = p + 1; against the
+    # characteristic polynomial, every integer eigenvalue of B_p (all lie in
+    # |a| <= ||B_p||_inf = p + 1) is one of those
+    classes = request.getfixturevalue(name)
+    for p in good_primes(classes.cfg, 5):
+        cp = charpoly(brandt_matrix(classes, p).entries)
+        roots = [a for a in range(-p - 1, p + 2) if horner(cp, a) == 0]
+        assert p + 1 in roots
+        assert all(abs(a) <= isqrt(4 * p) or a == p + 1 for a in roots), (name, p, roots)
+
+
+def test_eigenspaces_must_be_orthogonal(monkeypatch, level11):
+    # B_2 = [[1, 2], [1, 2]] has eigenvalues 0 and 3 = b_2, so without the
+    # check (2, -1) would pass as a cusp line; its eigenvectors (2, -1) and
+    # (1, 1) are not orthogonal for Σ x_i·y_i/e_i with e = (4, 6), so it must
+    # raise under any interpreter flags
+    assert sorted(level11.e) == [4, 6]
+    real = brandt_matrix
+
+    def skewed(classes, m):
+        return BrandtMatrix(2, ((1, 2), (1, 2))) if m == 2 else real(classes, m)
+
+    monkeypatch.setattr("ceisen.brandt.brandt_matrix", skewed)
+    with pytest.raises(ArithmeticError, match="not orthogonal"):
+        rational_eigensystem(level11)
+
+
+def test_line_eigenvalue_must_be_an_integer(monkeypatch, level11):
+    # B_3 = I/2 keeps both lines found at p = 2 invariant, with eigenvalue
+    # 1/2 on each: a one-dimensional block must raise, not record a Fraction
+    real = brandt_matrix
+    half = BrandtMatrix(3, ((Fraction(1, 2), 0), (0, Fraction(1, 2))))
+    monkeypatch.setattr("ceisen.brandt.brandt_matrix", lambda c, m: half if m == 3 else real(c, m))
+    with pytest.raises(ArithmeticError, match="non-integer eigenvalue"):
+        rational_eigensystem(level11)
 
 
 def test_eigensystem_determinism(level11):

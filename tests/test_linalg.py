@@ -1,7 +1,6 @@
 """The exact linear algebra behind the Brandt eigensystem, against independent oracles."""
 
 import random
-import time
 from fractions import Fraction
 from itertools import product
 
@@ -13,11 +12,9 @@ from ceisen.linalg import (
     echelon,
     hnf,
     int_kernel,
-    integer_roots,
     mat_det,
     mat_mul,
     nullspace,
-    poly_eval,
     rref,
 )
 
@@ -47,19 +44,12 @@ def low_rank_matrix(rng: random.Random, m: int, n: int, rank: int) -> list[list[
             for i in range(m)]
 
 
-def poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def poly_from_factors(*factors: list[int]) -> list[int]:
-    out = [1]
-    for f in factors:
-        out = poly_mul(out, f)
-    return out
+def horner(coeffs: list[int], x: int) -> int:
+    """Σ coeffs[i]·x^i, low degree first."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def naive_rref(rows):
@@ -132,7 +122,7 @@ def test_charpoly_matches_determinant():
         # det(xI - A) at n + 1 points pins a monic polynomial of degree n
         for x in range(-(n // 2), n - n // 2 + 1):
             shifted = [[(x if i == j else 0) - A[i][j] for j in range(n)] for i in range(n)]
-            assert poly_eval(cp, x) == mat_det(shifted), (A, x)
+            assert horner(cp, x) == mat_det(shifted), (A, x)
 
 
 def test_charpoly_accepts_integral_fractions():
@@ -144,54 +134,6 @@ def test_charpoly_accepts_integral_fractions():
 def test_charpoly_rejects_non_integral(A):
     with pytest.raises(ValueError):
         charpoly(A)
-
-
-# ---------------------------------------------------------------------------
-# integer_roots
-
-
-def brute_roots(cs: list[int], bound: int) -> list[int]:
-    return [r for r in range(-bound, bound + 1) if poly_eval(cs, r) == 0]
-
-
-def test_integer_roots_against_brute_force():
-    rng = random.Random(SEED + 1)
-    irreducible = [[1, 0, 1], [-2, 0, 1], [3, 1, 1], [-5, 0, 0, 1]]  # x²+1, x²-2, x²+x+3, x³-5
-    for _ in range(60):
-        factors = [[-rng.randint(-40, 40), 1] for _ in range(rng.randint(0, 5))]
-        factors += [[0, 1]] * rng.choice([0, 0, 1, 2, 3])  # zero root, often repeated
-        factors += rng.sample(irreducible, rng.randint(0, 2))
-        cs = poly_from_factors(*factors)
-        bound = rng.randint(0, 50)
-        assert integer_roots(cs, bound) == brute_roots(cs, bound)
-
-
-def test_integer_roots_cofactor_above_isqrt():
-    # 7 > isqrt(7): found only as the cofactor of the divisor 1
-    cs = poly_from_factors([-7, 1], [-1, 1])
-    assert integer_roots(cs, 7) == [1, 7]
-    assert integer_roots(cs, 6) == [1]
-
-
-def test_integer_roots_zero_polynomials():
-    assert integer_roots([1], 5) == []
-    assert integer_roots([0, 0, 0, 1], 5) == [0]
-    assert integer_roots([0, 0, 1], 0) == [0]
-
-
-def test_integer_roots_cost_follows_the_bound():
-    # the constant term carries a ~64-bit factor with no integer root
-    q = (1 << 64) + 13
-    cs = poly_from_factors([-3, 1], [5, 1], [0, 1], [0, 1], [-q, 0, 1])
-    t0 = time.perf_counter()
-    roots = integer_roots(cs, 40)
-    assert time.perf_counter() - t0 < 1.0
-    assert roots == [-5, 0, 3]
-
-
-def test_integer_roots_rejects_non_integral():
-    with pytest.raises(ValueError):
-        integer_roots([Fraction(1, 2), 1], 3)
 
 
 # ---------------------------------------------------------------------------
