@@ -195,7 +195,7 @@ def good_primes(cfg: LevelConfig, count: int) -> list[int]:
 
 @dataclass
 class _Block:
-    basis: list[list[Fraction]]  # RREF rows spanning the subspace
+    basis: list[list[int]]  # RREF rows, each primitive with a positive pivot
     pivots: list[int]
     eigs: dict[int, int]
 
@@ -204,20 +204,21 @@ class _Block:
         return len(self.basis)
 
 
-def _restrict(B: tuple[tuple[int, ...], ...], blk: _Block) -> list[list[Fraction]]:
-    """Matrix of x ↦ B·x on the block, in the block's RREF basis.
+def _restrict(B: tuple[tuple[int, ...], ...], blk: _Block) -> tuple[list[list[int]], int]:
+    """(dA, d): the matrix A of x ↦ B·x on the block in its basis V, as d·A.
 
-    With RREF basis V (pivot columns forming an identity), the image rows
-    W = V·Bᵀ satisfy W = A·V with A = W[:, pivots]; the reconstruction is
-    checked exactly.
+    V is a scaled RREF, so row s is the only one nonzero at its pivot c_s, and
+    the image rows W = V·Bᵀ satisfy W = A·V with A[r][s] = W[r][c_s]/V[s][c_s].
+    d is the lcm of the pivots, and dA·V == d·W is checked exactly.
     """
     V = blk.basis
     W = mat_mul(V, transpose(B))
-    A = [[W[r][c] for c in blk.pivots] for r in range(len(V))]
-    # exact invariance check: A·V must reproduce W
-    if mat_mul(A, V) != W:
+    d = lcm(*(V[s][c] for s, c in enumerate(blk.pivots)))
+    scale = [d // V[s][c] for s, c in enumerate(blk.pivots)]
+    dA = [[w[c] * f for c, f in zip(blk.pivots, scale)] for w in W]
+    if mat_mul(dA, V) != [[d * x for x in w] for w in W]:
         raise ArithmeticError("subspace not invariant under the Brandt matrix")
-    return A
+    return dA, d
 
 
 def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Block], int]:
@@ -229,13 +230,13 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
     it is only counted.  Kernels for distinct a must be orthogonal for
     Σ x_i·y_i·weights_i (weights_i ∝ 1/e_i), as B_p is self-adjoint for it.
     """
-    A = _restrict(B, blk)
-    k = len(A)
+    dA, d = _restrict(B, blk)
+    k = len(dA)
     if k == 1:
-        a = A[0][0]
-        if a.denominator != 1:
-            raise ArithmeticError(f"non-integer eigenvalue {a} of B_{p} on a line")
-        blk.eigs[p] = int(a)
+        a, rem = divmod(dA[0][0], d)
+        if rem:
+            raise ArithmeticError(f"non-integer eigenvalue {dA[0][0]}/{d} of B_{p} on a line")
+        blk.eigs[p] = a
         return [blk], 0
     # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
     # eigenvectors of A and invariant subspaces are row spaces, lifted to
@@ -244,7 +245,8 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
     out: list[_Block] = []
     consumed = 0
     for a in [*range(-r, r + 1), p + 1]:
-        shifted_T = [[A[c][i] - (a if i == c else 0) for c in range(k)] for i in range(k)]
+        ad = a * d
+        shifted_T = [[dA[c][i] - (ad if i == c else 0) for c in range(k)] for i in range(k)]
         null = nullspace(shifted_T)
         if not null:
             continue
@@ -274,7 +276,7 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     n = classes.n
     e_lcm = lcm(*classes.e)
     weights = [e_lcm // e for e in classes.e]
-    unit_rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    unit_rows = [[int(i == j) for j in range(n)] for i in range(n)]
     blocks = [_Block(unit_rows, list(range(n)), {})]
     set_aside: list[tuple[int, dict[int, int]]] = []
     _pair_counts(classes, max(primes))  # one sweep serves every B_p
@@ -291,6 +293,7 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
     unresolved = [(blk.dim, blk.eigs) for blk in blocks if blk.dim != 1] + set_aside
     w = classes.w
+    w_lcm = lcm(*w)
     for blk in blocks:
         if blk.dim != 1:
             continue
@@ -303,9 +306,9 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
                     raise ArithmeticError(f"all-ones eigenvalue {eigs[p]} != b_{p} = {bp}")
             u_eigs = eigs
             continue
-        ratios = [x[i] / w[i] for i in range(n)]
-        prim = primitive_vector(ratios)
-        vvec = tuple(int(prim[i] * w[i]) for i in range(n))
+        # (x_i/w_i) scaled by lcm(w) to integers, made primitive, times w_i
+        prim = primitive_vector([x[i] * (w_lcm // w[i]) for i in range(n)])
+        vvec = tuple(prim[i] * w[i] for i in range(n))
         lines.append((eigs, vvec))
     if not u_eigs:
         raise EigenSplitError(f"the all-ones line did not separate at the primes {primes}")

@@ -1,14 +1,15 @@
-"""Exact linear algebra over Q and Z, sized for rank-4 lattices and the
-Brandt eigensystem.
+"""Exact linear algebra over Z, sized for rank-4 lattices and the Brandt
+eigensystem.
 
-Matrices are lists of rows.  Rational routines take Fraction or int entries
-and return Fractions; they run on integers inside: `mat_mul` clears each
-factor to integer rows over one denominator, and `mat_det` and `rref` clear
-the matrix and run the one Gaussian elimination, the fraction-free `echelon`.
-`hnf` and `int_kernel` work on integer matrices.  `charpoly` takes and
-returns plain ints; no src path calls it, and it is kept as the independent
-reference the tests check the Brandt eigensystem against.  No floating
-point anywhere.
+Matrices are lists of integer rows.  `mat_mul`, `rref`, `nullspace` and
+`primitive_vector` take and return ints, and every elimination is the one
+fraction-free Gaussian elimination `echelon`: `rref` scales each reduced row
+to a primitive integer row with a positive pivot, which is unique, so it
+equals Gauss–Jordan over Q up to row scaling.  `mat_det` alone takes rational
+entries (it clears them to one denominator) and returns a Fraction.  `hnf` and
+`int_kernel` work on integer matrices.  `charpoly` takes and returns plain
+ints; no src path calls it, and it is kept as the independent reference the
+tests check the Brandt eigensystem against.  No floating point anywhere.
 
 `hnf` inserts rows one at a time into a triangular basis, merging two rows
 at a pivot column by one extended gcd (Cohen, GTM 138, §2.4.2); every
@@ -25,19 +26,12 @@ from math import gcd, lcm
 from operator import mul
 
 
-def mat_mul(A: list[list[Fraction]], B: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact product A·B of rational (Fraction or int) matrices, as Fractions.
-
-    Each factor is cleared to integer rows over one common denominator, so the
-    inner products run on Python ints and each entry is built once as
-    Fraction(sum, d_A·d_B).
-    """
-    assert len(A[0]) == len(B)
-    dA, Ai = clear_denominators(A)
-    dB, Bi = clear_denominators(B)
-    d = dA * dB
-    cols = list(zip(*Bi))
-    return [[Fraction(sum(map(mul, row, col)), d) for col in cols] for row in Ai]
+def mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    """Exact product A·B of integer matrices; ValueError on mismatched shapes."""
+    if A and len(A[0]) != len(B):
+        raise ValueError(f"cannot multiply a {len(A)}x{len(A[0])} by a {len(B)}-row matrix")
+    cols = list(zip(*B))
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def clear_denominators(A) -> tuple[int, list[list[int]]]:
@@ -92,7 +86,7 @@ def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
 def charpoly(A: list[list[int]]) -> list[int]:
     """Coefficients [c_0, ..., c_{n-1}, 1] of det(xI - A), low degree first.
 
-    A must have integer entries (ints, or Fractions with denominator 1);
+    A must have integer entries (integral values are converted to int);
     anything else raises ValueError.  Faddeev-LeVerrier over Z with one
     product per step: M_1 = I, c_{n-k} = -tr(A·M_k)/k, and
     M_{k+1} = A·M_k + c_{n-k}·I.  The division is exact because the c_i are
@@ -120,19 +114,20 @@ def charpoly(A: list[list[int]]) -> list[int]:
     return coeffs
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form of a rational matrix: (nonzero rows, pivot columns).
+def rref(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of an integer matrix, each row scaled to a
+    primitive integer row with a positive pivot: (nonzero rows, pivot columns).
 
-    From the echelon form of the cleared rows, an upward pass r_i <- a·r_i - b·r_k
-    with the row's content divided out clears each pivot column, then each row
-    is divided by its pivot.  The RREF is unique, so this equals elimination over Q.
+    From the echelon form, an upward pass r_i <- a·r_i - b·r_k with the row's
+    content divided out clears each pivot column.  The scaled RREF is unique,
+    so row / pivot is the RREF over Q.
     """
-    U, pivots, _ = echelon(clear_denominators(rows)[1])
+    U, pivots, _ = echelon(rows)
     return _reduce_upward(U, pivots), pivots
 
 
-def _reduce_upward(U: list[list[int]], pivots: list[int]) -> list[list[Fraction]]:
-    """The RREF rows over Q from integer echelon rows U (modified in place)."""
+def _reduce_upward(U: list[list[int]], pivots: list[int]) -> list[list[int]]:
+    """The scaled RREF rows from integer echelon rows U (modified in place)."""
     for k, c in enumerate(pivots):
         a, top = U[k][c], U[k]
         for i in range(k):
@@ -141,41 +136,41 @@ def _reduce_upward(U: list[list[int]], pivots: list[int]) -> list[list[Fraction]
                 row = [a * x - b * y for x, y in zip(U[i], top)]
                 g = gcd(*row)
                 U[i] = [x // g for x in row] if g > 1 else row
-    return [[Fraction(x, U[i][c]) for x in U[i]] for i, c in enumerate(pivots)]
+    # a row's first nonzero entry is its pivot
+    return [primitive_vector(row) for row in U]
 
 
-def nullspace(A: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of {x : A·x = 0}, as primitive integer vectors (canonical RREF order).
+def nullspace(A: list[list[int]]) -> list[list[int]]:
+    """Basis of {x : A·x = 0} for an integer matrix, as primitive integer
+    vectors with first nonzero entry positive (canonical RREF order).
 
     A matrix of full column rank returns [] after the forward elimination alone.
     """
     n = len(A[0]) if A else 0
-    U, pivots, _ = echelon(clear_denominators(A)[1])
+    U, pivots, _ = echelon(A)
     if len(pivots) == n:
         return []
     R = _reduce_upward(U, pivots)
+    # free column fc set to L: pivot column pc of row i gets -R[i][fc]·L/R[i][pc]
+    L = lcm(*(row[c] for row, c in zip(R, pivots)))
     basis = []
     for fc in range(n):
         if fc in pivots:
             continue
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -R[i][fc]
+        v = [0] * n
+        v[fc] = L
+        for row, pc in zip(R, pivots):
+            v[pc] = -row[fc] * (L // row[pc])
         basis.append(primitive_vector(v))
     return basis
 
 
-def primitive_vector(v: list[Fraction]) -> list[Fraction]:
-    """Scale a nonzero rational vector to primitive integer form, first nonzero > 0."""
-    _, (ints,) = clear_denominators([v])
-    g = gcd(*ints)
-    if g:
-        ints = [x // g for x in ints]
-    lead = next((x for x in ints if x), 0)
-    if lead < 0:
-        ints = [-x for x in ints]
-    return [Fraction(x) for x in ints]
+def primitive_vector(v: list[int]) -> list[int]:
+    """Scale a nonzero integer vector to primitive form, first nonzero > 0."""
+    g = gcd(*v)
+    if next((x for x in v if x), 0) < 0:
+        g = -g
+    return [x // g for x in v] if g else list(v)
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

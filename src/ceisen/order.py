@@ -97,25 +97,20 @@ class Lat4:
         return self.holds(d, row)
 
     def holds(self, d: int, v) -> bool:
-        """Whether the integer row v over d lies in the lattice: d·c·H = den·v
-        must have an integer solution c, found by forward substitution on the
+        """Whether the integer row v over d lies in the lattice."""
+        return self.coords_of(d, v) is not None
+
+    def coords_of(self, d: int, v) -> list[int] | None:
+        """The integer c with v/d = Σ c_k·b_k, or None if v/d is not in the
+        lattice: d·c·H = den·v solved by forward substitution on the
         upper-triangular rows H."""
         c: list[int] = []
         for m in range(4):
             acc = self.den * v[m] - d * sum(ck * row[m] for ck, row in zip(c, self.rows))
             ck, rem = divmod(acc, d * self.rows[m][m])
             if rem:
-                return False
+                return None
             c.append(ck)
-        return True
-
-    def coords_of(self, x) -> list[Fraction]:
-        """The c with x = Σ c_k·b_k: solve c·H = den·x by forward substitution
-        on the upper-triangular rows H."""
-        c: list[Fraction] = []
-        for m in range(4):
-            acc = self.den * x[m] - sum(ck * row[m] for ck, row in zip(c, self.rows))
-            c.append(Fraction(acc, self.rows[m][m]))
         return c
 
     def conjugate(self) -> "Lat4":
@@ -288,12 +283,18 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
     L = O.lattice
     a, b, d2 = L.algebra.a, L.algebra.b, L.den**2
 
+    def coords(d: int, x) -> list[int]:
+        c = L.coords_of(d, x)
+        if c is None:
+            raise ArithmeticError("a product of order elements left the order")
+        return c
+
     def mul(c, c2) -> list[int]:
         """Coordinates mod q of x_c·x_c2, where x_c = Σ c_k·b_k lies in O."""
         x = quat_mul(a, b, _combine(c, L.rows), _combine(c2, L.rows))
-        return [int(v) % q for v in L.coords_of([Fraction(v, d2) for v in x])]
+        return [v % q for v in coords(d2, x)]
 
-    one = [int(c) for c in L.coords_of((1, 0, 0, 0))]
+    one = coords(1, (1, 0, 0, 0))
     # x² = trd(x)·x - nrd(x), so an idempotent mod q other than 0 and 1 has
     # trd(x) = 2·x₀ ≡ 1 mod q: the trace test skips most candidates cheaply
     e = next((list(c) for c in _nonzero_tuples(q)

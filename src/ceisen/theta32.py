@@ -135,12 +135,10 @@ def optimal_embedding_count(classes: IdealClassSet, i: int, d: int) -> int:
     u = unit_factor(d)
     _, prim = _ternary_counts(classes, i, -d)
     cnt = prim.get(-d, 0)
-    val = Fraction(u * cnt, classes.w[i - 1])
-    if val.denominator != 1:
-        raise ArithmeticError(
-            f"embedding count u(d)·{cnt}/w_{i} = {val} is not an integer (d={d})"
-        )
-    return int(val)
+    val, rem = divmod(u * cnt, classes.w[i - 1])
+    if rem:
+        raise ArithmeticError(f"embedding count u(d)·{cnt}/w_{i} is not an integer (d={d})")
+    return val
 
 
 def embedding_count_identity(classes: IdealClassSet, d: int) -> tuple[int, int]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 from .arith import is_prime, primes_up_to
 from .brandt import EigenSystem, _pair_counts, eigenvalue_of, expected_row_sum
@@ -86,10 +86,7 @@ def coefficient_congruence(
     if len(H) != len(G):
         raise CongruencePreconditionError("series cover different coefficient ranges")
     D_max = len(H) - 1
-    L = 1
-    for series in (H, G):
-        for c in series:
-            L = L * c.denominator // gcd(L, c.denominator)
+    L = lcm(*(c.denominator for c in (*H, *G)))
     A = [int(H[D] * L) for D in range(D_max + 1)]  # Eisenstein side, cleared
     B = [int(G[D] * L) for D in range(D_max + 1)]  # cusp side, cleared
     lam = None

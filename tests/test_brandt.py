@@ -327,6 +327,18 @@ def test_line_eigenvalue_must_be_an_integer(monkeypatch, level11):
         rational_eigensystem(level11)
 
 
+def test_block_must_be_invariant(monkeypatch, level11):
+    # B_2 splits Q² into the all-ones line and the cusp line; B_3 =
+    # [[1, 1], [0, 1]] maps (1, 1) to (2, 1), so the restriction to the
+    # all-ones block fails its exact check dA·V == d·W and must raise under
+    # any interpreter flags
+    real = brandt_matrix
+    shear = BrandtMatrix(3, ((1, 1), (0, 1)))
+    monkeypatch.setattr("ceisen.brandt.brandt_matrix", lambda c, m: shear if m == 3 else real(c, m))
+    with pytest.raises(ArithmeticError, match="not invariant"):
+        rational_eigensystem(level11)
+
+
 def test_eigensystem_determinism(level11):
     e1 = rational_eigensystem(level11)
     e2 = rational_eigensystem(level11)

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -144,17 +145,18 @@ def test_mat_mul_matches_naive_product():
     rng = random.Random(SEED + 2)
     for _ in range(40):
         n, k, m = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
-        A = random_rational_matrix(rng, n, k)
-        B = random_rational_matrix(rng, k, m)
-        naive = [[sum((Fraction(A[i][t]) * B[t][j] for t in range(k)), Fraction(0)) for j in range(m)]
-                 for i in range(n)]
+        A = random_int_matrix(rng, n, k, -30, 30)
+        B = random_int_matrix(rng, k, m, -30, 30)
+        naive = [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
         got = mat_mul(A, B)
         assert got == naive
-        assert all(type(x) is Fraction for row in got for x in row)
+        assert all(type(x) is int for row in got for x in row)
+        with pytest.raises(ValueError):
+            mat_mul(A, random_int_matrix(rng, k + 1, m))
 
 
 def test_mat_mul_all_int():
-    assert mat_mul([[1, 2], [3, 4]], [[5], [6]]) == [[Fraction(17)], [Fraction(39)]]
+    assert mat_mul([[1, 2], [3, 4]], [[5], [6]]) == [[17], [39]]
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +210,31 @@ def test_mat_det_matches_gaussian_elimination():
 
 
 def rref_cases():
+    """Integer matrices of every rank: low-rank rational products, cleared."""
     rng = random.Random(SEED + 3)
-    cases = [[], [[0, 0, 0]], [[Fraction(3), 0], [0, Fraction(1, 2)]]]
+    cases = [[], [[0, 0, 0]], [[3, 0], [0, 1]], [[0, -4, 6], [0, 2, -3]]]
     for _ in range(40):
         m, n = rng.randint(1, 7), rng.randint(1, 7)
-        cases.append(low_rank_matrix(rng, m, n, rng.randint(0, min(m, n))))
+        cases.append(clear_denominators(low_rank_matrix(rng, m, n, rng.randint(0, min(m, n))))[1])
     return cases
 
 
+def is_primitive(v) -> bool:
+    """Integer entries with gcd 1 and a positive first nonzero entry."""
+    return (all(type(x) is int for x in v) and gcd(*v) == 1
+            and next(x for x in v if x) > 0)
+
+
 def test_rref_matches_gauss_jordan_over_q():
+    # each row is the RREF row over Q scaled to a primitive integer row, with
+    # its pivot (its first nonzero entry) positive
     for A in rref_cases():
-        assert rref(A) == naive_rref(A), A
+        R, pivots = rref(A)
+        ref, ref_pivots = naive_rref(A)
+        assert pivots == ref_pivots, A
+        for row, c, r in zip(R, pivots, ref):
+            assert is_primitive(row) and row[c] > 0, A
+            assert [Fraction(x, row[c]) for x in row] == r, A
 
 
 def test_nullspace_kernel_and_rank():
@@ -228,8 +244,8 @@ def test_nullspace_kernel_and_rank():
         rank = len(rref(A)[1])
         assert rank + len(basis) == n, A
         for x in basis:
-            assert all(v.denominator == 1 for v in x), A
-            assert all(sum((Fraction(a) * v for a, v in zip(row, x)), Fraction(0)) == 0 for row in A), A
+            assert is_primitive(x), A
+            assert all(sum(a * v for a, v in zip(row, x)) == 0 for row in A), A
         # the basis is independent: its own rank equals its size
         assert len(rref(basis)[1]) == len(basis), A
 

@@ -8,7 +8,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 import ceisen.order as order_module
-from ceisen.linalg import mat_det
+from ceisen.linalg import clear_denominators, mat_det
 from ceisen.order import (
     CacheError,
     Lat4,
@@ -308,18 +308,22 @@ def test_norm_is_gcd_of_element_norms():
 
 
 def test_coords_round_trip_and_non_members():
+    # coords_of(d, v) reads the integer row v over d: integer coordinates for
+    # a member, None for anything outside the lattice
     for A, _, rng in lattice_cases():
         bs = A.basis
         for _ in range(5):
             c = [rng.randint(-9, 9) for _ in range(4)]
             x = combination(bs, c)
-            assert A.coords_of(x) == c == cramer_coords(bs, x)
-            assert combination(bs, A.coords_of(x)) == x
-            assert A.contains(x)
+            d, (row,) = clear_denominators([x])
+            assert A.coords_of(d, row) == c == cramer_coords(bs, x)
+            assert A.holds(d, row) and A.contains(x)
             m, r = rng.randrange(4), rng.choice([2, 3, 5])
             off = tuple(v + w / r for v, w in zip(x, bs[m]))
-            assert A.coords_of(off) == cramer_coords(bs, off)
-            assert not A.contains(off)
+            d, (row,) = clear_denominators([off])
+            assert any(k.denominator != 1 for k in cramer_coords(bs, off))
+            assert A.coords_of(d, row) is None
+            assert not A.holds(d, row) and not A.contains(off)
 
 
 def trace_pairing_discriminant(O) -> int:
