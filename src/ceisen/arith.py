@@ -1,5 +1,5 @@
 """Elementary number theory: primes, factorization, square-free kernels and
-the Kronecker symbol.
+the Kronecker symbol, and `certify`, the one check of an exact certificate.
 
 Inputs live at desk scale (|values| well under 10^7), so factorization is
 plain trial division and symbols are computed by the classical reciprocity
@@ -11,6 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+
+
+class CertificateError(ArithmeticError):
+    """An exact identity that a computed result must satisfy failed (a bug, not bad input)."""
+
+
+def certify(cond: bool, msg: str) -> None:
+    """Raise CertificateError(msg) unless cond; unlike `assert`, it holds under `python -O`."""
+    if not cond:
+        raise CertificateError(msg)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .arith import factorize, is_prime
+from .arith import certify, factorize, is_prime
 from .lattice import counts_by_value
 from .linalg import charpoly  # noqa: F401  no caller; benchmarks/tracer.py wraps it at this site
 from .linalg import mat_mul, nullspace, primitive_vector, rref, transpose
@@ -102,14 +102,11 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
             scale = Ii.norm * Ij.norm * W.den**2
             units = lcm(classes.e[i], classes.e[j])
             raw = counts_by_value(W.gram(), int(bound * scale))
-            per_m: dict[int, int] = {}
-            for val, cnt in raw.items():
-                m, rem = divmod(val, scale)
-                if rem:
-                    raise ArithmeticError("pairing lattice norm not divisible by N_i·N_j")
-                if cnt % units:
-                    raise ArithmeticError("pair count not divisible by lcm(e_i, e_j)")
-                per_m[m] = cnt
+            certify(all(val % scale == 0 for val in raw),
+                    "pairing lattice norm not divisible by N_i·N_j")
+            certify(all(cnt % units == 0 for cnt in raw.values()),
+                    "pair count not divisible by lcm(e_i, e_j)")
+            per_m = {val // scale: cnt for val, cnt in raw.items()}
             counts[(i, j)] = per_m
             counts[(j, i)] = per_m
     cache["bound"] = bound
@@ -153,8 +150,7 @@ def eisenstein_e2(classes: IdealClassSet, m_max: int) -> tuple[Fraction | int, .
     """The weight-2 Eisenstein series: constant term = mass, then row sums b_m."""
     cfg = classes.cfg
     const = classes.total_mass()
-    if const != mass(cfg):
-        raise ArithmeticError("class-set mass disagrees with the formula")
+    certify(const == mass(cfg), "class-set mass disagrees with the formula")
     return (const,) + tuple(expected_row_sum(m, cfg) for m in range(1, m_max + 1))
 
 
@@ -216,8 +212,8 @@ def _restrict(B: tuple[tuple[int, ...], ...], blk: _Block) -> tuple[list[list[in
     d = lcm(*(V[s][c] for s, c in enumerate(blk.pivots)))
     scale = [d // V[s][c] for s, c in enumerate(blk.pivots)]
     dA = [[w[c] * f for c, f in zip(blk.pivots, scale)] for w in W]
-    if mat_mul(dA, V) != [[d * x for x in w] for w in W]:
-        raise ArithmeticError("subspace not invariant under the Brandt matrix")
+    certify(mat_mul(dA, V) == [[d * x for x in w] for w in W],
+            "subspace not invariant under the Brandt matrix")
     return dA, d
 
 
@@ -233,10 +229,8 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
     dA, d = _restrict(B, blk)
     k = len(dA)
     if k == 1:
-        a, rem = divmod(dA[0][0], d)
-        if rem:
-            raise ArithmeticError(f"non-integer eigenvalue {dA[0][0]}/{d} of B_{p} on a line")
-        blk.eigs[p] = a
+        # B·x = a·x with B integral and x primitive (certified invariant), so a ∈ Z
+        blk.eigs[p] = dA[0][0] // d
         return [blk], 0
     # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
     # eigenvectors of A and invariant subspaces are row spaces, lifted to
@@ -251,9 +245,9 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
         if not null:
             continue
         basis, pivots = rref(mat_mul(null, blk.basis))
-        for prev in out:
-            if any(sum(map(mul, x, map(mul, y, weights))) for x in basis for y in prev.basis):
-                raise ArithmeticError(f"eigenspaces of B_{p} not orthogonal for Σ x_i·y_i/e_i")
+        certify(not any(sum(map(mul, x, map(mul, y, weights)))
+                        for prev in out for y in prev.basis for x in basis),
+                f"eigenspaces of B_{p} not orthogonal for Σ x_i·y_i/e_i")
         out.append(_Block(basis, pivots, {**blk.eigs, p: a}))
         consumed += len(basis)
         if consumed == k:
@@ -300,10 +294,8 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
         eigs = blk.eigs
         x = blk.basis[0]
         if all(x[i] == x[0] for i in range(n)):
-            for p in primes:
-                bp = expected_row_sum(p, cfg)
-                if eigs[p] != bp:
-                    raise ArithmeticError(f"all-ones eigenvalue {eigs[p]} != b_{p} = {bp}")
+            b = {p: expected_row_sum(p, cfg) for p in primes}
+            certify(eigs == b, f"all-ones eigenvalues {eigs} != b_p = {b}")
             u_eigs = eigs
             continue
         # (x_i/w_i) scaled by lcm(w) to integers, made primitive, times w_i
@@ -325,7 +317,6 @@ def eigenvalue_of(classes: IdealClassSet, v: tuple[int, ...], p: int) -> int:
         raise ValueError("the zero vector is not an eigenvector")
     Bv = [sum(map(mul, row, v)) for row in brandt_matrix(classes, p).entries]
     i = next(i for i in range(n) if v[i])
-    lam, rem = divmod(Bv[i], v[i])
-    if rem or any(Bv[r] != lam * v[r] for r in range(n)):
-        raise ArithmeticError(f"v is not an eigenvector of B_{p}")
+    lam = Bv[i] // v[i]
+    certify(all(Bv[r] == lam * v[r] for r in range(n)), f"v is not an eigenvector of B_{p}")
     return lam

@@ -47,7 +47,7 @@ from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Iterator
 
-from .arith import factorize
+from .arith import certify, factorize
 from .linalg import echelon
 
 
@@ -126,7 +126,7 @@ def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     is ordered by ascending diagonal, and 2·|G'_ij| <= min(G'_ii, G'_jj).
     A G that is not definite but keeps a positive diagonal is left to the
     consumer's `points_up_to`: its `definite_echelon(G')` certifies G', and so
-    G, as T is unimodular.  The result is checked: ArithmeticError unless
+    G, as T is unimodular.  The result is checked: CertificateError unless
     det T = ±1 and T·G·Tᵀ equals G'.
     """
     n = len(G)
@@ -151,11 +151,10 @@ def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     T = [T[i] for i in order]
 
     U, pivots, _ = echelon(T)
-    if len(pivots) < n or abs(U[-1][-1]) != 1:
-        raise ArithmeticError("reduction certificate failed: det T != ±1")
+    certify(len(pivots) == n and abs(U[-1][-1]) == 1, "reduction certificate failed: det T != ±1")
     TG = [[sum(map(mul, row, col)) for col in zip(*G)] for row in T]
-    if [[sum(map(mul, a, b)) for b in T] for a in TG] != R:
-        raise ArithmeticError("reduction certificate failed: T·G·Tᵀ != G'")
+    certify([[sum(map(mul, a, b)) for b in T] for a in TG] == R,
+            "reduction certificate failed: T·G·Tᵀ != G'")
     return R, T
 
 

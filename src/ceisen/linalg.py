@@ -8,8 +8,9 @@ to a primitive integer row with a positive pivot, which is unique, so it
 equals Gauss–Jordan over Q up to row scaling.  `mat_det` alone takes rational
 entries (it clears them to one denominator) and returns a Fraction.  `hnf` and
 `int_kernel` work on integer matrices.  `charpoly` takes and returns plain
-ints; no src path calls it, and it is kept as the independent reference the
-tests check the Brandt eigensystem against.  No floating point anywhere.
+ints.  Neither `mat_det` nor `charpoly` has a src caller: they are kept as the
+independent references the tests check lattices and the Brandt eigensystem
+against.  No floating point anywhere.
 
 `hnf` inserts rows one at a time into a triangular basis, merging two rows
 at a pivot column by one extended gcd (Cohen, GTM 138, §2.4.2); every
@@ -24,6 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+
+from .arith import certify
 
 
 def mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
@@ -105,8 +108,7 @@ def charpoly(A: list[list[int]]) -> list[int]:
         cols = list(zip(*M))
         AM = [[sum(map(mul, row, col)) for col in cols] for row in rows]
         c, rem = divmod(-sum(AM[i][i] for i in range(n)), k)
-        if rem:
-            raise ArithmeticError("Faddeev-LeVerrier trace not divisible by k")
+        certify(not rem, "Faddeev-LeVerrier trace not divisible by k")
         coeffs[n - k] = c
         for i in range(n):
             AM[i][i] += c

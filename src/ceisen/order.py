@@ -25,7 +25,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
-from .arith import factorize, is_prime, valuation
+from .arith import certify, factorize, is_prime, valuation
 from .lattice import counts_by_value, exists_value, shortest_vector
 from .linalg import clear_denominators, hnf, int_kernel
 from .qform import LevelConfig, mass
@@ -173,7 +173,7 @@ def reduced_discriminant(O: OrderLattice) -> int:
     determinant (4ab)², so d = 4·|ab|·covol(O).
     """
     d = 4 * abs(O.algebra.a * O.algebra.b) * O.lattice.covolume()
-    assert d.denominator == 1 and d > 0, "reduced discriminant must be a positive integer"
+    certify(d.denominator == 1 and d > 0, "reduced discriminant must be a positive integer")
     return int(d)
 
 
@@ -182,7 +182,7 @@ def unit_count(O: OrderLattice) -> int:
     value den² under the integer Gram matrix."""
     d2 = O.lattice.den**2
     cnt = counts_by_value(O.lattice.gram(), d2).get(d2, 0)
-    assert cnt % 2 == 0 and cnt > 0
+    certify(cnt % 2 == 0 and cnt > 0, "unit count must be positive and even")
     return cnt
 
 
@@ -249,7 +249,7 @@ def maximal_order(B: QuaternionAlgebra) -> OrderLattice:
     target = B.discriminant
     d = reduced_discriminant(O)
     while d != target:
-        assert d % target == 0, "discriminant should be a multiple of the ramified product"
+        certify(d % target == 0, "discriminant should be a multiple of the ramified product")
         excess = d // target
         p = factorize(excess).primes[0]
         O = _saturate_at(O, p)
@@ -285,8 +285,7 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
 
     def coords(d: int, x) -> list[int]:
         c = L.coords_of(d, x)
-        if c is None:
-            raise ArithmeticError("a product of order elements left the order")
+        certify(c is not None, "a product of order elements left the order")
         return c
 
     def mul(c, c2) -> list[int]:
@@ -310,9 +309,10 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
     # the c-parts of the integer kernel of [A | q·I] span {c : A·c ≡ 0 mod q}
     kernel = int_kernel([A[r] + [q * int(r == t) for t in range(4)] for r in range(4)])
     H = hnf([v[:4] for v in kernel])
-    assert prod(H[k][k] for k in range(4)) == q, "upper-triangular part mod q must have index q"
+    certify(prod(H[k][k] for k in range(4)) == q, "upper-triangular part mod q must have index q")
     sub = make_order(_canonical(L.algebra, L.den, [_combine(h, L.rows) for h in H]))
-    assert reduced_discriminant(sub) == q * reduced_discriminant(O)
+    certify(reduced_discriminant(sub) == q * reduced_discriminant(O),
+            "the level-q suborder must have discriminant q·disc(O)")
     return sub
 
 
@@ -327,8 +327,8 @@ class LeftIdeal:
     @classmethod
     def of(cls, order: OrderLattice, lattice: Lat4) -> "LeftIdeal":
         n = lattice.norm()
-        assert _covolume_certificate(order, lattice, n), (
-            "ideal is not locally principal (covolume certificate failed)")
+        certify(_covolume_certificate(order, lattice, n),
+                "ideal is not locally principal (covolume certificate failed)")
         return cls(order, lattice, n)
 
 
@@ -410,7 +410,7 @@ def _neighbor_ideals(R: OrderLattice, p: int) -> list[Lat4]:
     p·R + R·x, spanned by p·den·rows_k and rows_k·x over den², is the one
     left ideal of norm p that holds x, and each of the p+1 ideals holds p+1
     of the points.  So a point is canonicalized only when it lies in no ideal
-    found before (`Lat4.holds`), and every point is visited: ArithmeticError
+    found before (`Lat4.holds`), and every point is visited: CertificateError
     unless the norm form is integral on R and the points give exactly p+1
     ideals.
     """
@@ -420,16 +420,15 @@ def _neighbor_ideals(R: OrderLattice, p: int) -> list[Lat4]:
     G = L.gram()
     # N(x) = Σ_{k<=l} Q_kl·c_k·c_l with Q_kk = G_kk/den² and Q_kl = 2·G_kl/den²
     Q = [[(1 + (k < l)) * G[k][l] if k <= l else 0 for l in range(4)] for k in range(4)]
-    if any(v % d2 for row in Q for v in row):
-        raise ArithmeticError("the norm form is not integral on the order")
+    certify(all(v % d2 == 0 for row in Q for v in row),
+            "the norm form is not integral on the order")
     scaled = [tuple(p * den * v for v in row) for row in rows]
     found: list[Lat4] = []
     for c in _isotropic_points([[v // d2 for v in row] for row in Q], p):
         x = _combine(c, rows)
         if not any(K.holds(den, x) for K in found):
             found.append(_canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows]))
-    if len(found) != p + 1:
-        raise ArithmeticError(f"expected {p + 1} neighbors, got {len(found)}")
+    certify(len(found) == p + 1, f"expected {p + 1} neighbors, got {len(found)}")
     return sorted(found, key=lambda K: (K.den, K.rows))
 
 
@@ -464,9 +463,10 @@ def _isotropic_points(Q, p: int):
 class IdealClassSet:
     """Representatives of the left ideal classes of an order, with weights.
 
-    ideals[0] is the order itself.  For each class: its right order, the unit
-    count e_i of that right order, and w_i = e_i/2.  The accumulated mass
-    sum(1/e_i) equals the formula value exactly (certified on construction).
+    ideals[0] is the order itself.  For each class: its right order and the
+    unit count e_i of that right order; w_i = e_i/2 is derived from e.  The
+    accumulated mass sum(1/e_i) equals the formula value exactly (certified
+    on construction).
     """
 
     order: OrderLattice
@@ -474,12 +474,15 @@ class IdealClassSet:
     ideals: list[LeftIdeal]
     right_orders: list[OrderLattice]
     e: list[int]
-    w: list[int]
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return len(self.ideals)
+
+    @property
+    def w(self) -> list[int]:
+        return [e // 2 for e in self.e]
 
     @property
     def algebra(self) -> QuaternionAlgebra:
@@ -492,7 +495,7 @@ class IdealClassSet:
 def level_config_of(O: OrderLattice) -> LevelConfig:
     N = reduced_discriminant(O)
     P = O.algebra.discriminant
-    assert N % P == 0
+    certify(N % P == 0, "reduced discriminant must be a multiple of the ramified product")
     return LevelConfig.from_primes(O.algebra.ramified, N // P)
 
 
@@ -535,7 +538,6 @@ def classes_from_json(data: dict) -> IdealClassSet:
     O = eichler_order(Omax, cfg.M.value)
     ideals = []
     es = []
-    ws = []
     rights = []
     for rec in data["classes"]:
         try:
@@ -560,8 +562,7 @@ def classes_from_json(data: dict) -> IdealClassSet:
         ideals.append(I)
         rights.append(R)
         es.append(e)
-        ws.append(rec["w"])
-    cs = IdealClassSet(order=O, cfg=cfg, ideals=ideals, right_orders=rights, e=es, w=ws)
+    cs = IdealClassSet(order=O, cfg=cfg, ideals=ideals, right_orders=rights, e=es)
     if cs.total_mass() != mass(cfg):
         raise CacheError("cached classes do not satisfy the mass formula")
     if ideals and ideals[0].lattice != O.lattice:
@@ -629,12 +630,8 @@ def left_ideal_classes(O: OrderLattice) -> IdealClassSet:
                 raise MassOvershootError(
                     f"mass {acc} exceeds formula value {target} after {len(classes)} classes"
                 )
-    ws = []
-    for e in es:
-        assert e % 2 == 0
-        w = e // 2
-        assert 12 % w == 0, f"unit group order w={w} must divide 12"
-        ws.append(w)
-    for R in rights:
-        assert reduced_discriminant(R) == cfg.N, "right orders must share the level"
-    return IdealClassSet(order=O, cfg=cfg, ideals=classes, right_orders=rights, e=es, w=ws)
+    certify(all(e % 2 == 0 and 12 % (e // 2) == 0 for e in es),
+            "each unit count e_i must be even, with e_i/2 dividing 12")
+    certify(all(reduced_discriminant(R) == cfg.N for R in rights),
+            "right orders must share the level")
+    return IdealClassSet(order=O, cfg=cfg, ideals=classes, right_orders=rights, e=es)

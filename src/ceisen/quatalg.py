@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_prime, squarefree_kernel, valuation, kronecker
+from .arith import certify, factorize, is_prime, squarefree_kernel, valuation, kronecker
 
 
 class AlgebraSearchError(Exception):
@@ -73,8 +73,7 @@ def ramified_primes(a, b) -> tuple[int, ...]:
     ram = tuple(sorted(p for p in ps if hilbert_symbol(a, b, p) == -1))
     # product formula over all places: (-1)-count including infinity is even
     inf = hilbert_symbol(a, b, math.inf)
-    if (len(ram) + (1 if inf == -1 else 0)) % 2:
-        raise ArithmeticError("Hilbert product formula violated (bug)")
+    certify((len(ram) + (inf == -1)) % 2 == 0, "Hilbert product formula violated (bug)")
     return ram
 
 

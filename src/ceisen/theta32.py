@@ -15,9 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 
+from .arith import certify
 from .brandt import brandt_matrices_upto
 from .lattice import counts_with_primitive, definite_echelon
-from .linalg import int_kernel, mat_det
+from .linalg import int_kernel
 from .order import IdealClassSet, _canonical, _combine
 from .qform import class_number, fundamental_parts, local_factor, mass, unit_factor
 from .quatalg import norm_pair
@@ -29,10 +30,6 @@ class TernaryLattice:
 
     class_index: int
     gram: tuple[tuple[int, ...], ...]
-
-    @property
-    def det(self) -> int:
-        return int(mat_det(self.gram))
 
 
 def ternary_lattice(classes: IdealClassSet, i: int) -> TernaryLattice:
@@ -49,12 +46,12 @@ def ternary_lattice(classes: IdealClassSet, i: int) -> TernaryLattice:
     # trace of (Σ c_k·rows_k)/den vanishes iff Σ c_k · (2·first coord of row k) = 0
     trace_row = [[2 * L.rows[k][0] for k in range(4)]]
     kernel = int_kernel(trace_row)
-    assert len(kernel) == 3, "trace-zero sublattice must have rank 3"
+    certify(len(kernel) == 3, "trace-zero sublattice must have rank 3")
     elems = [_combine(v, L.rows) for v in kernel]
-    assert all(e[0] == 0 for e in elems)
+    certify(all(e[0] == 0 for e in elems), "trace-zero basis must have zero scalar part")
     d2 = L.den**2
     N = [[norm_pair(B.a, B.b, u, v) for v in elems] for u in elems]
-    assert all(x % d2 == 0 for row in N for x in row), "ternary Gram must be integral"
+    certify(all(x % d2 == 0 for row in N for x in row), "ternary Gram must be integral")
     G = tuple(tuple(x // d2 for x in row) for row in N)
     definite_echelon(G)  # raises if not positive definite
     lat = TernaryLattice(i, G)
@@ -68,8 +65,7 @@ def _ternary_counts(classes: IdealClassSet, i: int, bound: int) -> tuple[dict, d
     got = cache.get(i)
     if got is None or got["bound"] < bound:
         allc, prim = counts_with_primitive(ternary_lattice(classes, i).gram, bound)
-        for D in allc:
-            assert D % 4 in (0, 3), "represented value outside the plus space"
+        certify(all(D % 4 in (0, 3) for D in allc), "represented value outside the plus space")
         got = {"bound": bound, "all": allc, "prim": prim}
         cache[i] = got
     return got["all"], got["prim"]
@@ -112,7 +108,7 @@ def _theta_sum(
 def cohen_H(classes: IdealClassSet, D_max: int) -> tuple[Fraction, ...]:
     """The weight-3/2 Eisenstein series H = Σ g_i/w_i from lattice counts alone."""
     H = _theta_sum(classes, (1,) * classes.n, D_max)
-    assert H[0] == mass(classes.cfg), "class-set mass disagrees with the formula"
+    certify(H[0] == mass(classes.cfg), "class-set mass disagrees with the formula")
     return H
 
 
@@ -120,8 +116,8 @@ def cusp_G(classes: IdealClassSet, v: tuple[int, ...], D_max: int) -> tuple[Frac
     """The cusp-side series G = Σ v_i g_i/w_i of a rational cusp line v; its
     coefficients m_D (D ≥ 1) are integers."""
     G = _theta_sum(classes, v, D_max)
-    for D in range(1, D_max + 1):
-        assert G[D].denominator == 1, f"m_{D} is not an integer (normalization bug)"
+    D = next((D for D in range(1, D_max + 1) if G[D].denominator != 1), None)
+    certify(D is None, f"m_{D} is not an integer (normalization bug)")
     return G
 
 
@@ -130,14 +126,13 @@ def optimal_embedding_count(classes: IdealClassSet, i: int, d: int) -> int:
     discriminant d into R_i, as u(d)·(primitive vectors of norm |d|)/w_i.
 
     A d that is not a negative discriminant raises ValueError; a non-integer
-    value signals a lattice or unit-count bug and raises ArithmeticError.
+    value signals a lattice or unit-count bug and raises CertificateError.
     """
     u = unit_factor(d)
     _, prim = _ternary_counts(classes, i, -d)
     cnt = prim.get(-d, 0)
     val, rem = divmod(u * cnt, classes.w[i - 1])
-    if rem:
-        raise ArithmeticError(f"embedding count u(d)·{cnt}/w_{i} is not an integer (d={d})")
+    certify(not rem, f"embedding count u(d)·{cnt}/w_{i} is not an integer (d={d})")
     return val
 
 

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import ast
 import random
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import ceisen
 from ceisen.arith import (
+    CertificateError,
+    certify,
     factorize,
     is_prime,
     kronecker,
@@ -163,3 +168,27 @@ def test_fundamental_discriminant_of_field():
     assert parts[4 * 50] == 8
     for D in range(1, 51):
         assert (parts[4 * D] == D) == (parts[D] == D), D
+
+
+def test_certify_raises_certificate_error():
+    certify(True, "never raised")
+    with pytest.raises(CertificateError, match="^exact identity failed$"):
+        certify(False, "exact identity failed")
+    # existing `except ArithmeticError` handlers still catch it
+    assert issubclass(CertificateError, ArithmeticError)
+    assert ceisen.CertificateError is CertificateError
+
+
+def test_src_certificates_use_certify():
+    # an `assert` vanishes under `python -O`, and a bare ArithmeticError is not
+    # the certificate type: every certificate in src is one certify(...) call
+    found = []
+    for path in sorted(Path(ceisen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Assert):
+                found.append(f"{path.name}:{node.lineno}: assert")
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
+                    found.append(f"{path.name}:{node.lineno}: raise ArithmeticError")
+    assert found == []

@@ -8,6 +8,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 import ceisen.order as order_module
+from ceisen.arith import CertificateError
 from ceisen.linalg import clear_denominators, mat_det
 from ceisen.order import (
     CacheError,
@@ -193,6 +194,11 @@ def test_cache_rejects_corruption(classes11):
     bad = {**data, "classes": [dict(c) for c in data["classes"]]}
     bad["classes"][0]["e"] = 2
     with pytest.raises(CacheError):
+        classes_from_json(bad)
+    # w is derived from e, but the snapshot stores it and the reader checks it
+    bad = {**data, "classes": [dict(c) for c in data["classes"]]}
+    bad["classes"][0]["w"] += 1
+    with pytest.raises(CacheError, match="unit counts"):
         classes_from_json(bad)
     bad = {**data, "classes": data["classes"][:1]}
     with pytest.raises(CacheError):
@@ -559,11 +565,11 @@ def test_neighbor_step_canonicalizes_once_per_neighbor(monkeypatch, order11, lev
 
 def test_neighbor_certificates_raise(order11, hurwitz):
     # at a ramified p, R/pR is not M_2(F_p): the points give fewer ideals
-    with pytest.raises(ArithmeticError, match="neighbors"):
+    with pytest.raises(CertificateError, match="neighbors"):
         _neighbor_ideals(order11, 11)
-    with pytest.raises(ArithmeticError, match="neighbors"):
+    with pytest.raises(CertificateError, match="neighbors"):
         _neighbor_ideals(hurwitz, 2)
     # half the Hurwitz order is no order: its norms lie in Z/4
     L = hurwitz.lattice
-    with pytest.raises(ArithmeticError, match="integral"):
+    with pytest.raises(CertificateError, match="integral"):
         _neighbor_ideals(OrderLattice(Lat4(L.algebra, 2 * L.den, L.rows)), 3)

@@ -1,9 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import ceisen
+from ceisen.arith import CertificateError
 from ceisen.lattice import counts_with_primitive
-from ceisen.qform import closed_form_H, mass, unit_factor
+from ceisen.linalg import mat_det
+from ceisen.order import build_class_set
+from ceisen.qform import LevelConfig, closed_form_H, mass, unit_factor
 from ceisen.theta32 import (
     cohen_H,
     cusp_G,
@@ -36,7 +43,7 @@ def test_ternary_lattice_shape(classes):
         G = lat.gram
         assert all(G[k][l] == G[l][k] for k in range(3) for l in range(3))
         assert all(isinstance(G[k][l], int) for k in range(3) for l in range(3))
-        assert lat.det == 4 * N * N
+        assert mat_det(G) == 4 * N * N
 
 
 def test_plus_space_vanishing(classes):
@@ -153,6 +160,48 @@ def test_cusp_G_all_lines_level66(level66, eig66):
     for _, v in eig66.lines:
         G = cusp_G(level66, v, 200)
         assert all(G[D].denominator == 1 for D in range(1, 201))
+
+
+def test_cusp_G_certifies_integral_coefficients(level11):
+    # (1, 0) is no cusp line: m_D = a_1(D)/2 first fails to be an integer at
+    # D = 4, and the certificate names it
+    with pytest.raises(CertificateError, match="m_4 is not an integer"):
+        cusp_G(level11, (1, 0), 60)
+
+
+def test_certificates_hold_under_python_O():
+    # the same failing certificate in a child interpreter run with -O, which
+    # strips `assert` statements: it must still raise
+    src = os.path.dirname(os.path.dirname(ceisen.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = (
+        "import sys\n"
+        "from ceisen import LevelConfig, build_class_set, cusp_G\n"
+        "print(sys.flags.optimize)\n"
+        "try:\n"
+        "    cusp_G(build_class_set(LevelConfig.from_primes((11,), 1)), (1, 0), 60)\n"
+        "except ArithmeticError as e:\n"
+        "    print(type(e).__name__, e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\nCertificateError m_4 is not an integer (normalization bug)\n"
+
+
+def test_plus_space_certificate(monkeypatch):
+    # a ternary count at a value D ≡ 1 (mod 4) lies outside the plus space and
+    # must raise; a fresh class set keeps the session fixtures' counts untouched
+    classes = build_class_set(LevelConfig.from_primes((11,), 1))
+
+    def skewed(G, bound):
+        allc, prim = counts_with_primitive(G, bound)
+        return {**allc, 5: 2}, prim
+
+    monkeypatch.setattr("ceisen.theta32.counts_with_primitive", skewed)
+    with pytest.raises(CertificateError, match="plus space"):
+        cohen_H(classes, 10)
 
 
 def test_cusp_G_rejects_wrong_length(level11):
