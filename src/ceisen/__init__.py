@@ -14,23 +14,18 @@ from .arith import (
 )
 from .brandt import (
     BrandtMatrix,
-    EigenSplitError,
     EigenSystem,
     brandt_matrix,
     brandt_matrices_upto,
     eigenvalue_of,
-    eisenstein_e2,
     expected_row_sum,
     rational_eigensystem,
-    theta_weight2,
 )
 from .order import (
     CacheError,
-    ClassSearchError,
     IdealClassSet,
     LeftIdeal,
     Lat4,
-    MassOvershootError,
     OrderLattice,
     build_class_set,
     classes_from_json,
@@ -60,7 +55,6 @@ from .theta32 import (
     prefill_counts,
     ternary_lattice,
     trace_identity_check,
-    vector_count,
 )
 from .verify import (
     CongruencePreconditionError,
@@ -76,17 +70,14 @@ __all__ = [
     "BrandtMatrix",
     "CacheError",
     "CertificateError",
-    "ClassSearchError",
     "CongruencePreconditionError",
     "CongruenceReport",
     "DivisibilityRow",
-    "EigenSplitError",
     "EigenSystem",
     "IdealClassSet",
     "Lat4",
     "LeftIdeal",
     "LevelConfig",
-    "MassOvershootError",
     "OrderLattice",
     "QuaternionAlgebra",
     "best_coefficient_congruence",
@@ -106,7 +97,6 @@ __all__ = [
     "eichler_order",
     "eigenvalue_congruence",
     "eigenvalue_of",
-    "eisenstein_e2",
     "embedding_count_identity",
     "expected_row_sum",
     "factorize",
@@ -125,10 +115,8 @@ __all__ = [
     "rational_eigensystem",
     "s_ramified",
     "ternary_lattice",
-    "theta_weight2",
     "trace_identity_check",
     "unit_factor",
-    "vector_count",
 ]
 
 __version__ = "0.1.0"

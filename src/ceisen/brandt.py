@@ -1,4 +1,4 @@
-"""Brandt matrices, weight-2 theta series, and exact rational eigensystems.
+"""Brandt matrices and exact rational eigensystems.
 
 The (i, j) entry of the m-th Brandt matrix counts lattice points of a fixed
 norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
@@ -12,7 +12,7 @@ Petersson bound, which in weight 2 is a theorem (Eichler–Shimura, Weil).  So
 the rational eigenlines are found as kernels of B_p − a over those few a,
 prime by prime, with no characteristic polynomial.  Each one-dimensional
 eigenspace other than the all-ones line is a rational cusp line, handed on
-as a plain integer vector v; q-series are plain tuples of exact coefficients.
+as a plain integer vector v.
 """
 
 from __future__ import annotations
@@ -22,12 +22,12 @@ from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
 
-from .arith import certify, factorize, is_prime
+from .arith import certify, factorize
 from .lattice import counts_by_value
 from .linalg import charpoly  # noqa: F401  no caller; benchmarks/tracer.py wraps it at this site
 from .linalg import mat_mul, nullspace, primitive_vector, rref, transpose
 from .order import IdealClassSet, product_lattice
-from .qform import LevelConfig, mass
+from .qform import LevelConfig, good_primes
 
 
 def expected_row_sum(m: int, cfg: LevelConfig) -> int:
@@ -136,28 +136,6 @@ def brandt_matrices_upto(classes: IdealClassSet, m_max: int) -> list[BrandtMatri
     return [brandt_matrix(classes, m) for m in range(m_max + 1)]
 
 
-def theta_weight2(classes: IdealClassSet, i: int, j: int, m_max: int) -> tuple[Fraction | int, ...]:
-    """Coefficients b_ij(0..m_max) of θ_ij = Σ_m b_ij(m) q^m, classes i, j in 1..n."""
-    if not (1 <= i <= classes.n and 1 <= j <= classes.n):
-        raise ValueError("class indices are 1-based and must be in 1..n")
-    counts = _pair_counts(classes, max(m_max, 1))
-    e_j = classes.e[j - 1]
-    per_m = counts[(i - 1, j - 1)]
-    return (Fraction(1, e_j),) + tuple(per_m.get(m, 0) // e_j for m in range(1, m_max + 1))
-
-
-def eisenstein_e2(classes: IdealClassSet, m_max: int) -> tuple[Fraction | int, ...]:
-    """The weight-2 Eisenstein series: constant term = mass, then row sums b_m."""
-    cfg = classes.cfg
-    const = classes.total_mass()
-    certify(const == mass(cfg), "class-set mass disagrees with the formula")
-    return (const,) + tuple(expected_row_sum(m, cfg) for m in range(1, m_max + 1))
-
-
-class EigenSplitError(Exception):
-    """The all-ones line did not separate from the other rational eigenspaces."""
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Simultaneous rational eigendata of the Brandt matrices at `primes`.
@@ -177,16 +155,6 @@ class EigenSystem:
     u_eigenvalues: dict[int, int]
     lines: list[tuple[dict[int, int], tuple[int, ...]]]
     unresolved: list[tuple[int, dict[int, int]]]
-
-
-def good_primes(cfg: LevelConfig, count: int) -> list[int]:
-    out = []
-    p = 2
-    while len(out) < count:
-        if is_prime(p) and cfg.N % p != 0:
-            out.append(p)
-        p += 1
-    return out
 
 
 @dataclass
@@ -262,8 +230,8 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     Every one-dimensional piece other than the all-ones line is reported with
     integer eigenvalues and its normalized vector; kernels that stay higher-
     dimensional, and the parts set aside as holding no rational line, are
-    reported as unresolved.  EigenSplitError is raised if the all-ones line
-    itself does not separate.
+    reported as unresolved.  The all-ones line must come out as a line of its
+    own, with eigenvalue b_p at each p: CertificateError otherwise.
     """
     cfg = classes.cfg
     primes = good_primes(cfg, 5)
@@ -283,29 +251,24 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
             if rest:
                 set_aside.append((rest, dict(blk.eigs)))
         blocks = split
-    u_eigs: dict[int, int] = {}
-    lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
     unresolved = [(blk.dim, blk.eigs) for blk in blocks if blk.dim != 1] + set_aside
+    # p + 1 exceeds every |a_p| <= 2√p, so the all-ones line is a kernel of its own
+    ones = next((blk for blk in blocks if blk.dim == 1 and len(set(blk.basis[0])) == 1), None)
+    certify(ones is not None, f"the all-ones line did not separate at the primes {primes}")
+    b = {p: expected_row_sum(p, cfg) for p in primes}
+    certify(ones.eigs == b, f"all-ones eigenvalues {ones.eigs} != b_p = {b}")
+    lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
     w = classes.w
     w_lcm = lcm(*w)
     for blk in blocks:
-        if blk.dim != 1:
+        if blk.dim != 1 or blk is ones:
             continue
-        eigs = blk.eigs
         x = blk.basis[0]
-        if all(x[i] == x[0] for i in range(n)):
-            b = {p: expected_row_sum(p, cfg) for p in primes}
-            certify(eigs == b, f"all-ones eigenvalues {eigs} != b_p = {b}")
-            u_eigs = eigs
-            continue
         # (x_i/w_i) scaled by lcm(w) to integers, made primitive, times w_i
         prim = primitive_vector([x[i] * (w_lcm // w[i]) for i in range(n)])
-        vvec = tuple(prim[i] * w[i] for i in range(n))
-        lines.append((eigs, vvec))
-    if not u_eigs:
-        raise EigenSplitError(f"the all-ones line did not separate at the primes {primes}")
+        lines.append((blk.eigs, tuple(prim[i] * w[i] for i in range(n))))
     lines.sort(key=lambda le: tuple(le[0][p] for p in primes))
-    return EigenSystem(classes, tuple(primes), u_eigs, lines, unresolved)
+    return EigenSystem(classes, tuple(primes), ones.eigs, lines, unresolved)
 
 
 def eigenvalue_of(classes: IdealClassSet, v: tuple[int, ...], p: int) -> int:

@@ -5,12 +5,11 @@ Matrices are lists of integer rows.  `mat_mul`, `rref`, `nullspace` and
 `primitive_vector` take and return ints, and every elimination is the one
 fraction-free Gaussian elimination `echelon`: `rref` scales each reduced row
 to a primitive integer row with a positive pivot, which is unique, so it
-equals Gauss–Jordan over Q up to row scaling.  `mat_det` alone takes rational
-entries (it clears them to one denominator) and returns a Fraction.  `hnf` and
-`int_kernel` work on integer matrices.  `charpoly` takes and returns plain
-ints.  Neither `mat_det` nor `charpoly` has a src caller: they are kept as the
-independent references the tests check lattices and the Brandt eigensystem
-against.  No floating point anywhere.
+equals Gauss–Jordan over Q up to row scaling.  `hnf` and `int_kernel` work
+on integer matrices, and `clear_denominators` turns rational rows into one
+denominator and integer rows.  `charpoly` takes and returns plain ints; it
+has no src caller and is kept as the independent reference the tests check
+the Brandt eigensystem against.  No floating point anywhere.
 
 `hnf` inserts rows one at a time into a triangular basis, merging two rows
 at a pivot column by one extended gcd (Cohen, GTM 138, §2.4.2); every
@@ -22,7 +21,6 @@ the algorithm that computes their HNF.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
@@ -45,16 +43,6 @@ def clear_denominators(A) -> tuple[int, list[list[int]]]:
 
 def transpose(A):
     return [list(col) for col in zip(*A)]
-
-
-def mat_det(A: list[list[Fraction]]) -> Fraction:
-    """Determinant of a square rational matrix: sign·U[-1][-1]/dⁿ from the
-    echelon rows U of the integer matrix d·A, and 0 at short rank."""
-    d, M = clear_denominators(A)
-    U, pivots, sign = echelon(M)
-    if len(pivots) < len(A):
-        return Fraction(0)
-    return Fraction(sign * U[-1][-1], d ** len(A)) if A else Fraction(1)
 
 
 def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:

@@ -25,27 +25,11 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, prod
 
-from .arith import certify, factorize, is_prime, valuation
+from .arith import certify, factorize, valuation
 from .lattice import counts_by_value, exists_value, shortest_vector
 from .linalg import clear_denominators, hnf, int_kernel
-from .qform import LevelConfig, mass
+from .qform import LevelConfig, good_primes, mass
 from .quatalg import QuaternionAlgebra, norm_pair, quat_mul
-
-
-class SaturationError(Exception):
-    """p-saturation could not enlarge a non-maximal order at p."""
-
-
-class SplittingError(Exception):
-    """No splitting idempotent found mod q (q must be coprime to the discriminant)."""
-
-
-class MassOvershootError(Exception):
-    """The accumulated mass exceeded the formula value — an ideal was double-counted."""
-
-
-class ClassSearchError(Exception):
-    """The neighbor walk stalled before reaching the mass (should be unreachable)."""
 
 
 def _canonical(algebra: QuaternionAlgebra, den: int, rows) -> "Lat4":
@@ -191,31 +175,32 @@ def standard_order(B: QuaternionAlgebra) -> OrderLattice:
 
 
 def _saturate_at(O: OrderLattice, p: int) -> OrderLattice:
-    """Find a strictly larger order O' with p·O' ⊆ O, or raise SaturationError.
+    """A strictly larger order O' with p·O' ⊆ O.
 
     Candidates x = r/(p·den), r = Σ c_k·rows_k, are filtered by integrality of
     the trace 2·r₀/(p·den), the norm N(r)/(p·den)² and the trace pairings
     2·⟨r, rows_k⟩/(p·den²) against the basis, then the ring closure of O and x
-    is computed; the first candidate whose closure stabilizes on a genuinely
-    larger order wins (deterministic in lexicographic candidate order).
+    is computed; the first candidate whose closure stabilizes on an order with
+    a smaller p-part of the discriminant wins (deterministic in lexicographic
+    candidate order).  O ⊆ O' makes that p-part drop exactly when p divides
+    [O' : O].  CertificateError if no candidate enlarges O, which a
+    non-maximal O at p always allows.
     """
     L = O.lattice
     a, b, rows, pd = L.algebra.a, L.algebra.b, L.rows, p * L.den
     scaled = [tuple(p * v for v in row) for row in rows]
-    d_old = reduced_discriminant(O)
-    for c in _nonzero_tuples(p):
-        r = _combine(c, rows)
-        if (2 * r[0]) % pd or norm_pair(a, b, r, r) % (pd * pd):
-            continue
-        if any((2 * norm_pair(a, b, r, row)) % (pd * L.den) for row in rows):
-            continue
-        closure = _ring_closure(_canonical(L.algebra, pd, scaled + [r]))
-        if closure is None:
-            continue
-        d_new = reduced_discriminant(OrderLattice(closure))
-        if d_new < d_old and valuation(d_old, p) > valuation(d_new, p):
-            return OrderLattice(closure)
-    raise SaturationError(f"cannot enlarge order at p={p}")
+    v_old = valuation(reduced_discriminant(O), p)
+
+    def integral(r) -> bool:
+        return not ((2 * r[0]) % pd or norm_pair(a, b, r, r) % (pd * pd)
+                    or any((2 * norm_pair(a, b, r, row)) % (pd * L.den) for row in rows))
+
+    closures = (_ring_closure(_canonical(L.algebra, pd, scaled + [r]))
+                for r in (_combine(c, rows) for c in _nonzero_tuples(p)) if integral(r))
+    larger = next((OrderLattice(C) for C in closures if C is not None
+                   and valuation(reduced_discriminant(OrderLattice(C)), p) < v_old), None)
+    certify(larger is not None, f"cannot enlarge order at p={p}")
+    return larger
 
 
 def _nonzero_tuples(p: int):
@@ -300,8 +285,8 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
               if (2 * _combine(c, L.rows)[0] - L.den) % (q * L.den) == 0
               and any((x - y) % q for x, y in zip(c, one))
               and mul(c, c) == [x % q for x in c]), None)
-    if e is None:
-        raise SplittingError(f"no nontrivial idempotent mod {q}")
+    # O/qO ≅ M_2(F_q) for q ∤ disc(O), which eichler_order has checked
+    certify(e is not None, f"no nontrivial idempotent mod {q}")
     one_minus_e = [(x - y) % q for x, y in zip(one, e)]
     # linear map c -> coords(e·x_c·(1-e)) mod q; its kernel is the suborder mod q
     cols = [mul(mul(e, [int(k == l) for k in range(4)]), one_minus_e) for l in range(4)]
@@ -525,9 +510,12 @@ class CacheError(Exception):
     """A cached class set failed validation."""
 
 
-def classes_from_json(data: dict) -> IdealClassSet:
+def classes_from_json(data) -> IdealClassSet:
     """Rebuild a class set from its JSON snapshot, re-deriving right orders and
-    re-validating the mass certificate."""
+    re-validating the mass certificate; CacheError on a snapshot that is not
+    a JSON object or fails a check."""
+    if not isinstance(data, dict):
+        raise CacheError("snapshot is not a JSON object")
     if data.get("version") != CACHE_VERSION:
         raise CacheError(f"unsupported cache version {data.get('version')!r}")
     cfg = LevelConfig.from_primes(tuple(data["ramified"]), data["M"])
@@ -583,7 +571,8 @@ def build_class_set(cfg: LevelConfig) -> IdealClassSet:
 
 def left_ideal_classes(O: OrderLattice) -> IdealClassSet:
     """Enumerate the left ideal classes of O by a neighbor walk at the smallest
-    prime coprime to the level, stopping exactly when the mass formula is met.
+    prime coprime to the level (`qform.good_primes`), stopping exactly when
+    the mass formula is met.
 
     Each class and each reduced candidate is keyed by its normalized theta
     series (`_theta_key`), and a candidate is tested for equivalence only
@@ -591,25 +580,20 @@ def left_ideal_classes(O: OrderLattice) -> IdealClassSet:
     true equivalence is skipped: the walk, its representatives and the
     stopping point are those of testing against every class.
 
-    Overshooting the mass raises MassOvershootError (it would mean an
-    equivalence was missed); stalling raises ClassSearchError.
+    The neighbor graph at a good prime is connected and every class adds
+    1/e_i to the mass, so CertificateError if the walk overshoots the mass (an
+    equivalence was missed) or runs out of ideals before reaching it.
     """
     cfg = level_config_of(O)
     target = mass(cfg)
-    p = 2
-    while not (is_prime(p) and cfg.N % p != 0):
-        p += 1
+    p = good_primes(cfg, 1)[0]
     classes = [unit_ideal(O)]
     buckets = {_theta_key(classes[0]): [classes[0]]}
     rights = [O]
     es = [unit_count(O)]
     acc = Fraction(1, es[0])
-    if acc > target:
-        raise MassOvershootError("unit ideal alone exceeds the mass")
     queue = [0]
-    while acc != target:
-        if not queue:
-            raise ClassSearchError("neighbor walk exhausted before reaching the mass")
+    while acc < target and queue:
         idx = queue.pop(0)
         for K in _neighbor_ideals(rights[idx], p):
             J = LeftIdeal.of(O, product_lattice(classes[idx].lattice, K))
@@ -624,12 +608,11 @@ def left_ideal_classes(O: OrderLattice) -> IdealClassSet:
             es.append(unit_count(R))
             acc += Fraction(1, es[-1])
             queue.append(len(classes) - 1)
-            if acc == target:
+            if acc >= target:
                 break
-            if acc > target:
-                raise MassOvershootError(
-                    f"mass {acc} exceeds formula value {target} after {len(classes)} classes"
-                )
+    certify(acc >= target, "neighbor walk exhausted before reaching the mass")
+    certify(acc == target,
+            f"mass {acc} exceeds formula value {target} after {len(classes)} classes")
     certify(all(e % 2 == 0 and 12 % (e // 2) == 0 for e in es),
             "each unit count e_i must be even, with e_i/2 dividing 12")
     certify(all(reduced_discriminant(R) == cfg.N for R in rights),

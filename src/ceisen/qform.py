@@ -129,6 +129,17 @@ class LevelConfig:
         return f"N={self.N} (ramified {list(self.P.primes)}, M={self.M.value})"
 
 
+def good_primes(cfg: LevelConfig, count: int) -> list[int]:
+    """The first `count` primes coprime to the level, in increasing order."""
+    out = []
+    p = 2
+    while len(out) < count:
+        if is_prime(p) and cfg.N % p != 0:
+            out.append(p)
+        p += 1
+    return out
+
+
 def mass(cfg: LevelConfig) -> Fraction:
     """(1/24)·prod_{p|P}(p-1)·prod_{q|M}(q+1) — the exact stopping certificate
     for the class enumeration."""

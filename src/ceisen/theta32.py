@@ -18,22 +18,15 @@ from math import isqrt, lcm
 from .arith import certify
 from .brandt import brandt_matrices_upto
 from .lattice import counts_with_primitive, definite_echelon
-from .linalg import int_kernel
-from .order import IdealClassSet, _canonical, _combine
+from .linalg import int_kernel, mat_mul
+from .order import IdealClassSet, Lat4
 from .qform import class_number, fundamental_parts, local_factor, mass, unit_factor
 from .quatalg import norm_pair
 
 
-@dataclass(frozen=True)
-class TernaryLattice:
-    """Trace-zero sublattice of Z + 2R_i (1-based class index i)."""
-
-    class_index: int
-    gram: tuple[tuple[int, ...], ...]
-
-
-def ternary_lattice(classes: IdealClassSet, i: int) -> TernaryLattice:
-    """The trace-zero rank-3 lattice of Z + 2R_i with its integral Gram matrix."""
+def ternary_lattice(classes: IdealClassSet, i: int) -> tuple[tuple[int, ...], ...]:
+    """The integral Gram matrix of the trace-zero rank-3 lattice of Z + 2R_i
+    (1-based class index i)."""
     if not 1 <= i <= classes.n:
         raise ValueError("class index is 1-based and must be in 1..n")
     cached = classes.cache.setdefault("ternary_lattice", {})
@@ -41,22 +34,20 @@ def ternary_lattice(classes: IdealClassSet, i: int) -> TernaryLattice:
         return cached[i]
     R = classes.right_orders[i - 1].lattice
     B = R.algebra
-    # Z + 2R over R.den: the row (den, 0, 0, 0) is 1
-    L = _canonical(B, R.den, [(R.den, 0, 0, 0)] + [tuple(2 * x for x in row) for row in R.rows])
+    L = Lat4.span(B, [(1, 0, 0, 0)] + [[2 * x for x in b] for b in R.basis])  # Z + 2R
     # trace of (Σ c_k·rows_k)/den vanishes iff Σ c_k · (2·first coord of row k) = 0
     trace_row = [[2 * L.rows[k][0] for k in range(4)]]
     kernel = int_kernel(trace_row)
     certify(len(kernel) == 3, "trace-zero sublattice must have rank 3")
-    elems = [_combine(v, L.rows) for v in kernel]
+    elems = mat_mul(kernel, L.rows)
     certify(all(e[0] == 0 for e in elems), "trace-zero basis must have zero scalar part")
     d2 = L.den**2
     N = [[norm_pair(B.a, B.b, u, v) for v in elems] for u in elems]
     certify(all(x % d2 == 0 for row in N for x in row), "ternary Gram must be integral")
     G = tuple(tuple(x // d2 for x in row) for row in N)
     definite_echelon(G)  # raises if not positive definite
-    lat = TernaryLattice(i, G)
-    cached[i] = lat
-    return lat
+    cached[i] = G
+    return G
 
 
 def _ternary_counts(classes: IdealClassSet, i: int, bound: int) -> tuple[dict, dict]:
@@ -64,19 +55,11 @@ def _ternary_counts(classes: IdealClassSet, i: int, bound: int) -> tuple[dict, d
     cache = classes.cache.setdefault("ternary_counts", {})
     got = cache.get(i)
     if got is None or got["bound"] < bound:
-        allc, prim = counts_with_primitive(ternary_lattice(classes, i).gram, bound)
+        allc, prim = counts_with_primitive(ternary_lattice(classes, i), bound)
         certify(all(D % 4 in (0, 3) for D in allc), "represented value outside the plus space")
         got = {"bound": bound, "all": allc, "prim": prim}
         cache[i] = got
     return got["all"], got["prim"]
-
-
-def vector_count(classes: IdealClassSet, i: int, D: int) -> int:
-    """a_i(D): number of trace-zero vectors of norm D in class i (1-based)."""
-    if D == 0:
-        return 1
-    allc, _ = _ternary_counts(classes, i, D)
-    return allc.get(D, 0)
 
 
 def prefill_counts(classes: IdealClassSet, bound: int) -> None:

@@ -29,18 +29,17 @@ class CongruencePreconditionError(Exception):
 
 @dataclass
 class CongruenceReport:
+    """The coefficient congruence λ·G ≡ H (mod l); failures are (D, lhs, rhs)."""
+
     l: int
-    kind: str  # "eigenvalue" or "coefficient"
     lam: int | None
-    reason: str  # "found" | "not-applicable" | "indeterminate" | "inconsistent"
-    checked_max: int  # p_max or D_max
+    reason: str  # "found" | "indeterminate" | "inconsistent"
+    checked_max: int  # D_max
     failures: list[tuple[int, int, int]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        if self.kind == "coefficient":
-            return self.lam is not None and not self.failures
-        return not self.failures
+        return self.lam is not None and not self.failures
 
 
 def _require_odd_prime(l: int) -> None:
@@ -50,9 +49,10 @@ def _require_odd_prime(l: int) -> None:
 
 def eigenvalue_congruence(
     classes: IdealClassSet, v: tuple[int, ...], l: int, p_max: int
-) -> CongruenceReport:
+) -> list[tuple[int, int, int]]:
     """Check a_p ≡ b_p (mod l) for the cusp line v at every prime p ≤ p_max
-    coprime to the level."""
+    coprime to the level: the failures (p, a_p mod l, b_p mod l), empty when
+    the congruence holds."""
     _require_odd_prime(l)
     for w in classes.w:
         if w % l == 0:
@@ -67,8 +67,7 @@ def eigenvalue_congruence(
         b_p = expected_row_sum(p, cfg)
         if (a_p - b_p) % l != 0:
             failures.append((p, a_p % l, b_p % l))
-    return CongruenceReport(l=l, kind="eigenvalue", lam=None, reason="not-applicable",
-                            checked_max=p_max, failures=failures)
+    return failures
 
 
 def coefficient_congruence(
@@ -96,10 +95,10 @@ def coefficient_congruence(
             break
     if lam is None:
         if all(a % l == 0 for a in A) and all(b % l == 0 for b in B):
-            return CongruenceReport(l, "coefficient", None, "indeterminate", D_max)
+            return CongruenceReport(l, None, "indeterminate", D_max)
         failures = [(D, B[D] % l, A[D] % l)
                     for D in range(D_max + 1) if (A[D] % l == 0) != (B[D] % l == 0)]
-        return CongruenceReport(l, "coefficient", None, "inconsistent", D_max, failures)
+        return CongruenceReport(l, None, "inconsistent", D_max, failures)
     failures = []
     for D in range(D_max + 1):
         lhs = (lam * B[D]) % l
@@ -107,8 +106,8 @@ def coefficient_congruence(
         if lhs != rhs:
             failures.append((D, lhs, rhs))
     if failures:
-        return CongruenceReport(l, "coefficient", None, "inconsistent", D_max, failures)
-    return CongruenceReport(l, "coefficient", lam, "found", D_max)
+        return CongruenceReport(l, None, "inconsistent", D_max, failures)
+    return CongruenceReport(l, lam, "found", D_max)
 
 
 def best_coefficient_congruence(

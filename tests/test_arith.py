@@ -179,16 +179,35 @@ def test_certify_raises_certificate_error():
     assert ceisen.CertificateError is CertificateError
 
 
+# The exceptions src may raise: each reports bad input.  A failed exact
+# identity is a certify(...) call instead.
+INPUT_ERRORS = {"ValueError", "CacheError", "CongruencePreconditionError", "AlgebraSearchError"}
+
+
+def _raises(node, func=None):
+    """(enclosing function, raised name or None for a bare raise) for every
+    raise statement under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            yield func, None if exc is None else getattr(exc, "id", ast.unparse(exc))
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _raises(child, inner)
+
+
 def test_src_certificates_use_certify():
-    # an `assert` vanishes under `python -O`, and a bare ArithmeticError is not
-    # the certificate type: every certificate in src is one certify(...) call
-    found = []
+    # an `assert` vanishes under `python -O`, and an exception class of its own
+    # for an identity that cannot fail is a second idiom: every certificate in
+    # src is one certify(...) call, and every other raise reports bad input
+    asserts, raises = [], []
     for path in sorted(Path(ceisen.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Assert):
-                found.append(f"{path.name}:{node.lineno}: assert")
-            elif isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name) and exc.id == "ArithmeticError":
-                    found.append(f"{path.name}:{node.lineno}: raise ArithmeticError")
-    assert found == []
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Assert)]
+        raises += [(path.name, func, name) for func, name in _raises(tree)
+                   if name not in INPUT_ERRORS]
+    assert asserts == []
+    # the one raise of CertificateError, in certify, and the snapshot writer's
+    # re-raise after it removes its temp file
+    assert raises == [("arith.py", "certify", "CertificateError"),
+                      ("cli.py", "_write_snapshot", None)]

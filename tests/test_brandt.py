@@ -9,16 +9,13 @@ from ceisen.brandt import (
     brandt_matrices_upto,
     brandt_matrix,
     eigenvalue_of,
-    eisenstein_e2,
     expected_row_sum,
-    good_primes,
     rational_eigensystem,
-    theta_weight2,
 )
 from ceisen.lattice import counts_by_value
 from ceisen.linalg import charpoly
 from ceisen.order import build_class_set
-from ceisen.qform import LevelConfig, mass
+from ceisen.qform import LevelConfig, good_primes, mass
 
 LEVELS = ["level11", "level66", "level210"]
 
@@ -96,12 +93,6 @@ def test_b0_rows_and_trace(classes):
         assert all(type(s) is int for s in B.row_sums()), m
         assert type(B.trace()) is int, m
         assert all(type(x) is int for row in B @ mats[31 - m] for x in row), m
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            theta = theta_weight2(classes, i, j, 30)
-            assert type(theta[0]) is Fraction
-            assert all(type(x) is int for x in theta[1:])
-    assert all(type(x) is int for x in eisenstein_e2(classes, 30)[1:])
 
 
 def test_row_sums(classes):
@@ -157,25 +148,14 @@ def test_hecke_multiplicativity(classes):
         assert (mats[11] @ mats[13]) == brandt_matrix(classes, 143).entries
 
 
-def test_theta_weight2_matches_entries(level11):
-    mats = brandt_matrices_upto(level11, 15)
-    for i in (1, 2):
-        for j in (1, 2):
-            theta = theta_weight2(level11, i, j, 15)
-            assert theta[0] == Fraction(1, level11.e[j - 1])
-            for m in range(1, 16):
-                assert theta[m] == mats[m].entries[i - 1][j - 1]
-    with pytest.raises(ValueError):
-        theta_weight2(level11, 0, 1, 5)
-    with pytest.raises(ValueError):
-        theta_weight2(level11, 1, 3, 5)
-
-
 def test_eisenstein_e2(classes):
-    series = eisenstein_e2(classes, 25)
-    assert series[0] == mass(classes.cfg)
-    for m in range(1, 26):
-        assert series[m] == expected_row_sum(m, classes.cfg)
+    # the all-ones vector is an eigenvector of every B_m, with eigenvalue the
+    # m-th coefficient of the weight-2 Eisenstein series: the mass at m = 0,
+    # then the row sums b_m
+    mats = brandt_matrices_upto(classes, 25)
+    series = [mass(classes.cfg)] + [expected_row_sum(m, classes.cfg) for m in range(1, 26)]
+    for m in range(26):
+        assert mats[m].row_sums() == [series[m]] * classes.n, m
 
 
 def test_eigensystem_level11(level11, eig11):
@@ -326,6 +306,15 @@ def test_block_must_be_invariant(monkeypatch, level11):
     shear = BrandtMatrix(3, ((1, 1), (0, 1)))
     monkeypatch.setattr("ceisen.brandt.brandt_matrix", lambda c, m: shear if m == 3 else real(c, m))
     with pytest.raises(CertificateError, match="not invariant"):
+        rational_eigensystem(level11)
+
+
+def test_all_ones_line_must_separate(monkeypatch, level11):
+    # with every B_p the identity, Q² is one eigenspace for a = 1 at each
+    # prime, so the all-ones line never comes out as a line of its own
+    monkeypatch.setattr("ceisen.brandt.brandt_matrix",
+                        lambda c, m: BrandtMatrix(m, ((1, 0), (0, 1))))
+    with pytest.raises(CertificateError, match="all-ones line did not separate"):
         rational_eigensystem(level11)
 
 

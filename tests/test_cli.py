@@ -267,6 +267,22 @@ def test_cache_corruption_recovers(tmp_path):
             assert fh.read() == snapshot
 
 
+def test_cache_non_object_snapshot_rebuilds(tmp_path):
+    # a snapshot whose top-level JSON value is not an object is a CacheError:
+    # one rebuild line on stderr and exit 0, as for any other bad snapshot
+    cache = str(tmp_path / "cache")
+    argv = ["verify", "--suite", "mass", "--ramified", "11"]
+    cold = run(argv)
+    os.makedirs(cache)
+    path = os.path.join(cache, "classes_11_M1.json")
+    for text in ["[]", "null", '"x"', "5"]:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
+        rc, out, err = run(argv + ["--cache-dir", cache])
+        assert (rc, out) == cold[:2], text
+        assert err.count("\n") == 1 and path in err and "CacheError: " in err, text
+
+
 def test_cache_of_another_level_rebuilds(tmp_path):
     cache = str(tmp_path / "cache")
     argv = ["verify", "--suite", "mass", "--ramified", "11"]

@@ -18,7 +18,7 @@ from ceisen.lattice import (
     reduce_gram,
     shortest_vector,
 )
-from ceisen.linalg import mat_det
+from test_linalg import mat_det  # the tests' determinant reference
 
 CASES_PER_RANK = 12
 
@@ -172,7 +172,9 @@ def test_non_definite_grams_raise(G):
         definite_echelon(G)
     with pytest.raises(ValueError):
         list(points_up_to(G, 5))
-    # reduce_gram checks definiteness before it reduces, so no consumer hangs
+    # each G here reaches a diagonal entry <= 0 inside reduce_gram's Lagrange
+    # loop, which raises there; a G that kept a positive diagonal would be
+    # left to points_up_to, which certifies G′, so no consumer hangs
     for call in (reduce_gram, shortest_vector):
         with pytest.raises(ValueError):
             call(G)

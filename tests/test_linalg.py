@@ -13,13 +13,23 @@ from ceisen.linalg import (
     echelon,
     hnf,
     int_kernel,
-    mat_det,
     mat_mul,
     nullspace,
     rref,
 )
 
 SEED = 20151
+
+
+def mat_det(A: list[list]) -> Fraction:
+    """Determinant of a square rational matrix: sign·U[-1][-1]/dⁿ from the
+    echelon rows U of the integer matrix d·A, and 0 at short rank.  The
+    tests' determinant reference for lattices and Gram matrices."""
+    d, M = clear_denominators(A)
+    U, pivots, sign = echelon(M)
+    if len(pivots) < len(A):
+        return Fraction(0)
+    return Fraction(sign * U[-1][-1], d ** len(A)) if A else Fraction(1)
 
 
 def random_int_matrix(rng: random.Random, m: int, n: int, lo: int = -4, hi: int = 4) -> list[list[int]]:

@@ -9,7 +9,7 @@ import pytest
 
 import ceisen.order as order_module
 from ceisen.arith import CertificateError
-from ceisen.linalg import clear_denominators, mat_det
+from ceisen.linalg import clear_denominators
 from ceisen.order import (
     CacheError,
     Lat4,
@@ -32,11 +32,14 @@ from ceisen.order import (
     unit_count,
     unit_ideal,
     _covolume_certificate,
+    _eichler_step,
     _isotropic_points,
     _neighbor_ideals,
+    _saturate_at,
 )
 from ceisen.qform import LevelConfig, mass
 from ceisen.quatalg import QuaternionAlgebra, construct_algebra, norm_pair, quat_mul
+from test_linalg import mat_det  # the tests' determinant reference
 
 
 def mul(B: QuaternionAlgebra, x, y) -> tuple:
@@ -573,3 +576,33 @@ def test_neighbor_certificates_raise(order11, hurwitz):
     L = hurwitz.lattice
     with pytest.raises(CertificateError, match="integral"):
         _neighbor_ideals(OrderLattice(Lat4(L.algebra, 2 * L.den, L.rows)), 3)
+
+
+def test_saturation_certificate(hurwitz):
+    # the Hurwitz order is maximal: no candidate enlarges it at 2 or at 3
+    for p in (2, 3):
+        with pytest.raises(CertificateError, match=f"cannot enlarge order at p={p}"):
+            _saturate_at(hurwitz, p)
+
+
+def test_eichler_splitting_certificate(order11):
+    # at the ramified q = 11, O/qO is a local ring, not M_2(F_q): it has no
+    # idempotent other than 0 and 1
+    with pytest.raises(CertificateError, match="no nontrivial idempotent mod 11"):
+        _eichler_step(order11, 11)
+
+
+def test_walk_must_reach_the_mass(monkeypatch, order11):
+    # a walk without neighbours stops at the unit ideal's 1/4 < 5/12
+    monkeypatch.setattr(order_module, "_neighbor_ideals", lambda R, p: [])
+    with pytest.raises(CertificateError, match="exhausted before reaching the mass"):
+        left_ideal_classes(order11)
+
+
+def test_walk_must_not_overshoot_the_mass(monkeypatch):
+    # at N = 66 (ramified 2, 3, 11) a walk that finds no equivalence keeps a
+    # second ideal of an existing class and passes the mass 5/6
+    O = maximal_order(construct_algebra({2, 3, 11}))
+    monkeypatch.setattr(order_module, "is_equivalent", lambda I, J: False)
+    with pytest.raises(CertificateError, match="mass 11/12 exceeds formula value 5/6"):
+        left_ideal_classes(O)

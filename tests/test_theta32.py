@@ -7,8 +7,7 @@ import pytest
 
 import ceisen
 from ceisen.arith import CertificateError
-from ceisen.lattice import counts_with_primitive
-from ceisen.linalg import mat_det
+from ceisen.lattice import counts_by_value, counts_with_primitive
 from ceisen.order import build_class_set
 from ceisen.qform import LevelConfig, closed_form_H, mass, unit_factor
 from ceisen.theta32 import (
@@ -19,8 +18,8 @@ from ceisen.theta32 import (
     prefill_counts,
     ternary_lattice,
     trace_identity_check,
-    vector_count,
 )
+from test_linalg import mat_det  # the tests' determinant reference
 
 LEVELS = ["level11", "level66", "level210"]
 
@@ -37,10 +36,8 @@ def _discriminants(bound):
 def test_ternary_lattice_shape(classes):
     N = classes.cfg.N
     for i in range(1, classes.n + 1):
-        lat = ternary_lattice(classes, i)
-        assert lat.class_index == i
         # integral, symmetric, positive definite, determinant 4N^2
-        G = lat.gram
+        G = ternary_lattice(classes, i)
         assert all(G[k][l] == G[l][k] for k in range(3) for l in range(3))
         assert all(isinstance(G[k][l], int) for k in range(3) for l in range(3))
         assert mat_det(G) == 4 * N * N
@@ -53,11 +50,10 @@ def test_plus_space_vanishing(classes):
             assert H[D] == 0
 
 
-def g_coefficients(lat, D_max: int) -> tuple[Fraction, ...]:
+def g_coefficients(G, D_max: int) -> tuple[Fraction, ...]:
     """g_i = ½ + ½ Σ_D a_i(D) q^D where a_i(D) counts trace-zero vectors of
-    norm D, straight from one enumeration of the lattice: the reference for
-    vector_count's cached counts."""
-    allc, _ = counts_with_primitive(lat.gram, D_max)
+    norm D, from counts_with_primitive's enumeration of the ternary Gram G."""
+    allc, _ = counts_with_primitive(G, D_max)
     coeffs = [Fraction(1, 2)] + [Fraction(0)] * D_max
     for D, c in allc.items():
         coeffs[D] = Fraction(c, 2)
@@ -66,11 +62,12 @@ def g_coefficients(lat, D_max: int) -> tuple[Fraction, ...]:
 
 def test_g_series_halved_counts(level11):
     for i in (1, 2):
-        lat = ternary_lattice(level11, i)
-        g = g_coefficients(lat, 60)
+        G = ternary_lattice(level11, i)
+        g = g_coefficients(G, 60)
+        counts = counts_by_value(G, 60)  # the reference enumeration
         assert g[0] == Fraction(1, 2)
         for D in range(1, 61):
-            assert g[D] == Fraction(vector_count(level11, i, D), 2)
+            assert g[D] == Fraction(counts.get(D, 0), 2)
             if D % 4 in (1, 2):
                 assert g[D] == 0
 
@@ -95,6 +92,7 @@ def test_content_decomposition_of_counts(level11, level66):
     # the full count at D splits into primitive counts over -D = d·f²
     for classes in (level11, level66):
         for i in range(1, classes.n + 1):
+            counts = counts_by_value(ternary_lattice(classes, i), 200)
             for D in range(1, 201):
                 if D % 4 in (1, 2):
                     continue
@@ -106,7 +104,7 @@ def test_content_decomposition_of_counts(level11, level66):
                         cnt = optimal_embedding_count(classes, i, d)
                         total += cnt * classes.w[i - 1] // unit_factor(d)
                     f += 1
-                assert total == vector_count(classes, i, D), (i, D)
+                assert total == counts.get(D, 0), (i, D)
 
 
 def test_embedding_identity(level11, level66):
@@ -210,9 +208,9 @@ def test_cusp_G_rejects_wrong_length(level11):
 
 
 def test_vector_count_examples(level11):
-    assert [vector_count(level11, i, 3) for i in (1, 2)] == [0, 2]
-    assert [vector_count(level11, i, 4) for i in (1, 2)] == [2, 0]
-    assert vector_count(level11, 1, 0) == 1
+    counts = [counts_by_value(ternary_lattice(level11, i), 4) for i in (1, 2)]
+    assert [c.get(3, 0) for c in counts] == [0, 2]
+    assert [c.get(4, 0) for c in counts] == [2, 0]
     # H(3) = Σ_i count_i/(2w_i) = 0/4 + 2/6 = 1/3
     H = cohen_H(level11, 4)
     assert H[3] == Fraction(1, 3)

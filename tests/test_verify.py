@@ -17,15 +17,12 @@ from ceisen.verify import (
 
 
 def test_eigenvalue_congruence_level11_l5(level11, v11):
-    rep = eigenvalue_congruence(level11, v11, 5, 50)
-    assert rep.passed and rep.failures == []
-    assert rep.l == 5 and rep.kind == "eigenvalue"
+    assert eigenvalue_congruence(level11, v11, 5, 50) == []
 
 
 def test_eigenvalue_congruence_l7_fails(level11, v11):
-    rep = eigenvalue_congruence(level11, v11, 7, 50)
-    assert not rep.passed
-    assert (2, 5, 3) in rep.failures  # a_2 = -2 ≡ 5, 1+2 = 3 (mod 7)
+    failures = eigenvalue_congruence(level11, v11, 7, 50)
+    assert (2, 5, 3) in failures  # a_2 = -2 ≡ 5, 1+2 = 3 (mod 7)
 
 
 def test_coefficient_congruence_level11_l5(level11, v11):
@@ -61,9 +58,9 @@ def test_eigenvalue_congruence_each_line_level66(level66, eig66):
     b = {p: expected_row_sum(p, level66.cfg) for p in eig66.primes}
     for l in (5, 7):
         for eigs, v in eig66.lines:
-            rep = eigenvalue_congruence(level66, v, l, 19)
-            assert rep.failures == [(p, eigs[p] % l, b[p] % l)
-                                    for p in eig66.primes if (eigs[p] - b[p]) % l]
+            failures = eigenvalue_congruence(level66, v, l, 19)
+            assert failures == [(p, eigs[p] % l, b[p] % l)
+                                for p in eig66.primes if (eigs[p] - b[p]) % l]
 
 
 def test_eigenvalue_congruence_l3_precondition(level11, v11):
