@@ -13,7 +13,6 @@ from .arith import (
     primes_up_to,
 )
 from .brandt import (
-    BrandtMatrix,
     EigenSystem,
     brandt_matrix,
     brandt_matrices_upto,
@@ -26,7 +25,6 @@ from .order import (
     IdealClassSet,
     LeftIdeal,
     Lat4,
-    OrderLattice,
     build_class_set,
     classes_from_json,
     classes_to_json,
@@ -67,7 +65,6 @@ from .verify import (
 )
 
 __all__ = [
-    "BrandtMatrix",
     "CacheError",
     "CertificateError",
     "CongruencePreconditionError",
@@ -78,7 +75,6 @@ __all__ = [
     "Lat4",
     "LeftIdeal",
     "LevelConfig",
-    "OrderLattice",
     "QuaternionAlgebra",
     "best_coefficient_congruence",
     "brandt_matrices_upto",

@@ -2,8 +2,8 @@
 
 The (i, j) entry of the m-th Brandt matrix counts lattice points of a fixed
 norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
-For m ≥ 1 the entries are integers, as `_pair_counts` certifies; B_0 holds
-the Fractions 1/e_j.  The counts are symmetric in (i, j), so every B_m is
+A matrix is the list of its rows, as in `linalg`.  For m ≥ 1 the entries are
+integers, as `_pair_counts` certifies; B_0 holds the Fractions 1/e_j.  The counts are symmetric in (i, j), so every B_m is
 self-adjoint for ⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple; all commute and
 have the all-ones vector as an eigenvector.  For a prime p ∤ N, a rational
 eigenvalue of B_p is an integer, and it is either p + 1 (the all-ones line)
@@ -55,28 +55,6 @@ def expected_row_sum(m: int, cfg: LevelConfig) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BrandtMatrix:
-    """The n×n matrix B_m, entries b_ij(m) = (pair count)/e_j: ints, or 1/e_j at m = 0."""
-
-    m: int
-    entries: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def row_sums(self) -> list[int]:
-        return [sum(row) for row in self.entries]
-
-    def trace(self) -> int:
-        return sum(self.entries[i][i] for i in range(self.n))
-
-    def __matmul__(self, other: "BrandtMatrix") -> tuple[tuple[int, ...], ...]:
-        cols = list(zip(*other.entries))
-        return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.entries)
-
-
 def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
     """counts[(i,j)][m] = #{β ∈ conj(I_j)·I_i : N(β) = m·N(I_i)·N(I_j)}, m ≤ bound.
 
@@ -114,23 +92,20 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
     return counts
 
 
-def brandt_matrix(classes: IdealClassSet, m: int) -> BrandtMatrix:
-    """The Brandt matrix B_m (m ≥ 0); B_0 rows are all (1/e_1, ..., 1/e_n)."""
+def brandt_matrix(classes: IdealClassSet, m: int) -> list[list[int]]:
+    """The Brandt matrix B_m (m ≥ 0) as its rows, b_ij(m) = (pair count)/e_j:
+    integer rows for m ≥ 1, and at m = 0 every row is (1/e_1, ..., 1/e_n)
+    in Fractions."""
     if m < 0:
         raise ValueError("m must be >= 0")
     n = classes.n
     if m == 0:
-        row = tuple(Fraction(1, e) for e in classes.e)
-        return BrandtMatrix(0, tuple(row for _ in range(n)))
+        return [[Fraction(1, e) for e in classes.e] for _ in range(n)]
     counts = _pair_counts(classes, m)
-    entries = tuple(
-        tuple(counts[(i, j)].get(m, 0) // classes.e[j] for j in range(n))
-        for i in range(n)
-    )
-    return BrandtMatrix(m, entries)
+    return [[counts[(i, j)].get(m, 0) // classes.e[j] for j in range(n)] for i in range(n)]
 
 
-def brandt_matrices_upto(classes: IdealClassSet, m_max: int) -> list[BrandtMatrix]:
+def brandt_matrices_upto(classes: IdealClassSet, m_max: int) -> list[list[list[int]]]:
     """[B_0, B_1, ..., B_{m_max}] with one enumeration sweep per class pair."""
     _pair_counts(classes, max(m_max, 1))
     return [brandt_matrix(classes, m) for m in range(m_max + 1)]
@@ -150,7 +125,6 @@ class EigenSystem:
     the eigenvalues its block had at the primes before p.
     """
 
-    classes: IdealClassSet
     primes: tuple[int, ...]
     u_eigenvalues: dict[int, int]
     lines: list[tuple[dict[int, int], tuple[int, ...]]]
@@ -168,7 +142,7 @@ class _Block:
         return len(self.basis)
 
 
-def _restrict(B: tuple[tuple[int, ...], ...], blk: _Block) -> tuple[list[list[int]], int]:
+def _restrict(B: list[list[int]], blk: _Block) -> tuple[list[list[int]], int]:
     """(dA, d): the matrix A of x ↦ B·x on the block in its basis V, as d·A.
 
     V is a scaled RREF, so row s is the only one nonzero at its pivot c_s, and
@@ -243,7 +217,7 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     set_aside: list[tuple[int, dict[int, int]]] = []
     _pair_counts(classes, max(primes))  # one sweep serves every B_p
     for p in primes:
-        B = brandt_matrix(classes, p).entries
+        B = brandt_matrix(classes, p)
         split: list[_Block] = []
         for blk in blocks:
             kernels, rest = _split_block(blk, B, p, weights)
@@ -268,18 +242,20 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
         prim = primitive_vector([x[i] * (w_lcm // w[i]) for i in range(n)])
         lines.append((blk.eigs, tuple(prim[i] * w[i] for i in range(n))))
     lines.sort(key=lambda le: tuple(le[0][p] for p in primes))
-    return EigenSystem(classes, tuple(primes), ones.eigs, lines, unresolved)
+    return EigenSystem(tuple(primes), ones.eigs, lines, unresolved)
 
 
-def eigenvalue_of(classes: IdealClassSet, v: tuple[int, ...], p: int) -> int:
-    """The integer a_p for a known eigenvector v, read off one coordinate and checked on all."""
-    n = classes.n
+def eigenvalue_of(B: list[list[int]], v: tuple[int, ...]) -> int:
+    """The integer eigenvalue of the integer matrix B (a Brandt matrix B_p,
+    p ≥ 1) at a known eigenvector v, read off one coordinate and checked on
+    all."""
+    n = len(B)
     if len(v) != n:
         raise ValueError(f"need one weight per class ({n}), got {len(v)}")
     if not any(v):
         raise ValueError("the zero vector is not an eigenvector")
-    Bv = [sum(map(mul, row, v)) for row in brandt_matrix(classes, p).entries]
+    Bv = [sum(map(mul, row, v)) for row in B]
     i = next(i for i in range(n) if v[i])
     lam = Bv[i] // v[i]
-    certify(all(Bv[r] == lam * v[r] for r in range(n)), f"v is not an eigenvector of B_{p}")
+    certify(all(Bv[r] == lam * v[r] for r in range(n)), "v is not an eigenvector of B")
     return lam

@@ -6,16 +6,18 @@ A lattice is stored as a canonical pair (denominator, HNF integer rows), so
 equal lattices compare equal, and every order and ideal operation computes on
 that pair: products, conjugates, Gram matrices, norms, covolumes and
 coordinates use integer rows, and each new lattice is put in canonical form
-again.  Maximal orders come from prime-by-prime saturation of the obvious
-starting order; level structure at primes q coprime to the discriminant is
-cut out by a splitting idempotent of O/qO, multiplied with `quat_mul` on the
-order's rows and read back in its coordinates by `Lat4.coords_of`.  Left
-ideal classes are enumerated by a neighbor walk at the smallest good prime,
-stopped exactly by the mass formula, with equivalence tests only between
-ideals of equal normalized theta series.  A walk step finds the (p+1)²
-isotropic points mod p of the integer norm form, one quadratic in the last
-coordinate per projective prefix, and canonicalizes only the p+1 points
-that lie in no neighbor found before.
+again.  An order is such a lattice, checked by `make_order` to hold 1 and to
+be closed under products.  Maximal orders come from prime-by-prime
+saturation of the obvious starting order; level structure at primes q
+coprime to the discriminant is cut out by a splitting idempotent of O/qO,
+multiplied with `quat_mul` on the order's rows and read back in its
+coordinates by `Lat4.coords_of`.  Left ideal classes are enumerated by a
+neighbor walk at the smallest good prime, stopped exactly by the mass
+formula, with equivalence tests only between ideals of equal normalized
+theta series.  A walk step finds the (p+1)² isotropic points mod p of the
+integer norm form, one quadratic in the last coordinate per projective
+prefix, and canonicalizes only the p+1 points that lie in no neighbor found
+before.
 """
 
 from __future__ import annotations
@@ -122,74 +124,55 @@ def product_lattice(A: Lat4, B: Lat4) -> Lat4:
     return _canonical(A.algebra, A.den * B.den, rows)
 
 
-@dataclass(frozen=True)
-class OrderLattice:
-    """An order: a multiplicatively closed lattice containing 1."""
-
-    lattice: Lat4
-
-    @property
-    def algebra(self) -> QuaternionAlgebra:
-        return self.lattice.algebra
-
-    @property
-    def basis(self) -> list[tuple[Fraction, ...]]:
-        return self.lattice.basis
-
-    def contains(self, x) -> bool:
-        return self.lattice.contains(x)
-
-
-def make_order(lat: Lat4) -> OrderLattice:
-    """The order on lat; ValueError unless 1 ∈ lat and lat·lat = lat (1 ∈ lat
-    gives lat ⊆ lat·lat, so equality is closure)."""
+def make_order(lat: Lat4) -> Lat4:
+    """lat, checked to be an order; ValueError unless 1 ∈ lat and lat·lat = lat
+    (1 ∈ lat gives lat ⊆ lat·lat, so equality is closure)."""
     if not lat.contains((1, 0, 0, 0)):
         raise ValueError("order must contain 1")
     if product_lattice(lat, lat) != lat:
         raise ValueError("order must be closed under multiplication")
-    return OrderLattice(lat)
+    return lat
 
 
-def reduced_discriminant(O: OrderLattice) -> int:
+def reduced_discriminant(O: Lat4) -> int:
     """The integer d with d² = |det(trace pairing)| on the order.
 
     The trace pairing on (1, i, j, k) is diag(2, -2a, -2b, 2ab), of
     determinant (4ab)², so d = 4·|ab|·covol(O).
     """
-    d = 4 * abs(O.algebra.a * O.algebra.b) * O.lattice.covolume()
+    d = 4 * abs(O.algebra.a * O.algebra.b) * O.covolume()
     certify(d.denominator == 1 and d > 0, "reduced discriminant must be a positive integer")
     return int(d)
 
 
-def unit_count(O: OrderLattice) -> int:
+def unit_count(O: Lat4) -> int:
     """Number of elements of reduced norm 1 (always even: ± pairs), i.e. of
     value den² under the integer Gram matrix."""
-    d2 = O.lattice.den**2
-    cnt = counts_by_value(O.lattice.gram(), d2).get(d2, 0)
+    d2 = O.den**2
+    cnt = counts_by_value(O.gram(), d2).get(d2, 0)
     certify(cnt % 2 == 0 and cnt > 0, "unit count must be positive and even")
     return cnt
 
 
-def standard_order(B: QuaternionAlgebra) -> OrderLattice:
+def standard_order(B: QuaternionAlgebra) -> Lat4:
     return make_order(Lat4.span(B, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
 
 
-def _saturate_at(O: OrderLattice, p: int) -> OrderLattice:
-    """A strictly larger order O' with p·O' ⊆ O.
+def _saturate_at(L: Lat4, p: int) -> Lat4:
+    """A strictly larger order L' with p·L' ⊆ L, for the order L.
 
     Candidates x = r/(p·den), r = Σ c_k·rows_k, are filtered by integrality of
     the trace 2·r₀/(p·den), the norm N(r)/(p·den)² and the trace pairings
-    2·⟨r, rows_k⟩/(p·den²) against the basis, then the ring closure of O and x
+    2·⟨r, rows_k⟩/(p·den²) against the basis, then the ring closure of L and x
     is computed; the first candidate whose closure stabilizes on an order with
     a smaller p-part of the discriminant wins (deterministic in lexicographic
-    candidate order).  O ⊆ O' makes that p-part drop exactly when p divides
-    [O' : O].  CertificateError if no candidate enlarges O, which a
-    non-maximal O at p always allows.
+    candidate order).  L ⊆ L' makes that p-part drop exactly when p divides
+    [L' : L].  CertificateError if no candidate enlarges L, which a
+    non-maximal L at p always allows.
     """
-    L = O.lattice
     a, b, rows, pd = L.algebra.a, L.algebra.b, L.rows, p * L.den
     scaled = [tuple(p * v for v in row) for row in rows]
-    v_old = valuation(reduced_discriminant(O), p)
+    v_old = valuation(reduced_discriminant(L), p)
 
     def integral(r) -> bool:
         return not ((2 * r[0]) % pd or norm_pair(a, b, r, r) % (pd * pd)
@@ -197,8 +180,8 @@ def _saturate_at(O: OrderLattice, p: int) -> OrderLattice:
 
     closures = (_ring_closure(_canonical(L.algebra, pd, scaled + [r]))
                 for r in (_combine(c, rows) for c in _nonzero_tuples(p)) if integral(r))
-    larger = next((OrderLattice(C) for C in closures if C is not None
-                   and valuation(reduced_discriminant(OrderLattice(C)), p) < v_old), None)
+    larger = next((C for C in closures if C is not None
+                   and valuation(reduced_discriminant(C), p) < v_old), None)
     certify(larger is not None, f"cannot enlarge order at p={p}")
     return larger
 
@@ -224,7 +207,7 @@ def _ring_closure(cur: Lat4) -> Lat4 | None:
     return None
 
 
-def maximal_order(B: QuaternionAlgebra) -> OrderLattice:
+def maximal_order(B: QuaternionAlgebra) -> Lat4:
     """A maximal order, by saturating the standard order prime by prime.
 
     The result is certified: its reduced discriminant equals the product of
@@ -242,7 +225,7 @@ def maximal_order(B: QuaternionAlgebra) -> OrderLattice:
     return O
 
 
-def eichler_order(Omax: OrderLattice, M: int) -> OrderLattice:
+def eichler_order(Omax: Lat4, M: int) -> Lat4:
     """Cut level-q structure into Omax for each prime q | M (M squarefree,
     coprime to the algebra discriminant).
 
@@ -264,8 +247,7 @@ def eichler_order(Omax: OrderLattice, M: int) -> OrderLattice:
     return O
 
 
-def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
-    L = O.lattice
+def _eichler_step(L: Lat4, q: int) -> Lat4:
     a, b, d2 = L.algebra.a, L.algebra.b, L.den**2
 
     def coords(d: int, x) -> list[int]:
@@ -274,7 +256,7 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
         return c
 
     def mul(c, c2) -> list[int]:
-        """Coordinates mod q of x_c·x_c2, where x_c = Σ c_k·b_k lies in O."""
+        """Coordinates mod q of x_c·x_c2, where x_c = Σ c_k·b_k lies in L."""
         x = quat_mul(a, b, _combine(c, L.rows), _combine(c2, L.rows))
         return [v % q for v in coords(d2, x)]
 
@@ -285,7 +267,7 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
               if (2 * _combine(c, L.rows)[0] - L.den) % (q * L.den) == 0
               and any((x - y) % q for x, y in zip(c, one))
               and mul(c, c) == [x % q for x in c]), None)
-    # O/qO ≅ M_2(F_q) for q ∤ disc(O), which eichler_order has checked
+    # L/qL ≅ M_2(F_q) for q ∤ disc(L), which eichler_order has checked
     certify(e is not None, f"no nontrivial idempotent mod {q}")
     one_minus_e = [(x - y) % q for x, y in zip(one, e)]
     # linear map c -> coords(e·x_c·(1-e)) mod q; its kernel is the suborder mod q
@@ -296,8 +278,8 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
     H = hnf([v[:4] for v in kernel])
     certify(prod(H[k][k] for k in range(4)) == q, "upper-triangular part mod q must have index q")
     sub = make_order(_canonical(L.algebra, L.den, [_combine(h, L.rows) for h in H]))
-    certify(reduced_discriminant(sub) == q * reduced_discriminant(O),
-            "the level-q suborder must have discriminant q·disc(O)")
+    certify(reduced_discriminant(sub) == q * reduced_discriminant(L),
+            "the level-q suborder must have discriminant q·disc(L)")
     return sub
 
 
@@ -305,30 +287,30 @@ def _eichler_step(O: OrderLattice, q: int) -> OrderLattice:
 class LeftIdeal:
     """A left ideal of a fixed order, with its reduced norm."""
 
-    order: OrderLattice
+    order: Lat4
     lattice: Lat4
     norm: Fraction
 
     @classmethod
-    def of(cls, order: OrderLattice, lattice: Lat4) -> "LeftIdeal":
+    def of(cls, order: Lat4, lattice: Lat4) -> "LeftIdeal":
         n = lattice.norm()
         certify(_covolume_certificate(order, lattice, n),
                 "ideal is not locally principal (covolume certificate failed)")
         return cls(order, lattice, n)
 
 
-def _covolume_certificate(O: OrderLattice, lat: Lat4, n: Fraction) -> bool:
+def _covolume_certificate(O: Lat4, lat: Lat4, n: Fraction) -> bool:
     """covol(lat) = n²·covol(O), true for a locally principal left O-ideal of
     norm n (the same as det = n⁴·det for the norm-form Gram matrices of lat
     and O over their own bases)."""
-    return lat.covolume() == n * n * O.lattice.covolume()
+    return lat.covolume() == n * n * O.covolume()
 
 
-def unit_ideal(O: OrderLattice) -> LeftIdeal:
-    return LeftIdeal.of(O, O.lattice)
+def unit_ideal(O: Lat4) -> LeftIdeal:
+    return LeftIdeal.of(O, O)
 
 
-def right_order(I: LeftIdeal) -> OrderLattice:
+def right_order(I: LeftIdeal) -> Lat4:
     """O_r(I) = conj(I)·I / N(I) for locally principal I: the row products
     scaled by 1/N(I)."""
     P = product_lattice(I.lattice.conjugate(), I.lattice)
@@ -385,21 +367,20 @@ def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
     return LeftIdeal.of(I.order, _canonical(L.algebra, L.den**2 * n.numerator, rows))
 
 
-def _neighbor_ideals(R: OrderLattice, p: int) -> list[Lat4]:
-    """The p+1 left R-ideals of reduced norm p (p coprime to disc(R)), sorted
-    by (den, rows).
+def _neighbor_ideals(L: Lat4, p: int) -> list[Lat4]:
+    """The p+1 left L-ideals of reduced norm p, for an order L with p coprime
+    to disc(L), sorted by (den, rows).
 
-    R/pR is the matrix ring M_2(F_p) with the determinant as norm, so the
+    L/pL is the matrix ring M_2(F_p) with the determinant as norm, so the
     x = Σ c_k·rows_k/den with c nonzero mod p and p | N(x) are the (p+1)²
     projective points of a quadric (`_isotropic_points`).  The ideal
-    p·R + R·x, spanned by p·den·rows_k and rows_k·x over den², is the one
+    p·L + L·x, spanned by p·den·rows_k and rows_k·x over den², is the one
     left ideal of norm p that holds x, and each of the p+1 ideals holds p+1
     of the points.  So a point is canonicalized only when it lies in no ideal
     found before (`Lat4.holds`), and every point is visited: CertificateError
-    unless the norm form is integral on R and the points give exactly p+1
+    unless the norm form is integral on L and the points give exactly p+1
     ideals.
     """
-    L = R.lattice
     a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
     d2 = den * den
     G = L.gram()
@@ -454,10 +435,10 @@ class IdealClassSet:
     on construction).
     """
 
-    order: OrderLattice
+    order: Lat4
     cfg: LevelConfig
     ideals: list[LeftIdeal]
-    right_orders: list[OrderLattice]
+    right_orders: list[Lat4]
     e: list[int]
     cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -477,7 +458,7 @@ class IdealClassSet:
         return sum((Fraction(1, e) for e in self.e), Fraction(0))
 
 
-def level_config_of(O: OrderLattice) -> LevelConfig:
+def level_config_of(O: Lat4) -> LevelConfig:
     N = reduced_discriminant(O)
     P = O.algebra.discriminant
     certify(N % P == 0, "reduced discriminant must be a multiple of the ramified product")
@@ -535,7 +516,7 @@ def classes_from_json(data) -> IdealClassSet:
         if len(coords) != 16:
             raise CacheError("each class needs 16 basis coordinates")
         lat = Lat4.span(B, [coords[4 * k : 4 * k + 4] for k in range(4)])
-        if product_lattice(O.lattice, lat) != lat:
+        if product_lattice(O, lat) != lat:
             raise CacheError("cached lattice is not a left ideal of the order")
         n = lat.norm()
         if not _covolume_certificate(O, lat, n):
@@ -553,7 +534,7 @@ def classes_from_json(data) -> IdealClassSet:
     cs = IdealClassSet(order=O, cfg=cfg, ideals=ideals, right_orders=rights, e=es)
     if cs.total_mass() != mass(cfg):
         raise CacheError("cached classes do not satisfy the mass formula")
-    if ideals and ideals[0].lattice != O.lattice:
+    if ideals and ideals[0].lattice != O:
         raise CacheError("first cached class must be the order itself")
     return cs
 
@@ -569,7 +550,7 @@ def build_class_set(cfg: LevelConfig) -> IdealClassSet:
     return left_ideal_classes(O)
 
 
-def left_ideal_classes(O: OrderLattice) -> IdealClassSet:
+def left_ideal_classes(O: Lat4) -> IdealClassSet:
     """Enumerate the left ideal classes of O by a neighbor walk at the smallest
     prime coprime to the level (`qform.good_primes`), stopping exactly when
     the mass formula is met.

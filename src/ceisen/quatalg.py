@@ -117,7 +117,7 @@ class QuaternionAlgebra:
         return d
 
 
-def construct_algebra(ramified_set, bound: int | None = None) -> QuaternionAlgebra:
+def construct_algebra(ramified_set) -> QuaternionAlgebra:
     """Smallest (|a|+|b|, |a|) pair of negative squarefree a, b realizing the
     prescribed finite ramified set (which must have odd size).
 
@@ -126,8 +126,8 @@ def construct_algebra(ramified_set, bound: int | None = None) -> QuaternionAlgeb
     divide ab: pairs with ab not divisible by the odd part of the set's
     product are skipped before any symbol is computed, which leaves the first
     pair found unchanged.  The returned algebra carries its certified
-    ramified tuple; raises AlgebraSearchError if nothing is found within the
-    bound.
+    ramified tuple; raises AlgebraSearchError if nothing is found with
+    |a| + |b| <= 8·prod(set) + 16.
     """
     S = tuple(sorted(set(int(p) for p in ramified_set)))
     if not S or len(S) % 2 == 0:
@@ -137,7 +137,7 @@ def construct_algebra(ramified_set, bound: int | None = None) -> QuaternionAlgeb
             raise ValueError(f"{p} is not prime")
     prod = math.prod(S)
     odd = prod // 2 if S[0] == 2 else prod
-    limit = bound if bound is not None else 8 * prod + 16
+    limit = 8 * prod + 16
     for t in range(2, limit + 1):
         for na in range(1, t):
             nb = t - na

@@ -32,7 +32,7 @@ def ternary_lattice(classes: IdealClassSet, i: int) -> tuple[tuple[int, ...], ..
     cached = classes.cache.setdefault("ternary_lattice", {})
     if i in cached:
         return cached[i]
-    R = classes.right_orders[i - 1].lattice
+    R = classes.right_orders[i - 1]
     B = R.algebra
     L = Lat4.span(B, [(1, 0, 0, 0)] + [[2 * x for x in b] for b in R.basis])  # Z + 2R
     # trace of (Σ c_k·rows_k)/den vanishes iff Σ c_k · (2·first coord of row k) = 0
@@ -143,7 +143,7 @@ def trace_identity_check(classes: IdealClassSet, m_max: int) -> list[TraceCheckR
     H = cohen_H(classes, 4 * m_max if m_max else 0)
     rows = []
     for m in range(m_max + 1):
-        lhs = mats[m].trace()
+        lhs = sum(mats[m][i][i] for i in range(classes.n))
         rhs = Fraction(0)
         s = 0
         while s * s <= 4 * m:

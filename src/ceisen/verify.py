@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import lcm
 
 from .arith import is_prime, primes_up_to
-from .brandt import EigenSystem, _pair_counts, eigenvalue_of, expected_row_sum
+from .brandt import EigenSystem, brandt_matrices_upto, eigenvalue_of, expected_row_sum
 from .order import IdealClassSet
 from .qform import (LevelConfig, class_number, fundamental_parts, kronecker_condition,
                     s_ramified)
@@ -31,7 +31,6 @@ class CongruencePreconditionError(Exception):
 class CongruenceReport:
     """The coefficient congruence λ·G ≡ H (mod l); failures are (D, lhs, rhs)."""
 
-    l: int
     lam: int | None
     reason: str  # "found" | "indeterminate" | "inconsistent"
     checked_max: int  # D_max
@@ -59,11 +58,10 @@ def eigenvalue_congruence(
             raise CongruencePreconditionError(f"w_i = {w} is not invertible mod {l}")
     cfg = classes.cfg
     primes = [p for p in primes_up_to(p_max) if cfg.N % p]
-    if primes:
-        _pair_counts(classes, primes[-1])  # one sweep serves every B_p
+    mats = brandt_matrices_upto(classes, primes[-1]) if primes else []
     failures = []
     for p in primes:
-        a_p = eigenvalue_of(classes, v, p)
+        a_p = eigenvalue_of(mats[p], v)
         b_p = expected_row_sum(p, cfg)
         if (a_p - b_p) % l != 0:
             failures.append((p, a_p % l, b_p % l))
@@ -95,10 +93,10 @@ def coefficient_congruence(
             break
     if lam is None:
         if all(a % l == 0 for a in A) and all(b % l == 0 for b in B):
-            return CongruenceReport(l, None, "indeterminate", D_max)
+            return CongruenceReport(None, "indeterminate", D_max)
         failures = [(D, B[D] % l, A[D] % l)
                     for D in range(D_max + 1) if (A[D] % l == 0) != (B[D] % l == 0)]
-        return CongruenceReport(l, None, "inconsistent", D_max, failures)
+        return CongruenceReport(None, "inconsistent", D_max, failures)
     failures = []
     for D in range(D_max + 1):
         lhs = (lam * B[D]) % l
@@ -106,8 +104,8 @@ def coefficient_congruence(
         if lhs != rhs:
             failures.append((D, lhs, rhs))
     if failures:
-        return CongruenceReport(l, None, "inconsistent", D_max, failures)
-    return CongruenceReport(l, lam, "found", D_max)
+        return CongruenceReport(None, "inconsistent", D_max, failures)
+    return CongruenceReport(lam, "found", D_max)
 
 
 def best_coefficient_congruence(

@@ -198,15 +198,22 @@ def _raises(node, func=None):
 def test_src_certificates_use_certify():
     # an `assert` vanishes under `python -O`, and an exception class of its own
     # for an identity that cannot fail is a second idiom: every certificate in
-    # src is one certify(...) call, and every other raise reports bad input
-    asserts, raises = [], []
+    # src is one certify(...) call, and every other raise reports bad input.
+    # A module's private names stay its own: no module of the package imports
+    # another's `_name`.
+    asserts, raises, private = [], [], []
     for path in sorted(Path(ceisen.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                     if isinstance(node, ast.Assert)]
         raises += [(path.name, func, name) for func, name in _raises(tree)
                    if name not in INPUT_ERRORS]
+        private += [f"{path.name}:{node.lineno}:{alias.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)
+                    and (node.level or (node.module or "").startswith("ceisen"))
+                    for alias in node.names if alias.name.startswith("_")]
     assert asserts == []
+    assert private == []
     # the one raise of CertificateError, in certify, and the snapshot writer's
     # re-raise after it removes its temp file
     assert raises == [("arith.py", "certify", "CertificateError"),

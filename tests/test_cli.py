@@ -358,7 +358,9 @@ def test_readme_library_example_runs():
     with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
         readme = fh.read()
     section = readme[readme.index("## Library"):]
-    code = section[section.index("```python\n") + len("```python\n"):section.index("\n```")]
+    start = section.index("```python\n") + len("```python\n")
+    code = section[start:section.index("\n```", start)]
+    assert "brandt_matrix" in code  # the slice runs to the closing fence
     src = os.path.dirname(os.path.dirname(ceisen.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)

@@ -14,7 +14,6 @@ from ceisen.order import (
     CacheError,
     Lat4,
     LeftIdeal,
-    OrderLattice,
     build_class_set,
     classes_from_json,
     classes_to_json,
@@ -114,7 +113,7 @@ def test_classes_level_11(classes11):
     assert classes11.total_mass() == Fraction(5, 12)
     assert classes11.total_mass() == mass(classes11.cfg)
     # first representative is the order itself
-    assert classes11.ideals[0].lattice == classes11.order.lattice
+    assert classes11.ideals[0].lattice == classes11.order
     for I in classes11.ideals:
         assert I.norm.denominator == 1  # integral representatives
 
@@ -135,7 +134,7 @@ def test_principal_ideal_is_trivial_class(order11):
 
 
 def test_right_order_of_unit_ideal(order11):
-    assert right_order(unit_ideal(order11)).lattice == order11.lattice
+    assert right_order(unit_ideal(order11)) == order11
 
 
 def test_reduce_ideal_keeps_class(classes11):
@@ -229,7 +228,7 @@ def test_cache_rejects_corruption(classes11):
 
 def test_make_order_rejects_non_orders(hurwitz):
     B = hurwitz.algebra
-    assert make_order(hurwitz.lattice) == hurwitz
+    assert make_order(hurwitz) == hurwitz
     with pytest.raises(ValueError, match="contain 1"):
         make_order(Lat4.span(B, [tuple(2 * v for v in b) for b in hurwitz.basis]))
     # 1 is present, but (i/2)² = -1/4 is not
@@ -293,7 +292,7 @@ def test_product_and_conjugate_match_quaternion_products():
         assert product_lattice(B, A) == Lat4.span(alg, [mul(alg, v, u) for v in B.basis for u in A.basis])
         assert A.conjugate() == Lat4.span(alg, [conj(b) for b in A.basis])
     for a, b in LATTICE_ALGEBRAS:
-        O = maximal_order(QuaternionAlgebra.create(a, b)).lattice
+        O = maximal_order(QuaternionAlgebra.create(a, b))
         assert product_lattice(O, O) == O  # 1 ∈ O: the product over den² must reduce to O
         assert O.conjugate() == O
 
@@ -338,7 +337,7 @@ def test_coords_round_trip_and_non_members():
 def trace_pairing_discriminant(O) -> int:
     """The reference: the d with d² = 16·det of the norm form's Gram matrix,
     which must be a perfect square (the integer Gram is den² times it)."""
-    det = 16 * mat_det(O.lattice.gram()) / O.lattice.den**8
+    det = 16 * mat_det(O.gram()) / O.den**8
     d = isqrt(int(det))
     assert det.denominator == 1 and d * d == det
     return d
@@ -375,7 +374,7 @@ def test_covolume_certificate_matches_gram_determinants(level11, level66):
     verdicts = []
     for O, L in cases:
         n = L.norm()
-        by_gram = mat_det(L.gram()) / L.den**8 == n**4 * mat_det(O.lattice.gram()) / O.lattice.den**8
+        by_gram = mat_det(L.gram()) / L.den**8 == n**4 * mat_det(O.gram()) / O.den**8
         assert _covolume_certificate(O, L, n) == by_gram
         verdicts.append(by_gram)
     assert True in verdicts and False in verdicts
@@ -407,7 +406,7 @@ def brute_eichler(Omax, q: int) -> Lat4:
 def test_eichler_order_is_brute_force_preimage(p, q):
     Omax = maximal_order(construct_algebra({p}))
     O = eichler_order(Omax, q)
-    assert O.lattice == brute_eichler(Omax, q)
+    assert O == brute_eichler(Omax, q)
     assert reduced_discriminant(O) == q * reduced_discriminant(Omax)
 
 
@@ -481,10 +480,9 @@ def reference_projective_tuples(p: int):
             yield head + t
 
 
-def reference_neighbor_ideals(R, p: int) -> list[Lat4]:
+def reference_neighbor_ideals(L, p: int) -> list[Lat4]:
     """The neighbour step as a full scan: every projective point is tested,
     and every isotropic one is canonicalized."""
-    L = R.lattice
     a, b, rows, d2 = L.algebra.a, L.algebra.b, L.rows, L.den**2
     scaled = [tuple(p * L.den * v for v in row) for row in rows]
     seen: dict[tuple, Lat4] = {}
@@ -503,7 +501,7 @@ def reference_neighbor_ideals(R, p: int) -> list[Lat4]:
 
 def norm_form(R) -> list[list[int]]:
     """Q with N(Σ c_k·b_k) = Σ_{k<=l} Q_kl·c_k·c_l on the basis of R."""
-    G, d2 = R.lattice.gram(), R.lattice.den**2
+    G, d2 = R.gram(), R.den**2
     return [[(1 + (k < l)) * G[k][l] // d2 if k <= l else 0 for l in range(4)] for k in range(4)]
 
 
@@ -516,7 +514,7 @@ def test_neighbor_ideals_match_full_scan(order11, level210_m2, level389):
     cases = [(order11, p) for p in (2, 3, 5, 7)]
     cases += [(R, 11) for R in level210_m2.right_orders]
     # at N = 389 the walk prime 2 divides the denominator of some right orders
-    assert any(R.lattice.den % 2 == 0 for R in level389.right_orders)
+    assert any(R.den % 2 == 0 for R in level389.right_orders)
     cases += [(R, 2) for R in level389.right_orders]
     for R, p in cases:
         assert _neighbor_ideals(R, p) == reference_neighbor_ideals(R, p)
@@ -573,9 +571,8 @@ def test_neighbor_certificates_raise(order11, hurwitz):
     with pytest.raises(CertificateError, match="neighbors"):
         _neighbor_ideals(hurwitz, 2)
     # half the Hurwitz order is no order: its norms lie in Z/4
-    L = hurwitz.lattice
     with pytest.raises(CertificateError, match="integral"):
-        _neighbor_ideals(OrderLattice(Lat4(L.algebra, 2 * L.den, L.rows)), 3)
+        _neighbor_ideals(Lat4(hurwitz.algebra, 2 * hurwitz.den, hurwitz.rows), 3)
 
 
 def test_saturation_certificate(hurwitz):

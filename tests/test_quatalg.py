@@ -102,15 +102,17 @@ def test_construct_algebra_known_sets():
     assert B.ramified == (2, 3, 7)
 
 
-def test_construct_algebra_validation():
+def test_construct_algebra_validation(monkeypatch):
     with pytest.raises(ValueError):
         construct_algebra({2, 3})  # even size
     with pytest.raises(ValueError):
         construct_algebra(set())
     with pytest.raises(ValueError):
         construct_algebra({6})
-    with pytest.raises(AlgebraSearchError):
-        construct_algebra({3}, bound=3)
+    # no pair ramifies anywhere, so the search runs out its whole range
+    monkeypatch.setattr("ceisen.quatalg.ramified_primes", lambda a, b: ())
+    with pytest.raises(AlgebraSearchError, match=r"\|a\|\+\|b\| <= 40"):
+        construct_algebra({3})
 
 
 def test_element_arithmetic_identities():
