@@ -104,6 +104,19 @@ def test_row_sums(classes):
         assert list(map(sum, mats[m])) == [series[m]] * classes.n, m
 
 
+def test_all_ones_eigenvector(classes):
+    # B_m·u^t = b_m·u^t as a matrix product, and by the weighted symmetry
+    # e_j·b_ij = e_i·b_ji the weights (1/e_1, ..., 1/e_n) are a left
+    # eigenvector with the same eigenvalue b_m
+    mats = brandt_matrices_upto(classes, 30)
+    n = classes.n
+    w = [[Fraction(1, e) for e in classes.e]]
+    for m in range(1, 31):
+        b = expected_row_sum(m, classes.cfg)
+        assert mat_mul(mats[m], [[1]] * n) == [[b]] * n, m
+        assert mat_mul(w, mats[m]) == [[b * x for x in w[0]]], m
+
+
 def test_weighted_symmetry(classes):
     # the unweighted counts c_ij = e_j·b_ij form a symmetric matrix
     mats = brandt_matrices_upto(classes, 20)
@@ -138,6 +151,28 @@ def test_hecke_multiplicativity(classes):
     else:
         # no coprime-to-210 pair fits under 100; exercise a genuine one above
         assert mat_mul(mats[11], mats[13]) == brandt_matrix(classes, 143)
+
+
+def test_eisenstein_e2(classes):
+    # the all-ones eigenvalues b_m, read off the matrices, are the coefficients
+    # of the weight-2 Eisenstein series: constant term the mass, b_m·b_n =
+    # b_mn for coprime m, n, and b_{p^(k+1)} = b_p·b_{p^k} - p·b_{p^(k-1)}
+    # at primes p not dividing N
+    N = classes.cfg.N
+    mats = brandt_matrices_upto(classes, 50)
+    b = [sum(B[0]) for B in mats]
+    assert b[0] == mass(classes.cfg)
+    for m in range(2, 26):
+        for n in range(m + 1, 50 // m + 1):
+            if gcd(m, n) == 1:
+                assert b[m * n] == b[m] * b[n], (m, n)
+    for p in (2, 3, 5, 7):
+        if N % p:
+            pk = [1, p]
+            while pk[-1] * p <= 50:
+                pk.append(pk[-1] * p)
+            for k in range(1, len(pk) - 1):
+                assert b[pk[k + 1]] == b[p] * b[pk[k]] - p * b[pk[k - 1]], (p, k)
 
 
 def test_eigensystem_level11(level11, eig11):
