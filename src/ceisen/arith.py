@@ -8,9 +8,9 @@ loop.  Everything returns exact integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 
 class CertificateError(ArithmeticError):
@@ -23,8 +23,7 @@ def certify(cond: bool, msg: str) -> None:
         raise CertificateError(msg)
 
 
-@dataclass(frozen=True)
-class FactoredInt:
+class FactoredInt(NamedTuple):
     """A positive integer together with its sorted prime factorization."""
 
     value: int

@@ -17,10 +17,10 @@ as a plain integer vector v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from operator import mul
+from typing import NamedTuple
 
 from .arith import certify, factorize
 from .lattice import counts_by_value
@@ -111,8 +111,7 @@ def brandt_matrices_upto(classes: IdealClassSet, m_max: int) -> list[list[list[i
     return [brandt_matrix(classes, m) for m in range(m_max + 1)]
 
 
-@dataclass(frozen=True)
-class EigenSystem:
+class EigenSystem(NamedTuple):
     """Simultaneous rational eigendata of the Brandt matrices at `primes`.
 
     u_eigenvalues are those of the all-ones eigenvector (verified to be b_p);
@@ -131,8 +130,7 @@ class EigenSystem:
     unresolved: list[tuple[int, dict[int, int]]]
 
 
-@dataclass
-class _Block:
+class _Block(NamedTuple):
     basis: list[list[int]]  # RREF rows, each primitive with a positive pivot
     pivots: list[int]
     eigs: dict[int, int]

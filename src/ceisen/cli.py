@@ -20,9 +20,9 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .arith import is_prime
 from .brandt import brandt_matrices_upto, expected_row_sum, rational_eigensystem
@@ -51,9 +51,9 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by the subcommands."""
+class RunConfig(NamedTuple):
+    """Validated run parameters shared by the subcommands; level is None for
+    a subcommand that takes no level."""
 
     ramified: tuple[int, ...]
     M: int
@@ -63,10 +63,7 @@ class RunConfig:
     format: str
     cache_dir: str | None
     out: str | None
-
-    @property
-    def level(self) -> LevelConfig:
-        return LevelConfig.from_primes(self.ramified, self.M)
+    level: LevelConfig | None
 
     @classmethod
     def from_args(cls, args: argparse.Namespace, need_level: bool = True) -> "RunConfig":
@@ -85,7 +82,7 @@ class RunConfig:
             raise ValueError("--threads must be >= 1")
         if args.l is not None and (args.l == 2 or not is_prime(args.l)):
             raise ValueError("--l must be an odd prime")
-        cfg = cls(
+        return cls(
             ramified=ramified,
             M=args.M,
             D_max=args.dmax,
@@ -94,10 +91,8 @@ class RunConfig:
             format=args.format,
             cache_dir=args.cache_dir,
             out=args.out,
+            level=LevelConfig.from_primes(ramified, args.M) if need_level else None,
         )
-        if need_level:
-            cfg.level  # raises ValueError on an invalid level
-        return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,10 @@ before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from math import gcd, prod
+from typing import NamedTuple
 
 from .arith import certify, factorize, valuation
 from .lattice import counts_by_value, exists_value, shortest_vector
@@ -45,8 +45,7 @@ def _canonical(algebra: QuaternionAlgebra, den: int, rows) -> "Lat4":
     return Lat4(algebra, den // g, tuple(tuple(x // g for x in row) for row in H))
 
 
-@dataclass(frozen=True)
-class Lat4:
+class Lat4(NamedTuple):
     """A full rank-4 lattice in a quaternion algebra, in canonical form.
 
     Built only through `_canonical`.  The rows form an upper-triangular HNF
@@ -283,8 +282,7 @@ def _eichler_step(L: Lat4, q: int) -> Lat4:
     return sub
 
 
-@dataclass(frozen=True)
-class LeftIdeal:
+class LeftIdeal(NamedTuple):
     """A left ideal of a fixed order, with its reduced norm."""
 
     order: Lat4
@@ -425,22 +423,25 @@ def _isotropic_points(Q, p: int):
         yield (0, 0, 0, 1)
 
 
-@dataclass
 class IdealClassSet:
     """Representatives of the left ideal classes of an order, with weights.
 
     ideals[0] is the order itself.  For each class: its right order and the
     unit count e_i of that right order; w_i = e_i/2 is derived from e.  The
     accumulated mass sum(1/e_i) equals the formula value exactly (certified
-    on construction).
+    on construction).  Unlike the value types, a class set is mutable: it owns
+    `cache`, where `theta32` and `brandt` keep the ternary Gram matrices and
+    counts and the pair counts they extend as bounds grow.
     """
 
-    order: Lat4
-    cfg: LevelConfig
-    ideals: list[LeftIdeal]
-    right_orders: list[Lat4]
-    e: list[int]
-    cache: dict = field(default_factory=dict, compare=False, repr=False)
+    def __init__(self, order: Lat4, cfg: LevelConfig, ideals: list[LeftIdeal],
+                 right_orders: list[Lat4], e: list[int]):
+        self.order = order
+        self.cfg = cfg
+        self.ideals = ideals
+        self.right_orders = right_orders
+        self.e = e
+        self.cache: dict = {}
 
     @property
     def n(self) -> int:

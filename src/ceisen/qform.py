@@ -11,10 +11,10 @@ added at every D = |d|·f² up to D_max.  All values are exact (int / Fraction).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
+from typing import NamedTuple
 
 from .arith import FactoredInt, factorize, is_prime, kronecker
 
@@ -85,24 +85,28 @@ def unit_factor(d: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class LevelConfig:
-    """A square-free level split as P·M: P the ramified part, M coprime to it.
-
-    P must be a product of an odd number of distinct primes; M is square-free
-    and coprime to P.
-    """
-
+class _LevelParts(NamedTuple):
     P: FactoredInt
     M: FactoredInt
 
-    def __post_init__(self):
-        if not self.P.is_squarefree or not self.M.is_squarefree:
+
+class LevelConfig(_LevelParts):
+    """A square-free level split as P·M: P the ramified part, M coprime to it.
+
+    P must be a product of an odd number of distinct primes; M is square-free
+    and coprime to P.  Construction checks both (ValueError).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, P: FactoredInt, M: FactoredInt) -> "LevelConfig":
+        if not P.is_squarefree or not M.is_squarefree:
             raise ValueError("level parts must be squarefree")
-        if len(self.P.factors) % 2 == 0 or self.P.value < 2:
+        if len(P.factors) % 2 == 0 or P.value < 2:
             raise ValueError("ramified part needs an odd number of primes")
-        if gcd(self.P.value, self.M.value) != 1:
+        if gcd(P.value, M.value) != 1:
             raise ValueError("P and M must be coprime")
+        return super().__new__(cls, P, M)
 
     @classmethod
     def from_primes(cls, ramified: tuple[int, ...] | list[int], M: int = 1) -> "LevelConfig":

@@ -11,8 +11,8 @@ prescribed ramified set are found by a bounded deterministic search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import certify, factorize, is_prime, squarefree_kernel, valuation, kronecker
 
@@ -95,8 +95,7 @@ def norm_pair(a, b, x, y):
     return x[0] * y[0] - a * x[1] * y[1] - b * x[2] * y[2] + a * b * x[3] * y[3]
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(NamedTuple):
     """The definite algebra with i² = a, j² = b, ij = -ji = k."""
 
     a: int

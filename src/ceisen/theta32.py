@@ -11,9 +11,9 @@ give optimal-embedding numbers which tie H to pure class-number data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from .arith import certify
 from .brandt import brandt_matrices_upto
@@ -127,8 +127,7 @@ def embedding_count_identity(classes: IdealClassSet, d: int) -> tuple[int, int]:
     return lhs, class_number(d) * local_factor(classes.cfg, n0, isqrt(-d // n0))
 
 
-@dataclass(frozen=True)
-class TraceCheckRow:
+class TraceCheckRow(NamedTuple):
     m: int
     lhs: int | Fraction  # Tr(B_m): an int for m ≥ 1, the mass at m = 0
     rhs: Fraction  # Σ_{s² ≤ 4m} H(4m − s²)

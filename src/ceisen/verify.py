@@ -11,9 +11,9 @@ line reads the whole eigensystem.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .arith import is_prime, primes_up_to
 from .brandt import EigenSystem, brandt_matrices_upto, eigenvalue_of, expected_row_sum
@@ -27,14 +27,14 @@ class CongruencePreconditionError(Exception):
     """The congruence hypotheses fail before any comparison can run."""
 
 
-@dataclass
-class CongruenceReport:
-    """The coefficient congruence λ·G ≡ H (mod l); failures are (D, lhs, rhs)."""
+class CongruenceReport(NamedTuple):
+    """The coefficient congruence λ·G ≡ H (mod l); failures are (D, lhs, rhs),
+    a list of its own in every report."""
 
     lam: int | None
     reason: str  # "found" | "indeterminate" | "inconsistent"
     checked_max: int  # D_max
-    failures: list[tuple[int, int, int]] = field(default_factory=list)
+    failures: list[tuple[int, int, int]]
 
     @property
     def passed(self) -> bool:
@@ -93,7 +93,7 @@ def coefficient_congruence(
             break
     if lam is None:
         if all(a % l == 0 for a in A) and all(b % l == 0 for b in B):
-            return CongruenceReport(None, "indeterminate", D_max)
+            return CongruenceReport(None, "indeterminate", D_max, [])
         failures = [(D, B[D] % l, A[D] % l)
                     for D in range(D_max + 1) if (A[D] % l == 0) != (B[D] % l == 0)]
         return CongruenceReport(None, "inconsistent", D_max, failures)
@@ -105,7 +105,7 @@ def coefficient_congruence(
             failures.append((D, lhs, rhs))
     if failures:
         return CongruenceReport(None, "inconsistent", D_max, failures)
-    return CongruenceReport(lam, "found", D_max)
+    return CongruenceReport(lam, "found", D_max, [])
 
 
 def best_coefficient_congruence(
@@ -126,8 +126,7 @@ def best_coefficient_congruence(
     return first_report, eig.lines[0][1]
 
 
-@dataclass(frozen=True)
-class DivisibilityRow:
+class DivisibilityRow(NamedTuple):
     D: int
     fundamental: bool
     s: int

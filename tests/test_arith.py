@@ -200,8 +200,9 @@ def test_src_certificates_use_certify():
     # for an identity that cannot fail is a second idiom: every certificate in
     # src is one certify(...) call, and every other raise reports bad input.
     # A module's private names stay its own: no module of the package imports
-    # another's `_name`.
-    asserts, raises, private = [], [], []
+    # another's `_name`.  Value types are NamedTuples: no module imports
+    # `dataclasses`, whose import alone costs every invocation several ms.
+    asserts, raises, private, dataclass_imports = [], [], [], []
     for path in sorted(Path(ceisen.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         asserts += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
@@ -212,8 +213,13 @@ def test_src_certificates_use_certify():
                     if isinstance(node, ast.ImportFrom)
                     and (node.level or (node.module or "").startswith("ceisen"))
                     for alias in node.names if alias.name.startswith("_")]
+        dataclass_imports += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                              if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+                              or (isinstance(node, ast.Import)
+                                  and any(alias.name == "dataclasses" for alias in node.names))]
     assert asserts == []
     assert private == []
+    assert dataclass_imports == []
     # the one raise of CertificateError, in certify, and the snapshot writer's
     # re-raise after it removes its temp file
     assert raises == [("arith.py", "certify", "CertificateError"),

@@ -352,6 +352,17 @@ def test_console_script_subprocess():
     assert "computed=5/12;expected=5/12" in proc.stdout
 
 
+def test_startup_imports_no_dataclasses():
+    # every invocation is a fresh interpreter: importing the CLI must not pull
+    # in `dataclasses`, which imports `inspect` (and `ast`, `dis`, `tokenize`)
+    src = os.path.dirname(os.path.dirname(ceisen.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, ceisen.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_readme_library_example_runs():
     # the documented example imports only what `ceisen` exports
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

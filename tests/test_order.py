@@ -285,6 +285,20 @@ def rational_gcd(values) -> Fraction:
     return Fraction(gcd(*(int(v * L) for v in values)), L)
 
 
+def test_lattice_is_a_value():
+    # the canonical form makes a lattice a value: any generating set of the
+    # same lattice gives an equal, equally hashed key
+    for A, B, rng in lattice_cases():
+        gens = list(A.basis)
+        rng.shuffle(gens)
+        gens[0] = combination(gens, (1, 1, 0, 0))  # a unimodular change as well
+        A2 = Lat4.span(A.algebra, gens)
+        assert A2 is not A and A2 == A and hash(A2) == hash(A)
+        assert {A, A2} == {A} and {A: 1}[A2] == 1
+        double = Lat4.span(A.algebra, [tuple(2 * v for v in g) for g in gens])
+        assert double != A and double not in {A}
+
+
 def test_product_and_conjugate_match_quaternion_products():
     for A, B, _ in lattice_cases():
         alg = A.algebra

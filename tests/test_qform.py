@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ceisen
-from ceisen.arith import kronecker, primes_up_to, squarefree_kernel
+from ceisen.arith import factorize, kronecker, primes_up_to, squarefree_kernel
 from ceisen.qform import (
     LevelConfig,
     class_number,
@@ -226,6 +226,11 @@ def test_level_config_validation():
         LevelConfig.from_primes([2, 3, 7], M=7)  # not coprime
     with pytest.raises(ValueError):
         LevelConfig.from_primes([2, 3, 7], M=4)  # not squarefree
+    # the same checks on direct construction
+    assert LevelConfig(factorize(7), factorize(5)) == LevelConfig.from_primes([7], 5)
+    for P, M in [(6, 1), (7, 7), (7, 4)]:
+        with pytest.raises(ValueError):
+            LevelConfig(factorize(P), factorize(M))
 
 
 def test_mass_values():

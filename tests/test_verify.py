@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -100,6 +99,17 @@ def test_inconsistent_vanishing_report():
     assert (2, 0, 1) in rep.failures
 
 
+def test_reports_never_share_failures():
+    # a report is a NamedTuple, so its failures list has no default to share
+    zero = (Fraction(0),) * 3
+    one = tuple(Fraction(x) for x in (1, 1, 1))
+    reports = [coefficient_congruence(zero, zero, 5), coefficient_congruence(one, one, 5),
+               coefficient_congruence(one, one, 7)]
+    reports[0].failures.append((0, 0, 0))
+    assert [len(r.failures) for r in reports] == [1, 0, 0]
+    assert len({id(r.failures) for r in reports}) == 3
+
+
 def test_best_line_level11(level11, eig11):
     H = cohen_H(level11, 300)
     rep, v = best_coefficient_congruence(level11, eig11, H, 5)
@@ -145,6 +155,6 @@ def test_divisibility_table_l7_negative_control(level11, v11):
 
 
 def test_best_line_requires_line(level11, eig11):
-    bare = dataclasses.replace(eig11, lines=[])
+    bare = eig11._replace(lines=[])
     with pytest.raises(CongruencePreconditionError):
         best_coefficient_congruence(level11, bare, cohen_H(level11, 10), 5)
