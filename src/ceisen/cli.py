@@ -141,7 +141,9 @@ def _config_json(cfg: RunConfig) -> dict:
 
 
 def _cache_path(cfg: RunConfig) -> str:
-    name = "classes_" + "-".join(str(p) for p in cfg.ramified) + f"_M{cfg.M}.json"
+    """The snapshot file of the level: named by its sorted, distinct ramified
+    primes, so every spelling of --ramified for one level shares it."""
+    name = "classes_" + "-".join(str(p) for p in cfg.level.ramified) + f"_M{cfg.M}.json"
     return os.path.join(cfg.cache_dir, name)
 
 

@@ -14,10 +14,11 @@ multiplied with `quat_mul` on the order's rows and read back in its
 coordinates by `Lat4.coords_of`.  Left ideal classes are enumerated by a
 neighbor walk at the smallest good prime, stopped exactly by the mass
 formula, with equivalence tests only between ideals of equal normalized
-theta series.  A walk step finds the (p+1)² isotropic points mod p of the
-integer norm form, one quadratic in the last coordinate per projective
-prefix, and canonicalizes only the p+1 points that lie in no neighbor found
-before.
+theta series; a candidate is keyed and tested as it comes, and only one that
+becomes a class is reduced.  A walk step finds the (p+1)² isotropic points
+mod p of the integer norm form, one quadratic in the last coordinate per
+projective prefix, and canonicalizes one point per neighbor: each new
+neighbor adds its p+1 points to a set, and a point in that set is skipped.
 """
 
 from __future__ import annotations
@@ -375,9 +376,10 @@ def _neighbor_ideals(L: Lat4, p: int) -> list[Lat4]:
     p·L + L·x, spanned by p·den·rows_k and rows_k·x over den², is the one
     left ideal of norm p that holds x, and each of the p+1 ideals holds p+1
     of the points.  So a point is canonicalized only when it lies in no ideal
-    found before (`Lat4.holds`), and every point is visited: CertificateError
-    unless the norm form is integral on L and the points give exactly p+1
-    ideals.
+    found before: each new ideal K puts its p+1 points (`_projective_points`)
+    into a set, and a later point is one set lookup.  Every point is visited:
+    CertificateError unless the norm form is integral on L and the points give
+    exactly p+1 ideals.
     """
     a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
     d2 = den * den
@@ -388,12 +390,33 @@ def _neighbor_ideals(L: Lat4, p: int) -> list[Lat4]:
             "the norm form is not integral on the order")
     scaled = [tuple(p * den * v for v in row) for row in rows]
     found: list[Lat4] = []
+    covered: set[tuple[int, ...]] = set()
     for c in _isotropic_points([[v // d2 for v in row] for row in Q], p):
+        if c in covered:
+            continue
         x = _combine(c, rows)
-        if not any(K.holds(den, x) for K in found):
-            found.append(_canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows]))
+        K = _canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows])
+        found.append(K)
+        covered.update(_projective_points(L, K, p))
     certify(len(found) == p + 1, f"expected {p + 1} neighbors, got {len(found)}")
     return sorted(found, key=lambda K: (K.den, K.rows))
+
+
+def _projective_points(L: Lat4, K: Lat4, p: int) -> list[tuple[int, ...]]:
+    """The p+1 points of the plane K/pL of L/pL, for pL ⊆ K ⊆ L of index p²,
+    in L's coordinates with first nonzero entry 1, as `_isotropic_points`
+    yields them.
+
+    The HNF of K in L's coordinates has pivots dividing p and product p², so
+    two pivots 1; those rows u and v, with u's pivot first, span K/pL, and its
+    points are u + t·v (t ∈ F_p) and v.  CertificateError unless there are
+    exactly two unit pivots.
+    """
+    H = hnf([L.coords_of(K.den, r) for r in K.rows])
+    units = [[x % p for x in row] for k, row in enumerate(H) if row[k] == 1]
+    certify(len(units) == 2, f"a neighbor must have 2 unit pivots over L, not {len(units)}")
+    u, v = units
+    return [tuple((x + t * y) % p for x, y in zip(u, v)) for t in range(p)] + [tuple(v)]
 
 
 def _isotropic_points(Q, p: int):
@@ -556,11 +579,13 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
     prime coprime to the level (`qform.good_primes`), stopping exactly when
     the mass formula is met.
 
-    Each class and each reduced candidate is keyed by its normalized theta
-    series (`_theta_key`), and a candidate is tested for equivalence only
-    against the classes with its key.  The key is a class invariant, so no
-    true equivalence is skipped: the walk, its representatives and the
-    stopping point are those of testing against every class.
+    Each class and each candidate is keyed by its normalized theta series
+    (`_theta_key`), and a candidate is tested for equivalence only against
+    the classes with its key.  The key is a class invariant, so no true
+    equivalence is skipped: the walk, its representatives and the stopping
+    point are those of testing against every class.  Key and equivalence are
+    properties of the class, so they are computed on the candidate as it
+    comes, and `reduce_ideal` runs only on a candidate that becomes a class.
 
     The neighbor graph at a good prime is connected and every class adds
     1/e_i to the mass, so CertificateError if the walk overshoots the mass (an
@@ -579,10 +604,10 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
         idx = queue.pop(0)
         for K in _neighbor_ideals(rights[idx], p):
             J = LeftIdeal.of(O, product_lattice(classes[idx].lattice, K))
-            J = reduce_ideal(J)
             bucket = buckets.setdefault(_theta_key(J), [])
             if any(is_equivalent(J, C) for C in bucket):
                 continue
+            J = reduce_ideal(J)
             bucket.append(J)
             classes.append(J)
             R = right_order(J)

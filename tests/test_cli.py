@@ -296,6 +296,24 @@ def test_cache_of_another_level_rebuilds(tmp_path):
     assert run(argv + ["--cache-dir", cache]) == cold
 
 
+def test_cache_is_named_after_the_level(tmp_path, monkeypatch):
+    # the primes of --ramified in another order, or one of them twice, name
+    # the same level and so read the same snapshot: no walk, no second file
+    cache = str(tmp_path / "cache")
+    argv = ["verify", "--suite", "mass", "--M", "5", "--cache-dir", cache]
+    first = run(argv + ["--ramified", "2,3,7"])
+    assert first[0] == 0
+    assert os.listdir(cache) == ["classes_2-3-7_M5.json"]
+
+    def no_walk(level):
+        raise AssertionError("the snapshot was rebuilt")
+
+    monkeypatch.setattr(cli, "build_class_set", no_walk)
+    for ramified in ["7,3,2", "2,3,3,7"]:
+        assert run(argv + ["--ramified", ramified]) == first
+        assert os.listdir(cache) == ["classes_2-3-7_M5.json"]
+
+
 def _dump_then_fail(obj, fh, **kwargs):
     fh.write('{"version": ')
     raise OSError("simulated failure mid-write")

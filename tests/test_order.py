@@ -480,6 +480,34 @@ def test_bucketed_walk_matches_unbucketed(monkeypatch, primes, M):
     assert calls < ref_calls
 
 
+@pytest.mark.parametrize("primes, M, n, keys, calls, hits", [((389,), 1, 33, 77, 71, 44),
+                                                             ((3, 5, 7), 2, 12, 28, 39, 16)],
+                         ids=["N389", "N210_M2"])
+def test_walk_reduces_only_new_classes(monkeypatch, primes, M, n, keys, calls, hits):
+    # the keys, equivalence tests and hits of the walk that reduced every
+    # candidate before keying it: the same decisions, and one reduction per
+    # class after the first
+    tally = {"_theta_key": 0, "is_equivalent": 0, "hits": 0, "reduce_ideal": 0}
+
+    def counted(name):
+        fn = getattr(order_module, name)
+
+        def wrapper(*args):
+            tally[name] += 1
+            result = fn(*args)
+            if name == "is_equivalent":
+                tally["hits"] += result
+            return result
+        return wrapper
+
+    O = eichler_order(maximal_order(construct_algebra(set(primes))), M)
+    for name in ("_theta_key", "is_equivalent", "reduce_ideal"):
+        monkeypatch.setattr(order_module, name, counted(name))
+    cs = left_ideal_classes(O)
+    assert (cs.n, tally["_theta_key"], tally["is_equivalent"], tally["hits"]) == (n, keys, calls, hits)
+    assert tally["reduce_ideal"] == n - 1
+
+
 # --- the neighbour step against the full scan it replaced ------------------
 
 
@@ -525,8 +553,9 @@ def level210_m2():
 
 
 def test_neighbor_ideals_match_full_scan(order11, level210_m2, level389):
-    cases = [(order11, p) for p in (2, 3, 5, 7)]
-    cases += [(R, 11) for R in level210_m2.right_orders]
+    cases = [(order11, p) for p in (2, 3, 5, 7, 13)]
+    # 13 is the walk prime at N = 2310
+    cases += [(R, p) for R in level210_m2.right_orders for p in (11, 13)]
     # at N = 389 the walk prime 2 divides the denominator of some right orders
     assert any(R.den % 2 == 0 for R in level389.right_orders)
     cases += [(R, 2) for R in level389.right_orders]
@@ -578,12 +607,27 @@ def test_neighbor_step_canonicalizes_once_per_neighbor(monkeypatch, order11, lev
         assert calls[0] == p + 1
 
 
+def test_neighbor_step_needs_no_membership_test(monkeypatch, order11, level210_m2, level389):
+    # a covered point is skipped by a set lookup, never by `Lat4.holds`
+    def no_holds(self, d, v):
+        raise AssertionError("membership test")
+
+    monkeypatch.setattr(Lat4, "holds", no_holds)
+    cases = [(order11, p) for p in (2, 13)] + [(level389.right_orders[1], 2)]
+    cases += [(R, p) for R in level210_m2.right_orders[:3] for p in (11, 13)]
+    for R, p in cases:
+        assert len(_neighbor_ideals(R, p)) == p + 1
+
+
 def test_neighbor_certificates_raise(order11, hurwitz):
     # at a ramified p, R/pR is not M_2(F_p): the points give fewer ideals
     with pytest.raises(CertificateError, match="neighbors"):
         _neighbor_ideals(order11, 11)
     with pytest.raises(CertificateError, match="neighbors"):
         _neighbor_ideals(hurwitz, 2)
+    # L itself is no plane of L/pL: all four of its pivots over L are units
+    with pytest.raises(CertificateError, match="2 unit pivots over L, not 4"):
+        order_module._projective_points(order11, order11, 3)
     # half the Hurwitz order is no order: its norms lie in Z/4
     with pytest.raises(CertificateError, match="integral"):
         _neighbor_ideals(Lat4(hurwitz.algebra, 2 * hurwitz.den, hurwitz.rows), 3)
