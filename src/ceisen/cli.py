@@ -55,8 +55,6 @@ class RunConfig(NamedTuple):
     """Validated run parameters shared by the subcommands; level is None for
     a subcommand that takes no level."""
 
-    ramified: tuple[int, ...]
-    M: int
     D_max: int
     m_max: int
     l: int | None
@@ -83,8 +81,6 @@ class RunConfig(NamedTuple):
         if args.l is not None and (args.l == 2 or not is_prime(args.l)):
             raise ValueError("--l must be an odd prime")
         return cls(
-            ramified=ramified,
-            M=args.M,
             D_max=args.dmax,
             m_max=args.mmax,
             l=args.l,
@@ -133,7 +129,8 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list], json_extra: dict,
 
 
 def _config_json(cfg: RunConfig) -> dict:
-    return {"ramified": list(cfg.ramified), "M": cfg.M}
+    """The level's sorted, distinct ramified primes and M, however --ramified is spelled."""
+    return {"ramified": list(cfg.level.ramified), "M": cfg.level.M.value}
 
 
 # ---------------------------------------------------------------------------
@@ -143,7 +140,7 @@ def _config_json(cfg: RunConfig) -> dict:
 def _cache_path(cfg: RunConfig) -> str:
     """The snapshot file of the level: named by its sorted, distinct ramified
     primes, so every spelling of --ramified for one level shares it."""
-    name = "classes_" + "-".join(str(p) for p in cfg.level.ramified) + f"_M{cfg.M}.json"
+    name = f"classes_{'-'.join(map(str, cfg.level.ramified))}_M{cfg.level.M.value}.json"
     return os.path.join(cfg.cache_dir, name)
 
 

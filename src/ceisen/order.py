@@ -6,12 +6,14 @@ A lattice is stored as a canonical pair (denominator, HNF integer rows), so
 equal lattices compare equal, and every order and ideal operation computes on
 that pair: products, conjugates, Gram matrices, norms, covolumes and
 coordinates use integer rows, and each new lattice is put in canonical form
-again.  An order is such a lattice, checked by `make_order` to hold 1 and to
-be closed under products.  Maximal orders come from prime-by-prime
-saturation of the obvious starting order; level structure at primes q
-coprime to the discriminant is cut out by a splitting idempotent of O/qO,
-multiplied with `quat_mul` on the order's rows and read back in its
-coordinates by `Lat4.coords_of`.  Left ideal classes are enumerated by a
+again.  Rational coordinates enter only through `Lat4.span`, where the
+snapshot reader parses its text, and leave only in the snapshot writer.  An
+order is such a lattice, checked by `make_order` to hold 1 and to be closed
+under products.  Maximal orders come from prime-by-prime saturation of the
+obvious starting order; level structure at primes q coprime to the
+discriminant is cut out by a splitting idempotent of O/qO, multiplied with
+`quat_mul` on the order's rows and read back in its coordinates by
+`Lat4.coords_of`.  Left ideal classes are enumerated by a
 neighbor walk at the smallest good prime, stopped exactly by the mass
 formula, with equivalence tests only between ideals of equal normalized
 theta series; a candidate is keyed and tested as it comes, and only one that
@@ -63,10 +65,6 @@ class Lat4(NamedTuple):
         den, rows = clear_denominators(gens)
         return _canonical(algebra, den, rows)
 
-    @property
-    def basis(self) -> list[tuple[Fraction, ...]]:
-        return [tuple(Fraction(x, self.den) for x in row) for row in self.rows]
-
     def gram(self) -> list[list[int]]:
         """den² times the Gram matrix of the reduced norm form on this basis:
         the integer norm form on the rows."""
@@ -76,11 +74,6 @@ class Lat4(NamedTuple):
     def covolume(self) -> Fraction:
         """|det| of the basis over (1, i, j, k): the HNF pivots' product over den⁴."""
         return Fraction(prod(row[k] for k, row in enumerate(self.rows)), self.den**4)
-
-    def contains(self, x) -> bool:
-        """Whether the rational 4-tuple x lies in the lattice."""
-        d, (row,) = clear_denominators([x])
-        return self.holds(d, row)
 
     def holds(self, d: int, v) -> bool:
         """Whether the integer row v over d lies in the lattice."""
@@ -127,7 +120,7 @@ def product_lattice(A: Lat4, B: Lat4) -> Lat4:
 def make_order(lat: Lat4) -> Lat4:
     """lat, checked to be an order; ValueError unless 1 ∈ lat and lat·lat = lat
     (1 ∈ lat gives lat ⊆ lat·lat, so equality is closure)."""
-    if not lat.contains((1, 0, 0, 0)):
+    if not lat.holds(1, (1, 0, 0, 0)):
         raise ValueError("order must contain 1")
     if product_lattice(lat, lat) != lat:
         raise ValueError("order must be closed under multiplication")
@@ -155,7 +148,7 @@ def unit_count(O: Lat4) -> int:
 
 
 def standard_order(B: QuaternionAlgebra) -> Lat4:
-    return make_order(Lat4.span(B, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]))
+    return make_order(_canonical(B, 1, [[int(k == l) for l in range(4)] for k in range(4)]))
 
 
 def _saturate_at(L: Lat4, p: int) -> Lat4:
@@ -178,21 +171,13 @@ def _saturate_at(L: Lat4, p: int) -> Lat4:
         return not ((2 * r[0]) % pd or norm_pair(a, b, r, r) % (pd * pd)
                     or any((2 * norm_pair(a, b, r, row)) % (pd * L.den) for row in rows))
 
+    candidates = (_combine(c, rows) for c in product(range(p), repeat=4) if any(c))
     closures = (_ring_closure(_canonical(L.algebra, pd, scaled + [r]))
-                for r in (_combine(c, rows) for c in _nonzero_tuples(p)) if integral(r))
+                for r in candidates if integral(r))
     larger = next((C for C in closures if C is not None
                    and valuation(reduced_discriminant(C), p) < v_old), None)
     certify(larger is not None, f"cannot enlarge order at p={p}")
     return larger
-
-
-def _nonzero_tuples(p: int):
-    for c0 in range(p):
-        for c1 in range(p):
-            for c2 in range(p):
-                for c3 in range(p):
-                    if c0 or c1 or c2 or c3:
-                        yield (c0, c1, c2, c3)
 
 
 def _ring_closure(cur: Lat4) -> Lat4 | None:
@@ -263,8 +248,8 @@ def _eichler_step(L: Lat4, q: int) -> Lat4:
     one = coords(1, (1, 0, 0, 0))
     # x² = trd(x)·x - nrd(x), so an idempotent mod q other than 0 and 1 has
     # trd(x) = 2·x₀ ≡ 1 mod q: the trace test skips most candidates cheaply
-    e = next((list(c) for c in _nonzero_tuples(q)
-              if (2 * _combine(c, L.rows)[0] - L.den) % (q * L.den) == 0
+    e = next((list(c) for c in product(range(q), repeat=4)
+              if any(c) and (2 * _combine(c, L.rows)[0] - L.den) % (q * L.den) == 0
               and any((x - y) % q for x, y in zip(c, one))
               and mul(c, c) == [x % q for x in c]), None)
     # L/qL ≅ M_2(F_q) for q ∤ disc(L), which eichler_order has checked
@@ -453,8 +438,8 @@ class IdealClassSet:
     unit count e_i of that right order; w_i = e_i/2 is derived from e.  The
     accumulated mass sum(1/e_i) equals the formula value exactly (certified
     on construction).  Unlike the value types, a class set is mutable: it owns
-    `cache`, where `theta32` and `brandt` keep the ternary Gram matrices and
-    counts and the pair counts they extend as bounds grow.
+    `cache`, where `theta32` and `brandt` keep the ternary vector counts and
+    the pair counts they extend as bounds grow.
     """
 
     def __init__(self, order: Lat4, cfg: LevelConfig, ideals: list[LeftIdeal],
@@ -501,7 +486,7 @@ def classes_to_json(cs: IdealClassSet) -> dict:
         "algebra": {"a": cs.algebra.a, "b": cs.algebra.b},
         "classes": [
             {
-                "basis": [str(x) for b in I.lattice.basis for x in b],
+                "basis": [str(Fraction(x, I.lattice.den)) for row in I.lattice.rows for x in row],
                 "norm": str(I.norm),
                 "e": e,
                 "w": w,

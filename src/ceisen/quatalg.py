@@ -1,17 +1,17 @@
 """Definite rational quaternion algebras (a, b) with exact element arithmetic.
 
-An algebra is generated by i, j with i² = a < 0, j² = b < 0, ij = -ji = k.
-An element is a 4-tuple of rational coordinates over the basis (1, i, j, k).
-The product and the bilinear norm form are written once, in `quat_mul` and
-`norm_pair`, and `order.Lat4` applies them to the integer rows of a lattice.
-Ramified primes are certified by Hilbert symbols, and algebras with a
-prescribed ramified set are found by a bounded deterministic search.
+An algebra is generated by i, j with i² = a < 0, j² = b < 0, ij = -ji = k,
+for integers a, b.  An element is a coordinate 4-tuple over the basis
+(1, i, j, k), held as integer rows over one denominator.  The product and
+the bilinear norm form are written once, in `quat_mul` and `norm_pair`, and
+`order.Lat4` applies them to the integer rows of a lattice.  Ramified primes
+are certified by Hilbert symbols of integers, and algebras with a prescribed
+ramified set are found by a bounded deterministic search.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import certify, factorize, is_prime, squarefree_kernel, valuation, kronecker
@@ -21,25 +21,16 @@ class AlgebraSearchError(Exception):
     """No (a, b) pair with the requested ramification inside the search bound."""
 
 
-def _square_class(x: Fraction) -> int:
-    """An integer in the square class of the nonzero rational x."""
-    if x == 0:
-        raise ValueError("0 has no square class")
-    return squarefree_kernel(x.numerator * x.denominator)
-
-
-def hilbert_symbol(a, b, p) -> int:
+def hilbert_symbol(a: int, b: int, p) -> int:
     """Hilbert symbol (a, b)_p over Q_p, p a prime or math.inf.
 
-    Computed by the classical local formulas on square-class representatives;
-    exact for any nonzero rationals a, b.
+    Computed by the classical local formulas on the squarefree kernels of the
+    nonzero integers a, b; ValueError on any other argument.
     """
-    a = Fraction(a)
-    b = Fraction(b)
-    if a == 0 or b == 0:
-        raise ValueError("hilbert symbol needs nonzero arguments")
-    am = _square_class(a)
-    bm = _square_class(b)
+    if not (isinstance(a, int) and isinstance(b, int)) or a == 0 or b == 0:
+        raise ValueError("hilbert symbol needs nonzero integer arguments")
+    am = squarefree_kernel(a)
+    bm = squarefree_kernel(b)
     if p == math.inf:
         return -1 if (am < 0 and bm < 0) else 1
     if not is_prime(p):
@@ -63,10 +54,10 @@ def hilbert_symbol(a, b, p) -> int:
     return -1 if (eu * ev + alpha * wv + beta * wu) % 2 else 1
 
 
-def ramified_primes(a, b) -> tuple[int, ...]:
+def ramified_primes(a: int, b: int) -> tuple[int, ...]:
     """Finite primes where (a, b) ramifies: symbol -1, only possible at p | 2ab."""
-    am = _square_class(Fraction(a))
-    bm = _square_class(Fraction(b))
+    am = squarefree_kernel(a)
+    bm = squarefree_kernel(b)
     ps = {2}
     ps.update(factorize(abs(am)).primes)
     ps.update(factorize(abs(bm)).primes)
@@ -104,8 +95,8 @@ class QuaternionAlgebra(NamedTuple):
 
     @classmethod
     def create(cls, a: int, b: int) -> "QuaternionAlgebra":
-        if a >= 0 or b >= 0:
-            raise ValueError("definite algebras need a < 0 and b < 0")
+        if not (isinstance(a, int) and isinstance(b, int)) or a >= 0 or b >= 0:
+            raise ValueError("definite algebras need integers a < 0 and b < 0")
         return cls(a, b, ramified_primes(a, b))
 
     @property

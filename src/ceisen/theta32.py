@@ -1,7 +1,8 @@
 """The weight-3/2 side: ternary trace-zero lattices and their theta series.
 
-For each ideal class, the trace-zero part of Z + 2R_i is a rank-3 positive
-definite lattice with integral Gram matrix whose represented values are
+For each ideal class, the trace-zero part of Z + 2R_i, which is twice the
+pure part of R_i, is a rank-3 positive definite lattice with integral Gram
+matrix, built from R_i's integer rows, whose represented values are
 ≡ 0, 3 (mod 4).  Counting vectors gives the series g_i; one weighted sum
 Σ x_i g_i/w_i gives the half-integral-weight Eisenstein series H (x = all
 ones) and the cusp-side series G (x = a rational cusp line v).  Series are
@@ -18,35 +19,31 @@ from typing import NamedTuple
 from .arith import certify
 from .brandt import brandt_matrices_upto
 from .lattice import counts_with_primitive, definite_echelon
-from .linalg import int_kernel, mat_mul
-from .order import IdealClassSet, Lat4
+from .linalg import hnf
+from .order import IdealClassSet
 from .qform import class_number, fundamental_parts, local_factor, mass, unit_factor
 from .quatalg import norm_pair
 
 
 def ternary_lattice(classes: IdealClassSet, i: int) -> tuple[tuple[int, ...], ...]:
     """The integral Gram matrix of the trace-zero rank-3 lattice of Z + 2R_i
-    (1-based class index i)."""
+    (1-based class index i).
+
+    n + 2x (x ∈ R) has trace zero iff n = -tr(x), and then it is x - x̄: the
+    lattice is twice the pure part of R, spanned by (0, 2h)/den for the HNF
+    rows h of R's pure coordinates.
+    """
     if not 1 <= i <= classes.n:
         raise ValueError("class index is 1-based and must be in 1..n")
-    cached = classes.cache.setdefault("ternary_lattice", {})
-    if i in cached:
-        return cached[i]
     R = classes.right_orders[i - 1]
     B = R.algebra
-    L = Lat4.span(B, [(1, 0, 0, 0)] + [[2 * x for x in b] for b in R.basis])  # Z + 2R
-    # trace of (Σ c_k·rows_k)/den vanishes iff Σ c_k · (2·first coord of row k) = 0
-    trace_row = [[2 * L.rows[k][0] for k in range(4)]]
-    kernel = int_kernel(trace_row)
-    certify(len(kernel) == 3, "trace-zero sublattice must have rank 3")
-    elems = mat_mul(kernel, L.rows)
-    certify(all(e[0] == 0 for e in elems), "trace-zero basis must have zero scalar part")
-    d2 = L.den**2
+    elems = [(0, *(2 * x for x in h)) for h in hnf([r[1:] for r in R.rows])]
+    certify(len(elems) == 3, "trace-zero sublattice must have rank 3")
+    d2 = R.den**2
     N = [[norm_pair(B.a, B.b, u, v) for v in elems] for u in elems]
     certify(all(x % d2 == 0 for row in N for x in row), "ternary Gram must be integral")
     G = tuple(tuple(x // d2 for x in row) for row in N)
     definite_echelon(G)  # raises if not positive definite
-    cached[i] = G
     return G
 
 

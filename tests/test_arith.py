@@ -224,3 +224,37 @@ def test_src_certificates_use_certify():
     # re-raise after it removes its temp file
     assert raises == [("arith.py", "certify", "CertificateError"),
                       ("cli.py", "_write_snapshot", None)]
+
+
+def _imported_names(tree, lines):
+    """(line, bound name) of every import in the module, except `__future__`
+    imports and lines marked `# noqa: F401`."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__" or "# noqa: F401" in lines[node.lineno - 1]:
+                continue
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def test_src_imports_are_used():
+    # every name a src module imports is used in it (a name in `__all__`
+    # counts), and the modules that compute on integer rows do not import
+    # `fractions`: an import left behind by a refactor fails here
+    unused, fraction_imports = [], []
+    for path in sorted(Path(ceisen.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(name for node in tree.body if isinstance(node, ast.Assign)
+                    and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                    for name in ast.literal_eval(node.value))
+        unused += [f"{path.name}:{line}:{name}"
+                   for line, name in _imported_names(tree, text.splitlines()) if name not in used]
+        if path.stem in ("linalg", "lattice", "quatalg"):
+            fraction_imports += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                                 if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+                                 or (isinstance(node, ast.Import)
+                                     and any(alias.name == "fractions" for alias in node.names))]
+    assert unused == []
+    assert fraction_imports == []

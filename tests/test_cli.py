@@ -314,6 +314,15 @@ def test_cache_is_named_after_the_level(tmp_path, monkeypatch):
         assert os.listdir(cache) == ["classes_2-3-7_M5.json"]
 
 
+def test_json_header_is_named_after_the_level():
+    # the JSON config echoes the level, not how --ramified spells it
+    argv = ["verify", "--suite", "mass", "--M", "5", "--format", "json"]
+    first, *others = [run(argv + ["--ramified", r]) for r in ("2,3,7", "7,3,2", "2,3,3,7")]
+    assert first[0] == 0
+    assert json.loads(first[1])["config"] == {"ramified": [2, 3, 7], "M": 5}
+    assert others == [first, first]
+
+
 def _dump_then_fail(obj, fh, **kwargs):
     fh.write('{"version": ')
     raise OSError("simulated failure mid-write")

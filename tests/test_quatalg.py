@@ -158,6 +158,22 @@ def test_definite_required():
         QuaternionAlgebra.create(1, -1)
 
 
+def test_rational_arguments_rejected():
+    # symbols and algebras take integers: a Fraction, even an integral one, is
+    # a ValueError and never a square class
+    for x in (Fraction(-1, 2), Fraction(-3)):
+        with pytest.raises(ValueError, match="integer"):
+            hilbert_symbol(x, -1, 2)
+        with pytest.raises(ValueError, match="integer"):
+            hilbert_symbol(-1, x, 3)
+        with pytest.raises(ValueError, match="integer"):
+            QuaternionAlgebra.create(x, -1)
+        with pytest.raises(ValueError, match="integer"):
+            QuaternionAlgebra.create(-1, x)
+    with pytest.raises(ValueError):
+        hilbert_symbol(0, -1, 2)
+
+
 def unfiltered_search(S: tuple[int, ...]) -> tuple[int, int]:
     """The algebra search with no divisor filter: the first (|a|+|b|, |a|)
     pair of negative squarefree a, b ramified exactly at S."""

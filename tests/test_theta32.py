@@ -8,8 +8,10 @@ import pytest
 import ceisen
 from ceisen.arith import CertificateError
 from ceisen.lattice import counts_by_value, counts_with_primitive
-from ceisen.order import build_class_set
+from ceisen.linalg import int_kernel, mat_mul
+from ceisen.order import Lat4, build_class_set
 from ceisen.qform import LevelConfig, closed_form_H, mass, unit_factor
+from ceisen.quatalg import norm_pair
 from ceisen.theta32 import (
     cohen_H,
     cusp_G,
@@ -41,6 +43,28 @@ def test_ternary_lattice_shape(classes):
         assert all(G[k][l] == G[l][k] for k in range(3) for l in range(3))
         assert all(isinstance(G[k][l], int) for k in range(3) for l in range(3))
         assert mat_det(G) == 4 * N * N
+
+
+def z_plus_2r_gram(classes, i):
+    """The Gram of the trace-zero part of Z + 2R_i by its definition: the
+    lattice Z + 2R_i, the integer kernel of its trace row, and the norm form
+    on that kernel.  The earlier `ternary_lattice`, kept as the reference."""
+    R = classes.right_orders[i - 1]
+    B = R.algebra
+    gens = [(1, 0, 0, 0)] + [tuple(Fraction(2 * x, R.den) for x in row) for row in R.rows]
+    L = Lat4.span(B, gens)
+    elems = mat_mul(int_kernel([[2 * L.rows[k][0] for k in range(4)]]), L.rows)
+    assert len(elems) == 3 and all(e[0] == 0 for e in elems)
+    d2 = L.den**2
+    return [[norm_pair(B.a, B.b, u, v) // d2 for v in elems] for u in elems]
+
+
+def test_ternary_lattice_is_trace_zero_part_of_z_plus_2r(classes):
+    # twice R's pure part and the trace-zero kernel of Z + 2R are one lattice
+    # on two bases: every vector count agrees
+    for i in range(1, classes.n + 1):
+        G = ternary_lattice(classes, i)
+        assert counts_with_primitive(G, 2000) == counts_with_primitive(z_plus_2r_gram(classes, i), 2000)
 
 
 def test_plus_space_vanishing(classes):
