@@ -79,7 +79,7 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
             # is the value m·scale
             scale = Ii.norm * Ij.norm * W.den**2
             units = lcm(classes.e[i], classes.e[j])
-            raw = counts_by_value(W.gram(), int(bound * scale))
+            raw = counts_by_value(W.gram(), bound * scale)
             certify(all(val % scale == 0 for val in raw),
                     "pairing lattice norm not divisible by N_i·N_j")
             certify(all(cnt % units == 0 for cnt in raw.values()),

@@ -37,9 +37,11 @@ from .qform import (
     s_ramified,
     unit_factor,
 )
-from .theta32 import cohen_H, prefill_counts, trace_identity_check
+from .theta32 import cohen_H, trace_identity_check
+from .theta32 import prefill_counts  # noqa: F401  no caller; benchmarks/tracer.py wraps it at this site
 from .verify import (
     CongruencePreconditionError,
+    DivisibilityRow,
     admissible_fundamental_Ds,
     best_coefficient_congruence,
     divisibility_table,
@@ -95,12 +97,6 @@ class RunConfig(NamedTuple):
 # output helpers
 
 
-def _json_value(x):
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
-
-
 def _write(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -109,7 +105,7 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit(cfg: RunConfig, header: list[str], rows: list[list], json_extra: dict,
+def _emit(cfg: RunConfig, header: list[str] | tuple[str, ...], rows: list, json_extra: dict,
           stderr_summary: str | None = None) -> None:
     """Emit one table as CSV (header + rows) or JSON (row objects + extras)."""
     if cfg.format == "csv":
@@ -122,10 +118,8 @@ def _emit(cfg: RunConfig, header: list[str], rows: list[list], json_extra: dict,
             print(stderr_summary, file=sys.stderr)
     else:
         obj = dict(json_extra)
-        obj["rows"] = [
-            {key: _json_value(x) for key, x in zip(header, row)} for row in rows
-        ]
-        _write(json.dumps(obj, indent=2) + "\n", cfg.out)
+        obj["rows"] = [dict(zip(header, row)) for row in rows]
+        _write(json.dumps(obj, indent=2, default=str) + "\n", cfg.out)
 
 
 def _config_json(cfg: RunConfig) -> dict:
@@ -192,7 +186,6 @@ def cmd_hseries(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     level = cfg.level
     classes = _get_classes(cfg)
-    prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     C = closed_form_H(level, cfg.D_max)
     # -F[4D] is the discriminant of Q(sqrt(-D)); -D is fundamental iff F[4D] == D
@@ -249,7 +242,6 @@ def _suite_rowsum(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
 
 
 def _suite_trace(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
-    prefill_counts(classes, max(4 * cfg.m_max, 1))
     return [
         (f"trace:m={row.m}", f"lhs={row.lhs};rhs={row.rhs}", row.ok)
         for row in trace_identity_check(classes, cfg.m_max)
@@ -260,12 +252,8 @@ def _suite_hecke(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
     level = cfg.level
     mats = brandt_matrices_upto(classes, cfg.m_max)
     n = classes.n
-    checks = []
-    identity = all(
-        mats[1][i][j] == (1 if i == j else 0)
-        for i in range(n) for j in range(n)
-    )
-    checks.append(("hecke:B1", "B_1 is the identity", identity))
+    identity = mats[1] == [[int(i == j) for j in range(n)] for i in range(n)]
+    checks = [("hecke:B1", "B_1 is the identity", identity)]
     u_ok = all(
         all(s == expected_row_sum(m, level) for s in map(sum, mats[m]))
         for m in range(1, cfg.m_max + 1)
@@ -284,7 +272,6 @@ def _suite_hecke(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
 
 def _suite_congruence(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
     eig = rational_eigensystem(classes)
-    prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     coef, v_used = best_coefficient_congruence(classes, eig, H, cfg.l)
     eig_failures = eigenvalue_congruence(classes, v_used, cfg.l, max(cfg.m_max, 2))
@@ -328,10 +315,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     classes = _get_classes(cfg)
     checks = _SUITES[args.suite](cfg, classes)
     passed = all(ok for _, _, ok in checks)
-    header = ["check", "detail", "passed"]
-    rows = [[name, detail, ok] for name, detail, ok in checks]
     _emit(
-        cfg, header, rows,
+        cfg, ["check", "detail", "passed"], checks,
         {"config": _config_json(cfg), "suite": args.suite, "passed": passed},
     )
     return EXIT_OK if passed else EXIT_FAIL
@@ -345,21 +330,15 @@ def cmd_shatable(args: argparse.Namespace) -> int:
         raise ValueError(f"no admissible fundamental D <= {cfg.D_max}; raise --dmax")
     classes = _get_classes(cfg)
     eig = rational_eigensystem(classes)
-    prefill_counts(classes, max(cfg.D_max, 1))
     H = cohen_H(classes, cfg.D_max)
     coef, v_used = best_coefficient_congruence(classes, eig, H, cfg.l)
     table = divisibility_table(classes, v_used, cfg.l, cfg.D_max)
     agree = sum(1 for row in table if row.agree)
     total = len(table)
     rate = Fraction(agree, total)
-    header = ["D", "fundamental", "s", "h", "h_mod_l", "m_D", "m_D_mod_l", "agree"]
-    rows = [
-        [r.D, r.fundamental, r.s, r.h, r.h_mod_l, r.m_D, r.m_D_mod_l, r.agree]
-        for r in table
-    ]
     summary = f"lambda={coef.lam};agree={agree}/{total};rate={rate}"
     _emit(
-        cfg, header, rows,
+        cfg, DivisibilityRow._fields, table,
         {
             "config": _config_json(cfg),
             "l": cfg.l,

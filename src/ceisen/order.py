@@ -13,7 +13,8 @@ under products.  Maximal orders come from prime-by-prime saturation of the
 obvious starting order; level structure at primes q coprime to the
 discriminant is cut out by a splitting idempotent of O/qO, multiplied with
 `quat_mul` on the order's rows and read back in its coordinates by
-`Lat4.coords_of`.  Left ideal classes are enumerated by a
+`Lat4.coords_of`.  A left ideal is integral, and its norm is an int.  Left
+ideal classes are enumerated by a
 neighbor walk at the smallest good prime, stopped exactly by the mass
 formula, with equivalence tests only between ideals of equal normalized
 theta series; a candidate is keyed and tested as it comes, and only one that
@@ -269,21 +270,24 @@ def _eichler_step(L: Lat4, q: int) -> Lat4:
 
 
 class LeftIdeal(NamedTuple):
-    """A left ideal of a fixed order, with its reduced norm."""
+    """An integral left ideal of a fixed order, with its reduced norm (an int)."""
 
     order: Lat4
     lattice: Lat4
-    norm: Fraction
+    norm: int
 
     @classmethod
     def of(cls, order: Lat4, lattice: Lat4) -> "LeftIdeal":
+        """ValueError unless the lattice's norm is an integer."""
         n = lattice.norm()
-        certify(_covolume_certificate(order, lattice, n),
+        if n.denominator != 1:
+            raise ValueError(f"ideal norm {n} is not an integer")
+        certify(_covolume_certificate(order, lattice, n.numerator),
                 "ideal is not locally principal (covolume certificate failed)")
-        return cls(order, lattice, n)
+        return cls(order, lattice, n.numerator)
 
 
-def _covolume_certificate(O: Lat4, lat: Lat4, n: Fraction) -> bool:
+def _covolume_certificate(O: Lat4, lat: Lat4, n: int) -> bool:
     """covol(lat) = n²·covol(O), true for a locally principal left O-ideal of
     norm n (the same as det = n⁴·det for the norm-form Gram matrices of lat
     and O over their own bases)."""
@@ -298,23 +302,20 @@ def right_order(I: LeftIdeal) -> Lat4:
     """O_r(I) = conj(I)·I / N(I) for locally principal I: the row products
     scaled by 1/N(I)."""
     P = product_lattice(I.lattice.conjugate(), I.lattice)
-    n = I.norm
-    rows = [[x * n.denominator for x in row] for row in P.rows]
-    return make_order(_canonical(P.algebra, P.den * n.numerator, rows))
+    return make_order(_canonical(P.algebra, P.den * I.norm, P.rows))
 
 
 def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
     """Same left-ideal class: some x with J = I·x.
 
     Witnessed by an element of conj(I)·J of reduced norm N(I)·N(J): the value
-    N(I)·N(J)·den² of its integer Gram, never reached when not an integer.
-    The search is an exact lattice enumeration with early exit.
+    N(I)·N(J)·den² of its integer Gram.  The search is an exact lattice
+    enumeration with early exit.
     """
     if I.order != J.order:
         raise ValueError("ideals must share the same left order")
     W = product_lattice(I.lattice.conjugate(), J.lattice)
-    target = I.norm * J.norm * W.den**2
-    return target.denominator == 1 and exists_value(W.gram(), int(target))
+    return exists_value(W.gram(), I.norm * J.norm * W.den**2)
 
 
 # The bound b of the walk's class keys, on Nrd(x)/N(I): b = 16 leaves a few
@@ -333,7 +334,7 @@ def _theta_key(I: LeftIdeal) -> tuple[tuple[int, int], ...]:
     integer Gram is den² times the norm form, and g = N(I)·den² is the gcd of
     its values, so every value is some v·g, and v <= b means value <= b·g.
     """
-    g = int(I.norm * I.lattice.den**2)
+    g = I.norm * I.lattice.den**2
     counts = counts_by_value(I.lattice.gram(), _THETA_BOUND * g)
     return tuple(sorted((val // g, cnt) for val, cnt in counts.items()))
 
@@ -343,12 +344,12 @@ def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
     shortest vector x = Σ c_k·rows_k/den: the row products b_k·conj(x) over
     den²·N(I)."""
     coords, _ = shortest_vector(I.lattice.gram())
-    L, n = I.lattice, I.norm
+    L = I.lattice
     a, b = L.algebra.a, L.algebra.b
     x = _combine(coords, L.rows)
     xbar = (x[0], -x[1], -x[2], -x[3])
-    rows = [[v * n.denominator for v in quat_mul(a, b, row, xbar)] for row in L.rows]
-    return LeftIdeal.of(I.order, _canonical(L.algebra, L.den**2 * n.numerator, rows))
+    rows = [quat_mul(a, b, row, xbar) for row in L.rows]
+    return LeftIdeal.of(I.order, _canonical(L.algebra, L.den**2 * I.norm, rows))
 
 
 def _neighbor_ideals(L: Lat4, p: int) -> list[Lat4]:
@@ -528,11 +529,13 @@ def classes_from_json(data) -> IdealClassSet:
         if product_lattice(O, lat) != lat:
             raise CacheError("cached lattice is not a left ideal of the order")
         n = lat.norm()
-        if not _covolume_certificate(O, lat, n):
+        if n.denominator != 1:
+            raise CacheError(f"cached ideal norm {n} is not an integer")
+        if not _covolume_certificate(O, lat, n.numerator):
             raise CacheError("cached lattice is not a locally principal ideal")
         if str(n) != rec["norm"]:
             raise CacheError("stored norm disagrees with the lattice")
-        I = LeftIdeal(O, lat, n)
+        I = LeftIdeal(O, lat, n.numerator)
         R = right_order(I)
         e = unit_count(R)
         if e != rec["e"] or e != 2 * rec["w"]:

@@ -258,3 +258,18 @@ def test_src_imports_are_used():
                                      and any(alias.name == "fractions" for alias in node.names))]
     assert unused == []
     assert fraction_imports == []
+
+
+def test_noqa_imports_are_the_tracer_sites():
+    # `# noqa: F401` exempts an import from the check above.  Only two imports
+    # may carry it: the functions that no src code calls and that
+    # benchmarks/tracer.py wraps where they are imported
+    marked = []
+    for path in sorted(Path(ceisen.__file__).parent.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        imports = {node.lineno: [alias.name for alias in node.names]
+                   for node in ast.walk(ast.parse(text))
+                   if isinstance(node, (ast.Import, ast.ImportFrom))}
+        marked += [(path.name, imports.get(k)) for k, line in enumerate(text.splitlines(), 1)
+                   if "# noqa: F401" in line]
+    assert marked == [("brandt.py", ["charpoly"]), ("cli.py", ["prefill_counts"])]

@@ -237,6 +237,29 @@ def test_cache_rejects_corruption(classes11):
         classes_from_json(bad)
 
 
+@pytest.mark.parametrize("name", ["level11", "level66", "level210"])
+def test_ideal_norms_are_ints(name, request):
+    assert all(type(I.norm) is int for I in request.getfixturevalue(name).ideals)
+
+
+def test_left_ideal_rejects_non_integral_norm(order11):
+    # order11/2 is a locally principal left ideal of norm 1/4, but not integral
+    half = Lat4.span(order11.algebra, [tuple(x / 2 for x in b) for b in rational_basis(order11)])
+    with pytest.raises(ValueError, match="not an integer"):
+        LeftIdeal.of(order11, half)
+
+
+def test_cache_rejects_non_integral_norm(level11):
+    # class 1 halved keeps its right order and unit count, and its stored norm
+    # is set to match (2/4), so only the integer norm contract rejects it
+    data = classes_to_json(level11)
+    rec = data["classes"][1]
+    rec["basis"] = [str(Fraction(x) / 2) for x in rec["basis"]]
+    rec["norm"] = str(Fraction(rec["norm"]) / 4)
+    with pytest.raises(CacheError, match="not an integer"):
+        classes_from_json(data)
+
+
 def test_make_order_rejects_non_orders(hurwitz):
     B = hurwitz.algebra
     assert make_order(hurwitz) == hurwitz
