@@ -35,11 +35,12 @@ from .order import (
 from .qform import (
     LevelConfig,
     class_number,
+    class_numbers,
     closed_form_H,
     corollary_H,
     fundamental_parts,
     kronecker_condition,
-    local_factor,
+    local_factors,
     mass,
     s_ramified,
     unit_factor,
@@ -81,6 +82,7 @@ __all__ = [
     "brandt_matrix",
     "build_class_set",
     "class_number",
+    "class_numbers",
     "classes_from_json",
     "classes_to_json",
     "closed_form_H",
@@ -102,7 +104,7 @@ __all__ = [
     "kronecker",
     "kronecker_condition",
     "left_ideal_classes",
-    "local_factor",
+    "local_factors",
     "mass",
     "maximal_order",
     "optimal_embedding_count",

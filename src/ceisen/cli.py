@@ -31,6 +31,7 @@ from .order import CacheError, build_class_set, classes_from_json, classes_to_js
 from .qform import (
     LevelConfig,
     class_number,
+    class_numbers,
     closed_form_H,
     fundamental_parts,
     mass,
@@ -187,9 +188,12 @@ def cmd_hseries(args: argparse.Namespace) -> int:
     level = cfg.level
     classes = _get_classes(cfg)
     H = cohen_H(classes, cfg.D_max)
-    C = closed_form_H(level, cfg.D_max)
-    # -F[4D] is the discriminant of Q(sqrt(-D)); -D is fundamental iff F[4D] == D
+    # -F[4D] is the discriminant of Q(sqrt(-D)); -D is fundamental iff F[4D] == D.
+    # The class-number table is sized once, to 4·D_max, so closed_form_H and
+    # the rows' class_number lookups all read one sweep.
     F = fundamental_parts(4 * cfg.D_max)
+    class_numbers(4 * cfg.D_max)
+    C = closed_form_H(level, cfg.D_max)
     header = ["D", "H_theta", "H_closed", "equal", "fundamental", "s", "h", "u"]
     rows = []
     all_equal = True
@@ -215,8 +219,9 @@ def cmd_classnum(args: argparse.Namespace) -> int:
         raise ValueError("--dmax must be >= 3 for classnum")
     header = ["D", "fundamental", "h", "u"]
     F = fundamental_parts(cfg.D_max)
+    h = class_numbers(cfg.D_max)
     rows = [
-        [D, F[D] == D, class_number(-D), unit_factor(-D)]
+        [D, F[D] == D, h[D], unit_factor(-D)]
         for D in range(3, cfg.D_max + 1) if F[D]
     ]
     _emit(cfg, header, rows, {"D_max": cfg.D_max})

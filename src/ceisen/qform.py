@@ -1,19 +1,21 @@
 """Binary quadratic forms, class numbers, and the closed coefficient formulas.
 
-Class numbers come from one sieve over the primitive reduced forms, tabulated
-for every discriminant up to the largest |d| asked for.  Every negative
-discriminant is split as a fundamental discriminant times a square conductor
-by one table, `fundamental_parts`, and its local factor at the level primes
-comes from `local_factor`.  The closed formula is one series, like the theta
-side's `cohen_H`: each discriminant's class number times its local factor is
-added at every D = |d|·f² up to D_max.  All values are exact (int / Fraction).
+Class numbers come from one sieve over the primitive reduced forms, kept in
+one table, `class_numbers(X)`, that a caller sizes once to its largest |d|.
+Every negative discriminant is split as a fundamental discriminant times a
+square conductor by one table, `fundamental_parts`, and `local_factors`
+tabulates the local factors at the level primes in one pass, reading each
+Kronecker symbol from a table over one period.  The closed formula is one
+series, like the theta side's `cohen_H`: each discriminant's class number
+times its local factor is added at every D = |d|·f² up to D_max.  All values
+are exact (int / Fraction).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 from typing import NamedTuple
 
 from .arith import FactoredInt, factorize, is_prime, kronecker
@@ -53,13 +55,15 @@ def sieve_class_numbers(h: list[int], X: int) -> None:
         a += 1
 
 
-_class_numbers: list[int] = []  # h(-n) at index n, extended by _class_numbers_to
+_class_numbers: list[int] = []  # h(-n) at index n, extended by class_numbers
 
 
-def _class_numbers_to(X: int) -> list[int]:
-    """The class-number table, sieved to at least X.  A request past its end
-    sieves the new range, to at least twice the old length, so a run asking
-    for every |d| up to X makes O(log X) sweeps and sieves each form once."""
+def class_numbers(X: int) -> list[int]:
+    """The class-number table, h(-n) at index n (0 where -n is not a
+    discriminant), sieved to at least X; callers only read it.  A request past
+    its end sieves the new range, to at least twice the old length, so a run
+    asking for every |d| up to X makes O(log X) sweeps, and one that asks for
+    its largest X first makes one."""
     if X >= len(_class_numbers):
         sieve_class_numbers(_class_numbers, max(X, 2 * len(_class_numbers)))
     return _class_numbers
@@ -71,7 +75,7 @@ def class_number(d: int) -> int:
     a lookup into one table of h(-n)."""
     if d >= 0 or d % 4 not in (0, 1):
         raise ValueError(f"{d} is not a negative discriminant")
-    return _class_numbers_to(-d)[-d]
+    return class_numbers(-d)[-d]
 
 
 def unit_factor(d: int) -> int:
@@ -175,14 +179,31 @@ def fundamental_parts(X: int) -> list[int]:
     return parts
 
 
-def local_factor(cfg: LevelConfig, n0: int, f: int) -> int:
-    """∏_{p|P}(1 − χ(p))·∏_{q|M}(1 + χ(q)) for the discriminant -n0·f² with -n0
-    fundamental: χ(p) is 1 when p | f and (-n0/p) otherwise."""
-    local = 1
+def local_factors(cfg: LevelConfig, X: int) -> list[int]:
+    """Entry n, for n <= X, is ∏_{p|P}(1 − χ(p))·∏_{q|M}(1 + χ(q)) for the
+    discriminant -n = -n0·f² with -n0 fundamental, where χ(p) is 1 when p | f
+    and (-n0/p) otherwise; it is 0 when -n is not a discriminant.
+
+    (-n0/p) depends on n0 mod p alone for odd p and on n0 mod 8 for p = 2, so
+    each level prime's factors 1 ∓ χ(p) are tabulated over one period, and
+    every discriminant reads them by list lookup.
+    """
+    parts = fundamental_parts(X)
+    tables = []  # (p, period, 1 ∓ 1 for p | f, 1 ∓ (-r/p) at index r mod period)
     for primes, sign in ((cfg.P.primes, -1), (cfg.M.primes, 1)):
         for p in primes:
-            local *= 1 + sign * (1 if f % p == 0 else kronecker(-n0, p))
-    return local
+            period = 8 if p == 2 else p
+            tables.append((p, period, 1 + sign,
+                           [1 + sign * kronecker(-r, p) for r in range(period)]))
+    out = [0] * (X + 1)
+    for n, n0 in enumerate(parts):
+        if n0:
+            f2 = n // n0
+            local = 1
+            for p, period, at_conductor, factor in tables:
+                local *= at_conductor if f2 % p == 0 else factor[n0 % period]
+            out[n] = local
+    return out
 
 
 def closed_form_H(cfg: LevelConfig, D_max: int) -> tuple[Fraction, ...]:
@@ -196,19 +217,17 @@ def closed_form_H(cfg: LevelConfig, D_max: int) -> tuple[Fraction, ...]:
     """
     if D_max < 0:
         raise ValueError("D_max must be >= 0")
-    h = _class_numbers_to(D_max)
+    h = class_numbers(D_max)
     total = [0] * (D_max + 1)
-    for n, n0 in enumerate(fundamental_parts(D_max)):
-        if not n0:
-            continue
-        local = local_factor(cfg, n0, isqrt(n // n0))
+    for n, local in enumerate(local_factors(cfg, D_max)):
         if local:
             term = local * h[n] * (6 // unit_factor(-n))
             f = 1
             while n * f * f <= D_max:
                 total[n * f * f] += term
                 f += 1
-    return (mass(cfg),) + tuple(Fraction(t, 12) for t in total[1:])
+    zero = Fraction(0)  # immutable, so every zero coefficient shares it
+    return (mass(cfg),) + tuple(Fraction(t, 12) if t else zero for t in total[1:])
 
 
 def kronecker_condition(D: int, cfg: LevelConfig) -> bool:
@@ -220,9 +239,8 @@ def kronecker_condition(D: int, cfg: LevelConfig) -> bool:
 
 def s_ramified(D: int, cfg: LevelConfig) -> int:
     """Number of level primes at which -D ramifies: (-D/p) = 0 exactly when
-    p | D, at p = 2 as well.  N is square-free, so these are the prime
-    factors of gcd(D, N)."""
-    return len(factorize(gcd(D, cfg.N)).factors)
+    p | D, at p = 2 as well."""
+    return sum(D % p == 0 for p in (*cfg.P.primes, *cfg.M.primes))
 
 
 def corollary_H(D: int, cfg: LevelConfig) -> Fraction:

@@ -13,7 +13,7 @@ give optimal-embedding numbers which tie H to pure class-number data.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .arith import certify
@@ -21,7 +21,7 @@ from .brandt import brandt_matrices_upto
 from .lattice import counts_with_primitive, definite_echelon
 from .linalg import hnf
 from .order import IdealClassSet
-from .qform import class_number, fundamental_parts, local_factor, mass, unit_factor
+from .qform import class_number, local_factors, mass, unit_factor
 from .quatalg import norm_pair
 
 
@@ -82,7 +82,8 @@ def _theta_sum(
         for D, c in _ternary_counts(classes, i + 1, max(D_max, 1))[0].items():
             if 1 <= D <= D_max:
                 nums[D] += scale * c
-    return tuple(Fraction(c, L) for c in nums)
+    zero = Fraction(0)  # immutable, so every zero coefficient shares it
+    return tuple(Fraction(c, L) if c else zero for c in nums)
 
 
 def cohen_H(classes: IdealClassSet, D_max: int) -> tuple[Fraction, ...]:
@@ -120,8 +121,7 @@ def embedding_count_identity(classes: IdealClassSet, d: int) -> tuple[int, int]:
     """(lhs, rhs) of the embedding-count sum identity:
     Σ_i h(O_d, R_i)  vs  h(d) times the local factor of d at the level."""
     lhs = sum(optimal_embedding_count(classes, i, d) for i in range(1, classes.n + 1))
-    n0 = fundamental_parts(-d)[-d]
-    return lhs, class_number(d) * local_factor(classes.cfg, n0, isqrt(-d // n0))
+    return lhs, class_number(d) * local_factors(classes.cfg, -d)[-d]
 
 
 class TraceCheckRow(NamedTuple):

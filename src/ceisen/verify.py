@@ -84,8 +84,8 @@ def coefficient_congruence(
         raise CongruencePreconditionError("series cover different coefficient ranges")
     D_max = len(H) - 1
     L = lcm(*(c.denominator for c in (*H, *G)))
-    A = [int(H[D] * L) for D in range(D_max + 1)]  # Eisenstein side, cleared
-    B = [int(G[D] * L) for D in range(D_max + 1)]  # cusp side, cleared
+    A = [c.numerator * (L // c.denominator) for c in H]  # Eisenstein side, cleared
+    B = [c.numerator * (L // c.denominator) for c in G]  # cusp side, cleared
     lam = None
     for D in range(D_max + 1):
         if A[D] % l and B[D] % l:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+from functools import lru_cache
 from math import isqrt
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from ceisen.arith import (
     squarefree_kernel,
     valuation,
 )
-from ceisen.qform import LevelConfig, fundamental_parts, local_factor
+from ceisen.qform import LevelConfig, fundamental_parts, local_factors
 
 
 def test_factorize_examples():
@@ -85,11 +86,15 @@ def test_kronecker_at_two_period_eight():
         assert kronecker(d, 2) == -1
 
 
-def local_symbol(D: int, p: int, parts: list[int] | None = None) -> int:
-    """χ(p) of the order of discriminant -D, read back from its local factor
-    1 − χ(p) at the level P = {p}."""
-    n0 = (parts or fundamental_parts(D))[D]
-    return 1 - local_factor(LevelConfig.from_primes([p]), n0, isqrt(D // n0))
+@lru_cache(maxsize=None)
+def _local_factor_table(p: int) -> list[int]:
+    return local_factors(LevelConfig.from_primes([p]), 2000)
+
+
+def local_symbol(D: int, p: int) -> int:
+    """χ(p) of the order of discriminant -D (D <= 2000), read back from its
+    local factor 1 − χ(p) at the level P = {p}."""
+    return 1 - _local_factor_table(p)[D]
 
 
 def test_eichler_symbol_cases():
@@ -115,7 +120,7 @@ def test_eichler_symbol_matches_kronecker_on_coprime_part():
         if parts[D]:
             for p in primes_up_to(50):
                 if D % p:
-                    assert local_symbol(D, p, parts) == kronecker(-D, p), (D, p)
+                    assert local_symbol(D, p) == kronecker(-D, p), (D, p)
 
 
 def test_valuation_and_kernel():

@@ -123,6 +123,23 @@ def test_hseries_level11_prefix():
     )
 
 
+def test_hseries_sweeps_class_numbers_once(monkeypatch):
+    # from a fresh table, one sieve sized to 4·D_max serves closed_form_H and
+    # the rows' class_number lookups; stdout is the pinned bytes of the
+    # theta-deep benchmark's N = 11 invocation
+    from ceisen import qform
+
+    sweeps = []
+    sieve = qform.sieve_class_numbers
+    monkeypatch.setattr(qform, "_class_numbers", [])
+    monkeypatch.setattr(qform, "sieve_class_numbers", lambda h, X: sweeps.append(X) or sieve(h, X))
+    rc, out, _ = run(["hseries", "--ramified", "11", "--dmax", "5000"])
+    assert rc == 0
+    assert sweeps == [20000]
+    assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
+            == "81224f0a959c5b76c6de6f962d91fad03b40f41e21be78b39f7c015bc6348b54")
+
+
 def test_hseries_json():
     rc, out, _ = run(["hseries", "--ramified", "11", "--dmax", "12",
                       "--format", "json"])

@@ -14,13 +14,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ceisen
+from ceisen import qform
 from ceisen.arith import factorize, kronecker, primes_up_to, squarefree_kernel
 from ceisen.qform import (
     LevelConfig,
     class_number,
     closed_form_H,
     corollary_H,
+    fundamental_parts,
     kronecker_condition,
+    local_factors,
     mass,
     s_ramified,
     sieve_class_numbers,
@@ -374,6 +377,35 @@ def test_corollary_examples_and_consistency():
             except ValueError:
                 continue
             assert cor == C[D], (D, cfg.describe())
+
+
+@pytest.mark.parametrize("ramified, M", [((11,), 1), ((2, 3, 11), 1), ((2, 3, 7), 5), ((3, 5, 7), 2)],
+                         ids=["N11", "N66", "N210-M5", "N210-M2"])
+def test_local_factors_match_kronecker_products(ramified, M):
+    # the period tables against one kronecker call per discriminant and level
+    # prime; p = 2 is ramified at N = 66 and N = 210 (M = 5) and divides M at
+    # N = 210 (M = 2)
+    cfg = LevelConfig.from_primes(ramified, M)
+    table = local_factors(cfg, 3000)
+    assert len(table) == 3001
+    for n, n0 in enumerate(fundamental_parts(3000)):
+        if not n0:
+            assert table[n] == 0, n
+            continue
+        f = isqrt(n // n0)
+        expected = prod(1 - (1 if f % p == 0 else kronecker(-n0, p)) for p in cfg.P.primes)
+        expected *= prod(1 + (1 if f % q == 0 else kronecker(-n0, q)) for q in cfg.M.primes)
+        assert table[n] == expected, n
+
+
+def test_closed_form_reads_symbols_from_period_tables(monkeypatch):
+    # one kronecker call per residue of each level prime's period (8 at p = 2),
+    # none per discriminant
+    calls = []
+    real = qform.kronecker
+    monkeypatch.setattr(qform, "kronecker", lambda d, n: calls.append(n) or real(d, n))
+    closed_form_H(LevelConfig.from_primes((2, 3, 7), 5), 5000)
+    assert sorted(calls) == sorted([2] * 8 + [3] * 3 + [7] * 7 + [5] * 5)
 
 
 def test_s_ramified():
