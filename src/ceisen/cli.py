@@ -35,7 +35,6 @@ from .qform import (
     closed_form_H,
     fundamental_parts,
     mass,
-    s_ramified,
     unit_factor,
 )
 from .theta32 import cohen_H, trace_identity_check
@@ -183,32 +182,36 @@ def _write_snapshot(path: str, classes) -> None:
 # subcommands
 
 
+def _hseries_columns(level: LevelConfig, D_max: int) -> tuple[list, list, list, list]:
+    """The columns fundamental, s, h, u of the hseries rows D = 0..D_max.
+
+    -n0 = -F[4D] is the discriminant of Q(sqrt(-D)), and -D is fundamental
+    iff n0 == D.  s counts the level primes dividing D: each adds 1 along its
+    multiples, one slice per prime.  Row 0 holds false, 0, 0, 1.
+    """
+    n0 = fundamental_parts(4 * D_max)[::4]
+    s = [0] * (D_max + 1)
+    for p in (*level.P.primes, *level.M.primes):
+        s[p::p] = [x + 1 for x in s[p::p]]
+    fund = [D > 0 and n == D for D, n in enumerate(n0)]
+    h = [0] + [class_number(-n) for n in n0[1:]]
+    u = [1] + [unit_factor(-n) for n in n0[1:]]
+    return fund, s, h, u
+
+
 def cmd_hseries(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
-    level = cfg.level
     classes = _get_classes(cfg)
     H = cohen_H(classes, cfg.D_max)
-    # -F[4D] is the discriminant of Q(sqrt(-D)); -D is fundamental iff F[4D] == D.
     # The class-number table is sized once, to 4·D_max, so closed_form_H and
-    # the rows' class_number lookups all read one sweep.
-    F = fundamental_parts(4 * cfg.D_max)
+    # the h column's class_number lookups all read one sweep.
     class_numbers(4 * cfg.D_max)
-    C = closed_form_H(level, cfg.D_max)
+    C = closed_form_H(cfg.level, cfg.D_max)
     header = ["D", "H_theta", "H_closed", "equal", "fundamental", "s", "h", "u"]
-    rows = []
-    all_equal = True
-    for D, (theta, closed) in enumerate(zip(H, C)):
-        if D == 0:
-            fund, s, h, u = False, 0, 0, 1
-        else:
-            n0 = F[4 * D]
-            fund = n0 == D
-            s = s_ramified(D, level)
-            h = class_number(-n0)
-            u = unit_factor(-n0)
-        equal = theta == closed
-        all_equal = all_equal and equal
-        rows.append([D, theta, closed, equal, fund, s, h, u])
+    fund, s, h, u = _hseries_columns(cfg.level, cfg.D_max)
+    rows = [[D, H[D], C[D], H[D] == C[D], fund[D], s[D], h[D], u[D]]
+            for D in range(cfg.D_max + 1)]
+    all_equal = all(row[3] for row in rows)
     _emit(cfg, header, rows, {"config": _config_json(cfg), "all_equal": all_equal})
     return EXIT_OK if all_equal else EXIT_FAIL
 

@@ -39,12 +39,21 @@ and for an integer x_i that holds exactly when x_i² ≤ ⌊B_{i+1}/a_i⌋, so
 of a leaf is the integer q(c) = (K·bound - B_0) // K, an exact division.
 The search walks a half-space: of each pair ±c it visits only the c whose
 last nonzero coordinate is positive.
+
+Along the innermost line, with c_1..c_{n-1} fixed, the values are stepped by
+second differences.  With x = s_0·c_0 + t_0 and β = K·bound - B_1 fixed on
+the line, the numerator β + a_0·x² is K·q(c) for an integer vector c, so it
+is a multiple of K at every integer c_0, and so are its first difference
+a_0·s_0·(2x + s_0) and its second difference 2·a_0·s_0².  Δ²q = 2·a_0·s_0²/K
+is one constant; each line divides twice, for q and Δq at its first point,
+and from point to point only adds: q ← q + Δq, Δq ← Δq + Δ²q, all exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator
 
 from .arith import certify, factorize
@@ -103,14 +112,19 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
             yield from budgets(i - 1, B - ai * x * x, zero and not m)
 
     r0, s0, a0 = r[0], r[0][0], a[0]
+    dd = 2 * a0 * s0 * s0 // K
     for B, zero in budgets(n - 1, top, True):
         rest = tuple(c[1:])
         t = sum(r0[j] * c[j] for j in range(1, n))
         w = isqrt(B // a0)
-        base = top - B
-        for m in range(1 if zero else -((w + t) // s0), (w - t) // s0 + 1):
-            x = s0 * m + t
-            yield (m,) + rest, (base + a0 * x * x) // K
+        lo = 1 if zero else -((w + t) // s0)
+        x = s0 * lo + t
+        v = (top - B + a0 * x * x) // K
+        dv = a0 * s0 * (2 * x + s0) // K
+        for m in range(lo, (w - t) // s0 + 1):
+            yield (m,) + rest, v
+            v += dv
+            dv += dd
 
 
 def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -161,10 +175,8 @@ def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 def counts_by_value(G: list[list[int]], bound: int) -> dict[int, int]:
     """Number of nonzero lattice vectors at each form value <= bound (both
     signs counted: 2 per ± pair)."""
-    tally: dict[int, int] = {}
-    for _, val in points_up_to(reduce_gram(G)[0], bound):
-        tally[val] = tally.get(val, 0) + 2
-    return tally
+    tally = Counter(map(itemgetter(1), points_up_to(reduce_gram(G)[0], bound)))
+    return {val: 2 * cnt for val, cnt in tally.items()}
 
 
 def counts_with_primitive(G: list[list[int]], bound: int) -> tuple[dict[int, int], dict[int, int]]:

@@ -14,6 +14,7 @@ import ceisen
 from ceisen import cli
 from ceisen.cli import main
 from ceisen.order import classes_from_json
+from ceisen.qform import LevelConfig, class_number, fundamental_parts, s_ramified, unit_factor
 
 
 def run(args):
@@ -138,6 +139,31 @@ def test_hseries_sweeps_class_numbers_once(monkeypatch):
     assert sweeps == [20000]
     assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
             == "81224f0a959c5b76c6de6f962d91fad03b40f41e21be78b39f7c015bc6348b54")
+
+
+@pytest.mark.parametrize("ramified, M", [
+    ((11,), 1),
+    ((2, 3, 11), 1),
+    ((3, 5, 7), 2),
+    ((2, 3, 7), 5),
+    ((2, 3, 5, 7, 11), 1),
+], ids=["11", "66", "210-M2", "210-M5", "2310"])
+def test_hseries_columns_match_per_D_functions(ramified, M):
+    # the table-built columns against the per-D functions, with p = 2 in P,
+    # in M and in neither; -D is fundamental iff fundamental_parts(D)[D] == D
+    level = LevelConfig.from_primes(ramified, M)
+    D_max = 5000
+    fund, s, h, u = cli._hseries_columns(level, D_max)
+    assert len(fund) == len(s) == len(h) == len(u) == D_max + 1
+    assert (fund[0], s[0], h[0], u[0]) == (False, 0, 0, 1)
+    F = fundamental_parts(4 * D_max)
+    small = fundamental_parts(D_max)
+    for D in range(1, D_max + 1):
+        n0 = F[4 * D]
+        assert fund[D] is (small[D] == D)
+        assert s[D] == s_ramified(D, level)
+        assert h[D] == class_number(-n0)
+        assert u[D] == unit_factor(-n0)
 
 
 def test_hseries_json():

@@ -1,4 +1,5 @@
-"""points_up_to and its consumers against brute-force box enumeration."""
+"""points_up_to and its consumers against brute-force box enumeration, and
+against a per-point reference on the program's own lattices at depth."""
 
 import random
 from fractions import Fraction
@@ -18,6 +19,8 @@ from ceisen.lattice import (
     reduce_gram,
     shortest_vector,
 )
+from ceisen.order import product_lattice
+from ceisen.theta32 import ternary_lattice
 from test_linalg import mat_det  # the tests' determinant reference
 
 CASES_PER_RANK = 12
@@ -274,3 +277,71 @@ def test_reduce_gram_on_skewed_grams(n):
                 for c, val in near if val == least]
         canon = min(c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in tied)
         assert shortest_vector(G) == (canon, least)
+
+
+def per_point_reference(G, bound):
+    """points_up_to with each value computed at its own point: the leaf's
+    budget gives K·q(c) = K·bound − B_1 + a_0·x_0², divided by K exactly."""
+    U, e = definite_echelon(G)
+    if bound < 0:
+        return
+    n = len(U)
+    g = [gcd(*row) for row in U]
+    r = [[x // g[i] for x in U[i]] for i in range(n)]
+    K = lcm(*(e[i] // gcd(g[i] * g[i], e[i]) for i in range(n)))
+    a = [K * g[i] * g[i] // e[i] for i in range(n)]
+    top = K * bound
+    c = [0] * n
+
+    def budgets(i, B, zero):
+        if i == 0:
+            yield B, zero
+            return
+        ri, si, ai = r[i], r[i][i], a[i]
+        t = sum(ri[j] * c[j] for j in range(i + 1, n))
+        w = isqrt(B // ai)
+        for m in range(0 if zero else -((w + t) // si), (w - t) // si + 1):
+            c[i] = m
+            x = si * m + t
+            yield from budgets(i - 1, B - ai * x * x, zero and not m)
+
+    r0, s0, a0 = r[0], r[0][0], a[0]
+    for B, zero in budgets(n - 1, top, True):
+        rest = tuple(c[1:])
+        t = sum(r0[j] * c[j] for j in range(1, n))
+        w = isqrt(B // a0)
+        base = top - B
+        for m in range(1 if zero else -((w + t) // s0), (w - t) // s0 + 1):
+            x = s0 * m + t
+            yield (m,) + rest, (base + a0 * x * x) // K
+
+
+def check_against_reference(G, bound):
+    """points_up_to(G, bound) yields the reference's (c, v) in its order, and
+    each v is cᵀGc; returns the number of points."""
+    got = list(points_up_to(G, bound))
+    assert got == list(per_point_reference(G, bound))
+    n = len(G)
+    for c, v in got:
+        assert v == sum(G[i][j] * c[i] * c[j] for i in range(n) for j in range(n))
+    return len(got)
+
+
+@pytest.mark.parametrize("name", ["level11", "level66", "level210"])
+def test_second_differences_exact_on_ternary_grams(name, request):
+    # the reduced ternary Grams of cohen_H, at depth 3000: the values stepped
+    # by second differences along each line are the per-point ones
+    classes = request.getfixturevalue(name)
+    for i in range(1, classes.n + 1):
+        assert check_against_reference(reduce_gram(ternary_lattice(classes, i))[0], 3000) > 0
+
+
+def test_second_differences_exact_on_pairing_lattices(level210):
+    # every pairing lattice conj(I_j)·I_i of N = 210 (M = 5), to norm
+    # m·N(I_i)·N(I_j) with m = 12, the bound of the Brandt matrices B_1..B_12
+    ideals = level210.ideals
+    for i, Ii in enumerate(ideals):
+        for Ij in ideals[i:]:
+            W = product_lattice(Ij.lattice.conjugate(), Ii.lattice)
+            bound = 12 * Ii.norm * Ij.norm * W.den ** 2
+            assert check_against_reference(reduce_gram(W.gram())[0], bound) > 0
