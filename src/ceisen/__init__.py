@@ -38,6 +38,7 @@ from .qform import (
     class_numbers,
     closed_form_H,
     corollary_H,
+    field_class_numbers,
     fundamental_parts,
     kronecker_condition,
     local_factors,
@@ -98,6 +99,7 @@ __all__ = [
     "embedding_count_identity",
     "expected_row_sum",
     "factorize",
+    "field_class_numbers",
     "fundamental_parts",
     "hilbert_symbol",
     "is_prime",

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -33,6 +34,7 @@ from .qform import (
     class_number,
     class_numbers,
     closed_form_H,
+    field_class_numbers,
     fundamental_parts,
     mass,
     unit_factor,
@@ -105,20 +107,25 @@ def _write(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _emit(cfg: RunConfig, header: list[str] | tuple[str, ...], rows: list, json_extra: dict,
+def _cells(column) -> list[str]:
+    """A column's CSV cells; bools are compared by identity, since 1 == True."""
+    return ["true" if x is True else "false" if x is False else str(x) for x in column]
+
+
+def _emit(cfg: RunConfig, header: list[str] | tuple[str, ...], columns: list, json_extra: dict,
           stderr_summary: str | None = None) -> None:
-    """Emit one table as CSV (header + rows) or JSON (row objects + extras)."""
+    """Emit one table, given by its columns, as CSV (header + rows) or JSON
+    (row objects + extras).  There is one column per header name, all of one
+    length, or no column at all for a table with no rows, as zip(*rows)
+    gives it."""
     if cfg.format == "csv":
-        lines = [",".join(header)]
-        # compared by identity: 1 == True
-        lines.extend(",".join(["true" if x is True else "false" if x is False else str(x)
-                               for x in row]) for row in rows)
+        lines = [",".join(header), *map(",".join, zip(*map(_cells, columns), strict=True))]
         _write("\n".join(lines) + "\n", cfg.out)
         if stderr_summary is not None:
             print(stderr_summary, file=sys.stderr)
     else:
         obj = dict(json_extra)
-        obj["rows"] = [dict(zip(header, row)) for row in rows]
+        obj["rows"] = [dict(zip(header, row)) for row in zip(*columns, strict=True)]
         _write(json.dumps(obj, indent=2, default=str) + "\n", cfg.out)
 
 
@@ -187,14 +194,18 @@ def _hseries_columns(level: LevelConfig, D_max: int) -> tuple[list, list, list, 
 
     -n0 = -F[4D] is the discriminant of Q(sqrt(-D)), and -D is fundamental
     iff n0 == D.  s counts the level primes dividing D: each adds 1 along its
-    multiples, one slice per prime.  Row 0 holds false, 0, 0, 1.
+    multiples, one slice per prime.  h(-n0) is a class_number lookup when
+    n0 <= D_max; above D_max, n0 = 4D' with D' <= D_max and D' ≡ 1, 2 (mod 4),
+    and h(-n0) is read from field_class_numbers(D_max)[D'].  Row 0 holds
+    false, 0, 0, 1.
     """
     n0 = fundamental_parts(4 * D_max)[::4]
     s = [0] * (D_max + 1)
     for p in (*level.P.primes, *level.M.primes):
         s[p::p] = [x + 1 for x in s[p::p]]
     fund = [D > 0 and n == D for D, n in enumerate(n0)]
-    h = [0] + [class_number(-n) for n in n0[1:]]
+    hf = field_class_numbers(D_max)
+    h = [0] + [class_number(-n) if n <= D_max else hf[n // 4] for n in n0[1:]]
     u = [1] + [unit_factor(-n) for n in n0[1:]]
     return fund, s, h, u
 
@@ -202,17 +213,17 @@ def _hseries_columns(level: LevelConfig, D_max: int) -> tuple[list, list, list, 
 def cmd_hseries(args: argparse.Namespace) -> int:
     cfg = RunConfig.from_args(args)
     classes = _get_classes(cfg)
-    H = cohen_H(classes, cfg.D_max)
-    # The class-number table is sized once, to 4·D_max, so closed_form_H and
-    # the h column's class_number lookups all read one sweep.
-    class_numbers(4 * cfg.D_max)
-    C = closed_form_H(cfg.level, cfg.D_max)
+    # closed_form_H sizes the class-number table to D_max, all that the
+    # h column's class_number lookups read.  Fraction.__str__ is canonical
+    # (lowest terms, positive denominator), so two coefficients are equal
+    # exactly when their strings are.
+    H = list(map(str, cohen_H(classes, cfg.D_max)))
+    C = list(map(str, closed_form_H(cfg.level, cfg.D_max)))
+    equal = list(map(operator.eq, H, C))
     header = ["D", "H_theta", "H_closed", "equal", "fundamental", "s", "h", "u"]
-    fund, s, h, u = _hseries_columns(cfg.level, cfg.D_max)
-    rows = [[D, H[D], C[D], H[D] == C[D], fund[D], s[D], h[D], u[D]]
-            for D in range(cfg.D_max + 1)]
-    all_equal = all(row[3] for row in rows)
-    _emit(cfg, header, rows, {"config": _config_json(cfg), "all_equal": all_equal})
+    columns = [range(cfg.D_max + 1), H, C, equal, *_hseries_columns(cfg.level, cfg.D_max)]
+    all_equal = all(equal)
+    _emit(cfg, header, columns, {"config": _config_json(cfg), "all_equal": all_equal})
     return EXIT_OK if all_equal else EXIT_FAIL
 
 
@@ -223,11 +234,9 @@ def cmd_classnum(args: argparse.Namespace) -> int:
     header = ["D", "fundamental", "h", "u"]
     F = fundamental_parts(cfg.D_max)
     h = class_numbers(cfg.D_max)
-    rows = [
-        [D, F[D] == D, h[D], unit_factor(-D)]
-        for D in range(3, cfg.D_max + 1) if F[D]
-    ]
-    _emit(cfg, header, rows, {"D_max": cfg.D_max})
+    Ds = [D for D in range(3, cfg.D_max + 1) if F[D]]
+    columns = [Ds, [F[D] == D for D in Ds], [h[D] for D in Ds], [unit_factor(-D) for D in Ds]]
+    _emit(cfg, header, columns, {"D_max": cfg.D_max})
     return EXIT_OK
 
 
@@ -324,7 +333,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks = _SUITES[args.suite](cfg, classes)
     passed = all(ok for _, _, ok in checks)
     _emit(
-        cfg, ["check", "detail", "passed"], checks,
+        cfg, ["check", "detail", "passed"], list(zip(*checks)),
         {"config": _config_json(cfg), "suite": args.suite, "passed": passed},
     )
     return EXIT_OK if passed else EXIT_FAIL
@@ -346,7 +355,7 @@ def cmd_shatable(args: argparse.Namespace) -> int:
     rate = Fraction(agree, total)
     summary = f"lambda={coef.lam};agree={agree}/{total};rate={rate}"
     _emit(
-        cfg, DivisibilityRow._fields, table,
+        cfg, DivisibilityRow._fields, list(zip(*table)),
         {
             "config": _config_json(cfg),
             "l": cfg.l,

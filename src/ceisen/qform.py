@@ -2,6 +2,11 @@
 
 Class numbers come from one sieve over the primitive reduced forms, kept in
 one table, `class_numbers(X)`, that a caller sizes once to its largest |d|.
+`field_class_numbers(X)` sieves, into a fresh list, only the discriminants
+-4m with m ≡ 1, 2 (mod 4), m <= X.  The field Q(sqrt(-D)), D <= X, has
+discriminant -D' or -4D', with D' <= D the squarefree part of D, and -4D'
+only when D' ≡ 1, 2 (mod 4); so the class numbers of those fields need
+`class_numbers` only to X.
 Every negative discriminant is split as a fundamental discriminant times a
 square conductor by one table, `fundamental_parts`, and `local_factors`
 tabulates the local factors at the level primes in one pass, reading each
@@ -67,6 +72,41 @@ def class_numbers(X: int) -> list[int]:
     if X >= len(_class_numbers):
         sieve_class_numbers(_class_numbers, max(X, 2 * len(_class_numbers)))
     return _class_numbers
+
+
+def field_class_numbers(X: int) -> list[int]:
+    """A fresh list hf with hf[m] = h(-4m) for m <= X, m ≡ 1, 2 (mod 4), and
+    0 at every other m: the class numbers of the fields Q(sqrt(-m)) whose
+    discriminant is -4m.
+
+    One sweep over the primitive reduced forms (a, 2β, c) of discriminant -4m,
+    m = ac - β², paired as in `sieve_class_numbers`.  a ≡ 0 (mod 4) gives
+    m ≡ -β² ∈ {0, 3} (mod 4) and is skipped.  For each (a, β), m mod 4 and
+    gcd(c, g) with g = gcd(a, 2β) depend on c mod L = lcm(g, 4) alone, so each
+    wanted residue class of c is one slice of hf with step a·L.
+    """
+    if X < 0:
+        raise ValueError("X must be >= 0")
+    hf = [0] * (X + 1)
+    a = 1
+    while 3 * a * a <= 4 * X:
+        for beta in range(a // 2 + 1) if a % 4 else ():
+            g = gcd(a, 2 * beta)
+            bb = beta * beta
+            if 0 < 2 * beta < a:
+                m = a * a - bb
+                if g == 1 and m <= X and m % 4 in (1, 2):
+                    hf[m] += 1  # c = a: only (a, 2β, a)
+                c_min, k = a + 1, 2
+            else:
+                c_min, k = a, 1
+            L = 4 * g // gcd(g, 4)
+            for c in range(c_min, min(c_min + L, (X + bb) // a + 1)):
+                if gcd(c, g) == 1 and (a * c - bb) % 4 in (1, 2):
+                    s = slice(a * c - bb, X + 1, a * L)
+                    hf[s] = [x + k for x in hf[s]]
+        a += 1
+    return hf
 
 
 @lru_cache(maxsize=None)

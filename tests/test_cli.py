@@ -125,18 +125,23 @@ def test_hseries_level11_prefix():
 
 
 def test_hseries_sweeps_class_numbers_once(monkeypatch):
-    # from a fresh table, one sieve sized to 4·D_max serves closed_form_H and
-    # the rows' class_number lookups; stdout is the pinned bytes of the
-    # theta-deep benchmark's N = 11 invocation
+    # from a fresh table: one sieve sweep, sized to D_max by closed_form_H,
+    # and one field-table build to D_max serve closed_form_H and the h column;
+    # no class_number lookup reaches past D_max.  stdout is the pinned bytes
+    # of the theta-deep benchmark's N = 11 invocation
     from ceisen import qform
 
-    sweeps = []
-    sieve = qform.sieve_class_numbers
+    sweeps, builds, lookups = [], [], []
+    sieve, field = qform.sieve_class_numbers, qform.field_class_numbers
     monkeypatch.setattr(qform, "_class_numbers", [])
     monkeypatch.setattr(qform, "sieve_class_numbers", lambda h, X: sweeps.append(X) or sieve(h, X))
+    monkeypatch.setattr(cli, "field_class_numbers", lambda X: builds.append(X) or field(X))
+    monkeypatch.setattr(cli, "class_number", lambda d: lookups.append(d) or class_number(d))
     rc, out, _ = run(["hseries", "--ramified", "11", "--dmax", "5000"])
     assert rc == 0
-    assert sweeps == [20000]
+    assert sweeps == [5000]
+    assert builds == [5000]
+    assert lookups and min(lookups) >= -5000
     assert (hashlib.sha256(out.encode("utf-8")).hexdigest()
             == "81224f0a959c5b76c6de6f962d91fad03b40f41e21be78b39f7c015bc6348b54")
 
@@ -164,6 +169,75 @@ def test_hseries_columns_match_per_D_functions(ramified, M):
         assert s[D] == s_ramified(D, level)
         assert h[D] == class_number(-n0)
         assert u[D] == unit_factor(-n0)
+
+
+# stdout sha256s of hseries at the smallest D_max: D_max = 0 is the mass row
+# alone, and at D_max = 1, 2 the last row's n0 = 4·D_max lies past D_max, so
+# its h comes from the field table
+_SMALL_HSERIES = {
+    ("11", 1): ["68f136332331e9f39db6f8c9b2d365b7f6bf88bad636a5458a1edfff1db8819e",
+                "67c3901cdc68a53e865f33585d5c300d0903d8c488d262107f0c69732ab1b1b4",
+                "dd9b1ee4e2867f8c9b2abe6a16fbfafd62dcf2f291ae413f11e1619faa822f02",
+                "de3c82ac06051db32cf8d63b833d35bd0699a45b4fab986b7cbdf54c56bc2932",
+                "e10bf22dc3e088865383f764d742e5aa75018aa8016baeb7ded1641505e78740",
+                "1ca3a73768a6132287e14669fc9dcfe1ea8cd32c6adbe5909cd725584d3c3c1e",
+                "f4211df0b01a8fea2c77ff85796be54257dac9f166ce56cfc50f8b7008b95c96"],
+    ("2,3,11", 1): ["7dc35067635796c791145de275ccaf6c8f8849ae7ecd70a6b1137caf008c10c9",
+                    "e7858f951f3fef823c9e3eff9e3622598b322b3fd47f4621c1646dec9f1c02b8",
+                    "93d5b36f04593c1f4da99b52a79fd5276840223f2c302f7572844c484861635d",
+                    "3665cda16910914f463f64c8d27cf35ee4e78ef5928f52a0b46cf031f85814a4",
+                    "e6d5586426250db4d94b35c578a698f7e50c90a4fa69faef117241f50721fa7b",
+                    "faf99dfd34f09a5a025decd08e335576f2474e5c4c6a2c033418b832074cee0a",
+                    "31958967eee524b33b0e8ba587715224e3bb7a5c7400c0947ebffd1ef2b691f2"],
+    ("2,3,7", 5): ["2e8a6de8c94cfd14f8f0f24e0bbd0c5795a12b22dc45c16c8cfe4034a25d2366",
+                   "6508d53e925d8b2f1f4baf2db9f131b1a31619f6210eb5efa37e836599ca985f",
+                   "6c763c42e51db6e677654ceb3bd8cf49c8e6ce88595a3e8f8bdac086a38601c4",
+                   "0896d33f489789c1af7bfdbfcb8d3a7b1868d8a19570b3a20f1feab79bd174f3",
+                   "680392f57b8e421f47806b967abf81c9f934983fa9b4616f626d18b132a5db8b",
+                   "92b004f63210688b1458d6843e9cf9d22c99743d73512ae207daf4725b8bf8ef",
+                   "6284af67a6641bf9e31aabc5efaeb84dd3cf42469f2df7b1e6f54a61f869bb27"],
+}
+
+
+@pytest.mark.parametrize("ramified, M", list(_SMALL_HSERIES), ids=["11", "66", "210-M5"])
+def test_hseries_small_dmax_pinned(ramified, M):
+    for D_max, digest in zip((0, 1, 2, 3, 4, 7, 8), _SMALL_HSERIES[ramified, M]):
+        rc, out, _ = run(["hseries", "--ramified", ramified, "--M", str(M), "--dmax", str(D_max)])
+        assert rc == 0
+        assert len(out.split("\n")) == D_max + 3  # header, rows, final newline
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, D_max
+
+
+def _emitted(fmt, header, columns):
+    cfg = cli.RunConfig(D_max=0, m_max=0, l=None, format=fmt, cache_dir=None, out=None, level=None)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(cfg, header, columns, {"extra": 1})
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("columns", [[], [[], [], []]], ids=["no-columns", "empty-columns"])
+def test_emit_zero_rows(columns):
+    # a table with no rows, as zip(*rows) gives it or as empty columns
+    header = ["check", "detail", "passed"]
+    assert _emitted("csv", header, columns) == "check,detail,passed\n"
+    assert json.loads(_emitted("json", header, columns)) == {"extra": 1, "rows": []}
+
+
+def test_emit_keeps_bools_apart_from_ints():
+    # 1 == True and 0 == False, so the writer tells them apart by identity
+    header = ["a", "b"]
+    columns = [[1, True, 0, False], ["x", Fraction(1, 2), Fraction(3), False]]
+    assert _emitted("csv", header, columns) == "a,b\n1,x\ntrue,1/2\n0,3\nfalse,false\n"
+    rows = json.loads(_emitted("json", header, columns))["rows"]
+    assert rows == [{"a": 1, "b": "x"}, {"a": True, "b": "1/2"},
+                    {"a": 0, "b": "3"}, {"a": False, "b": False}]
+    assert [type(r["a"]) for r in rows] == [int, bool, int, bool]
+
+
+def test_emit_rejects_ragged_columns():
+    with pytest.raises(ValueError):
+        _emitted("csv", ["a", "b"], [[1, 2], [3]])
 
 
 def test_hseries_json():

@@ -19,8 +19,10 @@ from ceisen.arith import factorize, kronecker, primes_up_to, squarefree_kernel
 from ceisen.qform import (
     LevelConfig,
     class_number,
+    class_numbers,
     closed_form_H,
     corollary_H,
+    field_class_numbers,
     fundamental_parts,
     kronecker_condition,
     local_factors,
@@ -159,6 +161,23 @@ def test_sieve_matches_reference_sieve_to_20000():
     for X in (0, 1, 4, 7, 101, 1500, 20000):
         sieve_class_numbers(steps, X)
         assert steps == reference[:X + 1], X
+
+
+def test_field_class_numbers_match_the_table():
+    # hf[m] = h(-4m) at m ≡ 1, 2 (mod 4) and 0 at every other m, in a fresh
+    # list; the smallest tables against the reduced forms themselves
+    X = 5000
+    hf = field_class_numbers(X)
+    h = class_numbers(4 * X)
+    assert len(hf) == X + 1
+    for m, value in enumerate(hf):
+        assert value == (h[4 * m] if m % 4 in (1, 2) else 0), m
+    assert field_class_numbers(X) is not hf
+    for X in (0, 1, 2, 3, 4, 5):
+        assert field_class_numbers(X) == [
+            len(reduced_forms(-4 * m)) if m % 4 in (1, 2) else 0 for m in range(X + 1)]
+    with pytest.raises(ValueError):
+        field_class_numbers(-1)
 
 
 def test_class_number_on_sampled_fundamental_4k():
