@@ -5,11 +5,11 @@ Matrices are lists of integer rows.  `mat_mul`, `rref`, `nullspace` and
 `primitive_vector` take and return ints, and every elimination is the one
 fraction-free Gaussian elimination `echelon`: `rref` scales each reduced row
 to a primitive integer row with a positive pivot, which is unique, so it
-equals Gauss–Jordan over Q up to row scaling.  `hnf` and `int_kernel` work
-on integer matrices, and `clear_denominators` turns rational rows into one
-denominator and integer rows.  `charpoly` takes and returns plain ints; it
-has no src caller and is kept as the independent reference the tests check
-the Brandt eigensystem against.  No floating point anywhere.
+equals Gauss–Jordan over Q up to row scaling.  `hnf` works on integer
+matrices, and `clear_denominators` turns rational rows into one denominator
+and integer rows.  `charpoly` takes and returns plain ints; it has no src
+caller and is kept as the independent reference the tests check the Brandt
+eigensystem against.  No floating point anywhere.
 
 `hnf` inserts rows one at a time into a triangular basis, merging two rows
 at a pivot column by one extended gcd (Cohen, GTM 138, §2.4.2); every
@@ -221,12 +221,3 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
                 H[i] = [y - q * z for y, z in zip(H[i], P)]
     return H
 
-
-def int_kernel(A: list[list[int]]) -> list[list[int]]:
-    """Basis of the saturated lattice {c in Z^n : A·c = 0} for integer A (m×n)."""
-    m = len(A)
-    n = len(A[0])
-    stacked = [[A[i][j] for i in range(m)] + [int(j == t) for t in range(n)]
-               for j in range(n)]
-    H = hnf(stacked)
-    return [row[m:] for row in H if not any(row[:m])]

@@ -10,18 +10,17 @@ again.  Rational coordinates enter only through `Lat4.span`, where the
 snapshot reader parses its text, and leave only in the snapshot writer.  An
 order is such a lattice, checked by `make_order` to hold 1 and to be closed
 under products.  Maximal orders come from prime-by-prime saturation of the
-obvious starting order; level structure at primes q coprime to the
-discriminant is cut out by a splitting idempotent of O/qO, multiplied with
-`quat_mul` on the order's rows and read back in its coordinates by
-`Lat4.coords_of`.  A left ideal is integral, and its norm is an int.  Left
-ideal classes are enumerated by a
-neighbor walk at the smallest good prime, stopped exactly by the mass
-formula, with equivalence tests only between ideals of equal normalized
-theta series; a candidate is keyed and tested as it comes, and only one that
-becomes a class is reduced.  A walk step finds the (p+1)² isotropic points
-mod p of the integer norm form, one quadratic in the last coordinate per
-projective prefix, and canonicalizes one point per neighbor: each new
-neighbor adds its p+1 points to a set, and a point in that set is skipped.
+obvious starting order; level structure at a prime q coprime to the
+discriminant is the suborder Z + qO + O·e for an idempotent e of O/qO other
+than 0 and 1, found by its trace and norm.  A left ideal is integral, and its
+norm is an int.  Left ideal classes are enumerated by a neighbor walk at the
+smallest good prime, stopped exactly by the mass formula, with equivalence
+tests only between ideals of equal normalized theta series; a candidate is
+keyed and tested as it comes, and only one that becomes a class is reduced.
+A walk step finds the (p+1)² isotropic points mod p of the integer norm form,
+one quadratic in the last coordinate per projective prefix, and
+canonicalizes one point per neighbor: each new neighbor adds its p+1 points
+to a set, and a point in that set is skipped.
 """
 
 from __future__ import annotations
@@ -31,9 +30,9 @@ from itertools import product
 from math import gcd, prod
 from typing import NamedTuple
 
-from .arith import certify, factorize, valuation
+from .arith import CertificateError, certify, factorize, valuation
 from .lattice import counts_by_value, exists_value, shortest_vector
-from .linalg import clear_denominators, hnf, int_kernel
+from .linalg import clear_denominators, hnf
 from .qform import LevelConfig, good_primes, mass
 from .quatalg import QuaternionAlgebra, norm_pair, quat_mul
 
@@ -215,9 +214,8 @@ def eichler_order(Omax: Lat4, M: int) -> Lat4:
     """Cut level-q structure into Omax for each prime q | M (M squarefree,
     coprime to the algebra discriminant).
 
-    At each q a splitting idempotent e of Omax/qOmax is found by exhaustive
-    search in lexicographic order, and the suborder is the preimage of the
-    'upper triangular' part {x : e·x·(1-e) ≡ 0 mod q}, multiplied by `quat_mul`.
+    At each q the suborder is Z + qO + O·e for the first idempotent e of
+    O/qO other than 0 and 1 in lexicographic order (`_eichler_step`).
     """
     B = Omax.algebra
     if M < 1:
@@ -234,36 +232,26 @@ def eichler_order(Omax: Lat4, M: int) -> Lat4:
 
 
 def _eichler_step(L: Lat4, q: int) -> Lat4:
-    a, b, d2 = L.algebra.a, L.algebra.b, L.den**2
+    """The level-q suborder Z + qL + L·e of the order L, for q ∤ disc(L).
 
-    def coords(d: int, x) -> list[int]:
-        c = L.coords_of(d, x)
-        certify(c is not None, "a product of order elements left the order")
-        return c
-
-    def mul(c, c2) -> list[int]:
-        """Coordinates mod q of x_c·x_c2, where x_c = Σ c_k·b_k lies in L."""
-        x = quat_mul(a, b, _combine(c, L.rows), _combine(c2, L.rows))
-        return [v % q for v in coords(d2, x)]
-
-    one = coords(1, (1, 0, 0, 0))
-    # x² = trd(x)·x - nrd(x), so an idempotent mod q other than 0 and 1 has
-    # trd(x) = 2·x₀ ≡ 1 mod q: the trace test skips most candidates cheaply
-    e = next((list(c) for c in product(range(q), repeat=4)
-              if any(c) and (2 * _combine(c, L.rows)[0] - L.den) % (q * L.den) == 0
-              and any((x - y) % q for x, y in zip(c, one))
-              and mul(c, c) == [x % q for x in c]), None)
+    x² = trd(x)·x − nrd(x), so x ∈ L is idempotent mod qL, and no scalar,
+    exactly when trd(x) ≡ 1 and nrd(x) ≡ 0 mod q; e is the first such
+    x = Σ c_k·rows_k/den in lexicographic order of c.  With e = E₁₁ in
+    L/qL ≅ M_2(F_q), the preimage of {x : e·x·(1 − e) ≡ 0 mod q} and
+    Z + qL + L·e are both the lower-triangular matrices, so the suborder is
+    spanned by q·den·rows_k, rows_k·e and den² over den².
+    """
+    a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
+    d2 = den * den
+    xs = (_combine(c, rows) for c in product(range(q), repeat=4))
+    e = next((x for x in xs if (2 * x[0] - den) % (q * den) == 0
+              and norm_pair(a, b, x, x) % (q * d2) == 0), None)
     # L/qL ≅ M_2(F_q) for q ∤ disc(L), which eichler_order has checked
     certify(e is not None, f"no nontrivial idempotent mod {q}")
-    one_minus_e = [(x - y) % q for x, y in zip(one, e)]
-    # linear map c -> coords(e·x_c·(1-e)) mod q; its kernel is the suborder mod q
-    cols = [mul(mul(e, [int(k == l) for k in range(4)]), one_minus_e) for l in range(4)]
-    A = [[cols[l][r] for l in range(4)] for r in range(4)]  # rows: output coords
-    # the c-parts of the integer kernel of [A | q·I] span {c : A·c ≡ 0 mod q}
-    kernel = int_kernel([A[r] + [q * int(r == t) for t in range(4)] for r in range(4)])
-    H = hnf([v[:4] for v in kernel])
-    certify(prod(H[k][k] for k in range(4)) == q, "upper-triangular part mod q must have index q")
-    sub = make_order(_canonical(L.algebra, L.den, [_combine(h, L.rows) for h in H]))
+    gens = [tuple(q * den * v for v in row) for row in rows]
+    gens += [quat_mul(a, b, row, e) for row in rows] + [(d2, 0, 0, 0)]
+    sub = make_order(_canonical(L.algebra, d2, gens))
+    certify(all(L.holds(sub.den, r) for r in sub.rows), "the level-q suborder must lie in L")
     certify(reduced_discriminant(sub) == q * reduced_discriminant(L),
             "the level-q suborder must have discriminant q·disc(L)")
     return sub
@@ -528,14 +516,12 @@ def classes_from_json(data) -> IdealClassSet:
         lat = Lat4.span(B, [coords[4 * k : 4 * k + 4] for k in range(4)])
         if product_lattice(O, lat) != lat:
             raise CacheError("cached lattice is not a left ideal of the order")
-        n = lat.norm()
-        if n.denominator != 1:
-            raise CacheError(f"cached ideal norm {n} is not an integer")
-        if not _covolume_certificate(O, lat, n.numerator):
-            raise CacheError("cached lattice is not a locally principal ideal")
-        if str(n) != rec["norm"]:
+        try:
+            I = LeftIdeal.of(O, lat)
+        except (ValueError, CertificateError) as e:
+            raise CacheError(f"cached ideal: {e}") from e
+        if str(I.norm) != rec["norm"]:
             raise CacheError("stored norm disagrees with the lattice")
-        I = LeftIdeal(O, lat, n.numerator)
         R = right_order(I)
         e = unit_count(R)
         if e != rec["e"] or e != 2 * rec["w"]:

@@ -69,6 +69,8 @@ def class_numbers(X: int) -> list[int]:
     its end sieves the new range, to at least twice the old length, so a run
     asking for every |d| up to X makes O(log X) sweeps, and one that asks for
     its largest X first makes one."""
+    if X < 0:
+        raise ValueError("X must be >= 0")
     if X >= len(_class_numbers):
         sieve_class_numbers(_class_numbers, max(X, 2 * len(_class_numbers)))
     return _class_numbers

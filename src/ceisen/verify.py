@@ -76,8 +76,11 @@ def coefficient_congruence(
     Both series are first cleared by the global lcm of their coefficient
     denominators, so the comparison is between integers; when l does not
     divide that lcm this is equivalent to the direct rational comparison.
-    λ comes from the first index where both cleared reductions are nonzero
-    and is then verified everywhere; report lam=None with a reason otherwise.
+    λ comes from the first index where both cleared reductions are units mod
+    l, and k·G ≡ H is then checked everywhere with k = λ, or k = 1 when no such
+    index exists: the failures are then the D where one side alone vanishes.
+    Any failure makes the report "inconsistent" with lam=None; with none, it
+    is "found", or "indeterminate" when both series vanish mod l.
     """
     _require_odd_prime(l)
     if len(H) != len(G):
@@ -86,26 +89,12 @@ def coefficient_congruence(
     L = lcm(*(c.denominator for c in (*H, *G)))
     A = [c.numerator * (L // c.denominator) for c in H]  # Eisenstein side, cleared
     B = [c.numerator * (L // c.denominator) for c in G]  # cusp side, cleared
-    lam = None
-    for D in range(D_max + 1):
-        if A[D] % l and B[D] % l:
-            lam = (A[D] * pow(B[D], -1, l)) % l
-            break
-    if lam is None:
-        if all(a % l == 0 for a in A) and all(b % l == 0 for b in B):
-            return CongruenceReport(None, "indeterminate", D_max, [])
-        failures = [(D, B[D] % l, A[D] % l)
-                    for D in range(D_max + 1) if (A[D] % l == 0) != (B[D] % l == 0)]
-        return CongruenceReport(None, "inconsistent", D_max, failures)
-    failures = []
-    for D in range(D_max + 1):
-        lhs = (lam * B[D]) % l
-        rhs = A[D] % l
-        if lhs != rhs:
-            failures.append((D, lhs, rhs))
+    lam = next(((a * pow(b, -1, l)) % l for a, b in zip(A, B) if a % l and b % l), None)
+    k = lam or 1
+    failures = [(D, (k * b) % l, a % l) for D, (a, b) in enumerate(zip(A, B)) if (k * b - a) % l]
     if failures:
         return CongruenceReport(None, "inconsistent", D_max, failures)
-    return CongruenceReport(lam, "found", D_max, [])
+    return CongruenceReport(lam, "indeterminate" if lam is None else "found", D_max, [])
 
 
 def best_coefficient_congruence(

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 import pytest
@@ -12,7 +11,6 @@ from ceisen.linalg import (
     clear_denominators,
     echelon,
     hnf,
-    int_kernel,
     mat_mul,
     nullspace,
     rref,
@@ -261,7 +259,7 @@ def test_nullspace_kernel_and_rank():
 
 
 # ---------------------------------------------------------------------------
-# hnf / int_kernel
+# hnf
 
 
 def column_euclid_hnf(rows):
@@ -315,7 +313,7 @@ def hnf_cases():
         if rng.random() < 0.3:
             A.insert(rng.randint(0, m), [0] * n)
         cases.append(A)
-    for _ in range(40):  # int_kernel's [Aᵀ | I]
+    for _ in range(40):  # the [Aᵀ | I] of a kernel by HNF
         m, n = rng.randint(1, 4), rng.randint(1, 6)
         A = random_int_matrix(rng, m, n, -20, 20)
         cases.append([[A[i][j] for i in range(m)] + [int(j == t) for t in range(n)] for j in range(n)])
@@ -362,20 +360,3 @@ def test_hnf_is_invariant_under_unimodular_row_changes():
         UA = [[sum(u * row[j] for u, row in zip(Ui, A)) for j in range(len(A[0]))] for Ui in U]
         assert hnf(UA) == hnf(A), A
 
-
-def test_int_kernel_is_the_saturated_kernel():
-    rng = random.Random(SEED + 7)
-    for _ in range(60):
-        m, n = rng.randint(1, 3), rng.randint(1, 5)
-        A = random_int_matrix(rng, m, n, -3, 3)
-        if rng.random() < 0.3:
-            A.append([2 * x - y for x, y in zip(A[0], A[-1])])  # dependent row
-        K = int_kernel(A)
-        assert all(sum(a * k for a, k in zip(row, v)) == 0 for row in A for v in K), A
-        assert len(K) == n - len(echelon(A)[1]), A
-        # every small kernel vector lies in the lattice K spans, so adding it
-        # leaves hnf(K) as it is: K is the whole of ker(A) ∩ Zⁿ
-        H = hnf(K)
-        for v in product(range(-2, 3), repeat=n):
-            if all(sum(a * x for a, x in zip(row, v)) == 0 for row in A):
-                assert hnf(K + [list(v)]) == H, (A, v)

@@ -8,7 +8,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 import ceisen.order as order_module
-from ceisen.arith import CertificateError
+from ceisen.arith import CertificateError, factorize
 from ceisen.linalg import clear_denominators
 from ceisen.order import (
     CacheError,
@@ -392,7 +392,7 @@ def trace_pairing_discriminant(O) -> int:
     return d
 
 
-EICHLER_CASES = [(11, 2), (11, 3), (11, 5), (2, 3), (2, 5), (3, 2)]
+EICHLER_CASES = [(11, 2), (11, 3), (11, 5), (2, 3), (2, 5), (3, 2), (11, 6), (2, 15), (7, 30)]
 
 
 def test_reduced_discriminant_matches_trace_pairing_determinant(level11, level66):
@@ -400,9 +400,9 @@ def test_reduced_discriminant_matches_trace_pairing_determinant(level11, level66
     for a, b in LATTICE_ALGEBRAS:
         B = QuaternionAlgebra.create(a, b)
         orders += [standard_order(B), maximal_order(B)]
-    for p, q in EICHLER_CASES:
+    for p, M in EICHLER_CASES:
         Omax = maximal_order(construct_algebra({p}))
-        orders += [Omax, eichler_order(Omax, q)]
+        orders += [Omax, eichler_order(Omax, M)]
     orders += level11.right_orders + level66.right_orders
     for O in orders:
         assert reduced_discriminant(O) == trace_pairing_discriminant(O)
@@ -430,9 +430,10 @@ def test_covolume_certificate_matches_gram_determinants(level11, level66):
 
 
 def brute_eichler(Omax, q: int) -> Lat4:
-    """The level-q suborder of Omax, found by brute force over (Z/q)^4: take
-    the first idempotent e ≢ 0, 1 mod q·Omax in lexicographic coordinate
-    order, and the preimage of {c : e·x_c·(1 - e) ∈ q·Omax}."""
+    """The level-q suborder of the order Omax (maximal or not, q ∤ disc),
+    found by brute force over (Z/q)^4: take the first idempotent
+    e ≢ 0, 1 mod q·Omax in lexicographic coordinate order, and the preimage
+    of {c : e·x_c·(1 - e) ∈ q·Omax}."""
     B, bs, one = Omax.algebra, rational_basis(Omax), (1, 0, 0, 0)
 
     def in_q_order(x) -> bool:
@@ -451,12 +452,16 @@ def brute_eichler(Omax, q: int) -> Lat4:
     return Lat4.span(B, [tuple(q * v for v in b) for b in bs] + [combination(bs, c) for c in kept])
 
 
-@pytest.mark.parametrize("p, q", EICHLER_CASES)
-def test_eichler_order_is_brute_force_preimage(p, q):
+@pytest.mark.parametrize("p, M", EICHLER_CASES)
+def test_eichler_order_is_brute_force_preimage(p, M):
+    # at a composite M each cut runs on the order the smaller primes' cuts left
     Omax = maximal_order(construct_algebra({p}))
-    O = eichler_order(Omax, q)
-    assert O == brute_eichler(Omax, q)
-    assert reduced_discriminant(O) == q * reduced_discriminant(Omax)
+    ref = Omax
+    for q in factorize(M).primes:
+        ref = brute_eichler(ref, q)
+    O = eichler_order(Omax, M)
+    assert O == ref
+    assert reduced_discriminant(O) == M * reduced_discriminant(Omax)
 
 
 @pytest.fixture(scope="module")

@@ -180,6 +180,13 @@ def test_field_class_numbers_match_the_table():
         field_class_numbers(-1)
 
 
+def test_tables_reject_negative_X():
+    # a negative size is bad input for every table, not a request for none
+    for table in (class_numbers, fundamental_parts, field_class_numbers):
+        with pytest.raises(ValueError, match="X must be >= 0"):
+            table(-1)
+
+
 def test_class_number_on_sampled_fundamental_4k():
     # -4k is fundamental for squarefree k ≡ 1, 2 (mod 4)
     ks = [k for k in range(1, 5001) if k % 4 in (1, 2) and squarefree_kernel(k) == k]

@@ -1,14 +1,16 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 import ceisen
 from ceisen.arith import CertificateError
 from ceisen.lattice import counts_by_value, counts_with_primitive
-from ceisen.linalg import int_kernel, mat_mul
+from ceisen.linalg import echelon, hnf, mat_mul
 from ceisen.order import Lat4, build_class_set
 from ceisen.qform import LevelConfig, closed_form_H, mass, unit_factor
 from ceisen.quatalg import norm_pair
@@ -21,7 +23,7 @@ from ceisen.theta32 import (
     ternary_lattice,
     trace_identity_check,
 )
-from test_linalg import mat_det  # the tests' determinant reference
+from test_linalg import SEED, mat_det, random_int_matrix  # the tests' shared references
 
 LEVELS = ["level11", "level66", "level210"]
 
@@ -43,6 +45,35 @@ def test_ternary_lattice_shape(classes):
         assert all(G[k][l] == G[l][k] for k in range(3) for l in range(3))
         assert all(isinstance(G[k][l], int) for k in range(3) for l in range(3))
         assert mat_det(G) == 4 * N * N
+
+
+def int_kernel(A: list[list[int]]) -> list[list[int]]:
+    """Basis of the saturated lattice {c in Z^n : A·c = 0} for integer A (m×n):
+    the rows of hnf([Aᵀ | I]) that vanish on Aᵀ."""
+    m = len(A)
+    n = len(A[0])
+    stacked = [[A[i][j] for i in range(m)] + [int(j == t) for t in range(n)]
+               for j in range(n)]
+    H = hnf(stacked)
+    return [row[m:] for row in H if not any(row[:m])]
+
+
+def test_int_kernel_is_the_saturated_kernel():
+    rng = random.Random(SEED + 7)
+    for _ in range(60):
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        A = random_int_matrix(rng, m, n, -3, 3)
+        if rng.random() < 0.3:
+            A.append([2 * x - y for x, y in zip(A[0], A[-1])])  # dependent row
+        K = int_kernel(A)
+        assert all(sum(a * k for a, k in zip(row, v)) == 0 for row in A for v in K), A
+        assert len(K) == n - len(echelon(A)[1]), A
+        # every small kernel vector lies in the lattice K spans, so adding it
+        # leaves hnf(K) as it is: K is the whole of ker(A) ∩ Zⁿ
+        H = hnf(K)
+        for v in product(range(-2, 3), repeat=n):
+            if all(sum(a * x for a, x in zip(row, v)) == 0 for row in A):
+                assert hnf(K + [list(v)]) == H, (A, v)
 
 
 def z_plus_2r_gram(classes, i):

@@ -92,11 +92,13 @@ def test_indeterminate_report():
 
 
 def test_inconsistent_vanishing_report():
-    H = tuple(Fraction(x) for x in (0, 5, 1))
-    G = tuple(Fraction(x) for x in (0, 5, 5))
-    rep = coefficient_congruence(H, G, 5)
-    assert rep.lam is None and rep.reason == "inconsistent"
-    assert (2, 0, 1) in rep.failures
+    # no index has both sides units mod 5, so there is no λ; the failures are
+    # (D, G mod 5, H mod 5) where one side alone is non-zero: H, then G
+    for h, g, failures in [((0, 5, 1), (0, 5, 5), [(2, 0, 1)]),
+                           ((0, 10, 0, 0), (0, 0, 3, 5), [(2, 3, 0)])]:
+        rep = coefficient_congruence(tuple(map(Fraction, h)), tuple(map(Fraction, g)), 5)
+        assert rep.lam is None and rep.reason == "inconsistent"
+        assert rep.failures == failures
 
 
 def test_reports_never_share_failures():
