@@ -271,10 +271,7 @@ def _suite_hecke(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
     n = classes.n
     identity = mats[1] == [[int(i == j) for j in range(n)] for i in range(n)]
     checks = [("hecke:B1", "B_1 is the identity", identity)]
-    u_ok = all(
-        all(s == expected_row_sum(m, level) for s in map(sum, mats[m]))
-        for m in range(1, cfg.m_max + 1)
-    )
+    u_ok = all(ok for *_, ok in _suite_rowsum(cfg, classes))
     checks.append(("hecke:u", f"all-ones eigenvector for m<={cfg.m_max}", u_ok))
     for m in range(2, cfg.m_max + 1):
         for mp in range(m + 1, cfg.m_max // m + 1):

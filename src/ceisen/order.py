@@ -17,10 +17,9 @@ norm is an int.  Left ideal classes are enumerated by a neighbor walk at the
 smallest good prime, stopped exactly by the mass formula, with equivalence
 tests only between ideals of equal normalized theta series; a candidate is
 keyed and tested as it comes, and only one that becomes a class is reduced.
-A walk step finds the (p+1)² isotropic points mod p of the integer norm form,
-one quadratic in the last coordinate per projective prefix, and
-canonicalizes one point per neighbor: each new neighbor adds its p+1 points
-to a set, and a point in that set is skipped.
+A walk step splits R/pR ≅ M_2(F_p) by the same idempotent search, e = E₁₁
+and f = e·y·(1 − e) a multiple of E₁₂, and canonicalizes the p+1 neighbors
+pR + R·x for x = e + t·f (t ∈ F_p) and x = f, one per kernel line.
 """
 
 from __future__ import annotations
@@ -231,23 +230,35 @@ def eichler_order(Omax: Lat4, M: int) -> Lat4:
     return O
 
 
-def _eichler_step(L: Lat4, q: int) -> Lat4:
-    """The level-q suborder Z + qL + L·e of the order L, for q ∤ disc(L).
+def _idempotent(L: Lat4, q: int) -> tuple[int, ...]:
+    """The first x = Σ c_k·rows_k over den, in lexicographic order of
+    c ∈ [0, q)⁴, that is idempotent mod qL and no scalar, for an order L with
+    q ∤ disc(L): the element E₁₁ of L/qL ≅ M_2(F_q).
 
-    x² = trd(x)·x − nrd(x), so x ∈ L is idempotent mod qL, and no scalar,
-    exactly when trd(x) ≡ 1 and nrd(x) ≡ 0 mod q; e is the first such
-    x = Σ c_k·rows_k/den in lexicographic order of c.  With e = E₁₁ in
-    L/qL ≅ M_2(F_q), the preimage of {x : e·x·(1 − e) ≡ 0 mod q} and
-    Z + qL + L·e are both the lower-triangular matrices, so the suborder is
-    spanned by q·den·rows_k, rows_k·e and den² over den².
+    x² = trd(x)·x − nrd(x), so x qualifies exactly when trd(x) ≡ 1 and
+    nrd(x) ≡ 0 mod q.  The rows are upper triangular, so trd(x) = 2·c₀·r₀₀/den
+    depends on c₀ alone, and only the c₀ that pass the trace test are
+    searched.  CertificateError if there is none, as at a ramified q.
+    """
+    a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
+    xs = (_combine((c0, *c), rows) for c0 in range(q)
+          if (2 * c0 * rows[0][0] - den) % (q * den) == 0
+          for c in product(range(q), repeat=3))
+    e = next((x for x in xs if norm_pair(a, b, x, x) % (q * den * den) == 0), None)
+    certify(e is not None, f"no nontrivial idempotent mod {q}")
+    return e
+
+
+def _eichler_step(L: Lat4, q: int) -> Lat4:
+    """The level-q suborder Z + qL + L·e of the order L, for q ∤ disc(L) and
+    e = `_idempotent(L, q)`.  With e = E₁₁ in L/qL ≅ M_2(F_q), the preimage of
+    {x : e·x·(1 − e) ≡ 0 mod q} and Z + qL + L·e are both the lower-triangular
+    matrices, so the suborder is spanned by q·den·rows_k, rows_k·e and den²
+    over den².
     """
     a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
     d2 = den * den
-    xs = (_combine(c, rows) for c in product(range(q), repeat=4))
-    e = next((x for x in xs if (2 * x[0] - den) % (q * den) == 0
-              and norm_pair(a, b, x, x) % (q * d2) == 0), None)
-    # L/qL ≅ M_2(F_q) for q ∤ disc(L), which eichler_order has checked
-    certify(e is not None, f"no nontrivial idempotent mod {q}")
+    e = _idempotent(L, q)
     gens = [tuple(q * den * v for v in row) for row in rows]
     gens += [quat_mul(a, b, row, e) for row in rows] + [(d2, 0, 0, 0)]
     sub = make_order(_canonical(L.algebra, d2, gens))
@@ -344,80 +355,33 @@ def _neighbor_ideals(L: Lat4, p: int) -> list[Lat4]:
     """The p+1 left L-ideals of reduced norm p, for an order L with p coprime
     to disc(L), sorted by (den, rows).
 
-    L/pL is the matrix ring M_2(F_p) with the determinant as norm, so the
-    x = Σ c_k·rows_k/den with c nonzero mod p and p | N(x) are the (p+1)²
-    projective points of a quadric (`_isotropic_points`).  The ideal
-    p·L + L·x, spanned by p·den·rows_k and rows_k·x over den², is the one
-    left ideal of norm p that holds x, and each of the p+1 ideals holds p+1
-    of the points.  So a point is canonicalized only when it lies in no ideal
-    found before: each new ideal K puts its p+1 points (`_projective_points`)
-    into a set, and a later point is one set lookup.  Every point is visited:
-    CertificateError unless the norm form is integral on L and the points give
-    exactly p+1 ideals.
+    L/pL is the matrix ring M_2(F_p), and a left ideal of norm p is the
+    preimage of M_2(F_p)·x for a rank-one x, one per kernel line of x.  With
+    e = E₁₁ from `_idempotent` and f = e·y·(1 − e) for the first basis row y
+    with f ∉ pL, f is a unit multiple of E₁₂, so the p+1 kernel lines are
+    those of e + t·f (t ∈ F_p) and of f.  The ideal p·L + L·x is spanned by
+    p·den·rows_k and rows_k·x over den².  CertificateError unless the norm
+    form is integral on L, the p+1 ideals are distinct and each has covolume
+    p²·covol(L).
     """
     a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
     d2 = den * den
-    G = L.gram()
-    # N(x) = Σ_{k<=l} Q_kl·c_k·c_l with Q_kk = G_kk/den² and Q_kl = 2·G_kl/den²
-    Q = [[(1 + (k < l)) * G[k][l] if k <= l else 0 for l in range(4)] for k in range(4)]
-    certify(all(v % d2 == 0 for row in Q for v in row),
-            "the norm form is not integral on the order")
+    certify(L.norm().denominator == 1, "the norm form is not integral on the order")
+    e = _idempotent(L, p)
+    one_minus_e = (den - e[0], -e[1], -e[2], -e[3])
+    for y in rows:
+        # e·y·(1 − e) lies in L, so den·f is an integer row
+        f = tuple(v // d2 for v in quat_mul(a, b, quat_mul(a, b, e, y), one_minus_e))
+        if any(c % p for c in L.coords_of(den, f)):
+            break
     scaled = [tuple(p * den * v for v in row) for row in rows]
-    found: list[Lat4] = []
-    covered: set[tuple[int, ...]] = set()
-    for c in _isotropic_points([[v // d2 for v in row] for row in Q], p):
-        if c in covered:
-            continue
-        x = _combine(c, rows)
-        K = _canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows])
-        found.append(K)
-        covered.update(_projective_points(L, K, p))
+    xs = [tuple(u + t * v for u, v in zip(e, f)) for t in range(p)] + [f]
+    found = {_canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows])
+             for x in xs}
     certify(len(found) == p + 1, f"expected {p + 1} neighbors, got {len(found)}")
+    certify(all(K.covolume() == p * p * L.covolume() for K in found),
+            "each neighbor must have covolume p²·covol(L)")
     return sorted(found, key=lambda K: (K.den, K.rows))
-
-
-def _projective_points(L: Lat4, K: Lat4, p: int) -> list[tuple[int, ...]]:
-    """The p+1 points of the plane K/pL of L/pL, for pL ⊆ K ⊆ L of index p²,
-    in L's coordinates with first nonzero entry 1, as `_isotropic_points`
-    yields them.
-
-    The HNF of K in L's coordinates has pivots dividing p and product p², so
-    two pivots 1; those rows u and v, with u's pivot first, span K/pL, and its
-    points are u + t·v (t ∈ F_p) and v.  CertificateError unless there are
-    exactly two unit pivots.
-    """
-    H = hnf([L.coords_of(K.den, r) for r in K.rows])
-    units = [[x % p for x in row] for k, row in enumerate(H) if row[k] == 1]
-    certify(len(units) == 2, f"a neighbor must have 2 unit pivots over L, not {len(units)}")
-    u, v = units
-    return [tuple((x + t * y) % p for x, y in zip(u, v)) for t in range(p)] + [tuple(v)]
-
-
-def _isotropic_points(Q, p: int):
-    """The 4-tuples c with first nonzero entry 1 (one per projective point mod
-    p) and Σ_{k<=l} Q_kl·c_k·c_l ≡ 0 mod p: by the position of the leading 1,
-    then lexicographically.
-
-    On a prefix (c_0, c_1, c_2) the form is α + β·t + γ·t² in the last entry
-    t, with γ = Q_33 the same for every prefix.  One pass over (β, t) tables
-    the roots t of β·t + γ·t² ≡ -α for every (β, α), so each of the
-    p² + p + 1 prefixes costs one lookup, at p = 2 and at γ ≡ 0 as well.
-    The last point (0, 0, 0, 1) is isotropic iff γ ≡ 0.
-    """
-    g = Q[3][3] % p
-    roots: list[list[list[int]]] = [[[] for _ in range(p)] for _ in range(p)]
-    for beta in range(p):
-        for t in range(p):
-            roots[beta][-(beta * t + g * t * t) % p].append(t)
-    for lead in range(3):
-        for tail in product(range(p), repeat=2 - lead):
-            c = (0,) * lead + (1,) + tail
-            alpha = sum(Q[k][l] * c[k] * c[l] for k in range(3) for l in range(k, 3)) % p
-            beta = sum(Q[k][3] * c[k] for k in range(3)) % p
-            for t in roots[beta][alpha]:
-                yield (*c, t)
-    if g == 0:
-        yield (0, 0, 0, 1)
 
 
 class IdealClassSet:

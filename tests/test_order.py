@@ -32,7 +32,7 @@ from ceisen.order import (
     unit_ideal,
     _covolume_certificate,
     _eichler_step,
-    _isotropic_points,
+    _idempotent,
     _neighbor_ideals,
     _saturate_at,
 )
@@ -581,12 +581,6 @@ def reference_neighbor_ideals(L, p: int) -> list[Lat4]:
     return out
 
 
-def norm_form(R) -> list[list[int]]:
-    """Q with N(Σ c_k·b_k) = Σ_{k<=l} Q_kl·c_k·c_l on the basis of R."""
-    G, d2 = R.gram(), R.den**2
-    return [[(1 + (k < l)) * G[k][l] // d2 if k <= l else 0 for l in range(4)] for k in range(4)]
-
-
 @pytest.fixture(scope="module")
 def level210_m2():
     return build_class_set(LevelConfig.from_primes((3, 5, 7), 2))
@@ -603,32 +597,21 @@ def test_neighbor_ideals_match_full_scan(order11, level210_m2, level389):
         assert _neighbor_ideals(R, p) == reference_neighbor_ideals(R, p)
 
 
-def scanned_points(Q, p: int) -> list[tuple]:
-    return [tuple(c) for c in reference_projective_tuples(p)
-            if sum(Q[k][l] * c[k] * c[l] for k in range(4) for l in range(k, 4)) % p == 0]
+def reference_idempotent(L, q: int) -> tuple:
+    """The first x = Σ c_k·rows_k over den, c ∈ [0, q)⁴ in lexicographic order,
+    with trd(x) ≡ 1 and nrd(x) ≡ 0 mod q: the full scan."""
+    a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
+    xs = (order_module._combine(c, rows) for c in product(range(q), repeat=4))
+    return next(x for x in xs if (2 * x[0] - den) % (q * den) == 0
+                and norm_pair(a, b, x, x) % (q * den * den) == 0)
 
 
-def test_isotropic_points_are_the_scanned_points(order11, level210_m2):
-    # R/pR is M_2(F_p) at a good p, and its nonzero singular matrices are
-    # (p+1)² projective points, at p = 2 as well
-    cases = [(order11, p) for p in (2, 3, 5, 7, 13)]
-    cases += [(R, p) for R in level210_m2.right_orders[:2] for p in (11, 13)]
-    for R, p in cases:
-        Q = norm_form(R)
-        got = list(_isotropic_points(Q, p))
-        assert len(got) == (p + 1) ** 2
-        assert got == scanned_points(Q, p)
-    # no order above has Q_33 ≡ 0: random forms reach the linear and the
-    # constant equation in t, and the point (0, 0, 0, 1)
-    rng = random.Random(17)
-    for p in (2, 3, 5, 7):
-        for trial in range(12):
-            Q = [[rng.randint(-9, 9) if k <= l else 0 for l in range(4)] for k in range(4)]
-            if trial % 2:
-                Q[3][3] = p * rng.randint(-2, 2)
-            if trial % 4 == 3:
-                Q[0][3] = Q[1][3] = Q[2][3] = 0
-            assert list(_isotropic_points(Q, p)) == scanned_points(Q, p)
+def test_idempotent_is_the_first_scanned_idempotent(order11, level210_m2):
+    # the same e keeps every Eichler cut, and so its snapshots, as they were
+    for R in [order11, *level210_m2.right_orders]:
+        for q in (2, 3, 5, 7, 11, 13):
+            if reduced_discriminant(R) % q:
+                assert _idempotent(R, q) == reference_idempotent(R, q)
 
 
 def test_neighbor_step_canonicalizes_once_per_neighbor(monkeypatch, order11, level210_m2):
@@ -648,7 +631,8 @@ def test_neighbor_step_canonicalizes_once_per_neighbor(monkeypatch, order11, lev
 
 
 def test_neighbor_step_needs_no_membership_test(monkeypatch, order11, level210_m2, level389):
-    # a covered point is skipped by a set lookup, never by `Lat4.holds`
+    # the neighbours are read off the splitting e, f of R/pR: no candidate
+    # element is tested for membership with `Lat4.holds`
     def no_holds(self, d, v):
         raise AssertionError("membership test")
 
@@ -660,17 +644,32 @@ def test_neighbor_step_needs_no_membership_test(monkeypatch, order11, level210_m
 
 
 def test_neighbor_certificates_raise(order11, hurwitz):
-    # at a ramified p, R/pR is not M_2(F_p): the points give fewer ideals
-    with pytest.raises(CertificateError, match="neighbors"):
+    # at a ramified p, R/pR is not M_2(F_p): it has no idempotent to split it
+    with pytest.raises(CertificateError, match="idempotent mod 11"):
         _neighbor_ideals(order11, 11)
-    with pytest.raises(CertificateError, match="neighbors"):
+    with pytest.raises(CertificateError, match="idempotent mod 2"):
         _neighbor_ideals(hurwitz, 2)
-    # L itself is no plane of L/pL: all four of its pivots over L are units
-    with pytest.raises(CertificateError, match="2 unit pivots over L, not 4"):
-        order_module._projective_points(order11, order11, 3)
     # half the Hurwitz order is no order: its norms lie in Z/4
     with pytest.raises(CertificateError, match="integral"):
         _neighbor_ideals(Lat4(hurwitz.algebra, 2 * hurwitz.den, hurwitz.rows), 3)
+
+
+def test_neighbor_step_needs_a_true_idempotent(monkeypatch, order11):
+    B, den = order11.algebra, order11.den
+    e = _idempotent(order11, 2)
+    # the step's own f = e·y·(1 − e), a multiple of E₁₂ mod 2
+    one_minus_e = (den - e[0], -e[1], -e[2], -e[3])
+    fs = (tuple(v // den**2 for v in mul(B, mul(B, e, y), one_minus_e)) for y in order11.rows)
+    f = next(f for f in fs if any(c % 2 for c in order11.coords_of(den, f)))
+    # with the unit 1 + f in place of e, one x is a unit: the three ideals
+    # are distinct, but one of them is R itself, of covolume covol(R)
+    monkeypatch.setattr(order_module, "_idempotent", lambda L, q: (den + f[0], *f[1:]))
+    with pytest.raises(CertificateError, match="covolume"):
+        _neighbor_ideals(order11, 2)
+    # with e = 0 every f = e·y·(1 − e) is 0, and each x gives the ideal pR
+    monkeypatch.setattr(order_module, "_idempotent", lambda L, q: (0, 0, 0, 0))
+    with pytest.raises(CertificateError, match="expected 4 neighbors, got 1"):
+        _neighbor_ideals(order11, 3)
 
 
 def test_saturation_certificate(hurwitz):
