@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import json
 import operator
 import os
@@ -146,6 +147,15 @@ def _cache_path(cfg: RunConfig) -> str:
 
 
 def _get_classes(cfg: RunConfig):
+    """The level's class set, read or built.  It lives until exit and holds no
+    reference cycle, so it and the imports are frozen out of the collector's
+    generations: no full collection, in the run or at exit, scans them."""
+    classes = _load_or_build_classes(cfg)
+    gc.freeze()
+    return classes
+
+
+def _load_or_build_classes(cfg: RunConfig):
     level = cfg.level
     if cfg.cache_dir is None:
         return build_class_set(level)
@@ -246,8 +256,7 @@ def _suite_mass(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
     return [("mass", f"computed={total};expected={expected}", total == expected)]
 
 
-def _suite_rowsum(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
-    mats = brandt_matrices_upto(classes, cfg.m_max)
+def _suite_rowsum(cfg: RunConfig, mats) -> list[tuple[str, str, bool]]:
     checks = []
     for m in range(1, cfg.m_max + 1):
         sums = list(map(sum, mats[m]))
@@ -271,7 +280,7 @@ def _suite_hecke(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
     n = classes.n
     identity = mats[1] == [[int(i == j) for j in range(n)] for i in range(n)]
     checks = [("hecke:B1", "B_1 is the identity", identity)]
-    u_ok = all(ok for *_, ok in _suite_rowsum(cfg, classes))
+    u_ok = all(ok for *_, ok in _suite_rowsum(cfg, mats))
     checks.append(("hecke:u", f"all-ones eigenvector for m<={cfg.m_max}", u_ok))
     for m in range(2, cfg.m_max + 1):
         for mp in range(m + 1, cfg.m_max // m + 1):
@@ -313,7 +322,7 @@ def _suite_congruence(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
 
 _SUITES = {
     "mass": _suite_mass,
-    "rowsum": _suite_rowsum,
+    "rowsum": lambda cfg, classes: _suite_rowsum(cfg, brandt_matrices_upto(classes, cfg.m_max)),
     "trace": _suite_trace,
     "hecke": _suite_hecke,
     "congruence": _suite_congruence,

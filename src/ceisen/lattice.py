@@ -7,8 +7,9 @@ coordinate lattice Z^n.
 Every consumer reduces the form first.  Quaternion lattices arrive in HNF, a
 skewed basis, and Fincke-Pohst visits nodes in proportion to that skew rather
 than to the points it returns (Fincke-Pohst, Math. Comp. 44, 1985).
-`reduce_gram` reduces every pair of basis vectors (Lagrange): G' = T·G·Tᵀ
-with T unimodular, both checked exactly.  Unlike the greedy reduction of
+`reduce_gram` reduces every pair of basis vectors (Lagrange), updating
+the rows of G' and T in place: G' = T·G·Tᵀ with T unimodular, both checked
+exactly.  Unlike the greedy reduction of
 Nguyen-Stehlé (ACM Trans. Algorithms 5, 2009), Minkowski in rank <= 4, it may
 leave a sum ±b_0 ± b_1 ± b_2 (± b_3) much shorter than the b_i, and
 Fincke-Pohst then pays for that skew.  The tallies and `exists_value`
@@ -38,7 +39,9 @@ and for an integer x_i that holds exactly when x_i² ≤ ⌊B_{i+1}/a_i⌋, so
 |x_i| ≤ isqrt(B_{i+1} // a_i) decides membership with no rounding.  The value
 of a leaf is the integer q(c) = (K·bound - B_0) // K, an exact division.
 The search walks a half-space: of each pair ±c it visits only the c whose
-last nonzero coordinate is positive.
+last nonzero coordinate is positive.  The outer coordinates are set by the
+module-level recursive generator `_budgets`, not a closure over its own
+name, so an enumeration leaves no reference cycle behind.
 
 Along the innermost line, with c_1..c_{n-1} fixed, the values are stepped by
 second differences.  With x = s_0·c_0 + t_0 and β = K·bound - B_1 fixed on
@@ -96,24 +99,9 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
     a = [K * g[i] * g[i] // e[i] for i in range(n)]
     top = K * bound
     c = [0] * n
-
-    def budgets(i: int, B: int, zero: bool) -> Iterator[tuple[int, bool]]:
-        """Set c_i..c_1 in turn; yield the budget B_1 left for c_0 and whether
-        c_1..c_{n-1} are all 0."""
-        if i == 0:
-            yield B, zero
-            return
-        ri, si, ai = r[i], r[i][i], a[i]
-        t = sum(ri[j] * c[j] for j in range(i + 1, n))
-        w = isqrt(B // ai)
-        for m in range(0 if zero else -((w + t) // si), (w - t) // si + 1):
-            c[i] = m
-            x = si * m + t
-            yield from budgets(i - 1, B - ai * x * x, zero and not m)
-
     r0, s0, a0 = r[0], r[0][0], a[0]
     dd = 2 * a0 * s0 * s0 // K
-    for B, zero in budgets(n - 1, top, True):
+    for B, zero in _budgets(r, a, c, n - 1, top, True):
         rest = tuple(c[1:])
         t = sum(r0[j] * c[j] for j in range(1, n))
         w = isqrt(B // a0)
@@ -125,6 +113,22 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
             yield (m,) + rest, v
             v += dv
             dv += dd
+
+
+def _budgets(r: list[list[int]], a: list[int], c: list[int], i: int, B: int,
+             zero: bool) -> Iterator[tuple[int, bool]]:
+    """Set c_i..c_1 in turn; yield the budget B_1 left for c_0 and whether
+    c_1..c_{n-1} are all 0."""
+    if i == 0:
+        yield B, zero
+        return
+    ri, si, ai = r[i], r[i][i], a[i]
+    t = sum(ri[j] * c[j] for j in range(i + 1, len(c)))
+    w = isqrt(B // ai)
+    for m in range(0 if zero else -((w + t) // si), (w - t) // si + 1):
+        c[i] = m
+        x = si * m + t
+        yield from _budgets(r, a, c, i - 1, B - ai * x * x, zero and not m)
 
 
 def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
@@ -149,14 +153,18 @@ def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     done = False
     while not done:
         done = True
-        for j in sorted(range(n), key=lambda k: R[k][k]):
-            if R[j][j] <= 0:
+        diag = [R[k][k] for k in range(n)]
+        for j in sorted(range(n), key=diag.__getitem__):
+            Rj, Tj, d = R[j], T[j], R[j][j]
+            if d <= 0:
                 raise ValueError("form is not positive definite")
             for i in range(n):
-                if i != j and 2 * abs(R[i][j]) > R[j][j]:
-                    q = (2 * R[i][j] + R[j][j]) // (2 * R[j][j])
-                    T[i] = [x - q * y for x, y in zip(T[i], T[j])]
-                    R[i] = [x - q * y for x, y in zip(R[i], R[j])]
+                if i != j and 2 * abs(R[i][j]) > d:
+                    q = (2 * R[i][j] + d) // (2 * d)
+                    Ri, Ti = R[i], T[i]
+                    for k in range(n):
+                        Ri[k] -= q * Rj[k]
+                        Ti[k] -= q * Tj[k]
                     for row in R:
                         row[i] -= q * row[j]
                     done = False

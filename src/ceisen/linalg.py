@@ -182,9 +182,10 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     lattice, so equal lattices give equal output.
 
     Rows are inserted one at a time into a triangular basis with one slot per
-    pivot column.  A row v is cleared column by column against that column's
-    pivot row P, with p = P[c] > 0 and x = v[c]: if p divides x,
-    v <- v - (x/p)·P; otherwise the unimodular step
+    pivot column.  A row v (a copy: the input is not modified) is cleared
+    column by column against that column's pivot row P, with p = P[c] > 0 and
+    x = v[c]: if p divides x, v <- v - (x/p)·P in place, on columns c.. only,
+    as both rows are 0 before c; otherwise the unimodular step
     P <- s·P + t·v, v <- (p/g)·v - (x/g)·P with s·p + t·x = g = gcd(p, x)
     leaves g in P and 0 in v.  A row that reaches a column with no pivot yet
     takes that slot, sign made positive.  One last pass reduces the entries
@@ -193,18 +194,20 @@ def hnf(rows: list[list[int]]) -> list[list[int]]:
     n = len(rows[0]) if rows else 0
     slot: list[list[int] | None] = [None] * n
     for v in rows:
+        v = list(v)
         for c in range(n):
             x = v[c]
             if not x:
                 continue
             P = slot[c]
             if P is None:
-                slot[c] = list(v) if x > 0 else [-y for y in v]
+                slot[c] = v if x > 0 else [-y for y in v]
                 break
             p = P[c]
             q, r = divmod(x, p)
             if not r:
-                v = [y - q * z for y, z in zip(v, P)]
+                for k in range(c, n):
+                    v[k] -= q * P[k]
                 continue
             g, s, t = _xgcd(p, x)
             a, b = p // g, x // g

@@ -20,6 +20,11 @@ keyed and tested as it comes, and only one that becomes a class is reduced.
 A walk step splits R/pR ≅ M_2(F_p) by the same idempotent search, e = E₁₁
 and f = e·y·(1 − e) a multiple of E₁₂, and canonicalizes the p+1 neighbors
 pR + R·x for x = e + t·f (t ∈ F_p) and x = f, one per kernel line.
+
+Each step sets up one lattice: closure (`make_order`, and O·I ⊆ I in the
+snapshot reader) is the membership of every product of two basis rows, with
+no product lattice formed, and the walk forms the candidate I·K for a class
+I with right order R as pI + I·x, 8 generators, since I·R = I.
 """
 
 from __future__ import annotations
@@ -116,12 +121,20 @@ def product_lattice(A: Lat4, B: Lat4) -> Lat4:
     return _canonical(A.algebra, A.den * B.den, rows)
 
 
+def _closed_under(A: Lat4, lat: Lat4) -> bool:
+    """Whether every product a·l of basis rows lies in lat: A·lat ⊆ lat, tested
+    as 16 memberships over A.den·lat.den with no product lattice formed."""
+    a, b, d = lat.algebra.a, lat.algebra.b, A.den * lat.den
+    return all(lat.holds(d, quat_mul(a, b, u, v)) for u in A.rows for v in lat.rows)
+
+
 def make_order(lat: Lat4) -> Lat4:
-    """lat, checked to be an order; ValueError unless 1 ∈ lat and lat·lat = lat
-    (1 ∈ lat gives lat ⊆ lat·lat, so equality is closure)."""
+    """lat, checked to be an order; ValueError unless 1 ∈ lat and every
+    product of two basis rows lies in lat (closure, a membership certificate:
+    with 1 ∈ lat it is the same as lat·lat = lat)."""
     if not lat.holds(1, (1, 0, 0, 0)):
         raise ValueError("order must contain 1")
-    if product_lattice(lat, lat) != lat:
+    if not _closed_under(lat, lat):
         raise ValueError("order must be closed under multiplication")
     return lat
 
@@ -351,37 +364,45 @@ def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
     return LeftIdeal.of(I.order, _canonical(L.algebra, L.den**2 * I.norm, rows))
 
 
-def _neighbor_ideals(L: Lat4, p: int) -> list[Lat4]:
-    """The p+1 left L-ideals of reduced norm p, for an order L with p coprime
-    to disc(L), sorted by (den, rows).
+def _neighbor_ideals(L: Lat4, p: int) -> list[tuple[Lat4, tuple[int, ...]]]:
+    """The p+1 left L-ideals K of reduced norm p, for an order L with p coprime
+    to disc(L), each with its generator x (an integer row over den, so that
+    K = pL + L·x), sorted by K's (den, rows).
 
     L/pL is the matrix ring M_2(F_p), and a left ideal of norm p is the
     preimage of M_2(F_p)·x for a rank-one x, one per kernel line of x.  With
     e = E₁₁ from `_idempotent` and f = e·y·(1 − e) for the first basis row y
     with f ∉ pL, f is a unit multiple of E₁₂, so the p+1 kernel lines are
     those of e + t·f (t ∈ F_p) and of f.  The ideal p·L + L·x is spanned by
-    p·den·rows_k and rows_k·x over den².  CertificateError unless the norm
+    p·den·rows_k and rows_k·x over den² (`_neighbor_lattice`), and the walk
+    forms I·K as pI + I·x from the same x.  CertificateError unless the norm
     form is integral on L, the p+1 ideals are distinct and each has covolume
     p²·covol(L).
     """
     a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
-    d2 = den * den
     certify(L.norm().denominator == 1, "the norm form is not integral on the order")
     e = _idempotent(L, p)
     one_minus_e = (den - e[0], -e[1], -e[2], -e[3])
     for y in rows:
         # e·y·(1 − e) lies in L, so den·f is an integer row
-        f = tuple(v // d2 for v in quat_mul(a, b, quat_mul(a, b, e, y), one_minus_e))
+        f = tuple(v // (den * den) for v in quat_mul(a, b, quat_mul(a, b, e, y), one_minus_e))
         if any(c % p for c in L.coords_of(den, f)):
             break
-    scaled = [tuple(p * den * v for v in row) for row in rows]
     xs = [tuple(u + t * v for u, v in zip(e, f)) for t in range(p)] + [f]
-    found = {_canonical(L.algebra, d2, scaled + [quat_mul(a, b, row, x) for row in rows])
-             for x in xs}
+    found = {_neighbor_lattice(L, p, x, den): x for x in xs}
     certify(len(found) == p + 1, f"expected {p + 1} neighbors, got {len(found)}")
     certify(all(K.covolume() == p * p * L.covolume() for K in found),
             "each neighbor must have covolume p²·covol(L)")
-    return sorted(found, key=lambda K: (K.den, K.rows))
+    return sorted(found.items(), key=lambda Kx: (Kx[0].den, Kx[0].rows))
+
+
+def _neighbor_lattice(I: Lat4, p: int, x, xden: int) -> Lat4:
+    """pI + I·x for the integer row x over xden: the 8 generators
+    p·xden·rows_k and rows_k·x over I.den·xden."""
+    a, b = I.algebra.a, I.algebra.b
+    gens = [tuple(p * xden * v for v in row) for row in I.rows]
+    gens += [quat_mul(a, b, row, x) for row in I.rows]
+    return _canonical(I.algebra, I.den * xden, gens)
 
 
 class IdealClassSet:
@@ -478,7 +499,7 @@ def classes_from_json(data) -> IdealClassSet:
         if len(coords) != 16:
             raise CacheError("each class needs 16 basis coordinates")
         lat = Lat4.span(B, [coords[4 * k : 4 * k + 4] for k in range(4)])
-        if product_lattice(O, lat) != lat:
+        if not _closed_under(O, lat):
             raise CacheError("cached lattice is not a left ideal of the order")
         try:
             I = LeftIdeal.of(O, lat)
@@ -540,8 +561,10 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
     queue = [0]
     while acc < target and queue:
         idx = queue.pop(0)
-        for K in _neighbor_ideals(rights[idx], p):
-            J = LeftIdeal.of(O, product_lattice(classes[idx].lattice, K))
+        I, den = classes[idx].lattice, rights[idx].den
+        for _, x in _neighbor_ideals(rights[idx], p):
+            # I·K = pI + I·x, as I·R = I for the right order R of I
+            J = LeftIdeal.of(O, _neighbor_lattice(I, p, x, den))
             bucket = buckets.setdefault(_theta_key(J), [])
             if any(is_equivalent(J, C) for C in bucket):
                 continue

@@ -6,7 +6,9 @@ for integers a, b.  An element is a coordinate 4-tuple over the basis
 the bilinear norm form are written once, in `quat_mul` and `norm_pair`, and
 `order.Lat4` applies them to the integer rows of a lattice.  Ramified primes
 are certified by Hilbert symbols of integers, and algebras with a prescribed
-ramified set are found by a bounded deterministic search.
+ramified set are found by a bounded deterministic search, which for each
+|a| + |b| tries only the |a| in the residue classes that make every odd
+ramified prime divide ab.
 """
 
 from __future__ import annotations
@@ -113,11 +115,14 @@ def construct_algebra(ramified_set) -> QuaternionAlgebra:
 
     At an odd prime p dividing neither a nor b the Hilbert symbol (a, b)_p is
     1 (Serre, A Course in Arithmetic, III.1), so every odd p in the set must
-    divide ab: pairs with ab not divisible by the odd part of the set's
-    product are skipped before any symbol is computed, which leaves the first
-    pair found unchanged.  The returned algebra carries its certified
-    ramified tuple; raises AlgebraSearchError if nothing is found with
-    |a| + |b| <= 8·prod(set) + 16.
+    divide ab.  With t = |a| + |b|, that is |a| ≡ 0 or |a| ≡ t (mod p) for
+    every odd p in the set: by the CRT, |a| ≡ t·E (mod m), m the odd part of
+    the set's product and E a sum of a subset of the CRT idempotents of the
+    odd p.  So for each t only the |a| in those residue classes are tried, in
+    ascending order, and no symbol is computed for any other pair, which
+    leaves the first pair found unchanged.  The returned algebra carries its
+    certified ramified tuple; raises AlgebraSearchError if nothing is found
+    with |a| + |b| <= 8·prod(set) + 16.
     """
     S = tuple(sorted(set(int(p) for p in ramified_set)))
     if not S or len(S) % 2 == 0:
@@ -125,16 +130,21 @@ def construct_algebra(ramified_set) -> QuaternionAlgebra:
     for p in S:
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-    prod = math.prod(S)
-    odd = prod // 2 if S[0] == 2 else prod
-    limit = 8 * prod + 16
+    odd = [p for p in S if p != 2]
+    m = math.prod(odd)
+    subset_sums = [0]
+    for p in odd:
+        idem = m // p * pow(m // p, -1, p)  # 1 mod p, 0 mod m/p
+        subset_sums += [x + idem for x in subset_sums]
+    limit = 8 * math.prod(S) + 16
     for t in range(2, limit + 1):
-        for na in range(1, t):
-            nb = t - na
-            if (na * nb) % odd:
-                continue
-            a, b = -na, -nb
-            if squarefree_kernel(a) != a or squarefree_kernel(b) != b:
+        residues = sorted({t * x % m for x in subset_sums})
+        nas = (base + r for base in range(0, t, m) for r in residues)
+        for na in nas:
+            if na >= t:
+                break
+            a, b = -na, na - t
+            if na == 0 or squarefree_kernel(a) != a or squarefree_kernel(b) != b:
                 continue
             if ramified_primes(a, b) == S:
                 return QuaternionAlgebra(a, b, S)

@@ -8,6 +8,8 @@ primes must hold (and fail where they should), and the class-number routine
 must agree with an independent brute-force enumeration.
 """
 
+import gc
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -18,9 +20,11 @@ from ceisen.brandt import (
     brandt_matrices_upto,
     brandt_matrix,
     expected_row_sum,
+    rational_eigensystem,
 )
 from ceisen.lattice import counts_with_primitive
 from ceisen.linalg import mat_mul
+from ceisen.order import build_class_set, classes_from_json, classes_to_json
 from ceisen.qform import (
     LevelConfig,
     class_number,
@@ -334,3 +338,22 @@ def test_cli_byte_determinism_including_threads():
         runs = [run(args), run(args), run(args + ["--threads", "3"]),
                 run(args + ["--threads", "7"])]
         assert all(r == runs[0] for r in runs[1:]), args
+
+
+def test_pipeline_leaves_no_reference_cycle():
+    # with the collector off, reference counting alone must free everything
+    # the pipeline made: class sets built, written to JSON and read back, the
+    # theta and closed series, eigensystems and Brandt matrices.  A full
+    # collection afterwards then finds no garbage.
+    gc.collect()
+    gc.disable()
+    try:
+        for primes, M in [((2, 3, 7), 5), ((197,), 1), ((389,), 1)]:
+            cfg = LevelConfig.from_primes(primes, M)
+            cs = classes_from_json(json.loads(json.dumps(classes_to_json(build_class_set(cfg)))))
+            results = (cohen_H(cs, 200), closed_form_H(cfg, 200), rational_eigensystem(cs),
+                       brandt_matrices_upto(cs, 10))
+            del results, cs
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -12,6 +13,7 @@ import pytest
 
 import ceisen
 from ceisen import cli
+from ceisen.brandt import brandt_matrices_upto
 from ceisen.cli import main
 from ceisen.order import classes_from_json
 from ceisen.qform import LevelConfig, class_number, fundamental_parts, s_ramified, unit_factor
@@ -291,6 +293,33 @@ def test_verify_suites_pass():
         assert rc == 0, (suite, out)
         assert out.startswith("check,detail,passed\n")
         assert ",false" not in out
+
+
+def test_hecke_suite_builds_the_matrices_once(monkeypatch):
+    # hecke:u reads the row sums of the suite's own matrices
+    calls = []
+
+    def counted(classes, m_max):
+        calls.append(m_max)
+        return brandt_matrices_upto(classes, m_max)
+
+    monkeypatch.setattr(cli, "brandt_matrices_upto", counted)
+    rc, out, _ = run(["verify", "--suite", "hecke", "--ramified", "11", "--mmax", "12"])
+    assert rc == 0 and "hecke:u,all-ones eigenvector for m<=12,true" in out
+    assert calls == [12]
+
+
+def test_class_set_is_frozen_out_of_the_collector(tmp_path):
+    # built, then read back from its snapshot: either way the class set is
+    # moved to the permanent generation, which no collection scans
+    args = cli._build_parser().parse_args(
+        ["verify", "--suite", "mass", "--ramified", "2,3,11", "--cache-dir", str(tmp_path)])
+    cfg = cli.RunConfig.from_args(args)
+    for _ in range(2):
+        cs = cli._get_classes(cfg)
+        assert gc.get_freeze_count() > 0
+        assert all(o is not cs and o is not cs.ideals for o in gc.get_objects())
+    assert os.listdir(tmp_path) == ["classes_2-3-11_M1.json"]
 
 
 def test_verify_mass_210_value():

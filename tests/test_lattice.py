@@ -219,6 +219,31 @@ def test_one_bareiss_per_consumer(monkeypatch):
                 assert calls[0] == 1
 
 
+def rebuilt_rows_reduce_gram(G):
+    """`reduce_gram` as it was before it updated its rows in place: each
+    step rebuilds rows i of R and T, and each pass sorts by a fresh key on
+    R's diagonal; kept as the reference, certificates left out."""
+    n = len(G)
+    R = [list(row) for row in G]
+    T = [[int(i == j) for j in range(n)] for i in range(n)]
+    done = False
+    while not done:
+        done = True
+        for j in sorted(range(n), key=lambda k: R[k][k]):
+            if R[j][j] <= 0:
+                raise ValueError("form is not positive definite")
+            for i in range(n):
+                if i != j and 2 * abs(R[i][j]) > R[j][j]:
+                    q = (2 * R[i][j] + R[j][j]) // (2 * R[j][j])
+                    T[i] = [x - q * y for x, y in zip(T[i], T[j])]
+                    R[i] = [x - q * y for x, y in zip(R[i], R[j])]
+                    for row in R:
+                        row[i] -= q * row[j]
+                    done = False
+    order = sorted(range(n), key=lambda i: R[i][i])
+    return [[R[i][j] for j in order] for i in order], [T[i] for i in order]
+
+
 def skew(rng: random.Random, n: int):
     """(U, U⁻¹): a unimodular U with large entries from 16 random row
     operations r_i += q·r_j, |q| <= 9, and a sign flip."""
@@ -252,7 +277,9 @@ def test_reduce_gram_on_skewed_grams(n):
         U, V = skew(rng, n)
         G = congruent(U, G0)
         assert max(abs(x) for row in G for x in row) > 1000
+        before = [list(row) for row in G]
         R, T = reduce_gram(G)
+        assert (R, T) == rebuilt_rows_reduce_gram(G) and G == before
         assert T != [[int(i == j) for j in range(n)] for i in range(n)]
         assert R == congruent(T, G)
         assert abs(mat_det(T)) == 1

@@ -14,6 +14,7 @@ from ceisen.linalg import (
     mat_mul,
     nullspace,
     rref,
+    _xgcd,
 )
 
 SEED = 20151
@@ -298,6 +299,42 @@ def column_euclid_hnf(rows):
     return work[:r]
 
 
+def full_row_hnf(rows):
+    """The insertion HNF with every row update rebuilt over all columns, as
+    `hnf` was before its divisible step updated columns c.. in place; kept
+    as the reference for that step."""
+    n = len(rows[0]) if rows else 0
+    slot = [None] * n
+    for v in rows:
+        for c in range(n):
+            x = v[c]
+            if not x:
+                continue
+            P = slot[c]
+            if P is None:
+                slot[c] = list(v) if x > 0 else [-y for y in v]
+                break
+            p = P[c]
+            q, r = divmod(x, p)
+            if not r:
+                v = [y - q * z for y, z in zip(v, P)]
+                continue
+            g, s, t = _xgcd(p, x)
+            a, b = p // g, x // g
+            slot[c] = [s * z + t * y for y, z in zip(v, P)]
+            v = [a * y - b * z for y, z in zip(v, P)]
+    cols = [c for c in range(n) if slot[c] is not None]
+    H = [slot[c] for c in cols]
+    for k, c in enumerate(cols):
+        P = H[k]
+        p = P[c]
+        for i in range(k):
+            q = H[i][c] // p
+            if q:
+                H[i] = [y - q * z for y, z in zip(H[i], P)]
+    return H
+
+
 def hnf_cases():
     """Zero rows, negative and large entries, rank-deficient and wide shapes."""
     rng = random.Random(SEED + 5)
@@ -329,10 +366,12 @@ def is_hnf(H):
 
 def test_hnf_matches_column_euclid():
     for A in hnf_cases():
+        before = [list(row) for row in A]
         H = hnf(A)
-        assert H == column_euclid_hnf(A), A
+        assert H == column_euclid_hnf(A) == full_row_hnf(A), A
         assert is_hnf(H), A
         assert all(type(x) is int for row in H for x in row), A
+        assert A == before  # the in-place step works on copies of the rows
 
 
 def unimodular(rng: random.Random, m: int) -> list[list[int]]:

@@ -7,6 +7,7 @@ from math import gcd, isqrt, lcm
 
 import pytest
 
+import ceisen.lattice as lattice_module
 import ceisen.order as order_module
 from ceisen.arith import CertificateError, factorize
 from ceisen.linalg import clear_denominators
@@ -30,15 +31,18 @@ from ceisen.order import (
     standard_order,
     unit_count,
     unit_ideal,
+    _closed_under,
     _covolume_certificate,
     _eichler_step,
     _idempotent,
     _neighbor_ideals,
+    _neighbor_lattice,
     _saturate_at,
 )
-from ceisen.qform import LevelConfig, mass
+from ceisen.qform import LevelConfig, good_primes, mass
 from ceisen.quatalg import QuaternionAlgebra, construct_algebra, norm_pair, quat_mul
-from test_linalg import mat_det  # the tests' determinant reference
+from test_lattice import rebuilt_rows_reduce_gram
+from test_linalg import full_row_hnf, mat_det  # mat_det: the tests' determinant reference
 
 
 def mul(B: QuaternionAlgebra, x, y) -> tuple:
@@ -272,7 +276,7 @@ def test_make_order_rejects_non_orders(hurwitz):
 
 def test_product_lattice_norm_multiplicative(classes11):
     I = classes11.ideals[1]
-    K = _neighbor_ideals(right_order(I), 2)[0]
+    K, _ = _neighbor_ideals(right_order(I), 2)[0]
     J = LeftIdeal.of(classes11.order, product_lattice(I.lattice, K))
     assert J.norm == I.norm * K.norm()
 
@@ -594,7 +598,10 @@ def test_neighbor_ideals_match_full_scan(order11, level210_m2, level389):
     assert any(R.den % 2 == 0 for R in level389.right_orders)
     cases += [(R, 2) for R in level389.right_orders]
     for R, p in cases:
-        assert _neighbor_ideals(R, p) == reference_neighbor_ideals(R, p)
+        step = _neighbor_ideals(R, p)
+        assert [K for K, _ in step] == reference_neighbor_ideals(R, p)
+        # each K is pR + R·x for the x it comes with
+        assert all(_neighbor_lattice(R, p, x, R.den) == K for K, x in step)
 
 
 def reference_idempotent(L, q: int) -> tuple:
@@ -700,3 +707,88 @@ def test_walk_must_not_overshoot_the_mass(monkeypatch):
     monkeypatch.setattr(order_module, "is_equivalent", lambda I, J: False)
     with pytest.raises(CertificateError, match="mass 11/12 exceeds formula value 5/6"):
         left_ideal_classes(O)
+
+
+# --- one lattice setup: closure by membership, walk products from 8 generators
+
+
+def random_sublattice(rng: random.Random, O: Lat4) -> Lat4:
+    """The span of four random integer combinations of O's basis rows."""
+    while True:
+        C = [[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)]
+        if mat_det(C):
+            break
+    return order_module._canonical(O.algebra, O.den, [order_module._combine(c, O.rows) for c in C])
+
+
+def with_one(L: Lat4) -> Lat4:
+    """Z + L, for L in an order."""
+    return order_module._canonical(L.algebra, L.den, [*L.rows, (L.den, 0, 0, 0)])
+
+
+def test_membership_closure_matches_product_closure(order11, hurwitz, classes11, level210_m2):
+    rng = random.Random(389)
+    seen = {True: 0, False: 0}
+    snapshot = classes_to_json(classes11)
+    for O in [order11, hurwitz, *level210_m2.right_orders[:4]]:
+        scaled = [with_one(Lat4(O.algebra, O.den, tuple(tuple(m * v for v in r) for r in O.rows)))
+                  for m in (2, 3)]
+        for L in scaled + [with_one(random_sublattice(rng, O)) for _ in range(12)]:
+            # 1 ∈ L, so L·L ⊆ L exactly when L·L = L
+            closed = _closed_under(L, L)
+            assert closed == (product_lattice(L, L) == L)
+            seen[closed] += 1
+            if closed:
+                assert make_order(L) == L
+            else:
+                with pytest.raises(ValueError, match="^order must be closed under multiplication$"):
+                    make_order(L)
+        principal = [order_module._canonical(O.algebra, O.den**2, [mul(O.algebra, r, x) for r in O.rows])
+                     for x in O.rows[1:]]
+        for L in principal + [random_sublattice(rng, O) for _ in range(12)]:
+            # 1 ∈ O, so O·L ⊆ L exactly when O·L = L
+            closed = _closed_under(O, L)
+            assert closed == (product_lattice(O, L) == L)
+            seen[closed] += 1
+            if O == order11 and not closed:
+                bad = {**snapshot, "classes": [dict(c) for c in snapshot["classes"]]}
+                bad["classes"][1]["basis"] = [str(x) for b in rational_basis(L) for x in b]
+                with pytest.raises(CacheError, match="^cached lattice is not a left ideal of the order$"):
+                    classes_from_json(bad)
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("name", ["level11", "level66", "level210_m2", "level389"])
+def test_walk_product_from_eight_generators(name, request):
+    # I·K = pI + I·x for every class I, with right order R, and every
+    # neighbour K = pR + R·x of R: I·R = I, so the 8 generators span I·K
+    cs = request.getfixturevalue(name)
+    p = good_primes(cs.cfg, 1)[0]
+    for I, R in zip(cs.ideals, cs.right_orders):
+        for K, x in _neighbor_ideals(R, p):
+            assert _neighbor_lattice(I.lattice, p, x, R.den) == product_lattice(I.lattice, K)
+
+
+def test_kernels_match_references_on_walk_inputs(monkeypatch):
+    # every hnf and reduce_gram input of two class walks, against the
+    # full-row hnf and the row-rebuilding reduce_gram; the references run
+    # the walks, so a broken kernel fails here instead of derailing them
+    hnf_inputs, gram_inputs = [], []
+    hnf, reduce_gram = order_module.hnf, lattice_module.reduce_gram
+
+    def recorded(log, fn):
+        def wrapper(arg):
+            log.append([list(row) for row in arg])
+            return fn(arg)
+        return wrapper
+
+    monkeypatch.setattr(order_module, "hnf", recorded(hnf_inputs, full_row_hnf))
+    monkeypatch.setattr(lattice_module, "reduce_gram",
+                        recorded(gram_inputs, rebuilt_rows_reduce_gram))
+    for primes, M in [((389,), 1), ((3, 5, 7), 2)]:
+        build_class_set(LevelConfig.from_primes(primes, M))
+    assert len(hnf_inputs) > 500 and len(gram_inputs) > 250
+    for A in hnf_inputs:
+        assert hnf(A) == full_row_hnf(A)
+    for G in gram_inputs:
+        assert reduce_gram(G) == rebuilt_rows_reduce_gram(G)

@@ -4,10 +4,11 @@ import math
 import random
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 
 import pytest
 
-from ceisen.arith import squarefree_kernel
+from ceisen.arith import is_prime, squarefree_kernel
 from ceisen.quatalg import (
     AlgebraSearchError,
     QuaternionAlgebra,
@@ -192,3 +193,36 @@ def test_construct_algebra_matches_unfiltered_search(S):
     B = construct_algebra(set(S))
     assert (B.a, B.b) == unfiltered_search(S)
     assert B.ramified == S
+
+
+def divisor_filtered_search(S: tuple[int, ...]) -> tuple[int, int]:
+    """The algebra search that tries every |a| < t and skips a pair unless
+    the odd part of the set's product divides ab: the loop that the residue
+    classes replaced, kept as the reference."""
+    prod = math.prod(S)
+    odd = prod // 2 if S[0] == 2 else prod
+    for t in range(2, 8 * prod + 17):
+        for na in range(1, t):
+            nb = t - na
+            if (na * nb) % odd:
+                continue
+            a, b = -na, -nb
+            if squarefree_kernel(a) != a or squarefree_kernel(b) != b:
+                continue
+            if ramified_primes(a, b) == S:
+                return a, b
+    raise AssertionError(f"no algebra for {S}")
+
+
+def test_residue_search_matches_divisor_filter_below_2000():
+    # every prime below 2000 and every odd-size squarefree set with product
+    # below 2000: one or three primes, as five have product >= 2·3·5·7·11 =
+    # 2310, and the largest of three is below 2000/6
+    primes = [p for p in range(2, 2000) if is_prime(p)]
+    triples = [c for c in combinations([p for p in primes if 6 * p < 2000], 3) if math.prod(c) < 2000]
+    sets = [(p,) for p in primes] + triples
+    assert len(sets) == 605 and (1999,) in sets and (2, 3, 331) in sets
+    for S in sets:
+        B = construct_algebra(set(S))
+        assert (B.a, B.b) == divisor_filtered_search(S), S
+        assert B.ramified == S
