@@ -8,7 +8,6 @@ loop.  Everything returns exact integers.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -38,7 +37,6 @@ class FactoredInt(NamedTuple):
         return all(e == 1 for _, e in self.factors)
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> FactoredInt:
     """Trial-division factorization of n >= 1.  Rejects n < 1."""
     if n < 1:

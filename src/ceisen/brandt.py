@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .arith import certify, factorize
 from .lattice import counts_by_value
 from .linalg import charpoly  # noqa: F401  no caller; benchmarks/tracer.py wraps it at this site
-from .linalg import mat_mul, nullspace, primitive_vector, rref, transpose
+from .linalg import mat_mul, nullspace, primitive_vector, rref
 from .order import IdealClassSet, product_lattice
 from .qform import LevelConfig, good_primes
 
@@ -148,7 +148,7 @@ def _restrict(B: list[list[int]], blk: _Block) -> tuple[list[list[int]], int]:
     d is the lcm of the pivots, and dA·V == d·W is checked exactly.
     """
     V = blk.basis
-    W = mat_mul(V, transpose(B))
+    W = [[sum(map(mul, v, b)) for b in B] for v in V]
     d = lcm(*(V[s][c] for s, c in enumerate(blk.pivots)))
     scale = [d // V[s][c] for s, c in enumerate(blk.pivots)]
     dA = [[w[c] * f for c, f in zip(blk.pivots, scale)] for w in W]

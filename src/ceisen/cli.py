@@ -149,7 +149,8 @@ def _cache_path(cfg: RunConfig) -> str:
 def _get_classes(cfg: RunConfig):
     """The level's class set, read or built.  It lives until exit and holds no
     reference cycle, so it and the imports are frozen out of the collector's
-    generations: no full collection, in the run or at exit, scans them."""
+    generations: no full collection, in the run or at exit, scans them.  So is
+    any cyclic garbage of an in-process caller of `main`, never to be collected."""
     classes = _load_or_build_classes(cfg)
     gc.freeze()
     return classes

@@ -41,10 +41,6 @@ def clear_denominators(A) -> tuple[int, list[list[int]]]:
     return d, [[x.numerator * (d // x.denominator) for x in row] for row in A]
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)]
-
-
 def echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
     """Fraction-free (Bareiss) row echelon form of an integer matrix: (U,
     pivots, sign), with U the nonzero rows, pivots their pivot columns (a column

@@ -11,15 +11,16 @@ snapshot reader parses its text, and leave only in the snapshot writer.  An
 order is such a lattice, checked by `make_order` to hold 1 and to be closed
 under products.  Maximal orders come from prime-by-prime saturation of the
 obvious starting order; level structure at a prime q coprime to the
-discriminant is the suborder Z + qO + O·e for an idempotent e of O/qO other
-than 0 and 1, found by its trace and norm.  A left ideal is integral, and its
-norm is an int.  Left ideal classes are enumerated by a neighbor walk at the
-smallest good prime, stopped exactly by the mass formula, with equivalence
-tests only between ideals of equal normalized theta series; a candidate is
-keyed and tested as it comes, and only one that becomes a class is reduced.
-A walk step splits R/pR ≅ M_2(F_p) by the same idempotent search, e = E₁₁
-and f = e·y·(1 − e) a multiple of E₁₂, and canonicalizes the p+1 neighbors
-pR + R·x for x = e + t·f (t ∈ F_p) and x = f, one per kernel line.
+discriminant is Z plus the q-neighbour qO + O·e, for an idempotent e of O/qO
+other than 0 and 1 found by its trace and norm.  A left ideal is integral,
+and its norm is an int.  Left ideal classes are enumerated by a neighbor
+walk at the smallest good prime, stopped exactly by the mass formula, with
+equivalence tests only between ideals of equal normalized theta series; a
+candidate is keyed and tested as it comes, and only one that becomes a class
+is reduced.  A walk step splits R/pR ≅ M_2(F_p) by the same idempotent
+search, e = E₁₁ and f = e·y·(1 − e) a multiple of E₁₂, and canonicalizes the
+p+1 neighbors pR + R·x for x = e + t·f (t ∈ F_p) and x = f, one per kernel
+line.  `IdealClassSet` certifies every class set, walked or read.
 
 Each step sets up one lattice: closure (`make_order`, and O·I ⊆ I in the
 snapshot reader) is the membership of every product of two basis rows, with
@@ -264,17 +265,12 @@ def _idempotent(L: Lat4, q: int) -> tuple[int, ...]:
 
 def _eichler_step(L: Lat4, q: int) -> Lat4:
     """The level-q suborder Z + qL + L·e of the order L, for q ∤ disc(L) and
-    e = `_idempotent(L, q)`.  With e = E₁₁ in L/qL ≅ M_2(F_q), the preimage of
-    {x : e·x·(1 − e) ≡ 0 mod q} and Z + qL + L·e are both the lower-triangular
-    matrices, so the suborder is spanned by q·den·rows_k, rows_k·e and den²
-    over den².
+    e = `_idempotent(L, q)`: Z plus the q-neighbour qL + L·e (`_neighbor_lattice`).
+    With e = E₁₁ in L/qL ≅ M_2(F_q), the preimage of {x : e·x·(1 − e) ≡ 0 mod q}
+    and Z + qL + L·e are both the lower-triangular matrices.
     """
-    a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
-    d2 = den * den
-    e = _idempotent(L, q)
-    gens = [tuple(q * den * v for v in row) for row in rows]
-    gens += [quat_mul(a, b, row, e) for row in rows] + [(d2, 0, 0, 0)]
-    sub = make_order(_canonical(L.algebra, d2, gens))
+    K = _neighbor_lattice(L, q, _idempotent(L, q), L.den)
+    sub = make_order(_canonical(L.algebra, K.den, [*K.rows, (K.den, 0, 0, 0)]))
     certify(all(L.holds(sub.den, r) for r in sub.rows), "the level-q suborder must lie in L")
     certify(reduced_discriminant(sub) == q * reduced_discriminant(L),
             "the level-q suborder must have discriminant q·disc(L)")
@@ -409,11 +405,12 @@ class IdealClassSet:
     """Representatives of the left ideal classes of an order, with weights.
 
     ideals[0] is the order itself.  For each class: its right order and the
-    unit count e_i of that right order; w_i = e_i/2 is derived from e.  The
-    accumulated mass sum(1/e_i) equals the formula value exactly (certified
-    on construction).  Unlike the value types, a class set is mutable: it owns
-    `cache`, where `theta32` and `brandt` keep the ternary vector counts and
-    the pair counts they extend as bounds grow.
+    unit count e_i of that right order; w_i = e_i/2 is derived from e.  Every
+    class set, walked or read, is certified here: ideals[0] is the order, each
+    e_i is even with e_i/2 | 12, each right order has level N, and sum(1/e_i)
+    is the mass formula's value.  Unlike the value types, a class set is
+    mutable: it owns `cache`, where `theta32` and `brandt` keep the ternary
+    vector counts and the pair counts they extend as bounds grow.
     """
 
     def __init__(self, order: Lat4, cfg: LevelConfig, ideals: list[LeftIdeal],
@@ -424,6 +421,14 @@ class IdealClassSet:
         self.right_orders = right_orders
         self.e = e
         self.cache: dict = {}
+        certify(bool(ideals) and ideals[0].lattice == order, "the first class must be the order itself")
+        certify(all(k % 2 == 0 and 12 % (k // 2) == 0 for k in e),
+                "each unit count e_i must be even, with e_i/2 dividing 12")
+        certify(all(reduced_discriminant(R) == cfg.N for R in right_orders),
+                "right orders must share the level")
+        total, target = self.total_mass(), mass(cfg)
+        certify(total == target, f"mass {total} {'exceeds' if total > target else 'falls short of'} "
+                f"formula value {target} after {self.n} classes")
 
     @property
     def n(self) -> int:
@@ -476,8 +481,8 @@ class CacheError(Exception):
 
 def classes_from_json(data) -> IdealClassSet:
     """Rebuild a class set from its JSON snapshot, re-deriving right orders and
-    re-validating the mass certificate; CacheError on a snapshot that is not
-    a JSON object or fails a check."""
+    unit counts; CacheError on a snapshot that is not a JSON object, or that
+    fails a check of a class or a certificate of `IdealClassSet`."""
     if not isinstance(data, dict):
         raise CacheError("snapshot is not a JSON object")
     if data.get("version") != CACHE_VERSION:
@@ -486,11 +491,8 @@ def classes_from_json(data) -> IdealClassSet:
     B = QuaternionAlgebra.create(data["algebra"]["a"], data["algebra"]["b"])
     if set(B.ramified) != set(cfg.P.primes):
         raise CacheError("cached algebra does not ramify at the requested primes")
-    Omax = maximal_order(B)
-    O = eichler_order(Omax, cfg.M.value)
-    ideals = []
-    es = []
-    rights = []
+    O = eichler_order(maximal_order(B), cfg.M.value)
+    ideals, rights, es = [], [], []
     for rec in data["classes"]:
         try:
             coords = [Fraction(s) for s in rec["basis"]]
@@ -514,12 +516,10 @@ def classes_from_json(data) -> IdealClassSet:
         ideals.append(I)
         rights.append(R)
         es.append(e)
-    cs = IdealClassSet(order=O, cfg=cfg, ideals=ideals, right_orders=rights, e=es)
-    if cs.total_mass() != mass(cfg):
-        raise CacheError("cached classes do not satisfy the mass formula")
-    if ideals and ideals[0].lattice != O:
-        raise CacheError("first cached class must be the order itself")
-    return cs
+    try:
+        return IdealClassSet(order=O, cfg=cfg, ideals=ideals, right_orders=rights, e=es)
+    except CertificateError as e:
+        raise CacheError(f"cached class set: {e}") from e
 
 
 def build_class_set(cfg: LevelConfig) -> IdealClassSet:
@@ -528,8 +528,7 @@ def build_class_set(cfg: LevelConfig) -> IdealClassSet:
     from .quatalg import construct_algebra
 
     B = construct_algebra(set(cfg.P.primes))
-    Omax = maximal_order(B)
-    O = eichler_order(Omax, cfg.M.value)
+    O = eichler_order(maximal_order(B), cfg.M.value)
     return left_ideal_classes(O)
 
 
@@ -547,8 +546,9 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
     comes, and `reduce_ideal` runs only on a candidate that becomes a class.
 
     The neighbor graph at a good prime is connected and every class adds
-    1/e_i to the mass, so CertificateError if the walk overshoots the mass (an
-    equivalence was missed) or runs out of ideals before reaching it.
+    1/e_i to the mass, so CertificateError if the walk runs out of ideals
+    before reaching the mass; `IdealClassSet` certifies the rest, among it an
+    overshoot (a missed equivalence).  The class list is its own queue.
     """
     cfg = level_config_of(O)
     target = mass(cfg)
@@ -558,9 +558,8 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
     rights = [O]
     es = [unit_count(O)]
     acc = Fraction(1, es[0])
-    queue = [0]
-    while acc < target and queue:
-        idx = queue.pop(0)
+    idx = 0
+    while acc < target and idx < len(classes):
         I, den = classes[idx].lattice, rights[idx].den
         for _, x in _neighbor_ideals(rights[idx], p):
             # I·K = pI + I·x, as I·R = I for the right order R of I
@@ -575,14 +574,8 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
             rights.append(R)
             es.append(unit_count(R))
             acc += Fraction(1, es[-1])
-            queue.append(len(classes) - 1)
             if acc >= target:
                 break
+        idx += 1
     certify(acc >= target, "neighbor walk exhausted before reaching the mass")
-    certify(acc == target,
-            f"mass {acc} exceeds formula value {target} after {len(classes)} classes")
-    certify(all(e % 2 == 0 and 12 % (e // 2) == 0 for e in es),
-            "each unit count e_i must be even, with e_i/2 dividing 12")
-    certify(all(reduced_discriminant(R) == cfg.N for R in rights),
-            "right orders must share the level")
     return IdealClassSet(order=O, cfg=cfg, ideals=classes, right_orders=rights, e=es)

@@ -13,6 +13,7 @@ from ceisen.arith import CertificateError, factorize
 from ceisen.linalg import clear_denominators
 from ceisen.order import (
     CacheError,
+    IdealClassSet,
     Lat4,
     LeftIdeal,
     build_class_set,
@@ -707,6 +708,36 @@ def test_walk_must_not_overshoot_the_mass(monkeypatch):
     monkeypatch.setattr(order_module, "is_equivalent", lambda I, J: False)
     with pytest.raises(CertificateError, match="mass 11/12 exceeds formula value 5/6"):
         left_ideal_classes(O)
+
+
+# --- the class-set certificates, the same for the walk and the snapshot reader
+
+
+def test_class_set_certificates(level11, level66):
+    # level 11's own data, changed in one way per case, no longer certifies
+    cs = level11
+    parts = {"order": cs.order, "cfg": cs.cfg, "ideals": cs.ideals,
+             "right_orders": cs.right_orders, "e": cs.e}
+    assert IdealClassSet(**parts).e == [4, 6]
+    cases = [
+        ("^the first class must be the order itself$",
+         {"ideals": cs.ideals[::-1], "right_orders": cs.right_orders[::-1], "e": cs.e[::-1]}),
+        ("^mass 1/4 falls short of formula value 5/12 after 1 classes$",
+         {"ideals": cs.ideals[:1], "right_orders": cs.right_orders[:1], "e": cs.e[:1]}),
+        ("^each unit count e_i must be even, with e_i/2 dividing 12$", {"e": [cs.e[0], 10]}),
+        ("^right orders must share the level$",
+         {"right_orders": [cs.right_orders[0], level66.right_orders[0]]}),
+    ]
+    for message, changed in cases:
+        with pytest.raises(CertificateError, match=message):
+            IdealClassSet(**{**parts, **changed})
+
+
+def test_cache_reader_certifies_the_mass(level11):
+    data = classes_to_json(level11)
+    data["classes"] = data["classes"][:1]
+    with pytest.raises(CacheError, match="^cached class set: mass 1/4 falls short of formula value 5/12"):
+        classes_from_json(data)
 
 
 # --- one lattice setup: closure by membership, walk products from 8 generators
