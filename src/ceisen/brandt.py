@@ -5,14 +5,14 @@ norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
 A matrix is the list of its rows, as in `linalg`.  For m ≥ 1 the entries are
 integers, as `_pair_counts` certifies; B_0 holds the Fractions 1/e_j.  The counts are symmetric in (i, j), so every B_m is
 self-adjoint for ⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple; all commute and
-have the all-ones vector as an eigenvector.  For a prime p ∤ N, a rational
-eigenvalue of B_p is an integer, and it is either p + 1 (the all-ones line)
-or the a_p of a weight-2 cusp form, with |a_p| ≤ 2√p by the Ramanujan–
+have the all-ones vector as an eigenvector, with eigenvalue the row sum b_m.
+So the all-ones line and its complement for ⟨·,·⟩ are invariant from the
+start.  For a prime p ∤ N, a rational eigenvalue of B_p on the complement is
+the integer a_p of a weight-2 cusp form, with |a_p| ≤ 2√p by the Ramanujan–
 Petersson bound, which in weight 2 is a theorem (Eichler–Shimura, Weil).  So
-the rational eigenlines are found as kernels of B_p − a over those few a,
-prime by prime, with no characteristic polynomial.  Each one-dimensional
-eigenspace other than the all-ones line is a rational cusp line, handed on
-as a plain integer vector v.
+the rational cusp lines are kernels of B_p − a over those few a, prime by
+prime, with no characteristic polynomial, each handed on as a plain integer
+vector v.
 """
 
 from __future__ import annotations
@@ -115,7 +115,7 @@ class EigenSystem(NamedTuple):
     """Simultaneous rational eigendata of the Brandt matrices at `primes`.
 
     u_eigenvalues are those of the all-ones eigenvector (verified to be b_p);
-    lines holds each remaining one-dimensional rational eigenspace as
+    lines holds each one-dimensional rational eigenspace of its complement as
     (eigenvalue map, v), sorted by eigenvalue tuple, with v normalized so
     that (v_i/w_i) is a primitive integer vector whose first nonzero entry is
     positive.  unresolved lists (dimension, eigenvalue map) for every
@@ -159,7 +159,7 @@ def _restrict(B: list[list[int]], blk: _Block) -> tuple[list[list[int]], int]:
 
 def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Block], int]:
     """The kernels of B_p − a on one invariant block, for every integer a
-    that can be a rational eigenvalue of B_p, and the dimension left over.
+    with |a| ≤ 2√p (Hasse), and the dimension left over.
 
     Each nonzero kernel becomes a block with eigenvalue a at p.  The rest of
     the block holds no rational eigenvector of B_p, so no rational line, and
@@ -169,7 +169,7 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
     dA, d = _restrict(B, blk)
     k = len(dA)
     if k == 1:
-        # B·x = a·x with B integral and x primitive (certified invariant), so a ∈ Z
+        # any line, the all-ones one too: B·x = a·x, B integral, x primitive, so a ∈ Z
         blk.eigs[p] = dA[0][0] // d
         return [blk], 0
     # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
@@ -178,7 +178,7 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
     r = isqrt(4 * p)
     out: list[_Block] = []
     consumed = 0
-    for a in [*range(-r, r + 1), p + 1]:
+    for a in range(-r, r + 1):
         ad = a * d
         shifted_T = [[dA[c][i] - (ad if i == c else 0) for c in range(k)] for i in range(k)]
         null = nullspace(shifted_T)
@@ -199,19 +199,19 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     """Split Q^n into simultaneous rational eigenspaces of the Brandt matrices
     at the first five primes coprime to N.
 
-    Every one-dimensional piece other than the all-ones line is reported with
-    integer eigenvalues and its normalized vector; kernels that stay higher-
-    dimensional, and the parts set aside as holding no rational line, are
-    reported as unresolved.  The all-ones line must come out as a line of its
-    own, with eigenvalue b_p at each p: CertificateError otherwise.
+    The split starts from the all-ones line, whose eigenvalue must be b_p at
+    each p (CertificateError otherwise), and its complement for Σ x_i·y_i/e_i.
+    Every one-dimensional piece of the complement is reported with integer
+    eigenvalues and its normalized vector; kernels that stay higher-dimensional,
+    and the parts set aside as holding no rational line, are unresolved.
     """
     cfg = classes.cfg
     primes = good_primes(cfg, 5)
-    n = classes.n
     e_lcm = lcm(*classes.e)
     weights = [e_lcm // e for e in classes.e]
-    unit_rows = [[int(i == j) for j in range(n)] for i in range(n)]
-    blocks = [_Block(unit_rows, list(range(n)), {})]
+    # B_p has constant row sums and is self-adjoint, so it keeps both blocks
+    ones = _Block([[1] * classes.n], [0], {})
+    blocks = [ones, _Block(*rref(nullspace([weights])), {})]
     set_aside: list[tuple[int, dict[int, int]]] = []
     _pair_counts(classes, max(primes))  # one sweep serves every B_p
     for p in primes:
@@ -224,21 +224,15 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
                 set_aside.append((rest, dict(blk.eigs)))
         blocks = split
     unresolved = [(blk.dim, blk.eigs) for blk in blocks if blk.dim != 1] + set_aside
-    # p + 1 exceeds every |a_p| <= 2√p, so the all-ones line is a kernel of its own
-    ones = next((blk for blk in blocks if blk.dim == 1 and len(set(blk.basis[0])) == 1), None)
-    certify(ones is not None, f"the all-ones line did not separate at the primes {primes}")
     b = {p: expected_row_sum(p, cfg) for p in primes}
     certify(ones.eigs == b, f"all-ones eigenvalues {ones.eigs} != b_p = {b}")
     lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
-    w = classes.w
-    w_lcm = lcm(*w)
     for blk in blocks:
         if blk.dim != 1 or blk is ones:
             continue
-        x = blk.basis[0]
-        # (x_i/w_i) scaled by lcm(w) to integers, made primitive, times w_i
-        prim = primitive_vector([x[i] * (w_lcm // w[i]) for i in range(n)])
-        lines.append((blk.eigs, tuple(prim[i] * w[i] for i in range(n))))
+        # (x_i/w_i)·lcm(w) = x_i·weights_i as e_i = 2·w_i, made primitive, times w_i
+        prim = primitive_vector(list(map(mul, blk.basis[0], weights)))
+        lines.append((blk.eigs, tuple(map(mul, prim, classes.w))))
     lines.sort(key=lambda le: tuple(le[0][p] for p in primes))
     return EigenSystem(tuple(primes), ones.eigs, lines, unresolved)
 

@@ -46,6 +46,13 @@ def _require_odd_prime(l: int) -> None:
         raise CongruencePreconditionError(f"l = {l} is not an odd prime")
 
 
+def _require_unit_weights(classes: IdealClassSet, l: int) -> None:
+    # l | w_i puts l in the denominator of H(0) = Σ 1/e_i and of v_i/w_i
+    for w in classes.w:
+        if w % l == 0:
+            raise CongruencePreconditionError(f"w_i = {w} is not invertible mod {l}")
+
+
 def eigenvalue_congruence(
     classes: IdealClassSet, v: tuple[int, ...], l: int, p_max: int
 ) -> list[tuple[int, int, int]]:
@@ -53,9 +60,7 @@ def eigenvalue_congruence(
     coprime to the level: the failures (p, a_p mod l, b_p mod l), empty when
     the congruence holds."""
     _require_odd_prime(l)
-    for w in classes.w:
-        if w % l == 0:
-            raise CongruencePreconditionError(f"w_i = {w} is not invertible mod {l}")
+    _require_unit_weights(classes, l)
     cfg = classes.cfg
     primes = [p for p in primes_up_to(p_max) if cfg.N % p]
     mats = brandt_matrices_upto(classes, primes[-1]) if primes else []
@@ -105,6 +110,7 @@ def best_coefficient_congruence(
     _require_odd_prime(l)
     if not eig.lines:
         raise CongruencePreconditionError("no rational cusp line available")
+    _require_unit_weights(classes, l)
     first_report = None
     for _, v in eig.lines:
         report = coefficient_congruence(H, cusp_G(classes, v, len(H) - 1), l)

@@ -5,6 +5,8 @@ import pytest
 
 from ceisen.arith import CertificateError, factorize
 from ceisen.brandt import (
+    _Block,
+    _split_block,
     brandt_matrices_upto,
     brandt_matrix,
     eigenvalue_of,
@@ -288,9 +290,10 @@ def horner(coeffs: list[int], x: int) -> int:
 
 @pytest.mark.parametrize("name", ["level11", "level66", "level197", "level210"])
 def test_hasse_candidates_hold_every_rational_eigenvalue(request, name):
-    # the kernel search tries only |a| <= isqrt(4p) and a = p + 1; against the
-    # characteristic polynomial, every integer eigenvalue of B_p (all lie in
-    # |a| <= ||B_p||_inf = p + 1) is one of those
+    # the kernel search on the all-ones line's complement tries only
+    # |a| <= isqrt(4p), and p + 1 is the all-ones line's own eigenvalue;
+    # against the characteristic polynomial, every integer eigenvalue of B_p
+    # (all lie in |a| <= ||B_p||_inf = p + 1) is one of those
     classes = request.getfixturevalue(name)
     for p in good_primes(classes.cfg, 5):
         cp = charpoly(brandt_matrix(classes, p))
@@ -299,11 +302,20 @@ def test_hasse_candidates_hold_every_rational_eigenvalue(request, name):
         assert all(abs(a) <= isqrt(4 * p) or a == p + 1 for a in roots), (name, p, roots)
 
 
-def test_eigenspaces_must_be_orthogonal(monkeypatch, level11):
-    # B_2 = [[1, 2], [1, 2]] has eigenvalues 0 and 3 = b_2, so without the
-    # check (2, -1) would pass as a cusp line; its eigenvectors (2, -1) and
-    # (1, 1) are not orthogonal for Σ x_i·y_i/e_i with e = (4, 6), so it must
-    # raise under any interpreter flags
+def test_eigenspaces_must_be_orthogonal():
+    # B = [[1, 0], [1, 0]] on Q² has the kernels (0, 1) at a = 0 and (1, 1)
+    # at a = 1, which are not orthogonal for the weights (1, 1), so the split
+    # must raise under any interpreter flags
+    blk = _Block([[1, 0], [0, 1]], [0, 1], {})
+    with pytest.raises(CertificateError, match="not orthogonal"):
+        _split_block(blk, [[1, 0], [1, 0]], 2, [1, 1])
+
+
+def test_complement_must_be_invariant(monkeypatch, level11):
+    # B_2 = [[1, 2], [1, 2]] has constant row sums 3 = b_2 but is not
+    # self-adjoint for Σ x_i·y_i/e_i with e = (4, 6): it maps (2, -3), which
+    # spans the complement of the all-ones line, to (-4, -4), so the
+    # restriction to the complement must raise under any interpreter flags
     assert sorted(level11.e) == [4, 6]
     real = brandt_matrix
 
@@ -311,12 +323,29 @@ def test_eigenspaces_must_be_orthogonal(monkeypatch, level11):
         return [[1, 2], [1, 2]] if m == 2 else real(classes, m)
 
     monkeypatch.setattr("ceisen.brandt.brandt_matrix", skewed)
-    with pytest.raises(CertificateError, match="not orthogonal"):
+    with pytest.raises(CertificateError, match="not invariant"):
         rational_eigensystem(level11)
 
 
+def test_row_sums_must_be_constant(monkeypatch, level66):
+    # one row sum of B_5 off by one: the all-ones vector is no longer an
+    # eigenvector, so the restriction to the all-ones block fails its exact
+    # check and must raise under any interpreter flags
+    real = brandt_matrix
+
+    def skewed(classes, m):
+        B = [list(row) for row in real(classes, m)]
+        if m == 5:
+            B[0][0] += 1
+        return B
+
+    monkeypatch.setattr("ceisen.brandt.brandt_matrix", skewed)
+    with pytest.raises(CertificateError, match="not invariant"):
+        rational_eigensystem(level66)
+
+
 def test_block_must_be_invariant(monkeypatch, level11):
-    # B_2 splits Q² into the all-ones line and the cusp line; B_3 =
+    # the split starts from the all-ones line and its complement; B_3 =
     # [[1, 1], [0, 1]] maps (1, 1) to (2, 1), so the restriction to the
     # all-ones block fails its exact check dA·V == d·W and must raise under
     # any interpreter flags
@@ -329,11 +358,23 @@ def test_block_must_be_invariant(monkeypatch, level11):
 
 def test_all_ones_line_must_separate(monkeypatch, level11):
     # with every B_p the identity, Q² is one eigenspace for a = 1 at each
-    # prime, so the all-ones line never comes out as a line of its own
+    # prime: both start blocks are invariant, but the all-ones line's
+    # eigenvalue 1 is not b_p, so its row-sum certificate must raise
     monkeypatch.setattr("ceisen.brandt.brandt_matrix",
                         lambda c, m: [[1, 0], [0, 1]])
-    with pytest.raises(CertificateError, match="all-ones line did not separate"):
+    with pytest.raises(CertificateError, match="all-ones eigenvalues"):
         rational_eigensystem(level11)
+
+
+@pytest.mark.parametrize("ramified", [(2,), (13,)], ids=["level2", "level13"])
+def test_one_class_level(ramified):
+    # one class: the complement of the all-ones line is empty, so there is
+    # the all-ones eigenvalue b_p at each prime and nothing else
+    classes = build_class_set(LevelConfig.from_primes(ramified, 1))
+    assert classes.n == 1
+    eig = rational_eigensystem(classes)
+    assert eig.u_eigenvalues == {p: expected_row_sum(p, classes.cfg) for p in eig.primes}
+    assert eig.lines == [] and eig.unresolved == []
 
 
 def test_eigensystem_determinism(level11):

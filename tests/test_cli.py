@@ -72,10 +72,15 @@ def test_file_errors_exit_two(tmp_path, argv):
     assert err.startswith("ceisen: ") and err.count("\n") == 1
 
 
-def test_congruence_precondition_exit_two():
-    # l = 3 divides a unit weight at level 11: precondition, not failure
-    rc, _, err = run(["verify", "--suite", "congruence", "--ramified", "11",
-                      "--l", "3", "--dmax", "20"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "congruence", "--ramified", "11", "--l", "3", "--dmax", "20"],
+    ["shatable", "--ramified", "11", "--l", "3", "--dmax", "20"],
+    ["shatable", "--ramified", "5", "--M", "7", "--l", "3"],
+], ids=["verify-11", "shatable-11", "shatable-35"])
+def test_congruence_precondition_exit_two(argv):
+    # l = 3 divides a unit weight (H(0) = Σ 1/e_i is not l-integral), so
+    # λ·G ≡ H (mod l) is undefined: precondition, not failure, for both commands
+    rc, _, err = run(argv)
     assert rc == 2
     assert "not invertible" in err
 

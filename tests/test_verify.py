@@ -67,6 +67,13 @@ def test_eigenvalue_congruence_l3_precondition(level11, v11):
         eigenvalue_congruence(level11, v11, 3, 50)
 
 
+def test_best_coefficient_congruence_l3_precondition(level11, eig11):
+    # w = (2, 3) at level 11: l = 3 puts 3 in the denominator of H(0) = 5/12,
+    # so no line is compared, as in the eigenvalue congruence
+    with pytest.raises(CongruencePreconditionError, match="w_i = 3 is not invertible mod 3"):
+        best_coefficient_congruence(level11, eig11, cohen_H(level11, 20), 3)
+
+
 def test_bad_moduli_rejected(level11, v11):
     H = cohen_H(level11, 20)
     G = cusp_G(level11, v11, 20)
