@@ -24,7 +24,6 @@ import os
 import sys
 from fractions import Fraction
 from math import gcd
-from typing import NamedTuple
 
 from .arith import is_prime
 from .brandt import brandt_matrices_upto, expected_row_sum, rational_eigensystem
@@ -56,44 +55,26 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 
 
-class RunConfig(NamedTuple):
-    """Validated run parameters shared by the subcommands; level is None for
-    a subcommand that takes no level."""
+def _check_flags(args: argparse.Namespace) -> None:
+    """Check the flags that every subcommand takes."""
+    if args.dmax < 0:
+        raise ValueError("--dmax must be >= 0")
+    if args.mmax < 0:
+        raise ValueError("--mmax must be >= 0")
+    if args.threads < 1:
+        raise ValueError("--threads must be >= 1")
+    if args.l is not None and (args.l == 2 or not is_prime(args.l)):
+        raise ValueError("--l must be an odd prime")
 
-    D_max: int
-    m_max: int
-    l: int | None
-    format: str
-    cache_dir: str | None
-    out: str | None
-    level: LevelConfig | None
 
-    @classmethod
-    def from_args(cls, args: argparse.Namespace, need_level: bool = True) -> "RunConfig":
-        ramified: tuple[int, ...] = ()
-        if need_level:
-            if not args.ramified:
-                raise ValueError("--ramified is required for this subcommand")
-            ramified = tuple(int(tok) for tok in args.ramified.split(",") if tok)
-            if not ramified:
-                raise ValueError("--ramified must list at least one prime")
-        if args.dmax < 0:
-            raise ValueError("--dmax must be >= 0")
-        if args.mmax < 0:
-            raise ValueError("--mmax must be >= 0")
-        if args.threads < 1:
-            raise ValueError("--threads must be >= 1")
-        if args.l is not None and (args.l == 2 or not is_prime(args.l)):
-            raise ValueError("--l must be an odd prime")
-        return cls(
-            D_max=args.dmax,
-            m_max=args.mmax,
-            l=args.l,
-            format=args.format,
-            cache_dir=args.cache_dir,
-            out=args.out,
-            level=LevelConfig.from_primes(ramified, args.M) if need_level else None,
-        )
+def _level(args: argparse.Namespace) -> LevelConfig:
+    """The level that --ramified and --M name."""
+    if not args.ramified:
+        raise ValueError("--ramified is required for this subcommand")
+    ramified = tuple(int(tok) for tok in args.ramified.split(",") if tok)
+    if not ramified:
+        raise ValueError("--ramified must list at least one prime")
+    return LevelConfig.from_primes(ramified, args.M)
 
 
 # ---------------------------------------------------------------------------
@@ -113,55 +94,54 @@ def _cells(column) -> list[str]:
     return ["true" if x is True else "false" if x is False else str(x) for x in column]
 
 
-def _emit(cfg: RunConfig, header: list[str] | tuple[str, ...], columns: list, json_extra: dict,
+def _emit(args: argparse.Namespace, header: list[str] | tuple[str, ...], columns: list, json_extra: dict,
           stderr_summary: str | None = None) -> None:
     """Emit one table, given by its columns, as CSV (header + rows) or JSON
     (row objects + extras).  There is one column per header name, all of one
     length, or no column at all for a table with no rows, as zip(*rows)
     gives it."""
-    if cfg.format == "csv":
+    if args.format == "csv":
         lines = [",".join(header), *map(",".join, zip(*map(_cells, columns), strict=True))]
-        _write("\n".join(lines) + "\n", cfg.out)
+        _write("\n".join(lines) + "\n", args.out)
         if stderr_summary is not None:
             print(stderr_summary, file=sys.stderr)
     else:
         obj = dict(json_extra)
         obj["rows"] = [dict(zip(header, row)) for row in zip(*columns, strict=True)]
-        _write(json.dumps(obj, indent=2, default=str) + "\n", cfg.out)
+        _write(json.dumps(obj, indent=2, default=str) + "\n", args.out)
 
 
-def _config_json(cfg: RunConfig) -> dict:
+def _config_json(level: LevelConfig) -> dict:
     """The level's sorted, distinct ramified primes and M, however --ramified is spelled."""
-    return {"ramified": list(cfg.level.ramified), "M": cfg.level.M.value}
+    return {"ramified": list(level.ramified), "M": level.M.value}
 
 
 # ---------------------------------------------------------------------------
 # class-set construction with a transparent cache
 
 
-def _cache_path(cfg: RunConfig) -> str:
+def _cache_path(cache_dir: str, level: LevelConfig) -> str:
     """The snapshot file of the level: named by its sorted, distinct ramified
     primes, so every spelling of --ramified for one level shares it."""
-    name = f"classes_{'-'.join(map(str, cfg.level.ramified))}_M{cfg.level.M.value}.json"
-    return os.path.join(cfg.cache_dir, name)
+    name = f"classes_{'-'.join(map(str, level.ramified))}_M{level.M.value}.json"
+    return os.path.join(cache_dir, name)
 
 
-def _get_classes(cfg: RunConfig):
+def _get_classes(cache_dir: str | None, level: LevelConfig):
     """The level's class set, read or built.  It lives until exit and holds no
     reference cycle, so it and the imports are frozen out of the collector's
     generations: no full collection, in the run or at exit, scans them.  So is
     any cyclic garbage of an in-process caller of `main`, never to be collected."""
-    classes = _load_or_build_classes(cfg)
+    classes = _load_or_build_classes(cache_dir, level)
     gc.freeze()
     return classes
 
 
-def _load_or_build_classes(cfg: RunConfig):
-    level = cfg.level
-    if cfg.cache_dir is None:
+def _load_or_build_classes(cache_dir: str | None, level: LevelConfig):
+    if cache_dir is None:
         return build_class_set(level)
-    os.makedirs(cfg.cache_dir, exist_ok=True)
-    path = _cache_path(cfg)
+    os.makedirs(cache_dir, exist_ok=True)
+    path = _cache_path(cache_dir, level)
     if os.path.exists(path):
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -222,69 +202,68 @@ def _hseries_columns(level: LevelConfig, D_max: int) -> tuple[list, list, list, 
 
 
 def cmd_hseries(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    classes = _get_classes(cfg)
+    level = _level(args)
+    classes = _get_classes(args.cache_dir, level)
     # closed_form_H sizes the class-number table to D_max, all that the
     # h column's class_number lookups read.  Fraction.__str__ is canonical
     # (lowest terms, positive denominator), so two coefficients are equal
     # exactly when their strings are.
-    H = list(map(str, cohen_H(classes, cfg.D_max)))
-    C = list(map(str, closed_form_H(cfg.level, cfg.D_max)))
+    H = list(map(str, cohen_H(classes, args.dmax)))
+    C = list(map(str, closed_form_H(level, args.dmax)))
     equal = list(map(operator.eq, H, C))
     header = ["D", "H_theta", "H_closed", "equal", "fundamental", "s", "h", "u"]
-    columns = [range(cfg.D_max + 1), H, C, equal, *_hseries_columns(cfg.level, cfg.D_max)]
+    columns = [range(args.dmax + 1), H, C, equal, *_hseries_columns(level, args.dmax)]
     all_equal = all(equal)
-    _emit(cfg, header, columns, {"config": _config_json(cfg), "all_equal": all_equal})
+    _emit(args, header, columns, {"config": _config_json(level), "all_equal": all_equal})
     return EXIT_OK if all_equal else EXIT_FAIL
 
 
 def cmd_classnum(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args, need_level=False)
-    if cfg.D_max < 3:
+    if args.dmax < 3:
         raise ValueError("--dmax must be >= 3 for classnum")
     header = ["D", "fundamental", "h", "u"]
-    F = fundamental_parts(cfg.D_max)
-    h = class_numbers(cfg.D_max)
-    Ds = [D for D in range(3, cfg.D_max + 1) if F[D]]
+    F = fundamental_parts(args.dmax)
+    h = class_numbers(args.dmax)
+    Ds = [D for D in range(3, args.dmax + 1) if F[D]]
     columns = [Ds, [F[D] == D for D in Ds], [h[D] for D in Ds], [unit_factor(-D) for D in Ds]]
-    _emit(cfg, header, columns, {"D_max": cfg.D_max})
+    _emit(args, header, columns, {"D_max": args.dmax})
     return EXIT_OK
 
 
-def _suite_mass(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
+def _suite_mass(args: argparse.Namespace, classes) -> list[tuple[str, str, bool]]:
     total = classes.total_mass()
-    expected = mass(cfg.level)
+    expected = mass(classes.cfg)
     return [("mass", f"computed={total};expected={expected}", total == expected)]
 
 
-def _suite_rowsum(cfg: RunConfig, mats) -> list[tuple[str, str, bool]]:
+def _rowsum_checks(level: LevelConfig, mats) -> list[tuple[str, str, bool]]:
     checks = []
-    for m in range(1, cfg.m_max + 1):
+    for m in range(1, len(mats)):
         sums = list(map(sum, mats[m]))
-        expected = expected_row_sum(m, cfg.level)
+        expected = expected_row_sum(m, level)
         ok = all(s == expected for s in sums)
         observed = sums[0] if len(set(sums)) == 1 else "nonconstant"
         checks.append((f"rowsum:m={m}", f"observed={observed};expected={expected}", ok))
     return checks
 
 
-def _suite_trace(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
+def _suite_trace(args: argparse.Namespace, classes) -> list[tuple[str, str, bool]]:
     return [
         (f"trace:m={row.m}", f"lhs={row.lhs};rhs={row.rhs}", row.ok)
-        for row in trace_identity_check(classes, cfg.m_max)
+        for row in trace_identity_check(classes, args.mmax)
     ]
 
 
-def _suite_hecke(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
-    level = cfg.level
-    mats = brandt_matrices_upto(classes, cfg.m_max)
+def _suite_hecke(args: argparse.Namespace, classes) -> list[tuple[str, str, bool]]:
+    level, m_max = classes.cfg, args.mmax
+    mats = brandt_matrices_upto(classes, m_max)
     n = classes.n
     identity = mats[1] == [[int(i == j) for j in range(n)] for i in range(n)]
     checks = [("hecke:B1", "B_1 is the identity", identity)]
-    u_ok = all(ok for *_, ok in _suite_rowsum(cfg, mats))
-    checks.append(("hecke:u", f"all-ones eigenvector for m<={cfg.m_max}", u_ok))
-    for m in range(2, cfg.m_max + 1):
-        for mp in range(m + 1, cfg.m_max // m + 1):
+    u_ok = all(ok for *_, ok in _rowsum_checks(level, mats))
+    checks.append(("hecke:u", f"all-ones eigenvector for m<={m_max}", u_ok))
+    for m in range(2, m_max + 1):
+        for mp in range(m + 1, m_max // m + 1):
             if gcd(m, mp) != 1 or gcd(m * mp, level.N) != 1:
                 continue
             ok = mat_mul(mats[m], mats[mp]) == mats[m * mp]
@@ -294,15 +273,16 @@ def _suite_hecke(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
     return checks
 
 
-def _suite_congruence(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
+def _suite_congruence(args: argparse.Namespace, classes) -> list[tuple[str, str, bool]]:
     eig = rational_eigensystem(classes)
-    H = cohen_H(classes, cfg.D_max)
-    coef, v_used = best_coefficient_congruence(classes, eig, H, cfg.l)
-    eig_failures = eigenvalue_congruence(classes, v_used, cfg.l, max(cfg.m_max, 2))
+    H = cohen_H(classes, args.dmax)
+    coef, v_used = best_coefficient_congruence(classes, eig, H, args.l)
+    p_max = max(args.mmax, 2)
+    eig_failures = eigenvalue_congruence(classes, v_used, args.l, p_max)
     checks = [
         (
             "congruence:eigenvalue",
-            f"l={cfg.l};p_max={max(cfg.m_max, 2)};failures={len(eig_failures)}",
+            f"l={args.l};p_max={p_max};failures={len(eig_failures)}",
             not eig_failures,
         )
     ]
@@ -321,9 +301,10 @@ def _suite_congruence(cfg: RunConfig, classes) -> list[tuple[str, str, bool]]:
     return checks
 
 
+# Each suite takes the parsed flags and the class set, whose cfg is the level.
 _SUITES = {
     "mass": _suite_mass,
-    "rowsum": lambda cfg, classes: _suite_rowsum(cfg, brandt_matrices_upto(classes, cfg.m_max)),
+    "rowsum": lambda args, classes: _rowsum_checks(classes.cfg, brandt_matrices_upto(classes, args.mmax)),
     "trace": _suite_trace,
     "hecke": _suite_hecke,
     "congruence": _suite_congruence,
@@ -331,41 +312,41 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    if args.suite == "congruence" and cfg.l is None:
+    level = _level(args)
+    if args.suite == "congruence" and args.l is None:
         raise ValueError("the congruence suite requires --l")
-    if args.suite in ("hecke", "rowsum") and cfg.m_max < 1:
+    if args.suite in ("hecke", "rowsum", "trace") and args.mmax < 1:
         raise ValueError(f"the {args.suite} suite needs --mmax >= 1")
-    classes = _get_classes(cfg)
-    checks = _SUITES[args.suite](cfg, classes)
+    classes = _get_classes(args.cache_dir, level)
+    checks = _SUITES[args.suite](args, classes)
     passed = all(ok for _, _, ok in checks)
     _emit(
-        cfg, ["check", "detail", "passed"], list(zip(*checks)),
-        {"config": _config_json(cfg), "suite": args.suite, "passed": passed},
+        args, ["check", "detail", "passed"], list(zip(*checks)),
+        {"config": _config_json(level), "suite": args.suite, "passed": passed},
     )
     return EXIT_OK if passed else EXIT_FAIL
 
 
 def cmd_shatable(args: argparse.Namespace) -> int:
-    cfg = RunConfig.from_args(args)
-    if cfg.l is None:
+    level = _level(args)
+    if args.l is None:
         raise ValueError("shatable requires --l")
-    if not admissible_fundamental_Ds(cfg.level, cfg.D_max):
-        raise ValueError(f"no admissible fundamental D <= {cfg.D_max}; raise --dmax")
-    classes = _get_classes(cfg)
+    if not admissible_fundamental_Ds(level, args.dmax):
+        raise ValueError(f"no admissible fundamental D <= {args.dmax}; raise --dmax")
+    classes = _get_classes(args.cache_dir, level)
     eig = rational_eigensystem(classes)
-    H = cohen_H(classes, cfg.D_max)
-    coef, v_used = best_coefficient_congruence(classes, eig, H, cfg.l)
-    table = divisibility_table(classes, v_used, cfg.l, cfg.D_max)
+    H = cohen_H(classes, args.dmax)
+    coef, v_used = best_coefficient_congruence(classes, eig, H, args.l)
+    table = divisibility_table(classes, v_used, args.l, args.dmax)
     agree = sum(1 for row in table if row.agree)
     total = len(table)
     rate = Fraction(agree, total)
     summary = f"lambda={coef.lam};agree={agree}/{total};rate={rate}"
     _emit(
-        cfg, DivisibilityRow._fields, list(zip(*table)),
+        args, DivisibilityRow._fields, list(zip(*table)),
         {
-            "config": _config_json(cfg),
-            "l": cfg.l,
+            "config": _config_json(level),
+            "l": args.l,
             "lambda": coef.lam,
             "line": list(v_used),
             "agree": agree,
@@ -426,6 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         return args.func(args)
     except (ValueError, CongruencePreconditionError, OSError) as exc:
         print(f"ceisen: configuration error: {exc}", file=sys.stderr)

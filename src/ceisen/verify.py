@@ -58,12 +58,14 @@ def eigenvalue_congruence(
 ) -> list[tuple[int, int, int]]:
     """Check a_p ≡ b_p (mod l) for the cusp line v at every prime p ≤ p_max
     coprime to the level: the failures (p, a_p mod l, b_p mod l), empty when
-    the congruence holds."""
+    the congruence holds; with no such prime it raises."""
     _require_odd_prime(l)
     _require_unit_weights(classes, l)
     cfg = classes.cfg
     primes = [p for p in primes_up_to(p_max) if cfg.N % p]
-    mats = brandt_matrices_upto(classes, primes[-1]) if primes else []
+    if not primes:
+        raise CongruencePreconditionError(f"no prime p <= {p_max} is coprime to N = {cfg.N}")
+    mats = brandt_matrices_upto(classes, primes[-1])
     failures = []
     for p in primes:
         a_p = eigenvalue_of(mats[p], v)

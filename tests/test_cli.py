@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -59,6 +60,26 @@ def test_config_errors_exit_two(argv):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hseries", "--ramified", "2,3"], "ramified part needs an odd number of primes"),
+    (["hseries", "--ramified", "4"], "4 is not prime"),
+    (["hseries", "--ramified", "11", "--M", "4"], "level parts must be squarefree"),
+    (["hseries", "--ramified", "11", "--M", "11"], "P and M must be coprime"),
+    (["hseries", "--ramified", "11", "--threads", "0"], "--threads must be >= 1"),
+    (["hseries", "--ramified", "11", "--l", "4"], "--l must be an odd prime"),
+    (["hseries", "--ramified", "11", "--dmax", "-1"], "--dmax must be >= 0"),
+    (["hseries", "--ramified", "11", "--mmax", "-1"], "--mmax must be >= 0"),
+    (["hseries", "--dmax", "5"], "--ramified is required for this subcommand"),
+    (["hseries", "--ramified", ","], "--ramified must list at least one prime"),
+    (["verify", "--suite", "congruence", "--ramified", "11"], "the congruence suite requires --l"),
+    (["shatable", "--ramified", "11"], "shatable requires --l"),
+    (["classnum", "--dmax", "2"], "--dmax must be >= 3 for classnum"),
+])
+def test_config_error_messages(argv, message):
+    # a single fault: exit 2, empty stdout and exactly one stderr line naming it
+    assert run(argv) == (2, "", f"ceisen: configuration error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["hseries", "--ramified", "11", "--dmax", "5", "--out", "{tmp}/missing/table.csv"],
     ["hseries", "--ramified", "11", "--dmax", "5", "--out", "{tmp}"],
@@ -97,6 +118,22 @@ def test_rowsum_suite_needs_mmax_one():
     rc, out, err = run(["verify", "--suite", "rowsum", "--ramified", "11", "--mmax", "0"])
     assert rc == 2 and out == ""
     assert "the rowsum suite needs --mmax >= 1" in err
+
+
+def test_trace_suite_needs_mmax_one():
+    # at m = 0 both sides are the mass Σ 1/e_i, which the class set certifies
+    rc, out, err = run(["verify", "--suite", "trace", "--ramified", "11", "--mmax", "0"])
+    assert rc == 2 and out == ""
+    assert "the trace suite needs --mmax >= 1" in err
+
+
+def test_congruence_eigenvalue_check_needs_a_prime():
+    # no prime p <= max(mmax, 2) = 2 is coprime to N = 66: nothing to check
+    rc, out, err = run(["verify", "--suite", "congruence", "--ramified", "2,3,11",
+                        "--l", "5", "--mmax", "2", "--dmax", "50"])
+    assert rc == 2 and out == ""
+    assert err.startswith("ceisen: configuration error: ") and err.count("\n") == 1
+    assert "no prime" in err
 
 
 def test_shatable_needs_an_admissible_d():
@@ -216,10 +253,9 @@ def test_hseries_small_dmax_pinned(ramified, M):
 
 
 def _emitted(fmt, header, columns):
-    cfg = cli.RunConfig(D_max=0, m_max=0, l=None, format=fmt, cache_dir=None, out=None, level=None)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        cli._emit(cfg, header, columns, {"extra": 1})
+        cli._emit(argparse.Namespace(format=fmt, out=None), header, columns, {"extra": 1})
     return out.getvalue()
 
 
@@ -319,9 +355,8 @@ def test_class_set_is_frozen_out_of_the_collector(tmp_path):
     # moved to the permanent generation, which no collection scans
     args = cli._build_parser().parse_args(
         ["verify", "--suite", "mass", "--ramified", "2,3,11", "--cache-dir", str(tmp_path)])
-    cfg = cli.RunConfig.from_args(args)
     for _ in range(2):
-        cs = cli._get_classes(cfg)
+        cs = cli._get_classes(args.cache_dir, cli._level(args))
         assert gc.get_freeze_count() > 0
         assert all(o is not cs and o is not cs.ideals for o in gc.get_objects())
     assert os.listdir(tmp_path) == ["classes_2-3-11_M1.json"]

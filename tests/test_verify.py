@@ -62,6 +62,13 @@ def test_eigenvalue_congruence_each_line_level66(level66, eig66):
                                 for p in eig66.primes if (eigs[p] - b[p]) % l]
 
 
+def test_eigenvalue_congruence_needs_a_prime(level66, eig66):
+    # 2 divides 66, so no prime p <= 2 is coprime to the level
+    (_, v), *_ = eig66.lines
+    with pytest.raises(CongruencePreconditionError, match="no prime p <= 2 is coprime to N = 66"):
+        eigenvalue_congruence(level66, v, 5, 2)
+
+
 def test_eigenvalue_congruence_l3_precondition(level11, v11):
     with pytest.raises(CongruencePreconditionError):
         eigenvalue_congruence(level11, v11, 3, 50)
