@@ -18,7 +18,7 @@ vector v.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -195,6 +195,21 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
     return out, k - consumed
 
 
+def _hyperplane(weights: list[int]) -> tuple[list[list[int]], list[int]]:
+    """The scaled RREF of {x : Σ weights_i·x_i = 0} for positive weights, as
+    `rref(nullspace([weights]))` gives it, written down: row j < n − 1 is
+    (w·e_j − weights_j·e_{n−1})/gcd(w, weights_j) with w = weights_{n−1},
+    pivot j."""
+    *head, w = weights
+    rows = []
+    for j, wj in enumerate(head):
+        g = gcd(w, wj)
+        row = [0] * len(weights)
+        row[j], row[-1] = w // g, -wj // g
+        rows.append(row)
+    return rows, list(range(len(head)))
+
+
 def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     """Split Q^n into simultaneous rational eigenspaces of the Brandt matrices
     at the first five primes coprime to N.
@@ -211,7 +226,7 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     weights = [e_lcm // e for e in classes.e]
     # B_p has constant row sums and is self-adjoint, so it keeps both blocks
     ones = _Block([[1] * classes.n], [0], {})
-    blocks = [ones, _Block(*rref(nullspace([weights])), {})]
+    blocks = [ones, _Block(*_hyperplane(weights), {})]
     set_aside: list[tuple[int, dict[int, int]]] = []
     _pair_counts(classes, max(primes))  # one sweep serves every B_p
     for p in primes:

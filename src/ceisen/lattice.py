@@ -14,8 +14,8 @@ Nguyen-Stehlé (ACM Trans. Algorithms 5, 2009), Minkowski in rank <= 4, it may
 leave a sum ±b_0 ± b_1 ± b_2 (± b_3) much shorter than the b_i, and
 Fincke-Pohst then pays for that skew.  The tallies and `exists_value`
 enumerate G' and map nothing back, because c ↦ c·T keeps the value and the
-gcd of the coordinates.  `shortest_vector` maps back only its minimal
-vectors, so its tie-break on the coordinates of G does not change.
+gcd of the coordinates.  `minimal_vectors` maps back only the minimal
+vectors, so their signs and order are read in the coordinates of G.
 `points_up_to` enumerates the G it is given and certifies it positive
 definite (`definite_echelon`), so each consumer runs one Bareiss elimination:
 `reduce_gram` stops only at a diagonal entry <= 0, and as T is unimodular,
@@ -220,9 +220,10 @@ def exists_value(G: list[list[int]], target: int) -> bool:
     return False
 
 
-def shortest_vector(G: list[list[int]]) -> tuple[tuple[int, ...], int]:
-    """A canonical shortest nonzero vector: minimal value, then lexicographically
-    least coordinate tuple after normalizing the sign of the first nonzero entry."""
+def minimal_vectors(G: list[list[int]]) -> tuple[list[tuple[int, ...]], int]:
+    """The shortest nonzero vectors, one of each pair ±c with the sign of its
+    first nonzero entry made positive, in ascending lexicographic order, and
+    their value."""
     # basis vector 0 of G' attains its least diagonal entry, so that bound
     # holds every minimal vector; only those are mapped back by T
     R, T = reduce_gram(G)
@@ -233,4 +234,4 @@ def shortest_vector(G: list[list[int]]) -> tuple[tuple[int, ...], int]:
     for c in tied:
         x = tuple(sum(map(mul, c, col)) for col in zip(*T))
         canon.append(x if next(v for v in x if v) > 0 else tuple(-v for v in x))
-    return min(canon), least
+    return sorted(canon), least

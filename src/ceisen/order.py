@@ -14,13 +14,15 @@ obvious starting order; level structure at a prime q coprime to the
 discriminant is Z plus the q-neighbour qO + O·e, for an idempotent e of O/qO
 other than 0 and 1 found by its trace and norm.  A left ideal is integral,
 and its norm is an int.  Left ideal classes are enumerated by a neighbor
-walk at the smallest good prime, stopped exactly by the mass formula, with
-equivalence tests only between ideals of equal normalized theta series; a
-candidate is keyed and tested as it comes, and only one that becomes a class
-is reduced.  A walk step splits R/pR ≅ M_2(F_p) by the same idempotent
-search, e = E₁₁ and f = e·y·(1 − e) a multiple of E₁₂, and canonicalizes the
-p+1 neighbors pR + R·x for x = e + t·f (t ∈ F_p) and x = f, one per kernel
-line.  `IdealClassSet` certifies every class set, walked or read.
+walk at the smallest good prime, stopped exactly by the mass formula.  Each
+candidate I is keyed by its class form, the least of the lattices
+I·conj(x)/N(I) over its minimal vectors x, which is the same for every ideal
+of the class; an equivalence test runs only to certify a key hit, and the
+same enumeration gives a new class its representative and unit count.  A
+walk step splits R/pR ≅ M_2(F_p) by the same idempotent search, e = E₁₁ and
+f = e·y·(1 − e) a multiple of E₁₂, and canonicalizes the p+1 neighbors
+pR + R·x for x = e + t·f (t ∈ F_p) and x = f, one per kernel line.
+`IdealClassSet` certifies every class set, walked or read.
 
 Each step sets up one lattice: closure (`make_order`, and O·I ⊆ I in the
 snapshot reader) is the membership of every product of two basis rows, with
@@ -36,7 +38,7 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from .arith import CertificateError, certify, factorize, valuation
-from .lattice import counts_by_value, exists_value, shortest_vector
+from .lattice import counts_by_value, exists_value, minimal_vectors
 from .linalg import clear_denominators, hnf
 from .qform import LevelConfig, good_primes, mass
 from .quatalg import QuaternionAlgebra, norm_pair, quat_mul
@@ -326,38 +328,38 @@ def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
     return exists_value(W.gram(), I.norm * J.norm * W.den**2)
 
 
-# The bound b of the walk's class keys, on Nrd(x)/N(I): b = 16 leaves a few
-# classes per key at levels near 1000 for a few milliseconds per key, where
-# b <= 8 leaves keys shared by dozens of classes.
-_THETA_BOUND = 16
+def _class_form(I: LeftIdeal) -> tuple[tuple, Lat4, int]:
+    """(key, representative, e) of I's class, from the lattices
+    I·conj(x)/N(I) over the minimal vectors x = Σ c_k·rows_k/den of I, one
+    per ± pair: the row products b_k·conj(x) over den²·N(I).
 
-
-def _theta_key(I: LeftIdeal) -> tuple[tuple[int, int], ...]:
-    """The normalized theta series of I up to _THETA_BOUND: sorted pairs
-    (v, number of x in I with Nrd(x) = v·N(I)) for v <= b (Kirschmer-Voight,
-    SIAM J. Comput. 39, 2010, section 6).
-
-    A class invariant: J = I·x scales the norm form by N(x), and
-    N(J) = N(I)·N(x), so Nrd/N(I) on I and Nrd/N(J) on J are isometric.  The
-    integer Gram is den² times the norm form, and g = N(I)·den² is the gcd of
-    its values, so every value is some v·g, and v <= b means value <= b·g.
+    Each lies in I's class, and J = I·y has the minimal vectors x·y with
+    J·conj(xy)/N(J) = I·conj(x)/N(I), so the least (den, rows) among them,
+    the key, is the same for every ideal of the class and is itself one: a
+    complete invariant.  The representative is the lattice of the least
+    canonical minimal vector, left to the caller to make a `LeftIdeal`.  x
+    and x' give one lattice exactly when x' = x·u for a unit u of O_r(I), so
+    e = |O_r(I)^×| = 2·pairs/lattices.
     """
-    g = I.norm * I.lattice.den**2
-    counts = counts_by_value(I.lattice.gram(), _THETA_BOUND * g)
-    return tuple(sorted((val // g, cnt) for val, cnt in counts.items()))
+    L = I.lattice
+    a, b = L.algebra.a, L.algebra.b
+    vecs, _ = minimal_vectors(L.gram())
+    lats = []
+    for c in vecs:
+        x = _combine(c, L.rows)
+        xbar = (x[0], -x[1], -x[2], -x[3])
+        rows = [quat_mul(a, b, row, xbar) for row in L.rows]
+        lats.append(_canonical(L.algebra, L.den**2 * I.norm, rows))
+    distinct = {(lat.den, lat.rows) for lat in lats}
+    e, rem = divmod(2 * len(vecs), len(distinct))
+    certify(rem == 0, "the minimal vectors must fall into orbits of one size")
+    return min(distinct), lats[0], e
 
 
 def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
-    """Replace I by the equivalent integral ideal I·conj(x)/N(I) for a canonical
-    shortest vector x = Σ c_k·rows_k/den: the row products b_k·conj(x) over
-    den²·N(I)."""
-    coords, _ = shortest_vector(I.lattice.gram())
-    L = I.lattice
-    a, b = L.algebra.a, L.algebra.b
-    x = _combine(coords, L.rows)
-    xbar = (x[0], -x[1], -x[2], -x[3])
-    rows = [quat_mul(a, b, row, xbar) for row in L.rows]
-    return LeftIdeal.of(I.order, _canonical(L.algebra, L.den**2 * I.norm, rows))
+    """Replace I by the equivalent integral ideal I·conj(x)/N(I) for the
+    canonical shortest vector x: `_class_form`'s representative."""
+    return LeftIdeal.of(I.order, _class_form(I)[1])
 
 
 def _neighbor_ideals(L: Lat4, p: int) -> list[tuple[Lat4, tuple[int, ...]]]:
@@ -480,9 +482,10 @@ class CacheError(Exception):
 
 
 def classes_from_json(data) -> IdealClassSet:
-    """Rebuild a class set from its JSON snapshot, re-deriving right orders and
-    unit counts; CacheError on a snapshot that is not a JSON object, or that
-    fails a check of a class or a certificate of `IdealClassSet`."""
+    """Rebuild a class set from its JSON snapshot, re-deriving right orders,
+    and unit counts and class keys by `_class_form`; CacheError on a snapshot
+    that is not a JSON object, that fails a check of a class, that lists one
+    class twice, or that fails a certificate of `IdealClassSet`."""
     if not isinstance(data, dict):
         raise CacheError("snapshot is not a JSON object")
     if data.get("version") != CACHE_VERSION:
@@ -492,7 +495,7 @@ def classes_from_json(data) -> IdealClassSet:
     if set(B.ramified) != set(cfg.P.primes):
         raise CacheError("cached algebra does not ramify at the requested primes")
     O = eichler_order(maximal_order(B), cfg.M.value)
-    ideals, rights, es = [], [], []
+    ideals, rights, es, keys = [], [], [], set()
     for rec in data["classes"]:
         try:
             coords = [Fraction(s) for s in rec["basis"]]
@@ -509,12 +512,14 @@ def classes_from_json(data) -> IdealClassSet:
             raise CacheError(f"cached ideal: {e}") from e
         if str(I.norm) != rec["norm"]:
             raise CacheError("stored norm disagrees with the lattice")
-        R = right_order(I)
-        e = unit_count(R)
+        key, _, e = _class_form(I)
+        if key in keys:
+            raise CacheError("two cached ideals are in one class")
         if e != rec["e"] or e != 2 * rec["w"]:
             raise CacheError("stored unit counts disagree with the lattice")
+        keys.add(key)
         ideals.append(I)
-        rights.append(R)
+        rights.append(right_order(I))
         es.append(e)
     try:
         return IdealClassSet(order=O, cfg=cfg, ideals=ideals, right_orders=rights, e=es)
@@ -537,13 +542,12 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
     prime coprime to the level (`qform.good_primes`), stopping exactly when
     the mass formula is met.
 
-    Each class and each candidate is keyed by its normalized theta series
-    (`_theta_key`), and a candidate is tested for equivalence only against
-    the classes with its key.  The key is a class invariant, so no true
-    equivalence is skipped: the walk, its representatives and the stopping
-    point are those of testing against every class.  Key and equivalence are
-    properties of the class, so they are computed on the candidate as it
-    comes, and `reduce_ideal` runs only on a candidate that becomes a class.
+    Each candidate is keyed by its class form (`_class_form`), a complete
+    class invariant, so a bucket holds at most one class, and `is_equivalent`
+    runs only on a key hit, where it certifies the hit.  A candidate that
+    becomes a class brings its representative and unit count from the same
+    call.  The walk, its representatives and the stopping point are those of
+    testing against every class.
 
     The neighbor graph at a good prime is connected and every class adds
     1/e_i to the mass, so CertificateError if the walk runs out of ideals
@@ -554,26 +558,27 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
     target = mass(cfg)
     p = good_primes(cfg, 1)[0]
     classes = [unit_ideal(O)]
-    buckets = {_theta_key(classes[0]): [classes[0]]}
+    key, _, e = _class_form(classes[0])
+    buckets = {key: [classes[0]]}
     rights = [O]
-    es = [unit_count(O)]
-    acc = Fraction(1, es[0])
+    es = [e]
+    acc = Fraction(1, e)
     idx = 0
     while acc < target and idx < len(classes):
         I, den = classes[idx].lattice, rights[idx].den
         for _, x in _neighbor_ideals(rights[idx], p):
             # I·K = pI + I·x, as I·R = I for the right order R of I
             J = LeftIdeal.of(O, _neighbor_lattice(I, p, x, den))
-            bucket = buckets.setdefault(_theta_key(J), [])
+            key, rep, e = _class_form(J)
+            bucket = buckets.setdefault(key, [])
             if any(is_equivalent(J, C) for C in bucket):
                 continue
-            J = reduce_ideal(J)
+            J = LeftIdeal.of(O, rep)
             bucket.append(J)
             classes.append(J)
-            R = right_order(J)
-            rights.append(R)
-            es.append(unit_count(R))
-            acc += Fraction(1, es[-1])
+            rights.append(right_order(J))
+            es.append(e)
+            acc += Fraction(1, e)
             if acc >= target:
                 break
         idx += 1

@@ -1,4 +1,11 @@
+import os
+import re
+import subprocess
+import sys
+
 import pytest
+
+import ceisen
 
 from ceisen.brandt import rational_eigensystem
 from ceisen.order import build_class_set
@@ -35,3 +42,19 @@ def v11(eig11):
     """The level-11 cusp line (the only one)."""
     ((_, v),) = eig11.lines
     return v
+
+
+@pytest.fixture(scope="session")
+def readme_library_run():
+    """README's Library block and its one run: in a clean interpreter, so it
+    imports only what is installed, and without PYTHONOPTIMIZE, so its
+    asserts run under python -O too. Returns (code, completed process)."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    code = re.search(r"^## Library\n\n```python\n(.*?)^```$", readme, flags=re.M | re.S).group(1)
+    src = os.path.dirname(os.path.dirname(ceisen.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONOPTIMIZE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    return code, proc

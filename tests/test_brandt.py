@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -6,6 +7,7 @@ import pytest
 from ceisen.arith import CertificateError, factorize
 from ceisen.brandt import (
     _Block,
+    _hyperplane,
     _split_block,
     brandt_matrices_upto,
     brandt_matrix,
@@ -14,7 +16,7 @@ from ceisen.brandt import (
     rational_eigensystem,
 )
 from ceisen.lattice import counts_by_value
-from ceisen.linalg import charpoly, mat_mul
+from ceisen.linalg import charpoly, mat_mul, nullspace, rref
 from ceisen.order import build_class_set
 from ceisen.qform import LevelConfig, good_primes, mass
 
@@ -309,6 +311,16 @@ def test_eigenspaces_must_be_orthogonal():
     blk = _Block([[1, 0], [0, 1]], [0, 1], {})
     with pytest.raises(CertificateError, match="not orthogonal"):
         _split_block(blk, [[1, 0], [1, 0]], 2, [1, 1])
+
+
+def test_hyperplane_is_the_eliminated_rref():
+    # the complement of the all-ones line, written down, against the
+    # elimination it replaced: unit-count weights and arbitrary ones
+    rng = random.Random(5)
+    for _ in range(250):
+        n = rng.randint(1, 40)
+        weights = [rng.choice([1, 2, 3, 4, 6, 12, rng.randint(1, 10**6)]) for _ in range(n)]
+        assert _hyperplane(weights) == rref(nullspace([weights]))
 
 
 def test_complement_must_be_invariant(monkeypatch, level11):

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import gc
 import hashlib
@@ -482,6 +483,25 @@ def test_cache_of_another_level_rebuilds(tmp_path):
     assert run(argv + ["--cache-dir", cache]) == cold
 
 
+def test_cache_listing_a_class_twice_rebuilds(tmp_path):
+    # at N = 197 classes 1 and 2 both have e = 2, so a snapshot with class 2
+    # replaced by a copy of class 1 keeps the mass; the reader finds the two
+    # ideals in one class, and the CLI rebuilds and prints the true mass row
+    cache = str(tmp_path / "cache")
+    argv = ["verify", "--suite", "mass", "--ramified", "197"]
+    cold = run(argv + ["--cache-dir", cache])
+    path = os.path.join(cache, "classes_197_M1.json")
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    assert data["classes"][1]["e"] == data["classes"][2]["e"] == 2
+    data["classes"][2] = data["classes"][1]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh)
+    rc, out, err = run(argv + ["--cache-dir", cache])
+    assert (rc, out) == cold[:2] == (0, "check,detail,passed\nmass,computed=49/6;expected=49/6,true\n")
+    assert err == f"ceisen: rebuilding {path}: CacheError: two cached ideals are in one class\n"
+
+
 def test_cache_is_named_after_the_level(tmp_path, monkeypatch):
     # the primes of --ramified in another order, or one of them twice, name
     # the same level and so read the same snapshot: no walk, no second file
@@ -576,16 +596,11 @@ def test_startup_imports_no_dataclasses():
     assert proc.stdout == "[]\n"
 
 
-def test_readme_library_example_runs():
-    # the documented example imports only what `ceisen` exports
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "README.md"), encoding="utf-8") as fh:
-        readme = fh.read()
-    section = readme[readme.index("## Library"):]
-    start = section.index("```python\n") + len("```python\n")
-    code = section[start:section.index("\n```", start)]
-    assert "brandt_matrix" in code  # the slice runs to the closing fence
-    src = os.path.dirname(os.path.dirname(ceisen.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+def test_readme_library_example_runs(readme_library_run):
+    # the documented example imports only what `ceisen` exports, and runs
+    code, proc = readme_library_run
+    imported = [node for node in ast.walk(ast.parse(code))
+                if isinstance(node, ast.ImportFrom) and node.module.startswith("ceisen")]
+    assert [node.module for node in imported] == ["ceisen"]
+    assert {alias.name for alias in imported[0].names} <= set(ceisen.__all__)
     assert proc.returncode == 0, proc.stderr

@@ -15,9 +15,9 @@ from ceisen.lattice import (
     counts_with_primitive,
     definite_echelon,
     exists_value,
+    minimal_vectors,
     points_up_to,
     reduce_gram,
-    shortest_vector,
 )
 from ceisen.order import product_lattice
 from ceisen.theta32 import ternary_lattice
@@ -129,9 +129,9 @@ def test_consumers_match_brute_force(n):
         # e_0 has value G[0][0], so the minimum lies within that bound
         near = brute_points(G, G[0][0])
         least = min(val for _, val in near)
-        canon = min(c if next(x for x in c if x) > 0 else tuple(-x for x in c)
-                    for c, val in near if val == least)
-        assert shortest_vector(G) == (canon, least)
+        canon = sorted({c if next(x for x in c if x) > 0 else tuple(-x for x in c)
+                        for c, val in near if val == least})
+        assert minimal_vectors(G) == (canon, least)
 
 
 def test_cases_exercise_the_minors_form():
@@ -178,7 +178,7 @@ def test_non_definite_grams_raise(G):
     # each G here reaches a diagonal entry <= 0 inside reduce_gram's Lagrange
     # loop, which raises there; a G that kept a positive diagonal would be
     # left to points_up_to, which certifies G′, so no consumer hangs
-    for call in (reduce_gram, shortest_vector):
+    for call in (reduce_gram, minimal_vectors):
         with pytest.raises(ValueError):
             call(G)
     for call in (counts_by_value, counts_with_primitive, exists_value):
@@ -196,7 +196,7 @@ def test_semidefinite_gram_with_positive_diagonal_raises():
         with pytest.raises(ValueError):
             list(points_up_to(G, bound))
     with pytest.raises(ValueError):
-        shortest_vector(G)
+        minimal_vectors(G)
     for call in (counts_by_value, counts_with_primitive, exists_value):
         with pytest.raises(ValueError):
             call(G, 5)
@@ -213,7 +213,7 @@ def test_one_bareiss_per_consumer(monkeypatch):
     for n in (1, 2, 3, 4):
         for G, bound, _ in cases(n):
             for run in (lambda: counts_by_value(G, bound), lambda: counts_with_primitive(G, bound),
-                        lambda: exists_value(G, G[0][0]), lambda: shortest_vector(G)):
+                        lambda: exists_value(G, G[0][0]), lambda: minimal_vectors(G)):
                 calls[0] = 0
                 run()
                 assert calls[0] == 1
@@ -302,8 +302,8 @@ def test_reduce_gram_on_skewed_grams(n):
         least = min(val for _, val in near)
         tied = [tuple(sum(c[a] * V[a][b] for a in range(n)) for b in range(n))
                 for c, val in near if val == least]
-        canon = min(c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in tied)
-        assert shortest_vector(G) == (canon, least)
+        canon = sorted({c if next(x for x in c if x) > 0 else tuple(-x for x in c) for c in tied})
+        assert minimal_vectors(G) == (canon, least)
 
 
 def per_point_reference(G, bound):

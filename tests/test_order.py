@@ -475,25 +475,39 @@ def level389():
 
 
 @pytest.mark.parametrize("name", ["level11", "level66", "level389"])
-def test_theta_key_is_a_class_invariant(name, request):
+def test_class_form_is_a_class_invariant(name, request):
     cs = request.getfixturevalue(name)
     O, B = cs.order, cs.algebra
     rng = random.Random(cs.cfg.N)
-    keys = set()
-    for I in cs.ideals:
-        key = order_module._theta_key(I)
-        keys.add(key)
+    for I, e in zip(cs.ideals, cs.e):
+        key, rep, e_I = order_module._class_form(I)
+        assert e_I == e
+        assert is_equivalent(LeftIdeal.of(O, rep), I)
         for _ in range(2):
-            # x of norm <= 100: the key of an unreduced J enumerates a skewed basis
+            # x of norm <= 100: the form of an unreduced J enumerates a skewed basis
             x = (0, 0, 0, 0)
             while not 0 < norm_pair(B.a, B.b, x, x) <= 100:
                 x = tuple(rng.randint(-3, 3) for _ in range(4))
             J = LeftIdeal.of(O, Lat4.span(B, [mul(B, b, x) for b in rational_basis(I.lattice)]))
             assert J.norm == I.norm * norm_pair(B.a, B.b, x, x)
-            assert order_module._theta_key(J) == key
-            assert order_module._theta_key(reduce_ideal(J)) == key
-    if cs.n > 2:
-        assert len(keys) > 1  # the keys do separate classes
+            key_J, rep_J, e_J = order_module._class_form(J)
+            assert (key_J, e_J) == (key, e)
+            assert reduce_ideal(J).lattice == rep_J
+            assert order_module._class_form(reduce_ideal(J))[::2] == (key, e)
+
+
+@pytest.mark.parametrize("name", ["level11", "level66", "level389"])
+def test_class_forms_separate_classes(name, request):
+    # a complete invariant: one key per class, and the e of the enumeration
+    # that found the key is the unit count of the class's right order
+    cs = request.getfixturevalue(name)
+    forms = [order_module._class_form(I) for I in cs.ideals]
+    assert len({key for key, _, _ in forms}) == cs.n
+    assert [e for _, _, e in forms] == [unit_count(right_order(I)) for I in cs.ideals]
+    # the key is itself an ideal of the class, and the first class's is the order
+    assert forms[0][0] == (cs.order.den, cs.order.rows)
+    for I, (key, _, _) in zip(cs.ideals, forms):
+        assert is_equivalent(LeftIdeal.of(cs.order, Lat4(cs.algebra, *key)), I)
 
 
 def _counted_walk(monkeypatch, O):
@@ -518,21 +532,38 @@ def _counted_walk(monkeypatch, O):
 def test_bucketed_walk_matches_unbucketed(monkeypatch, primes, M):
     O = eichler_order(maximal_order(construct_algebra(set(primes))), M)
     cs, calls, hits = _counted_walk(monkeypatch, O)
-    monkeypatch.setattr(order_module, "_theta_key", lambda I: 0)  # one bucket
+    class_form = order_module._class_form
+    # one bucket: every candidate is tested against every class
+    monkeypatch.setattr(order_module, "_class_form", lambda I: (0, *class_form(I)[1:]))
     ref, ref_calls, ref_hits = _counted_walk(monkeypatch, O)
     assert classes_to_json(cs) == classes_to_json(ref)
-    assert hits == ref_hits
+    assert calls == hits == ref_hits
     assert calls < ref_calls
 
 
-@pytest.mark.parametrize("primes, M, n, keys, calls, hits", [((389,), 1, 33, 77, 71, 44),
-                                                             ((3, 5, 7), 2, 12, 28, 39, 16)],
+def test_walk_with_a_class_splitting_key_overshoots(monkeypatch):
+    # keyed by the candidate's own lattice, two ideals of one class never
+    # meet in a bucket, and the second one's 1/e passes the mass
+    O = maximal_order(construct_algebra({2, 3, 11}))
+    class_form = order_module._class_form
+
+    def own_lattice(I):
+        _, rep, e = class_form(I)
+        return (I.lattice.den, I.lattice.rows), rep, e
+
+    monkeypatch.setattr(order_module, "_class_form", own_lattice)
+    with pytest.raises(CertificateError, match="mass .* exceeds formula value 5/6"):
+        left_ideal_classes(O)
+
+
+@pytest.mark.parametrize("primes, M, n, forms, calls, hits", [((389,), 1, 33, 77, 44, 44),
+                                                              ((3, 5, 7), 2, 12, 28, 16, 16)],
                          ids=["N389", "N210_M2"])
-def test_walk_reduces_only_new_classes(monkeypatch, primes, M, n, keys, calls, hits):
-    # the keys, equivalence tests and hits of the walk that reduced every
-    # candidate before keying it: the same decisions, and one reduction per
-    # class after the first
-    tally = {"_theta_key": 0, "is_equivalent": 0, "hits": 0, "reduce_ideal": 0}
+def test_walk_reduces_only_new_classes(monkeypatch, primes, M, n, forms, calls, hits):
+    # one class form per candidate and for the order, an equivalence test
+    # only on a key hit, each one a hit, and no separate reduction: a new
+    # class's representative comes with its form
+    tally = {"_class_form": 0, "is_equivalent": 0, "hits": 0, "reduce_ideal": 0, "unit_count": 0}
 
     def counted(name):
         fn = getattr(order_module, name)
@@ -546,11 +577,11 @@ def test_walk_reduces_only_new_classes(monkeypatch, primes, M, n, keys, calls, h
         return wrapper
 
     O = eichler_order(maximal_order(construct_algebra(set(primes))), M)
-    for name in ("_theta_key", "is_equivalent", "reduce_ideal"):
+    for name in ("_class_form", "is_equivalent", "reduce_ideal", "unit_count"):
         monkeypatch.setattr(order_module, name, counted(name))
     cs = left_ideal_classes(O)
-    assert (cs.n, tally["_theta_key"], tally["is_equivalent"], tally["hits"]) == (n, keys, calls, hits)
-    assert tally["reduce_ideal"] == n - 1
+    assert (cs.n, tally["_class_form"], tally["is_equivalent"], tally["hits"]) == (n, forms, calls, hits)
+    assert tally["reduce_ideal"] == tally["unit_count"] == 0
 
 
 # --- the neighbour step against the full scan it replaced ------------------
@@ -818,7 +849,7 @@ def test_kernels_match_references_on_walk_inputs(monkeypatch):
                         recorded(gram_inputs, rebuilt_rows_reduce_gram))
     for primes, M in [((389,), 1), ((3, 5, 7), 2)]:
         build_class_set(LevelConfig.from_primes(primes, M))
-    assert len(hnf_inputs) > 500 and len(gram_inputs) > 250
+    assert len(hnf_inputs) > 500 and len(gram_inputs) >= 165
     for A in hnf_inputs:
         assert hnf(A) == full_row_hnf(A)
     for G in gram_inputs:
