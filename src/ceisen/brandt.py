@@ -3,16 +3,17 @@
 The (i, j) entry of the m-th Brandt matrix counts lattice points of a fixed
 norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
 A matrix is the list of its rows, as in `linalg`.  For m ≥ 1 the entries are
-integers, as `_pair_counts` certifies; B_0 holds the Fractions 1/e_j.  The counts are symmetric in (i, j), so every B_m is
-self-adjoint for ⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple; all commute and
-have the all-ones vector as an eigenvector, with eigenvalue the row sum b_m.
-So the all-ones line and its complement for ⟨·,·⟩ are invariant from the
-start.  For a prime p ∤ N, a rational eigenvalue of B_p on the complement is
-the integer a_p of a weight-2 cusp form, with |a_p| ≤ 2√p by the Ramanujan–
-Petersson bound, which in weight 2 is a theorem (Eichler–Shimura, Weil).  So
-the rational cusp lines are kernels of B_p − a over those few a, prime by
-prime, with no characteristic polynomial, each handed on as a plain integer
-vector v.
+integers, as `_pair_counts` certifies; B_0 holds the Fractions 1/e_j.  The
+counts are symmetric in (i, j), so every B_m is self-adjoint for
+⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple; all commute and have the all-ones
+vector as an eigenvector, with eigenvalue the row sum b_m.  So the complement
+of the all-ones line for ⟨·,·⟩ is invariant and the split starts from it; the
+all-ones line is a row-sum certificate at each prime.  For a prime p ∤ N, a
+rational eigenvalue of B_p on the complement is the integer a_p of a weight-2
+cusp form, with |a_p| ≤ 2√p by the Ramanujan–Petersson bound, which in
+weight 2 is a theorem (Eichler–Shimura, Weil).  So the rational cusp lines
+are kernels of B_p − a over those few a, prime by prime, with no
+characteristic polynomial, each handed on as a plain integer vector v.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def brandt_matrices_upto(classes: IdealClassSet, m_max: int) -> list[list[list[i
 class EigenSystem(NamedTuple):
     """Simultaneous rational eigendata of the Brandt matrices at `primes`.
 
-    u_eigenvalues are those of the all-ones eigenvector (verified to be b_p);
+    u_eigenvalues are the all-ones eigenvector's, the b_p every row sums to;
     lines holds each one-dimensional rational eigenspace of its complement as
     (eigenvalue map, v), sorted by eigenvalue tuple, with v normalized so
     that (v_i/w_i) is a primitive integer vector whose first nonzero entry is
@@ -132,7 +133,6 @@ class EigenSystem(NamedTuple):
 
 class _Block(NamedTuple):
     basis: list[list[int]]  # RREF rows, each primitive with a positive pivot
-    pivots: list[int]
     eigs: dict[int, int]
 
     @property
@@ -143,15 +143,16 @@ class _Block(NamedTuple):
 def _restrict(B: list[list[int]], blk: _Block) -> tuple[list[list[int]], int]:
     """(dA, d): the matrix A of x ↦ B·x on the block in its basis V, as d·A.
 
-    V is a scaled RREF, so row s is the only one nonzero at its pivot c_s, and
-    the image rows W = V·Bᵀ satisfy W = A·V with A[r][s] = W[r][c_s]/V[s][c_s].
-    d is the lcm of the pivots, and dA·V == d·W is checked exactly.
+    V is a scaled RREF, so row s is the only one nonzero at its pivot c_s (its
+    first nonzero entry), and the image rows W = V·Bᵀ satisfy W = A·V with
+    A[r][s] = W[r][c_s]/V[s][c_s].  d is the lcm of the pivots; dA·V == d·W.
     """
     V = blk.basis
     W = [[sum(map(mul, v, b)) for b in B] for v in V]
-    d = lcm(*(V[s][c] for s, c in enumerate(blk.pivots)))
-    scale = [d // V[s][c] for s, c in enumerate(blk.pivots)]
-    dA = [[w[c] * f for c, f in zip(blk.pivots, scale)] for w in W]
+    pivots = [next(c for c, x in enumerate(v) if x) for v in V]
+    d = lcm(*(v[c] for v, c in zip(V, pivots)))
+    scale = [d // v[c] for v, c in zip(V, pivots)]
+    dA = [[w[c] * f for c, f in zip(pivots, scale)] for w in W]
     certify(mat_mul(dA, V) == [[d * x for x in w] for w in W],
             "subspace not invariant under the Brandt matrix")
     return dA, d
@@ -169,9 +170,8 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
     dA, d = _restrict(B, blk)
     k = len(dA)
     if k == 1:
-        # any line, the all-ones one too: B·x = a·x, B integral, x primitive, so a ∈ Z
-        blk.eigs[p] = dA[0][0] // d
-        return [blk], 0
+        # B·x = a·x, B integral, x primitive, so a ∈ Z
+        return [_Block(blk.basis, {**blk.eigs, p: dA[0][0] // d})], 0
     # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
     # eigenvectors of A and invariant subspaces are row spaces, lifted to
     # Q^n by right multiplication with the block basis
@@ -184,22 +184,21 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
         null = nullspace(shifted_T)
         if not null:
             continue
-        basis, pivots = rref(mat_mul(null, blk.basis))
+        basis, _ = rref(mat_mul(null, blk.basis))
         certify(not any(sum(map(mul, x, map(mul, y, weights)))
                         for prev in out for y in prev.basis for x in basis),
                 f"eigenspaces of B_{p} not orthogonal for Σ x_i·y_i/e_i")
-        out.append(_Block(basis, pivots, {**blk.eigs, p: a}))
+        out.append(_Block(basis, {**blk.eigs, p: a}))
         consumed += len(basis)
         if consumed == k:
             break
     return out, k - consumed
 
 
-def _hyperplane(weights: list[int]) -> tuple[list[list[int]], list[int]]:
+def _hyperplane(weights: list[int]) -> list[list[int]]:
     """The scaled RREF of {x : Σ weights_i·x_i = 0} for positive weights, as
     `rref(nullspace([weights]))` gives it, written down: row j < n − 1 is
-    (w·e_j − weights_j·e_{n−1})/gcd(w, weights_j) with w = weights_{n−1},
-    pivot j."""
+    (w·e_j − weights_j·e_{n−1})/gcd(w, weights_j) with w = weights_{n−1}."""
     *head, w = weights
     rows = []
     for j, wj in enumerate(head):
@@ -207,27 +206,28 @@ def _hyperplane(weights: list[int]) -> tuple[list[list[int]], list[int]]:
         row = [0] * len(weights)
         row[j], row[-1] = w // g, -wj // g
         rows.append(row)
-    return rows, list(range(len(head)))
+    return rows
 
 
 def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     """Split Q^n into simultaneous rational eigenspaces of the Brandt matrices
     at the first five primes coprime to N.
 
-    The split starts from the all-ones line, whose eigenvalue must be b_p at
-    each p (CertificateError otherwise), and its complement for Σ x_i·y_i/e_i.
-    Every one-dimensional piece of the complement is reported with integer
-    eigenvalues and its normalized vector; kernels that stay higher-dimensional,
-    and the parts set aside as holding no rational line, are unresolved.
+    The split starts from the complement of the all-ones line for
+    Σ x_i·y_i/e_i; at each p, after it, every row of B_p must sum to b_p
+    (CertificateError otherwise).  Every one-dimensional piece of the
+    complement is reported with integer eigenvalues and its normalized vector;
+    kernels that stay higher-dimensional, and the parts set aside as holding
+    no rational line, are unresolved.
     """
     cfg = classes.cfg
     primes = good_primes(cfg, 5)
     e_lcm = lcm(*classes.e)
     weights = [e_lcm // e for e in classes.e]
-    # B_p has constant row sums and is self-adjoint, so it keeps both blocks
-    ones = _Block([[1] * classes.n], [0], {})
-    blocks = [ones, _Block(*_hyperplane(weights), {})]
+    # B_p is self-adjoint with constant row sums, so it keeps the complement
+    blocks = [_Block(_hyperplane(weights), {})]
     set_aside: list[tuple[int, dict[int, int]]] = []
+    b = {p: expected_row_sum(p, cfg) for p in primes}
     _pair_counts(classes, max(primes))  # one sweep serves every B_p
     for p in primes:
         B = brandt_matrix(classes, p)
@@ -236,20 +236,19 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
             kernels, rest = _split_block(blk, B, p, weights)
             split += kernels
             if rest:
-                set_aside.append((rest, dict(blk.eigs)))
+                set_aside.append((rest, blk.eigs))
         blocks = split
+        certify(all(sum(row) == b[p] for row in B),
+                f"all-ones eigenvalues: a row of B_{p} does not sum to b_p = {b[p]}")
     unresolved = [(blk.dim, blk.eigs) for blk in blocks if blk.dim != 1] + set_aside
-    b = {p: expected_row_sum(p, cfg) for p in primes}
-    certify(ones.eigs == b, f"all-ones eigenvalues {ones.eigs} != b_p = {b}")
     lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
     for blk in blocks:
-        if blk.dim != 1 or blk is ones:
-            continue
-        # (x_i/w_i)·lcm(w) = x_i·weights_i as e_i = 2·w_i, made primitive, times w_i
-        prim = primitive_vector(list(map(mul, blk.basis[0], weights)))
-        lines.append((blk.eigs, tuple(map(mul, prim, classes.w))))
+        if blk.dim == 1:
+            # (x_i/w_i)·lcm(w) = x_i·weights_i as e_i = 2·w_i, made primitive, times w_i
+            prim = primitive_vector(list(map(mul, blk.basis[0], weights)))
+            lines.append((blk.eigs, tuple(map(mul, prim, classes.w))))
     lines.sort(key=lambda le: tuple(le[0][p] for p in primes))
-    return EigenSystem(tuple(primes), ones.eigs, lines, unresolved)
+    return EigenSystem(tuple(primes), b, lines, unresolved)
 
 
 def eigenvalue_of(B: list[list[int]], v: tuple[int, ...]) -> int:

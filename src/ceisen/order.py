@@ -22,7 +22,8 @@ same enumeration gives a new class its representative and unit count.  A
 walk step splits R/pR ≅ M_2(F_p) by the same idempotent search, e = E₁₁ and
 f = e·y·(1 − e) a multiple of E₁₂, and canonicalizes the p+1 neighbors
 pR + R·x for x = e + t·f (t ∈ F_p) and x = f, one per kernel line.
-`IdealClassSet` certifies every class set, walked or read.
+`IdealClassSet` certifies every class set, walked or read, and derives its
+level from its order.
 
 Each step sets up one lattice: closure (`make_order`, and O·I ⊆ I in the
 snapshot reader) is the membership of every product of two basis rows, with
@@ -407,18 +408,17 @@ class IdealClassSet:
     """Representatives of the left ideal classes of an order, with weights.
 
     ideals[0] is the order itself.  For each class: its right order and the
-    unit count e_i of that right order; w_i = e_i/2 is derived from e.  Every
-    class set, walked or read, is certified here: ideals[0] is the order, each
-    e_i is even with e_i/2 | 12, each right order has level N, and sum(1/e_i)
-    is the mass formula's value.  Unlike the value types, a class set is
+    unit count e_i of that right order; w_i = e_i/2 is derived from e, and cfg
+    from the order.  Every class set, walked or read, is certified here:
+    ideals[0] is the order, each e_i is even with e_i/2 | 12, each right order
+    has level N, and sum(1/e_i) is the mass formula's value.  Unlike the value types, a class set is
     mutable: it owns `cache`, where `theta32` and `brandt` keep the ternary
     vector counts and the pair counts they extend as bounds grow.
     """
 
-    def __init__(self, order: Lat4, cfg: LevelConfig, ideals: list[LeftIdeal],
-                 right_orders: list[Lat4], e: list[int]):
+    def __init__(self, order: Lat4, ideals: list[LeftIdeal], right_orders: list[Lat4], e: list[int]):
         self.order = order
-        self.cfg = cfg
+        self.cfg = cfg = level_config_of(order)
         self.ideals = ideals
         self.right_orders = right_orders
         self.e = e
@@ -522,7 +522,7 @@ def classes_from_json(data) -> IdealClassSet:
         rights.append(right_order(I))
         es.append(e)
     try:
-        return IdealClassSet(order=O, cfg=cfg, ideals=ideals, right_orders=rights, e=es)
+        return IdealClassSet(order=O, ideals=ideals, right_orders=rights, e=es)
     except CertificateError as e:
         raise CacheError(f"cached class set: {e}") from e
 
@@ -583,4 +583,4 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
                 break
         idx += 1
     certify(acc >= target, "neighbor walk exhausted before reaching the mass")
-    return IdealClassSet(order=O, cfg=cfg, ideals=classes, right_orders=rights, e=es)
+    return IdealClassSet(order=O, ideals=classes, right_orders=rights, e=es)

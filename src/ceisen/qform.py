@@ -1,12 +1,12 @@
 """Binary quadratic forms, class numbers, and the closed coefficient formulas.
 
-Class numbers come from one sieve over the primitive reduced forms, kept in
-one table, `class_numbers(X)`, that a caller sizes once to its largest |d|.
-`field_class_numbers(X)` sieves, into a fresh list, only the discriminants
--4m with m ≡ 1, 2 (mod 4), m <= X.  The field Q(sqrt(-D)), D <= X, has
-discriminant -D' or -4D', with D' <= D the squarefree part of D, and -4D'
-only when D' ≡ 1, 2 (mod 4); so the class numbers of those fields need
-`class_numbers` only to X.
+Class numbers come from one sieve over the primitive reduced forms, into the
+table `class_numbers(X)` that a caller sizes once to its largest |d|; a table
+that must grow is sieved again from zero.  `field_class_numbers(X)` sieves,
+into a fresh list, only the discriminants -4m with m ≡ 1, 2 (mod 4), m <= X.
+The field Q(sqrt(-D)), D <= X, has discriminant -D' or -4D', with D' <= D the
+squarefree part of D, and -4D' only when D' ≡ 1, 2 (mod 4); so the class
+numbers of those fields need `class_numbers` only to X.
 Every negative discriminant is split as a fundamental discriminant times a
 square conductor by one table, `fundamental_parts`, and `local_factors`
 tabulates the local factors at the level primes in one pass, reading each
@@ -26,20 +26,18 @@ from typing import NamedTuple
 from .arith import FactoredInt, factorize, is_prime, kronecker
 
 
-def sieve_class_numbers(h: list[int], X: int) -> None:
-    """Extend h in place so that h[n] = h(-n) for every n <= X.
+def sieve_class_numbers(X: int) -> list[int]:
+    """A fresh table h with h[n] = h(-n) for n <= X, 0 where -n is no discriminant.
 
-    h must already hold h(-n) at each index n < len(h); it holds 0 where -n is
-    not a discriminant.  One sweep over the primitive reduced forms (a, b, c)
-    with len(h) <= 4ac - b² <= X (Cohen, GTM 138, §5.3): for each a and
-    0 <= b <= a, 4ac - b² moves in steps of 4a as c grows.  (a, b, c) and
-    (a, -b, c) are counted together: both are reduced when 0 < b < a < c, only
-    b >= 0 when b = a or c = a.  The form is primitive iff c is prime to
-    g = gcd(a, b), so each residue class of c mod g is either wholly primitive
-    or wholly not, and each primitive class is one slice of h with step 4a·g.
+    One sweep over the primitive reduced forms (a, b, c) with 4ac - b² <= X
+    (Cohen, GTM 138, §5.3): for each a and 0 <= b <= a, 4ac - b² moves in
+    steps of 4a as c grows.  (a, b, c) and (a, -b, c) are counted together:
+    both are reduced when 0 < b < a < c, only b >= 0 when b = a or c = a.  The
+    form is primitive iff c is prime to g = gcd(a, b), so each residue class
+    of c mod g is either wholly primitive or wholly not, and each primitive
+    class is one slice of h with step 4a·g.
     """
-    lo = len(h)
-    h.extend([0] * (X + 1 - lo))
+    h = [0] * (X + 1)
     a = 1
     while 3 * a * a <= X:
         step = 4 * a
@@ -47,32 +45,33 @@ def sieve_class_numbers(h: list[int], X: int) -> None:
             g = gcd(a, b)
             bb = b * b
             if 0 < b < a:
-                if g == 1 and lo <= step * a - bb <= X:
+                if g == 1 and step * a - bb <= X:
                     h[step * a - bb] += 1  # c = a: only (a, b, a)
                 c_min, k = a + 1, 2
             else:
                 c_min, k = a, 1
-            c0 = max(c_min, -(-(lo + bb) // step))
-            for c in range(c0, c0 + g):
+            for c in range(c_min, c_min + g):
                 if gcd(c, g) == 1:
                     s = slice(step * c - bb, X + 1, step * g)
                     h[s] = [x + k for x in h[s]]
         a += 1
+    return h
 
 
-_class_numbers: list[int] = []  # h(-n) at index n, extended by class_numbers
+_class_numbers: list[int] = []  # h(-n) at index n, replaced by class_numbers
 
 
 def class_numbers(X: int) -> list[int]:
     """The class-number table, h(-n) at index n (0 where -n is not a
     discriminant), sieved to at least X; callers only read it.  A request past
-    its end sieves the new range, to at least twice the old length, so a run
-    asking for every |d| up to X makes O(log X) sweeps, and one that asks for
-    its largest X first makes one."""
+    its end replaces it by a table sieved from zero to at least twice the old
+    length, so a run asking for every |d| up to X makes O(log X) sweeps, and
+    one that asks for its largest X first makes one."""
+    global _class_numbers
     if X < 0:
         raise ValueError("X must be >= 0")
     if X >= len(_class_numbers):
-        sieve_class_numbers(_class_numbers, max(X, 2 * len(_class_numbers)))
+        _class_numbers = sieve_class_numbers(max(X, 2 * len(_class_numbers)))
     return _class_numbers
 
 

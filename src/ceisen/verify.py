@@ -2,7 +2,8 @@
 
 Two congruences are checked mod an odd prime l: the eigenvalue congruence
 a_p ≡ (row sum) for good primes p, and the coefficient congruence
-λ·(cusp coefficients) ≡ (Eisenstein coefficients) for a single unit λ.  The
+λ·(cusp coefficients) ≡ (Eisenstein coefficients) for a single unit λ,
+whose report keeps λ and the failures and reads its verdict from them.  The
 divisibility table then compares l | m_D against l | h(−D) over the
 admissible family of fundamental discriminants.  Every check takes the
 rational cusp line v as a plain integer vector; only the search for the best
@@ -32,13 +33,16 @@ class CongruenceReport(NamedTuple):
     a list of its own in every report."""
 
     lam: int | None
-    reason: str  # "found" | "indeterminate" | "inconsistent"
     checked_max: int  # D_max
     failures: list[tuple[int, int, int]]
 
     @property
     def passed(self) -> bool:
         return self.lam is not None and not self.failures
+
+    @property
+    def reason(self) -> str:
+        return "inconsistent" if self.failures else "indeterminate" if self.lam is None else "found"
 
 
 def _require_odd_prime(l: int) -> None:
@@ -99,9 +103,7 @@ def coefficient_congruence(
     lam = next(((a * pow(b, -1, l)) % l for a, b in zip(A, B) if a % l and b % l), None)
     k = lam or 1
     failures = [(D, (k * b) % l, a % l) for D, (a, b) in enumerate(zip(A, B)) if (k * b - a) % l]
-    if failures:
-        return CongruenceReport(None, "inconsistent", D_max, failures)
-    return CongruenceReport(lam, "indeterminate" if lam is None else "found", D_max, [])
+    return CongruenceReport(None if failures else lam, D_max, failures)
 
 
 def best_coefficient_congruence(

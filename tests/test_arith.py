@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import random
+import re
 from functools import lru_cache
 from math import isqrt
 from pathlib import Path
@@ -229,6 +230,78 @@ def test_src_certificates_use_certify():
     # re-raise after it removes its temp file
     assert raises == [("arith.py", "certify", "CertificateError"),
                       ("cli.py", "_write_snapshot", None)]
+
+
+# Certificates that no test trips, each with the reason none can: no input
+# reaches them, and a patched helper would test only the patch.  The list may
+# only shrink: a test that trips one of them takes it off.
+UNTRIPPED_CERTIFICATES = {
+    "reduction certificate failed: det T != ±1",  # reduce_gram: T is unimodular
+    "reduction certificate failed: T·G·Tᵀ != G'",  # reduce_gram: R is T·G·Tᵀ
+    "unit count must be positive and even",  # unit_count: ±1 always count
+    "Hilbert product formula violated (bug)",  # ramified_primes: Hilbert reciprocity
+    "trace-zero sublattice must have rank 3",  # ternary_lattice: R has rank 4, Z·1 rank 1
+    "Faddeev-LeVerrier trace not divisible by k",  # charpoly over integer matrices
+}
+
+
+def _certificate_templates():
+    """{template: longest literal piece} for every certify(...) call in src;
+    an f-string's fields are written {}."""
+    out = {}
+    for path in sorted(Path(ceisen.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "certify":
+                msg = node.args[1]
+                pieces = [msg.value] if isinstance(msg, ast.Constant) else [
+                    v.value if isinstance(v, ast.Constant) else None for v in msg.values]
+                template = "".join("{}" if x is None else x for x in pieces)
+                out[template] = max((x.strip() for x in pieces if x), key=len)
+    return out
+
+
+def _certificate_patterns():
+    """The match= pattern of every pytest.raises(CertificateError or CacheError)
+    in the tests: an f-string's fields become .*, and a name stands for every
+    string in its test function."""
+    patterns = set()
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                if not (isinstance(call, ast.Call) and getattr(call.func, "attr", None) == "raises"
+                        and getattr(call.args[0], "id", None) in ("CertificateError", "CacheError")):
+                    continue
+                for kw in call.keywords:
+                    if kw.arg != "match":
+                        continue
+                    if isinstance(kw.value, ast.Constant):
+                        patterns.add(kw.value.value)
+                    elif isinstance(kw.value, ast.JoinedStr):
+                        patterns.add("".join(v.value if isinstance(v, ast.Constant) else ".*"
+                                             for v in kw.value.values))
+                    else:
+                        patterns.update(n.value for n in ast.walk(func)
+                                        if isinstance(n, ast.Constant) and isinstance(n.value, str))
+    return patterns
+
+
+def test_every_certificate_is_tripped():
+    # a pattern trips a template when it finds the template's text or holds
+    # its longest literal piece, and finds no other template; every template
+    # is tripped by some test or pinned on UNTRIPPED_CERTIFICATES
+    templates = _certificate_templates()
+    tripped = set()
+    for pattern in _certificate_patterns():
+        text = re.sub(r"\\(.)", r"\1", pattern)  # the pattern's escapes undone
+        hits = [t for t, piece in templates.items() if re.search(pattern, t) or piece in text]
+        if len(hits) == 1:
+            tripped.update(hits)
+    untested = sorted(set(templates) - tripped - UNTRIPPED_CERTIFICATES)
+    assert untested == [], f"no test trips these certificates: {untested}"
+    assert UNTRIPPED_CERTIFICATES <= set(templates) - tripped
+    assert len(UNTRIPPED_CERTIFICATES) <= 6
 
 
 def _imported_names(tree, lines):

@@ -17,7 +17,7 @@ from ceisen.brandt import (
 )
 from ceisen.lattice import counts_by_value
 from ceisen.linalg import charpoly, mat_mul, nullspace, rref
-from ceisen.order import build_class_set
+from ceisen.order import IdealClassSet, build_class_set
 from ceisen.qform import LevelConfig, good_primes, mass
 
 LEVELS = ["level11", "level66", "level210"]
@@ -237,6 +237,17 @@ def test_eigenvalue_of_rejects_malformed_vectors(level11):
         eigenvalue_of(B2, (0, 0))
 
 
+def test_pairing_norm_certificate(level11):
+    # the second class with its norm doubled: its own pairing lattice holds
+    # the units, of norm N² rather than a multiple of (2N)², so the count
+    # must raise under any interpreter flags
+    cs = level11
+    ideals = [cs.ideals[0], cs.ideals[1]._replace(norm=2 * cs.ideals[1].norm)]
+    corrupted = IdealClassSet(cs.order, ideals, cs.right_orders, cs.e)
+    with pytest.raises(CertificateError, match="^pairing lattice norm not divisible by N_i·N_j$"):
+        brandt_matrix(corrupted, 2)
+
+
 def test_pair_count_certificate(monkeypatch):
     # every pair count is a multiple of lcm(e_i, e_j) (here e = (4, 6));
     # one tally off by a ± pair must raise under any interpreter flags.  A
@@ -308,7 +319,7 @@ def test_eigenspaces_must_be_orthogonal():
     # B = [[1, 0], [1, 0]] on Q² has the kernels (0, 1) at a = 0 and (1, 1)
     # at a = 1, which are not orthogonal for the weights (1, 1), so the split
     # must raise under any interpreter flags
-    blk = _Block([[1, 0], [0, 1]], [0, 1], {})
+    blk = _Block([[1, 0], [0, 1]], {})
     with pytest.raises(CertificateError, match="not orthogonal"):
         _split_block(blk, [[1, 0], [1, 0]], 2, [1, 1])
 
@@ -320,7 +331,7 @@ def test_hyperplane_is_the_eliminated_rref():
     for _ in range(250):
         n = rng.randint(1, 40)
         weights = [rng.choice([1, 2, 3, 4, 6, 12, rng.randint(1, 10**6)]) for _ in range(n)]
-        assert _hyperplane(weights) == rref(nullspace([weights]))
+        assert _hyperplane(weights) == rref(nullspace([weights]))[0]
 
 
 def test_complement_must_be_invariant(monkeypatch, level11):
@@ -340,8 +351,8 @@ def test_complement_must_be_invariant(monkeypatch, level11):
 
 
 def test_row_sums_must_be_constant(monkeypatch, level66):
-    # one row sum of B_5 off by one: the all-ones vector is no longer an
-    # eigenvector, so the restriction to the all-ones block fails its exact
+    # one entry of B_5 off by one: B_5 is no longer self-adjoint, so the
+    # restriction to the complement of the all-ones line fails its exact
     # check and must raise under any interpreter flags
     real = brandt_matrix
 
@@ -357,10 +368,10 @@ def test_row_sums_must_be_constant(monkeypatch, level66):
 
 
 def test_block_must_be_invariant(monkeypatch, level11):
-    # the split starts from the all-ones line and its complement; B_3 =
-    # [[1, 1], [0, 1]] maps (1, 1) to (2, 1), so the restriction to the
-    # all-ones block fails its exact check dA·V == d·W and must raise under
-    # any interpreter flags
+    # the split starts from the complement of the all-ones line, spanned by
+    # (2, -3) at level 11; B_3 = [[1, 1], [0, 1]] maps it to (-1, -3), so the
+    # restriction to the complement fails its exact check dA·V == d·W and
+    # must raise under any interpreter flags
     real = brandt_matrix
     shear = [[1, 1], [0, 1]]
     monkeypatch.setattr("ceisen.brandt.brandt_matrix", lambda c, m: shear if m == 3 else real(c, m))
@@ -370,8 +381,8 @@ def test_block_must_be_invariant(monkeypatch, level11):
 
 def test_all_ones_line_must_separate(monkeypatch, level11):
     # with every B_p the identity, Q² is one eigenspace for a = 1 at each
-    # prime: both start blocks are invariant, but the all-ones line's
-    # eigenvalue 1 is not b_p, so its row-sum certificate must raise
+    # prime: the complement is invariant, but every row of B_p sums to 1, not
+    # b_p, so the row-sum certificate must raise
     monkeypatch.setattr("ceisen.brandt.brandt_matrix",
                         lambda c, m: [[1, 0], [0, 1]])
     with pytest.raises(CertificateError, match="all-ones eigenvalues"):

@@ -689,7 +689,7 @@ def test_neighbor_certificates_raise(order11, hurwitz):
     with pytest.raises(CertificateError, match="idempotent mod 2"):
         _neighbor_ideals(hurwitz, 2)
     # half the Hurwitz order is no order: its norms lie in Z/4
-    with pytest.raises(CertificateError, match="integral"):
+    with pytest.raises(CertificateError, match="^the norm form is not integral on the order$"):
         _neighbor_ideals(Lat4(hurwitz.algebra, 2 * hurwitz.den, hurwitz.rows), 3)
 
 
@@ -703,7 +703,7 @@ def test_neighbor_step_needs_a_true_idempotent(monkeypatch, order11):
     # with the unit 1 + f in place of e, one x is a unit: the three ideals
     # are distinct, but one of them is R itself, of covolume covol(R)
     monkeypatch.setattr(order_module, "_idempotent", lambda L, q: (den + f[0], *f[1:]))
-    with pytest.raises(CertificateError, match="covolume"):
+    with pytest.raises(CertificateError, match=r"^each neighbor must have covolume p²·covol\(L\)$"):
         _neighbor_ideals(order11, 2)
     # with e = 0 every f = e·y·(1 − e) is 0, and each x gives the ideal pR
     monkeypatch.setattr(order_module, "_idempotent", lambda L, q: (0, 0, 0, 0))
@@ -723,6 +723,57 @@ def test_eichler_splitting_certificate(order11):
     # idempotent other than 0 and 1
     with pytest.raises(CertificateError, match="no nontrivial idempotent mod 11"):
         _eichler_step(order11, 11)
+
+
+def test_eichler_step_certificates(monkeypatch, order11, classes11):
+    # with the scalar 1 for the idempotent, the q-neighbour is L itself, so
+    # the suborder Z + L is L, of discriminant disc(L), not q·disc(L)
+    monkeypatch.setattr(order_module, "_idempotent", lambda L, q: (L.den, 0, 0, 0))
+    with pytest.raises(CertificateError, match="^the level-q suborder must have discriminant q·disc"):
+        _eichler_step(order11, 2)
+    # a q-neighbour replaced by the other class's maximal right order: Z plus
+    # it is an order, but not one inside L
+    other = classes11.right_orders[1]
+    assert other != order11
+    monkeypatch.setattr(order_module, "_neighbor_lattice", lambda L, q, x, xden: other)
+    with pytest.raises(CertificateError, match="^the level-q suborder must lie in L$"):
+        _eichler_step(order11, 2)
+
+
+def test_reduced_discriminant_certificate(hurwitz):
+    # the Hurwitz order halved: covolume 1/32, so 4·|ab|·covol = 1/8
+    with pytest.raises(CertificateError, match="^reduced discriminant must be a positive integer$"):
+        reduced_discriminant(Lat4(hurwitz.algebra, 2 * hurwitz.den, hurwitz.rows))
+
+
+def test_ramified_product_certificates():
+    # an algebra that names 3 as its ramified prime, though (-1, -1) ramifies
+    # at 2: its standard order has reduced discriminant 4, no multiple of 3
+    B = QuaternionAlgebra(-1, -1, (3,))
+    with pytest.raises(CertificateError, match="^discriminant should be a multiple of the ramified product$"):
+        maximal_order(B)
+    with pytest.raises(CertificateError,
+                       match="^reduced discriminant must be a multiple of the ramified product$"):
+        level_config_of(standard_order(B))
+
+
+def test_class_form_orbit_certificate(monkeypatch, order11):
+    # the unit ideal's two minimal pairs ±1, ±u (e = 4) give one lattice; two
+    # more vectors 2x + y and x + 2y of norm 5 give two more, and 2·4 pairs
+    # do not fall into 3 orbits of one size
+    real = order_module.minimal_vectors
+
+    def padded(G):
+        vecs, val = real(G)
+        x, y = vecs
+        extra = [tuple(2 * a + b for a, b in zip(x, y)), tuple(a + 2 * b for a, b in zip(x, y))]
+        return vecs + extra, val
+
+    I = unit_ideal(order11)
+    assert order_module._class_form(I)[2] == 4
+    monkeypatch.setattr(order_module, "minimal_vectors", padded)
+    with pytest.raises(CertificateError, match="^the minimal vectors must fall into orbits of one size$"):
+        order_module._class_form(I)
 
 
 def test_walk_must_reach_the_mass(monkeypatch, order11):
@@ -747,9 +798,9 @@ def test_walk_must_not_overshoot_the_mass(monkeypatch):
 def test_class_set_certificates(level11, level66):
     # level 11's own data, changed in one way per case, no longer certifies
     cs = level11
-    parts = {"order": cs.order, "cfg": cs.cfg, "ideals": cs.ideals,
-             "right_orders": cs.right_orders, "e": cs.e}
+    parts = {"order": cs.order, "ideals": cs.ideals, "right_orders": cs.right_orders, "e": cs.e}
     assert IdealClassSet(**parts).e == [4, 6]
+    assert IdealClassSet(**parts).cfg == cs.cfg
     cases = [
         ("^the first class must be the order itself$",
          {"ideals": cs.ideals[::-1], "right_orders": cs.right_orders[::-1], "e": cs.e[::-1]}),

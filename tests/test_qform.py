@@ -74,16 +74,15 @@ def reduced_forms(d: int) -> list[ReducedForm]:
     return forms
 
 
-def reference_sieve_class_numbers(h: list[int], X: int) -> None:
+def reference_sieve_class_numbers(X: int) -> list[int]:
     """The form-by-form sieve: the same reduced forms as sieve_class_numbers,
     one `h[n] += 1` per form and one gcd per c when gcd(a, b) > 1."""
-    lo = len(h)
-    h.extend([0] * (X + 1 - lo))
+    h = [0] * (X + 1)
     a = 1
     while 3 * a * a <= X:
         step = 4 * a
         for b in range(1 - a, a + 1):
-            c0 = max(a if b >= 0 else a + 1, -(-(lo + b * b) // step))
+            c0 = a if b >= 0 else a + 1
             g = gcd(a, b)
             if g == 1:
                 for n in range(step * c0 - b * b, X + 1, step):
@@ -93,6 +92,7 @@ def reference_sieve_class_numbers(h: list[int], X: int) -> None:
                     if gcd(g, c) == 1:
                         h[step * c - b * b] += 1
         a += 1
+    return h
 
 
 def brute_force_class_number(d: int) -> int:
@@ -140,27 +140,34 @@ def test_class_number_matches_reduced_forms_to_3000():
 
 
 def test_sieve_from_empty_and_in_steps():
-    whole = []
-    sieve_class_numbers(whole, 3000)
-    steps = []
+    # every size sieves from zero into a fresh table, the prefix of a larger one
+    whole = sieve_class_numbers(3000)
     for X in (0, 1, 4, 100, 101, 1500, 3000):
-        sieve_class_numbers(steps, X)
-        assert len(steps) == X + 1
-    assert steps == whole
+        assert sieve_class_numbers(X) == whole[:X + 1]
+    assert sieve_class_numbers(3000) is not whole
     for n, h in enumerate(whole):
         assert h == (len(reduced_forms(-n)) if n and (-n) % 4 in (0, 1) else 0), n
 
 
 def test_sieve_matches_reference_sieve_to_20000():
-    reference = []
-    reference_sieve_class_numbers(reference, 20000)
-    whole = []
-    sieve_class_numbers(whole, 20000)
-    assert whole == reference
-    steps = []
-    for X in (0, 1, 4, 7, 101, 1500, 20000):
-        sieve_class_numbers(steps, X)
-        assert steps == reference[:X + 1], X
+    reference = reference_sieve_class_numbers(20000)
+    assert sieve_class_numbers(20000) == reference
+    for X in (0, 1, 4, 7, 101, 1500):
+        assert sieve_class_numbers(X) == reference_sieve_class_numbers(X) == reference[:X + 1], X
+
+
+def test_class_numbers_replaces_its_table_on_growth(monkeypatch):
+    # a request past the end sieves a new table, to at least twice the old
+    # length, and leaves the table a caller already holds as it was
+    from ceisen import qform
+
+    monkeypatch.setattr(qform, "_class_numbers", [])
+    small = class_numbers(10)
+    assert class_numbers(5) is small and len(small) == 11
+    grown = class_numbers(11)
+    assert grown is not small and len(small) == 11 and len(grown) == 23
+    assert grown == sieve_class_numbers(22) and class_numbers(22) is grown
+    assert len(class_numbers(100)) == 101
 
 
 def test_field_class_numbers_match_the_table():

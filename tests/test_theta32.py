@@ -11,7 +11,7 @@ import ceisen
 from ceisen.arith import CertificateError
 from ceisen.lattice import counts_by_value, counts_with_primitive
 from ceisen.linalg import echelon, hnf, mat_mul
-from ceisen.order import Lat4, build_class_set
+from ceisen.order import IdealClassSet, Lat4, build_class_set
 from ceisen.qform import LevelConfig, closed_form_H, mass, unit_factor
 from ceisen.quatalg import norm_pair
 from ceisen.theta32 import (
@@ -218,7 +218,7 @@ def test_cusp_G_all_lines_level66(level66, eig66):
 def test_cusp_G_certifies_integral_coefficients(level11):
     # (1, 0) is no cusp line: m_D = a_1(D)/2 first fails to be an integer at
     # D = 4, and the certificate names it
-    with pytest.raises(CertificateError, match="m_4 is not an integer"):
+    with pytest.raises(CertificateError, match=r"^m_4 is not an integer \(normalization bug\)$"):
         cusp_G(level11, (1, 0), 60)
 
 
@@ -255,6 +255,39 @@ def test_plus_space_certificate(monkeypatch):
     monkeypatch.setattr("ceisen.theta32.counts_with_primitive", skewed)
     with pytest.raises(CertificateError, match="plus space"):
         cohen_H(classes, 10)
+
+
+def test_mass_certificate(level11):
+    # a class set whose unit counts changed after it was certified: e = (4, 12)
+    # gives H(0) = 1/3, not the mass 5/12, so cohen_H must raise under any
+    # interpreter flags
+    cs = level11
+    changed = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
+    changed.e = [4, 12]
+    with pytest.raises(CertificateError, match="^class-set mass disagrees with the formula$"):
+        cohen_H(changed, 4)
+
+
+def test_embedding_count_certificate(level11):
+    # e_1 = 12 in place of 4 after the class set was certified: class 1's two
+    # primitive vectors of norm 4 give u(-4)·2/w_1 = 4/6 embeddings, so the
+    # count must raise under any interpreter flags
+    cs = level11
+    changed = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
+    changed.e = [12, 6]
+    with pytest.raises(CertificateError, match=r"^embedding count u\(d\)·2/w_1 is not an integer \(d=-4\)$"):
+        optimal_embedding_count(changed, 1, -4)
+
+
+def test_ternary_gram_certificate(level11):
+    # the first right order halved after the class set was certified: twice
+    # its pure part is the pure part of R, whose norm form is not integral
+    cs = level11
+    changed = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
+    R = cs.right_orders[0]
+    changed.right_orders = [Lat4(R.algebra, 2 * R.den, R.rows), *cs.right_orders[1:]]
+    with pytest.raises(CertificateError, match="^ternary Gram must be integral$"):
+        ternary_lattice(changed, 1)
 
 
 def test_cusp_G_rejects_wrong_length(level11):
