@@ -5,15 +5,17 @@ norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
 A matrix is the list of its rows, as in `linalg`.  For m ≥ 1 the entries are
 integers, as `_pair_counts` certifies; B_0 holds the Fractions 1/e_j.  The
 counts are symmetric in (i, j), so every B_m is self-adjoint for
-⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple; all commute and have the all-ones
-vector as an eigenvector, with eigenvalue the row sum b_m.  So the complement
-of the all-ones line for ⟨·,·⟩ is invariant and the split starts from it; the
-all-ones line is a row-sum certificate at each prime.  For a prime p ∤ N, a
-rational eigenvalue of B_p on the complement is the integer a_p of a weight-2
-cusp form, with |a_p| ≤ 2√p by the Ramanujan–Petersson bound, which in
-weight 2 is a theorem (Eichler–Shimura, Weil).  So the rational cusp lines
-are kernels of B_p − a over those few a, prime by prime, with no
-characteristic polynomial, each handed on as a plain integer vector v.
+⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple, and has the all-ones vector as an
+eigenvector, with eigenvalue the row sum b_m.  So the complement of the
+all-ones line for ⟨·,·⟩ is invariant and the split starts from it; both
+facts are certified at each prime.  Kernels are taken in Q^n, so a line is
+an eigenvector of each B_p that split it; the hecke suite checks that the
+B_m commute.  For a prime p ∤ N, a rational eigenvalue of B_p on the
+complement is the integer a_p of a weight-2 cusp form, with |a_p| ≤ 2√p by
+the Ramanujan–Petersson bound, which in weight 2 is a theorem
+(Eichler–Shimura, Weil).  So the rational cusp lines are kernels of B_p − a
+over those few a, prime by prime, with no characteristic polynomial, each
+handed on as a plain integer vector v.
 """
 
 from __future__ import annotations
@@ -140,51 +142,32 @@ class _Block(NamedTuple):
         return len(self.basis)
 
 
-def _restrict(B: list[list[int]], blk: _Block) -> tuple[list[list[int]], int]:
-    """(dA, d): the matrix A of x ↦ B·x on the block in its basis V, as d·A.
+def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Block], int]:
+    """The kernels of B_p − a on one block, for every integer a with
+    |a| ≤ 2√p (Hasse), and the dimension left over.
 
-    V is a scaled RREF, so row s is the only one nonzero at its pivot c_s (its
-    first nonzero entry), and the image rows W = V·Bᵀ satisfy W = A·V with
-    A[r][s] = W[r][c_s]/V[s][c_s].  d is the lcm of the pivots; dA·V == d·W.
+    Each nonzero kernel, taken in Q^n, becomes a block with eigenvalue a at
+    p; a one-dimensional block reads its eigenvalue with `eigenvalue_of`.
+    The rest of the block holds no rational eigenvector of B_p, so no
+    rational line, and it is only counted.  Kernels for distinct a must be
+    orthogonal for Σ x_i·y_i·weights_i (weights_i ∝ 1/e_i), as B_p is
+    self-adjoint for it.
     """
     V = blk.basis
-    W = [[sum(map(mul, v, b)) for b in B] for v in V]
-    pivots = [next(c for c, x in enumerate(v) if x) for v in V]
-    d = lcm(*(v[c] for v, c in zip(V, pivots)))
-    scale = [d // v[c] for v, c in zip(V, pivots)]
-    dA = [[w[c] * f for c, f in zip(pivots, scale)] for w in W]
-    certify(mat_mul(dA, V) == [[d * x for x in w] for w in W],
-            "subspace not invariant under the Brandt matrix")
-    return dA, d
-
-
-def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Block], int]:
-    """The kernels of B_p − a on one invariant block, for every integer a
-    with |a| ≤ 2√p (Hasse), and the dimension left over.
-
-    Each nonzero kernel becomes a block with eigenvalue a at p.  The rest of
-    the block holds no rational eigenvector of B_p, so no rational line, and
-    it is only counted.  Kernels for distinct a must be orthogonal for
-    Σ x_i·y_i·weights_i (weights_i ∝ 1/e_i), as B_p is self-adjoint for it.
-    """
-    dA, d = _restrict(B, blk)
-    k = len(dA)
+    k = len(V)
     if k == 1:
-        # B·x = a·x, B integral, x primitive, so a ∈ Z
-        return [_Block(blk.basis, {**blk.eigs, p: dA[0][0] // d})], 0
-    # coefficient rows transform by y ↦ y·A, so eigenvectors are LEFT
-    # eigenvectors of A and invariant subspaces are row spaces, lifted to
-    # Q^n by right multiplication with the block basis
+        return [_Block(V, {**blk.eigs, p: eigenvalue_of(B, V[0])})], 0
+    # row r of W is B·v_r, so c lies in the kernel of (W − a·V)ᵀ exactly
+    # when B·x = a·x for x = c·V, the lift of c to Q^n
+    W = [[sum(map(mul, v, b)) for b in B] for v in V]
     r = isqrt(4 * p)
     out: list[_Block] = []
     consumed = 0
     for a in range(-r, r + 1):
-        ad = a * d
-        shifted_T = [[dA[c][i] - (ad if i == c else 0) for c in range(k)] for i in range(k)]
-        null = nullspace(shifted_T)
+        null = nullspace([[w[i] - a * v[i] for w, v in zip(W, V)] for i in range(len(B))])
         if not null:
             continue
-        basis, _ = rref(mat_mul(null, blk.basis))
+        basis, _ = rref(mat_mul(null, V))
         certify(not any(sum(map(mul, x, map(mul, y, weights)))
                         for prev in out for y in prev.basis for x in basis),
                 f"eigenspaces of B_{p} not orthogonal for Σ x_i·y_i/e_i")
@@ -214,8 +197,9 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     at the first five primes coprime to N.
 
     The split starts from the complement of the all-ones line for
-    Σ x_i·y_i/e_i; at each p, after it, every row of B_p must sum to b_p
-    (CertificateError otherwise).  Every one-dimensional piece of the
+    Σ x_i·y_i/e_i; at each p, before it, B_p must be self-adjoint for that
+    form and every row of B_p must sum to b_p (CertificateError otherwise),
+    so B_p keeps the complement.  Every one-dimensional piece of the
     complement is reported with integer eigenvalues and its normalized vector;
     kernels that stay higher-dimensional, and the parts set aside as holding
     no rational line, are unresolved.
@@ -224,13 +208,17 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     primes = good_primes(cfg, 5)
     e_lcm = lcm(*classes.e)
     weights = [e_lcm // e for e in classes.e]
-    # B_p is self-adjoint with constant row sums, so it keeps the complement
     blocks = [_Block(_hyperplane(weights), {})]
     set_aside: list[tuple[int, dict[int, int]]] = []
     b = {p: expected_row_sum(p, cfg) for p in primes}
     _pair_counts(classes, max(primes))  # one sweep serves every B_p
     for p in primes:
         B = brandt_matrix(classes, p)
+        certify(all(weights[i] * B[i][j] == weights[j] * B[j][i]
+                    for i in range(classes.n) for j in range(i)),
+                f"B_{p} not self-adjoint for Σ x_i·y_i/e_i")
+        certify(all(sum(row) == b[p] for row in B),
+                f"all-ones eigenvalues: a row of B_{p} does not sum to b_p = {b[p]}")
         split: list[_Block] = []
         for blk in blocks:
             kernels, rest = _split_block(blk, B, p, weights)
@@ -238,8 +226,6 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
             if rest:
                 set_aside.append((rest, blk.eigs))
         blocks = split
-        certify(all(sum(row) == b[p] for row in B),
-                f"all-ones eigenvalues: a row of B_{p} does not sum to b_p = {b[p]}")
     unresolved = [(blk.dim, blk.eigs) for blk in blocks if blk.dim != 1] + set_aside
     lines: list[tuple[dict[int, int], tuple[int, ...]]] = []
     for blk in blocks:

@@ -28,6 +28,16 @@ def level210():
 
 
 @pytest.fixture(scope="session")
+def level210_m2():
+    return build_class_set(LevelConfig.from_primes((3, 5, 7), 2))
+
+
+@pytest.fixture(scope="session")
+def level389():
+    return build_class_set(LevelConfig.from_primes((389,), 1))
+
+
+@pytest.fixture(scope="session")
 def eig11(level11):
     return rational_eigensystem(level11)
 

@@ -211,14 +211,20 @@ def test_ap_hint_selects_line(eig66):
     assert picked == [(0, 2, -2, 0)]
 
 
-def test_eigenvalue_of_consistency(level11, eig11):
-    for p in (17, 19, 23):
-        v = eig11.lines[0][1]
-        B = brandt_matrix(level11, p)
-        a = eigenvalue_of(B, v)
-        prod = [sum(B[i][j] * v[j] for j in range(2)) for i in range(2)]
-        assert prod == [a * v[0], a * v[1]]
-        assert a * a <= 4 * p
+@pytest.mark.parametrize("name", ["level11", "level66", "level197", "level210_m2", "level389"])
+def test_eigenvalue_of_consistency(request, name):
+    # every reported line is an eigenvector of B_p with its reported a_p at
+    # each prime of the split, and of B_p at the next two good primes too,
+    # within the Hasse bound
+    classes = request.getfixturevalue(name)
+    eig = rational_eigensystem(classes)
+    assert eig.lines
+    for p in eig.primes:
+        B = brandt_matrix(classes, p)
+        assert [eigenvalue_of(B, v) for _, v in eig.lines] == [eigs[p] for eigs, _ in eig.lines]
+    for p in good_primes(classes.cfg, 7)[5:]:
+        B = brandt_matrix(classes, p)
+        assert all(eigenvalue_of(B, v) ** 2 <= 4 * p for _, v in eig.lines), (name, p)
 
 
 def test_eigenvalue_of_rejects_a_non_eigenvector(level11):
@@ -281,11 +287,11 @@ def test_eigensystem_level197(level197):
     assert eig.unresolved == [(15, {})]
 
 
-def test_eigensystem_level389():
+def test_eigensystem_level389(level389):
     # 33 classes: the rational cusp line is the rank-2 curve 389a; the other
     # 31 dimensions hold no rational eigenvector of B_2 and are set aside
     # whole (a full refinement would report blocks of dimension 2, 3 and 26)
-    eig = rational_eigensystem(build_class_set(LevelConfig.from_primes((389,), 1)))
+    eig = rational_eigensystem(level389)
     assert eig.u_eigenvalues == {2: 3, 3: 4, 5: 6, 7: 8, 11: 12}
     assert eig.lines == [({2: -2, 3: -2, 5: -3, 7: -5, 11: -4},
                           (0, 0, 0, 1, -1, -1, 1, -1, -1, 2, 0, -1, -1, 0, 1, 1, 0,
@@ -337,8 +343,9 @@ def test_hyperplane_is_the_eliminated_rref():
 def test_complement_must_be_invariant(monkeypatch, level11):
     # B_2 = [[1, 2], [1, 2]] has constant row sums 3 = b_2 but is not
     # self-adjoint for Σ x_i·y_i/e_i with e = (4, 6): it maps (2, -3), which
-    # spans the complement of the all-ones line, to (-4, -4), so the
-    # restriction to the complement must raise under any interpreter flags
+    # spans the complement of the all-ones line, to (-4, -4).  With the
+    # weights (3, 2), w_1·b_12 = 6 but w_2·b_21 = 2, so the self-adjointness
+    # certificate must raise before the split, under any interpreter flags
     assert sorted(level11.e) == [4, 6]
     real = brandt_matrix
 
@@ -346,14 +353,15 @@ def test_complement_must_be_invariant(monkeypatch, level11):
         return [[1, 2], [1, 2]] if m == 2 else real(classes, m)
 
     monkeypatch.setattr("ceisen.brandt.brandt_matrix", skewed)
-    with pytest.raises(CertificateError, match="not invariant"):
+    with pytest.raises(CertificateError, match="not self-adjoint"):
         rational_eigensystem(level11)
 
 
 def test_row_sums_must_be_constant(monkeypatch, level66):
-    # one entry of B_5 off by one: B_5 is no longer self-adjoint, so the
-    # restriction to the complement of the all-ones line fails its exact
-    # check and must raise under any interpreter flags
+    # one diagonal entry of B_5 off by one: B_5 stays self-adjoint, but its
+    # first row no longer sums to b_5 = 6, so it need not keep the complement
+    # of the all-ones line and the row-sum certificate must raise under any
+    # interpreter flags
     real = brandt_matrix
 
     def skewed(classes, m):
@@ -363,26 +371,34 @@ def test_row_sums_must_be_constant(monkeypatch, level66):
         return B
 
     monkeypatch.setattr("ceisen.brandt.brandt_matrix", skewed)
-    with pytest.raises(CertificateError, match="not invariant"):
+    with pytest.raises(CertificateError, match="all-ones eigenvalues"):
         rational_eigensystem(level66)
 
 
 def test_block_must_be_invariant(monkeypatch, level11):
     # the split starts from the complement of the all-ones line, spanned by
-    # (2, -3) at level 11; B_3 = [[1, 1], [0, 1]] maps it to (-1, -3), so the
-    # restriction to the complement fails its exact check dA·V == d·W and
-    # must raise under any interpreter flags
+    # (2, -3) at level 11; B_3 = [[1, 1], [0, 1]] maps it to (-1, -3).  With
+    # the weights (3, 2), w_1·b_12 = 3 but w_2·b_21 = 0, so the
+    # self-adjointness certificate must raise under any interpreter flags
     real = brandt_matrix
     shear = [[1, 1], [0, 1]]
     monkeypatch.setattr("ceisen.brandt.brandt_matrix", lambda c, m: shear if m == 3 else real(c, m))
-    with pytest.raises(CertificateError, match="not invariant"):
+    with pytest.raises(CertificateError, match="not self-adjoint"):
         rational_eigensystem(level11)
+
+
+def test_one_dimensional_block_must_be_an_eigenvector():
+    # a one-dimensional block reads its eigenvalue off its vector: the shear
+    # maps (2, -3) to (-1, -3), so the split must raise under any interpreter
+    # flags rather than report the ratio at one coordinate
+    with pytest.raises(CertificateError, match="not an eigenvector"):
+        _split_block(_Block([[2, -3]], {}), [[1, 1], [0, 1]], 3, [3, 2])
 
 
 def test_all_ones_line_must_separate(monkeypatch, level11):
     # with every B_p the identity, Q² is one eigenspace for a = 1 at each
-    # prime: the complement is invariant, but every row of B_p sums to 1, not
-    # b_p, so the row-sum certificate must raise
+    # prime: B_p is self-adjoint, but every row of B_p sums to 1, not b_p, so
+    # the row-sum certificate must raise
     monkeypatch.setattr("ceisen.brandt.brandt_matrix",
                         lambda c, m: [[1, 0], [0, 1]])
     with pytest.raises(CertificateError, match="all-ones eigenvalues"):

@@ -110,6 +110,16 @@ def test_maximal_order_disc_11(order11):
     assert unit_count(order11) == 4
 
 
+def test_unit_count_certificate(monkeypatch, order11):
+    # the units come in ± pairs: one extra vector of norm 1 in the tally
+    # must raise under any interpreter flags
+    real = order_module.counts_by_value
+    monkeypatch.setattr("ceisen.order.counts_by_value",
+                        lambda G, bound: {v: c + 1 for v, c in real(G, bound).items()})
+    with pytest.raises(CertificateError, match="^unit count must be positive and even$"):
+        unit_count(order11)
+
+
 def test_level_config_detection(order11):
     cfg = level_config_of(order11)
     assert cfg.ramified == (11,)
@@ -469,11 +479,6 @@ def test_eichler_order_is_brute_force_preimage(p, M):
     assert reduced_discriminant(O) == M * reduced_discriminant(Omax)
 
 
-@pytest.fixture(scope="module")
-def level389():
-    return build_class_set(LevelConfig.from_primes((389,)))
-
-
 @pytest.mark.parametrize("name", ["level11", "level66", "level389"])
 def test_class_form_is_a_class_invariant(name, request):
     cs = request.getfixturevalue(name)
@@ -615,11 +620,6 @@ def reference_neighbor_ideals(L, p: int) -> list[Lat4]:
     out = sorted(seen.values(), key=lambda K: (K.den, K.rows))
     assert len(out) == p + 1, f"expected {p + 1} neighbors, got {len(out)}"
     return out
-
-
-@pytest.fixture(scope="module")
-def level210_m2():
-    return build_class_set(LevelConfig.from_primes((3, 5, 7), 2))
 
 
 def test_neighbor_ideals_match_full_scan(order11, level210_m2, level389):

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ceisen.arith import is_prime, squarefree_kernel
+from ceisen.arith import CertificateError, is_prime, squarefree_kernel
 from ceisen.quatalg import (
     AlgebraSearchError,
     QuaternionAlgebra,
@@ -90,6 +90,17 @@ def test_ramified_sets():
     assert ramified_primes(-1, -1) == (2,)
     assert ramified_primes(-1, -11) == (11,)
     assert ramified_primes(-1, -3) == (3,)
+
+
+def test_hilbert_product_formula_certificate(monkeypatch):
+    # (-1, -11) ramifies at 11 and at infinity; a symbol flipped at p = 2
+    # leaves an odd count of ramified places, so ramified_primes must raise
+    # under any interpreter flags
+    real = hilbert_symbol
+    monkeypatch.setattr("ceisen.quatalg.hilbert_symbol",
+                        lambda a, b, p: -real(a, b, p) if p == 2 else real(a, b, p))
+    with pytest.raises(CertificateError, match=r"^Hilbert product formula violated \(bug\)$"):
+        ramified_primes(-1, -11)
 
 
 def test_construct_algebra_known_sets():

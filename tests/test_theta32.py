@@ -47,6 +47,14 @@ def test_ternary_lattice_shape(classes):
         assert mat_det(G) == 4 * N * N
 
 
+def test_ternary_rank_certificate(monkeypatch, level11):
+    # the pure part of R_1 has rank 3; an HNF that lost a row must raise
+    # under any interpreter flags
+    monkeypatch.setattr("ceisen.theta32.hnf", lambda rows: hnf(rows)[:-1])
+    with pytest.raises(CertificateError, match="^trace-zero sublattice must have rank 3$"):
+        ternary_lattice(level11, 1)
+
+
 def int_kernel(A: list[list[int]]) -> list[list[int]]:
     """Basis of the saturated lattice {c in Z^n : A·c = 0} for integer A (m×n):
     the rows of hnf([Aᵀ | I]) that vanish on Aᵀ."""
