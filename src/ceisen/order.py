@@ -17,18 +17,23 @@ and its norm is an int.  Left ideal classes are enumerated by a neighbor
 walk at the smallest good prime, stopped exactly by the mass formula.  Each
 candidate I is keyed by its class form, the least of the lattices
 I·conj(x)/N(I) over its minimal vectors x, which is the same for every ideal
-of the class; an equivalence test runs only to certify a key hit, and the
-same enumeration gives a new class its representative and unit count.  A
-walk step splits R/pR ≅ M_2(F_p) by the same idempotent search, e = E₁₁ and
-f = e·y·(1 − e) a multiple of E₁₂, and canonicalizes the p+1 neighbors
-pR + R·x for x = e + t·f (t ∈ F_p) and x = f, one per kernel line.
+of the class, and the same enumeration gives a new class its representative
+and unit count.  A key hit is certified by the candidate's representative
+when that is the class's own lattice, and by an equivalence test only when
+it is not.  A class found as I·K records its way back, the neighbor of its
+right order that leads back to I's class, and skips it when it is expanded,
+so that candidate is never formed.  A walk step splits R/pR ≅ M_2(F_p) by
+the same idempotent search, e = E₁₁ and f = e·y·(1 − e) a multiple of E₁₂,
+and canonicalizes the p+1 neighbors pR + R·x for x = e + t·f (t ∈ F_p) and
+x = f, one per kernel line.
 `IdealClassSet` certifies every class set, walked or read, and derives its
 level from its order.
 
 Each step sets up one lattice: closure (`make_order`, and O·I ⊆ I in the
 snapshot reader) is the membership of every product of two basis rows, with
-no product lattice formed, and the walk forms the candidate I·K for a class
-I with right order R as pI + I·x, 8 generators, since I·R = I.
+no product lattice formed; the walk forms the candidate I·K for a class
+I with right order R as pI + I·x, 8 generators, since I·R = I; and a right
+order conj(I)·I/N(I) is spanned by 11 generators, not 16.
 """
 
 from __future__ import annotations
@@ -310,10 +315,19 @@ def unit_ideal(O: Lat4) -> LeftIdeal:
 
 
 def right_order(I: LeftIdeal) -> Lat4:
-    """O_r(I) = conj(I)·I / N(I) for locally principal I: the row products
-    scaled by 1/N(I)."""
-    P = product_lattice(I.lattice.conjugate(), I.lattice)
-    return make_order(_canonical(P.algebra, P.den * I.norm, P.rows))
+    """O_r(I) = conj(I)·I / N(I) for locally principal I with basis b_k,
+    spanned by the 11 elements conj(b_k)·b_l/N(I) for k ≤ l and 1, as
+    integer rows over den²·N(I).
+
+    These span conj(I)·I.  For k > l, conj(b_k)·b_l = t − conj(b_l)·b_k with
+    t = trd(conj(b_l)·b_k) = nrd(b_k + b_l) − nrd(b_k) − nrd(b_l), a multiple
+    of N(I); and N(I), the gcd of the norms conj(y)·y of y ∈ I, lies in
+    conj(I)·I.  `make_order` checks the result.
+    """
+    L = I.lattice
+    a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den**2 * I.norm
+    gens = [quat_mul(a, b, (u[0], -u[1], -u[2], -u[3]), v) for k, u in enumerate(rows) for v in rows[k:]]
+    return make_order(_canonical(L.algebra, den, [*gens, (den, 0, 0, 0)]))
 
 
 def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
@@ -329,8 +343,8 @@ def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
     return exists_value(W.gram(), I.norm * J.norm * W.den**2)
 
 
-def _class_form(I: LeftIdeal) -> tuple[tuple, Lat4, int]:
-    """(key, representative, e) of I's class, from the lattices
+def _class_form(I: LeftIdeal) -> tuple[tuple, Lat4, int, tuple[int, ...]]:
+    """(key, representative, e, x) of I's class, from the lattices
     I·conj(x)/N(I) over the minimal vectors x = Σ c_k·rows_k/den of I, one
     per ± pair: the row products b_k·conj(x) over den²·N(I).
 
@@ -338,23 +352,22 @@ def _class_form(I: LeftIdeal) -> tuple[tuple, Lat4, int]:
     J·conj(xy)/N(J) = I·conj(x)/N(I), so the least (den, rows) among them,
     the key, is the same for every ideal of the class and is itself one: a
     complete invariant.  The representative is the lattice of the least
-    canonical minimal vector, left to the caller to make a `LeftIdeal`.  x
-    and x' give one lattice exactly when x' = x·u for a unit u of O_r(I), so
+    canonical minimal vector x, returned as its integer row over den, and
+    left to the caller to make a `LeftIdeal`.  x and x' give one lattice
+    exactly when x' = x·u for a unit u of O_r(I), so
     e = |O_r(I)^×| = 2·pairs/lattices.
     """
     L = I.lattice
     a, b = L.algebra.a, L.algebra.b
     vecs, _ = minimal_vectors(L.gram())
-    lats = []
-    for c in vecs:
-        x = _combine(c, L.rows)
-        xbar = (x[0], -x[1], -x[2], -x[3])
-        rows = [quat_mul(a, b, row, xbar) for row in L.rows]
-        lats.append(_canonical(L.algebra, L.den**2 * I.norm, rows))
+    xs = [_combine(c, L.rows) for c in vecs]
+    lats = [_canonical(L.algebra, L.den**2 * I.norm,
+                       [quat_mul(a, b, row, (x[0], -x[1], -x[2], -x[3])) for row in L.rows])
+            for x in xs]
     distinct = {(lat.den, lat.rows) for lat in lats}
     e, rem = divmod(2 * len(vecs), len(distinct))
     certify(rem == 0, "the minimal vectors must fall into orbits of one size")
-    return min(distinct), lats[0], e
+    return min(distinct), lats[0], e, xs[0]
 
 
 def reduce_ideal(I: LeftIdeal) -> LeftIdeal:
@@ -393,6 +406,21 @@ def _neighbor_ideals(L: Lat4, p: int) -> list[tuple[Lat4, tuple[int, ...]]]:
     certify(all(K.covolume() == p * p * L.covolume() for K in found),
             "each neighbor must have covolume p²·covol(L)")
     return sorted(found.items(), key=lambda Kx: (Kx[0].den, Kx[0].rows))
+
+
+def _way_back(K: Lat4, x) -> Lat4:
+    """v·conj(K)·conj(v)/nrd(v) for v = x/d, the same for every d: the rows
+    x·conj(k)·conj(x) over K.den·nrd(x).
+
+    When the walk finds the class C = J·conj(v)/N(J) of J = I·K, with v a
+    minimal vector of J, this is a left O_r(C)-ideal of norm p with
+    C·K_back = p·I·conj(v)/N(J): the neighbor of C that leads back to I's
+    class.
+    """
+    a, b = K.algebra.a, K.algebra.b
+    xbar = (x[0], -x[1], -x[2], -x[3])
+    rows = [quat_mul(a, b, quat_mul(a, b, x, (k[0], -k[1], -k[2], -k[3])), xbar) for k in K.rows]
+    return _canonical(K.algebra, K.den * norm_pair(a, b, x, x), rows)
 
 
 def _neighbor_lattice(I: Lat4, p: int, x, xden: int) -> Lat4:
@@ -512,7 +540,7 @@ def classes_from_json(data) -> IdealClassSet:
             raise CacheError(f"cached ideal: {e}") from e
         if str(I.norm) != rec["norm"]:
             raise CacheError("stored norm disagrees with the lattice")
-        key, _, e = _class_form(I)
+        key, _, e, _ = _class_form(I)
         if key in keys:
             raise CacheError("two cached ideals are in one class")
         if e != rec["e"] or e != 2 * rec["w"]:
@@ -542,12 +570,19 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
     prime coprime to the level (`qform.good_primes`), stopping exactly when
     the mass formula is met.
 
-    Each candidate is keyed by its class form (`_class_form`), a complete
-    class invariant, so a bucket holds at most one class, and `is_equivalent`
-    runs only on a key hit, where it certifies the hit.  A candidate that
-    becomes a class brings its representative and unit count from the same
-    call.  The walk, its representatives and the stopping point are those of
-    testing against every class.
+    Each candidate J is keyed by its class form (`_class_form`), a complete
+    class invariant, so a bucket holds at most one class.  A key hit is
+    certified by J's representative J·conj(v)/N(J), which is in J's class by
+    construction, when it equals the class's lattice, and by `is_equivalent`
+    only when it does not.  A candidate that becomes a class brings its
+    representative and unit count from the same call.
+
+    A class C found as J = I·K records its way back (`_way_back`), the
+    neighbor K_back of O_r(C) with C·K_back in I's class.  When C is
+    expanded, exactly one of its p + 1 neighbors must be K_back
+    (CertificateError otherwise), and its candidate C·K_back, in a known
+    class, is never formed.  The walk, its representatives and the stopping
+    point are those of testing every candidate against every class.
 
     The neighbor graph at a good prime is connected and every class adds
     1/e_i to the mass, so CertificateError if the walk runs out of ideals
@@ -558,25 +593,33 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
     target = mass(cfg)
     p = good_primes(cfg, 1)[0]
     classes = [unit_ideal(O)]
-    key, _, e = _class_form(classes[0])
+    key, _, e, _ = _class_form(classes[0])
     buckets = {key: [classes[0]]}
     rights = [O]
+    backs = [None]
     es = [e]
     acc = Fraction(1, e)
     idx = 0
     while acc < target and idx < len(classes):
-        I, den = classes[idx].lattice, rights[idx].den
-        for _, x in _neighbor_ideals(rights[idx], p):
-            # I·K = pI + I·x, as I·R = I for the right order R of I
-            J = LeftIdeal.of(O, _neighbor_lattice(I, p, x, den))
-            key, rep, e = _class_form(J)
+        I, R, back = classes[idx].lattice, rights[idx], backs[idx]
+        step = _neighbor_ideals(R, p)
+        certify(idx == 0 or [K for K, _ in step].count(back) == 1,
+                f"the way back from class {idx} must be one of its {p + 1} neighbors")
+        for K, x in step:
+            if K == back:
+                continue
+            # I·K = pI + I·x, as I·R = I
+            J = LeftIdeal.of(O, _neighbor_lattice(I, p, x, R.den))
+            key, rep, e, v = _class_form(J)
             bucket = buckets.setdefault(key, [])
-            if any(is_equivalent(J, C) for C in bucket):
+            # rep = J·conj(v)/N(J) is in J's class by construction
+            if any(rep == C.lattice or is_equivalent(J, C) for C in bucket):
                 continue
             J = LeftIdeal.of(O, rep)
             bucket.append(J)
             classes.append(J)
             rights.append(right_order(J))
+            backs.append(_way_back(K, v))
             es.append(e)
             acc += Fraction(1, e)
             if acc >= target:

@@ -163,6 +163,19 @@ def test_right_order_of_unit_ideal(order11):
     assert right_order(unit_ideal(order11)) == order11
 
 
+@pytest.mark.parametrize("primes, M", [((11,), 1), ((2, 3, 11), 1), ((3, 5, 7), 2), ((2, 3, 7), 5),
+                                       ((389,), 1), ((997,), 1), ((2, 3, 5, 7, 11), 1)],
+                         ids=["N11", "N66", "N210_M2", "N210_M5", "N389", "N997", "N2310"])
+def test_right_order_from_eleven_generators(primes, M):
+    # conj(I)·I/N(I) from all 16 row products, against the 11 of right_order,
+    # for every walked class and every class the snapshot reader returns
+    cs = build_class_set(LevelConfig.from_primes(primes, M))
+    read = classes_from_json(classes_to_json(cs))
+    for I, R in [*zip(cs.ideals, cs.right_orders), *zip(read.ideals, read.right_orders)]:
+        P = product_lattice(I.lattice.conjugate(), I.lattice)
+        assert R == right_order(I) == make_order(order_module._canonical(P.algebra, P.den * I.norm, P.rows))
+
+
 def test_reduce_ideal_keeps_class(classes11):
     O = classes11.order
     B = O.algebra
@@ -485,9 +498,13 @@ def test_class_form_is_a_class_invariant(name, request):
     O, B = cs.order, cs.algebra
     rng = random.Random(cs.cfg.N)
     for I, e in zip(cs.ideals, cs.e):
-        key, rep, e_I = order_module._class_form(I)
+        key, rep, e_I, x = order_module._class_form(I)
         assert e_I == e
         assert is_equivalent(LeftIdeal.of(O, rep), I)
+        # the representative is I·conj(x)/N(I) for the returned row x over den
+        scale = I.lattice.den * I.norm
+        assert rep == Lat4.span(B, [tuple(Fraction(c, scale) for c in mul(B, b, conj(x)))
+                                    for b in rational_basis(I.lattice)])
         for _ in range(2):
             # x of norm <= 100: the form of an unreduced J enumerates a skewed basis
             x = (0, 0, 0, 0)
@@ -495,7 +512,7 @@ def test_class_form_is_a_class_invariant(name, request):
                 x = tuple(rng.randint(-3, 3) for _ in range(4))
             J = LeftIdeal.of(O, Lat4.span(B, [mul(B, b, x) for b in rational_basis(I.lattice)]))
             assert J.norm == I.norm * norm_pair(B.a, B.b, x, x)
-            key_J, rep_J, e_J = order_module._class_form(J)
+            key_J, rep_J, e_J, _ = order_module._class_form(J)
             assert (key_J, e_J) == (key, e)
             assert reduce_ideal(J).lattice == rep_J
             assert order_module._class_form(reduce_ideal(J))[::2] == (key, e)
@@ -507,11 +524,11 @@ def test_class_forms_separate_classes(name, request):
     # that found the key is the unit count of the class's right order
     cs = request.getfixturevalue(name)
     forms = [order_module._class_form(I) for I in cs.ideals]
-    assert len({key for key, _, _ in forms}) == cs.n
-    assert [e for _, _, e in forms] == [unit_count(right_order(I)) for I in cs.ideals]
+    assert len({key for key, *_ in forms}) == cs.n
+    assert [e for _, _, e, _ in forms] == [unit_count(right_order(I)) for I in cs.ideals]
     # the key is itself an ideal of the class, and the first class's is the order
     assert forms[0][0] == (cs.order.den, cs.order.rows)
-    for I, (key, _, _) in zip(cs.ideals, forms):
+    for I, (key, *_) in zip(cs.ideals, forms):
         assert is_equivalent(LeftIdeal.of(cs.order, Lat4(cs.algebra, *key)), I)
 
 
@@ -542,7 +559,9 @@ def test_bucketed_walk_matches_unbucketed(monkeypatch, primes, M):
     monkeypatch.setattr(order_module, "_class_form", lambda I: (0, *class_form(I)[1:]))
     ref, ref_calls, ref_hits = _counted_walk(monkeypatch, O)
     assert classes_to_json(cs) == classes_to_json(ref)
-    assert calls == hits == ref_hits
+    # a hit whose representative is the class's own lattice needs no test, so
+    # every test the keyed walk still makes is a hit
+    assert calls == hits
     assert calls < ref_calls
 
 
@@ -553,21 +572,22 @@ def test_walk_with_a_class_splitting_key_overshoots(monkeypatch):
     class_form = order_module._class_form
 
     def own_lattice(I):
-        _, rep, e = class_form(I)
-        return (I.lattice.den, I.lattice.rows), rep, e
+        _, rep, e, x = class_form(I)
+        return (I.lattice.den, I.lattice.rows), rep, e, x
 
     monkeypatch.setattr(order_module, "_class_form", own_lattice)
     with pytest.raises(CertificateError, match="mass .* exceeds formula value 5/6"):
         left_ideal_classes(O)
 
 
-@pytest.mark.parametrize("primes, M, n, forms, calls, hits", [((389,), 1, 33, 77, 44, 44),
-                                                              ((3, 5, 7), 2, 12, 28, 16, 16)],
+@pytest.mark.parametrize("primes, M, n, forms, calls, hits", [((389,), 1, 33, 53, 3, 3),
+                                                              ((3, 5, 7), 2, 12, 27, 0, 0)],
                          ids=["N389", "N210_M2"])
 def test_walk_reduces_only_new_classes(monkeypatch, primes, M, n, forms, calls, hits):
-    # one class form per candidate and for the order, an equivalence test
-    # only on a key hit, each one a hit, and no separate reduction: a new
-    # class's representative comes with its form
+    # one class form per candidate and for the order, with no candidate on a
+    # class's way back to its parent; an equivalence test only on a key hit
+    # whose representative is not the class's lattice, each one a hit; and
+    # no separate reduction: a new class's representative comes with its form
     tally = {"_class_form": 0, "is_equivalent": 0, "hits": 0, "reduce_ideal": 0, "unit_count": 0}
 
     def counted(name):
@@ -783,6 +803,44 @@ def test_walk_must_reach_the_mass(monkeypatch, order11):
         left_ideal_classes(order11)
 
 
+@pytest.mark.parametrize("name", ["level11", "level66", "level210_m2", "level389"])
+def test_way_back_leads_to_the_parent(name, request):
+    # for every class I and neighbour K of its right order: J = I·K reduces to
+    # C = J·conj(v)/N(J), and the way back K_back is a neighbour of O_r(C)
+    # with C·K_back = p·I·conj(v)/N(J)
+    cs = request.getfixturevalue(name)
+    B, p = cs.algebra, good_primes(cs.cfg, 1)[0]
+    for I, R in zip(cs.ideals, cs.right_orders):
+        for K, x in _neighbor_ideals(R, p):
+            J = LeftIdeal.of(cs.order, _neighbor_lattice(I.lattice, p, x, R.den))
+            _, C, _, v = order_module._class_form(J)
+            back = order_module._way_back(K, v)
+            step = _neighbor_ideals(right_order(LeftIdeal.of(cs.order, C)), p)
+            assert [L for L, _ in step].count(back) == 1
+            scale = Fraction(p, J.lattice.den * J.norm)
+            assert product_lattice(C, back) == Lat4.span(
+                B, [tuple(scale * c for c in mul(B, b, conj(v))) for b in rational_basis(I.lattice)])
+
+
+def test_walk_must_find_the_way_back(monkeypatch):
+    # at N = 389 (p = 2) every way back the walk records is dropped from the
+    # neighbours it is given, so the first class found, expanded second,
+    # misses its own
+    O = maximal_order(construct_algebra({389}))
+    way_back, neighbor_ideals = order_module._way_back, order_module._neighbor_ideals
+    backs = []
+
+    def recorded(K, v):
+        backs.append(way_back(K, v))
+        return backs[-1]
+
+    monkeypatch.setattr(order_module, "_way_back", recorded)
+    monkeypatch.setattr(order_module, "_neighbor_ideals",
+                        lambda R, p: [(K, x) for K, x in neighbor_ideals(R, p) if K not in backs])
+    with pytest.raises(CertificateError, match="^the way back from class 1 must be one of its 3 neighbors$"):
+        left_ideal_classes(O)
+
+
 def test_walk_must_not_overshoot_the_mass(monkeypatch):
     # at N = 66 (ramified 2, 3, 11) a walk that finds no equivalence keeps a
     # second ideal of an existing class and passes the mass 5/6
@@ -883,7 +941,7 @@ def test_walk_product_from_eight_generators(name, request):
 
 
 def test_kernels_match_references_on_walk_inputs(monkeypatch):
-    # every hnf and reduce_gram input of two class walks, against the
+    # every hnf and reduce_gram input of three class walks, against the
     # full-row hnf and the row-rebuilding reduce_gram; the references run
     # the walks, so a broken kernel fails here instead of derailing them
     hnf_inputs, gram_inputs = [], []
@@ -898,7 +956,7 @@ def test_kernels_match_references_on_walk_inputs(monkeypatch):
     monkeypatch.setattr(order_module, "hnf", recorded(hnf_inputs, full_row_hnf))
     monkeypatch.setattr(lattice_module, "reduce_gram",
                         recorded(gram_inputs, rebuilt_rows_reduce_gram))
-    for primes, M in [((389,), 1), ((3, 5, 7), 2)]:
+    for primes, M in [((389,), 1), ((3, 5, 7), 2), ((997,), 1)]:
         build_class_set(LevelConfig.from_primes(primes, M))
     assert len(hnf_inputs) > 500 and len(gram_inputs) >= 165
     for A in hnf_inputs:
