@@ -142,16 +142,15 @@ class _Block(NamedTuple):
         return len(self.basis)
 
 
-def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Block], int]:
+def _split_block(blk: _Block, B, p: int) -> tuple[list[_Block], int]:
     """The kernels of B_p − a on one block, for every integer a with
     |a| ≤ 2√p (Hasse), and the dimension left over.
 
     Each nonzero kernel, taken in Q^n, becomes a block with eigenvalue a at
     p; a one-dimensional block reads its eigenvalue with `eigenvalue_of`.
     The rest of the block holds no rational eigenvector of B_p, so no
-    rational line, and it is only counted.  Kernels for distinct a must be
-    orthogonal for Σ x_i·y_i·weights_i (weights_i ∝ 1/e_i), as B_p is
-    self-adjoint for it.
+    rational line, and it is only counted.  Kernels for distinct a are
+    orthogonal for Σ x_i·y_i/e_i: B_p is certified self-adjoint for it.
     """
     V = blk.basis
     k = len(V)
@@ -168,9 +167,6 @@ def _split_block(blk: _Block, B, p: int, weights: list[int]) -> tuple[list[_Bloc
         if not null:
             continue
         basis, _ = rref(mat_mul(null, V))
-        certify(not any(sum(map(mul, x, map(mul, y, weights)))
-                        for prev in out for y in prev.basis for x in basis),
-                f"eigenspaces of B_{p} not orthogonal for Σ x_i·y_i/e_i")
         out.append(_Block(basis, {**blk.eigs, p: a}))
         consumed += len(basis)
         if consumed == k:
@@ -221,7 +217,7 @@ def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
                 f"all-ones eigenvalues: a row of B_{p} does not sum to b_p = {b[p]}")
         split: list[_Block] = []
         for blk in blocks:
-            kernels, rest = _split_block(blk, B, p, weights)
+            kernels, rest = _split_block(blk, B, p)
             split += kernels
             if rest:
                 set_aside.append((rest, blk.eigs))

@@ -23,7 +23,7 @@ import operator
 import os
 import sys
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 from .arith import is_prime
 from .brandt import brandt_matrices_upto, expected_row_sum, rational_eigensystem
@@ -183,14 +183,18 @@ def _write_snapshot(path: str, classes) -> None:
 def _hseries_columns(level: LevelConfig, D_max: int) -> tuple[list, list, list, list]:
     """The columns fundamental, s, h, u of the hseries rows D = 0..D_max.
 
-    -n0 = -F[4D] is the discriminant of Q(sqrt(-D)), and -D is fundamental
-    iff n0 == D.  s counts the level primes dividing D: each adds 1 along its
-    multiples, one slice per prime.  h(-n0) is a class_number lookup when
-    n0 <= D_max; above D_max, n0 = 4D' with D' <= D_max and D' ≡ 1, 2 (mod 4),
-    and h(-n0) is read from field_class_numbers(D_max)[D'].  Row 0 holds
-    false, 0, 0, 1.
+    -n0 is the discriminant of Q(sqrt(-D)), and -D is fundamental iff n0 == D:
+    n0 = F[D] if -D is a discriminant, else 4D' for D' ≡ D ≡ 1, 2 (mod 4) the
+    squarefree part of D, set along D'·f², f odd, from the least such D'.  s
+    counts the level primes dividing D, one slice per prime.  h(-n0) is a
+    class_number lookup when n0 <= D_max, else field_class_numbers(D_max)[D'].
+    Row 0 holds false, 0, 0, 1.
     """
-    n0 = fundamental_parts(4 * D_max)[::4]
+    n0 = fundamental_parts(D_max)
+    for m in range(1, D_max + 1):
+        if m % 4 in (1, 2) and not n0[m]:
+            for f in range(1, isqrt(D_max // m) + 1, 2):
+                n0[m * f * f] = 4 * m
     s = [0] * (D_max + 1)
     for p in (*level.P.primes, *level.M.primes):
         s[p::p] = [x + 1 for x in s[p::p]]

@@ -13,11 +13,13 @@ exactly.  Unlike the greedy reduction of
 Nguyen-Stehlé (ACM Trans. Algorithms 5, 2009), Minkowski in rank <= 4, it may
 leave a sum ±b_0 ± b_1 ± b_2 (± b_3) much shorter than the b_i, and
 Fincke-Pohst then pays for that skew.  The tallies and `exists_value`
-enumerate G' and map nothing back, because c ↦ c·T keeps the value and the
-gcd of the coordinates.  `minimal_vectors` maps back only the minimal
-vectors, so their signs and order are read in the coordinates of G.
-`points_up_to` enumerates the G it is given and certifies it positive
-definite (`definite_echelon`), so each consumer runs one Bareiss elimination:
+enumerate G' by `points_up_to`, values only, and map nothing back, because
+c ↦ c·T keeps the value and the gcd of the coordinates.  `minimal_vectors`
+enumerates by `vectors_up_to`, which adds coordinates, and maps back only the
+minimal vectors, so their signs and order are read in the coordinates of G.
+Both read one search, `_lines`, a line at a time.
+`_lines` enumerates the G it is given and certifies it positive definite
+(`definite_echelon`), so each consumer runs one Bareiss elimination:
 `reduce_gram` stops only at a diagonal entry <= 0, and as T is unimodular,
 G' is definite exactly when G is.
 
@@ -56,7 +58,7 @@ from __future__ import annotations
 
 from collections import Counter
 from math import gcd, isqrt, lcm
-from operator import itemgetter, mul
+from operator import mul
 from typing import Iterator
 
 from .arith import certify, factorize
@@ -80,15 +82,12 @@ def definite_echelon(G: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     return U, e
 
 
-def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield one of each pair ±c of nonzero integer vectors with c^T G c <= bound,
-    with the value: the one whose last nonzero coordinate is positive.
-
-    c_{n-1} runs in the outermost loop and c_0 in the innermost, each
-    ascending.  While every outer coordinate is 0 the centre is 0 and the loop
-    starts at 0, or at 1 for c_0, so the half-space costs no filter.  G must
-    be an integer symmetric positive definite matrix and bound an int.
-    """
+def _lines(G: list[list[int]], bound: int) -> Iterator[tuple[list[int], int, int, int, int, int]]:
+    """(c, lo, hi, v, dv, dd) per innermost line: c_1.. set in the one list
+    c, c_0 over range(lo, hi), the value v and its difference dv at lo, and dd
+    the second difference.  c_{n-1} is outermost, each coordinate ascends, and
+    while every outer coordinate is 0 the centre is 0 and the loop starts at
+    0, or at 1 for c_0, so the half-space costs no filter."""
     U, e = definite_echelon(G)
     if bound < 0:
         return
@@ -102,15 +101,30 @@ def points_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ..
     r0, s0, a0 = r[0], r[0][0], a[0]
     dd = 2 * a0 * s0 * s0 // K
     for B, zero in _budgets(r, a, c, n - 1, top, True):
-        rest = tuple(c[1:])
         t = sum(r0[j] * c[j] for j in range(1, n))
         w = isqrt(B // a0)
         lo = 1 if zero else -((w + t) // s0)
         x = s0 * lo + t
-        v = (top - B + a0 * x * x) // K
-        dv = a0 * s0 * (2 * x + s0) // K
-        for m in range(lo, (w - t) // s0 + 1):
-            yield (m,) + rest, v
+        yield (c, lo, (w - t) // s0 + 1, (top - B + a0 * x * x) // K,
+               a0 * s0 * (2 * x + s0) // K, dd)
+
+
+def points_up_to(G: list[list[int]], bound: int) -> Iterator[int]:
+    """Yield c^T G c for one of each pair ±c of nonzero integer vectors with
+    c^T G c <= bound, the one whose last nonzero coordinate is positive.  G
+    must be an integer symmetric positive definite matrix and bound an int."""
+    for _, lo, hi, v, dv, dd in _lines(G, bound):
+        for _ in range(lo, hi):
+            yield v
+            v += dv
+            dv += dd
+
+
+def vectors_up_to(G: list[list[int]], bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """`points_up_to`'s vectors as (c, value), in its order."""
+    for c, lo, hi, v, dv, dd in _lines(G, bound):
+        for m in range(lo, hi):
+            yield (m, *c[1:]), v
             v += dv
             dv += dd
 
@@ -143,8 +157,8 @@ def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
     G reaches, raises ValueError, so the loop ends on every G.  Then the basis
     is ordered by ascending diagonal, and 2·|G'_ij| <= min(G'_ii, G'_jj).
     A G that is not definite but keeps a positive diagonal is left to the
-    consumer's `points_up_to`: its `definite_echelon(G')` certifies G', and so
-    G, as T is unimodular.  The result is checked: CertificateError unless
+    consumer's search: its `definite_echelon(G')` certifies G', and so G, as
+    T is unimodular.  The result is checked: CertificateError unless
     det T = ±1 and T·G·Tᵀ equals G'.
     """
     n = len(G)
@@ -183,7 +197,7 @@ def reduce_gram(G: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
 def counts_by_value(G: list[list[int]], bound: int) -> dict[int, int]:
     """Number of nonzero lattice vectors at each form value <= bound (both
     signs counted: 2 per ± pair)."""
-    tally = Counter(map(itemgetter(1), points_up_to(reduce_gram(G)[0], bound)))
+    tally = Counter(points_up_to(reduce_gram(G)[0], bound))
     return {val: 2 * cnt for val, cnt in tally.items()}
 
 
@@ -212,12 +226,7 @@ def counts_with_primitive(G: list[list[int]], bound: int) -> tuple[dict[int, int
 
 def exists_value(G: list[list[int]], target: int) -> bool:
     """Whether some lattice vector has form value exactly target (early exit)."""
-    if target == 0:
-        return True
-    for _, val in points_up_to(reduce_gram(G)[0], target):
-        if val == target:
-            return True
-    return False
+    return target == 0 or target in points_up_to(reduce_gram(G)[0], target)
 
 
 def minimal_vectors(G: list[list[int]]) -> tuple[list[tuple[int, ...]], int]:
@@ -227,7 +236,7 @@ def minimal_vectors(G: list[list[int]]) -> tuple[list[tuple[int, ...]], int]:
     # basis vector 0 of G' attains its least diagonal entry, so that bound
     # holds every minimal vector; only those are mapped back by T
     R, T = reduce_gram(G)
-    near = list(points_up_to(R, R[0][0]))
+    near = list(vectors_up_to(R, R[0][0]))
     least = min(val for _, val in near)
     tied = [c for c, val in near if val == least]
     canon = []

@@ -8,17 +8,19 @@ matrix, built from R_i's integer rows, whose represented values are
 ones) and the cusp-side series G (x = a rational cusp line v).  Series are
 plain tuples of exact coefficients, indexed by D.  Primitive-vector counts
 give optimal-embedding numbers which tie H to pure class-number data.
+Counts are tallied per form: the classes with one `_form_key` share a tally.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import permutations, product
 from math import lcm
 from typing import NamedTuple
 
 from .arith import certify
 from .brandt import brandt_matrices_upto
-from .lattice import counts_with_primitive, definite_echelon
+from .lattice import counts_with_primitive, definite_echelon, reduce_gram
 from .linalg import hnf
 from .order import IdealClassSet
 from .qform import class_number, local_factors, mass, unit_factor
@@ -47,15 +49,29 @@ def ternary_lattice(classes: IdealClassSet, i: int) -> tuple[tuple[int, ...], ..
     return G
 
 
+def _form_key(G: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The least P·R·Pᵀ (rows) over the signed permutations P with s_0 = 1
+    that keep the sorted diagonal of R = T·G·Tᵀ, `reduce_gram`'s output.  T
+    is certified unimodular, so the key is integrally equivalent to G."""
+    R, _ = reduce_gram(G)
+    n = len(R)
+    return min(tuple(tuple(s[k] * s[l] * R[p[k]][p[l]] for l in range(n)) for k in range(n))
+               for p in permutations(range(n)) if all(R[k][k] == R[p[k]][p[k]] for k in range(n))
+               for s in ((1, *t) for t in product((1, -1), repeat=n - 1)))
+
+
 def _ternary_counts(classes: IdealClassSet, i: int, bound: int) -> tuple[dict, dict]:
-    """(all, primitive) vector counts by norm value up to bound for class i (1-based)."""
+    """(all, primitive) vector counts by norm value up to bound for class i
+    (1-based): the tally of its `_form_key`, shared by every class with it."""
+    keys = classes.cache.setdefault("ternary_keys", {})
+    if i not in keys:
+        keys[i] = _form_key(ternary_lattice(classes, i))
     cache = classes.cache.setdefault("ternary_counts", {})
-    got = cache.get(i)
+    got = cache.get(keys[i])
     if got is None or got["bound"] < bound:
-        allc, prim = counts_with_primitive(ternary_lattice(classes, i), bound)
+        allc, prim = counts_with_primitive(keys[i], bound)
         certify(all(D % 4 in (0, 3) for D in allc), "represented value outside the plus space")
-        got = {"bound": bound, "all": allc, "prim": prim}
-        cache[i] = got
+        cache[keys[i]] = got = {"bound": bound, "all": allc, "prim": prim}
     return got["all"], got["prim"]
 
 

@@ -38,6 +38,11 @@ def level389():
 
 
 @pytest.fixture(scope="session")
+def level2310():
+    return build_class_set(LevelConfig.from_primes((2, 3, 5, 7, 11), 1))
+
+
+@pytest.fixture(scope="session")
 def eig11(level11):
     return rational_eigensystem(level11)
 

@@ -321,13 +321,26 @@ def test_hasse_candidates_hold_every_rational_eigenvalue(request, name):
         assert all(abs(a) <= isqrt(4 * p) or a == p + 1 for a in roots), (name, p, roots)
 
 
-def test_eigenspaces_must_be_orthogonal():
-    # B = [[1, 0], [1, 0]] on Q² has the kernels (0, 1) at a = 0 and (1, 1)
-    # at a = 1, which are not orthogonal for the weights (1, 1), so the split
-    # must raise under any interpreter flags
-    blk = _Block([[1, 0], [0, 1]], {})
-    with pytest.raises(CertificateError, match="not orthogonal"):
-        _split_block(blk, [[1, 0], [1, 0]], 2, [1, 1])
+def test_non_orthogonal_eigenspaces_are_caught_as_not_self_adjoint(monkeypatch, level66):
+    # at N = 66, e = (6, 4, 4, 6) and the weights are w = (2, 3, 3, 2).
+    # B_5 = -4·I + x·zᵀ + u·wᵀ with x = (0, 2, 0, -3), z = (-1, 1, 0, 0) and u
+    # all ones keeps every row sum at b_5 = 6 and the complement of u, and on
+    # it has the eigenvalue -2 at x and -4 on a plane holding (1, 1, -1, -1),
+    # both within the Hasse bound.  Those two kernels are not orthogonal for
+    # Σ x_i·y_i/e_i, which self-adjointness would force; so the split's
+    # kernels need no orthogonality check of their own, and the self-adjointness
+    # certificate must raise before the split, under any interpreter flags
+    assert level66.e == [6, 4, 4, 6]
+    weights = [2, 3, 3, 2]
+    B5 = [[-2, 3, 3, 2], [0, 1, 3, 2], [2, 3, -1, 2], [5, 0, 3, -2]]
+    kernels, rest = _split_block(_Block(_hyperplane(weights), {}), B5, 5)
+    assert rest == 0 and [(blk.eigs[5], blk.dim) for blk in kernels] == [(-4, 2), (-2, 1)]
+    assert any(sum(a * b * w for a, b, w in zip(x, y, weights))
+               for x in kernels[0].basis for y in kernels[1].basis)
+    real = brandt_matrix
+    monkeypatch.setattr("ceisen.brandt.brandt_matrix", lambda c, m: B5 if m == 5 else real(c, m))
+    with pytest.raises(CertificateError, match=r"^B_5 not self-adjoint for Σ x_i·y_i/e_i$"):
+        rational_eigensystem(level66)
 
 
 def test_hyperplane_is_the_eliminated_rref():
@@ -392,7 +405,7 @@ def test_one_dimensional_block_must_be_an_eigenvector():
     # maps (2, -3) to (-1, -3), so the split must raise under any interpreter
     # flags rather than report the ratio at one coordinate
     with pytest.raises(CertificateError, match="not an eigenvector"):
-        _split_block(_Block([[2, -3]], {}), [[1, 1], [0, 1]], 3, [3, 2])
+        _split_block(_Block([[2, -3]], {}), [[1, 1], [0, 1]], 3)
 
 
 def test_all_ones_line_must_separate(monkeypatch, level11):

@@ -1,5 +1,6 @@
-"""points_up_to and its consumers against brute-force box enumeration, and
-against a per-point reference on the program's own lattices at depth."""
+"""points_up_to, its coordinate path vectors_up_to and their consumers against
+brute-force box enumeration, and against a per-point reference on the
+program's own lattices at depth."""
 
 import random
 from fractions import Fraction
@@ -18,6 +19,7 @@ from ceisen.lattice import (
     minimal_vectors,
     points_up_to,
     reduce_gram,
+    vectors_up_to,
 )
 from ceisen.order import product_lattice
 from ceisen.theta32 import ternary_lattice
@@ -84,9 +86,12 @@ def cases(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_points_match_brute_force(n):
     for G, bound, pts in cases(n):
-        got = list(points_up_to(G, bound))
+        got = list(vectors_up_to(G, bound))
         assert all(type(val) is int for _, val in got)
         check_half_space(got, pts)
+        values = list(points_up_to(G, bound))
+        assert all(type(val) is int for val in values)
+        assert values == [val for _, val in got]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -97,10 +102,12 @@ def test_bound_at_a_value_zero_and_negative(n):
         while not any(c):
             c = [rng.randint(-1, 1) for _ in range(n)]
         hit = sum(G[i][j] * c[i] * c[j] for i in range(n) for j in range(n))  # used as the bound
-        check_half_space(list(points_up_to(G, hit)), brute_points(G, hit))
-        assert any(val == hit for _, val in points_up_to(G, hit))
-        assert list(points_up_to(G, 0)) == []
-        assert list(points_up_to(G, -1)) == []
+        check_half_space(list(vectors_up_to(G, hit)), brute_points(G, hit))
+        assert any(val == hit for _, val in vectors_up_to(G, hit))
+        assert hit in points_up_to(G, hit)
+        for enumerate_up_to in (points_up_to, vectors_up_to):
+            assert list(enumerate_up_to(G, 0)) == []
+            assert list(enumerate_up_to(G, -1)) == []
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -173,8 +180,9 @@ def test_non_definite_grams_raise(G):
     # an even number), so only the identity G = Σ u_i·u_iᵀ/e_i rejects them
     with pytest.raises(ValueError):
         definite_echelon(G)
-    with pytest.raises(ValueError):
-        list(points_up_to(G, 5))
+    for enumerate_up_to in (points_up_to, vectors_up_to):
+        with pytest.raises(ValueError):
+            list(enumerate_up_to(G, 5))
     # each G here reaches a diagonal entry <= 0 inside reduce_gram's Lagrange
     # loop, which raises there; a G that kept a positive diagonal would be
     # left to points_up_to, which certifies G′, so no consumer hangs
@@ -193,8 +201,9 @@ def test_semidefinite_gram_with_positive_diagonal_raises():
     G = [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     assert reduce_gram(G) == (G, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     for bound in (5, -1):
-        with pytest.raises(ValueError):
-            list(points_up_to(G, bound))
+        for enumerate_up_to in (points_up_to, vectors_up_to):
+            with pytest.raises(ValueError):
+                list(enumerate_up_to(G, bound))
     with pytest.raises(ValueError):
         minimal_vectors(G)
     for call in (counts_by_value, counts_with_primitive, exists_value):
@@ -307,7 +316,7 @@ def test_reduce_gram_on_skewed_grams(n):
 
 
 def per_point_reference(G, bound):
-    """points_up_to with each value computed at its own point: the leaf's
+    """vectors_up_to with each value computed at its own point: the leaf's
     budget gives K·q(c) = K·bound − B_1 + a_0·x_0², divided by K exactly."""
     U, e = definite_echelon(G)
     if bound < 0:
@@ -344,10 +353,12 @@ def per_point_reference(G, bound):
 
 
 def check_against_reference(G, bound):
-    """points_up_to(G, bound) yields the reference's (c, v) in its order, and
-    each v is cᵀGc; returns the number of points."""
-    got = list(points_up_to(G, bound))
+    """vectors_up_to(G, bound) yields the reference's (c, v) in its order,
+    each v is cᵀGc, and points_up_to(G, bound) yields the same v; returns the
+    number of points."""
+    got = list(vectors_up_to(G, bound))
     assert got == list(per_point_reference(G, bound))
+    assert list(points_up_to(G, bound)) == [v for _, v in got]
     n = len(G)
     for c, v in got:
         assert v == sum(G[i][j] * c[i] * c[j] for i in range(n) for j in range(n))

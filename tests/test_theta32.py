@@ -9,12 +9,14 @@ import pytest
 
 import ceisen
 from ceisen.arith import CertificateError
-from ceisen.lattice import counts_by_value, counts_with_primitive
+from ceisen.brandt import rational_eigensystem
+from ceisen.lattice import counts_by_value, counts_with_primitive, reduce_gram
 from ceisen.linalg import echelon, hnf, mat_mul
 from ceisen.order import IdealClassSet, Lat4, build_class_set
 from ceisen.qform import LevelConfig, closed_form_H, mass, unit_factor
 from ceisen.quatalg import norm_pair
 from ceisen.theta32 import (
+    _form_key,
     cohen_H,
     cusp_G,
     embedding_count_identity,
@@ -322,3 +324,78 @@ def test_nonpositive_inputs_rejected(level11):
         trace_identity_check(level11, -1)
     with pytest.raises(ValueError):
         optimal_embedding_count(level11, 1, -5)  # -5 is not a discriminant
+
+
+# levels where classes share forms: (fixture, number of distinct forms)
+SHARED_LEVELS = [("level66", 2), ("level210_m2", 3), ("level210", 2), ("level389", 23),
+                 ("level2310", 4)]
+
+
+def per_class_theta(classes, weights, D_max):
+    """Σ_i weights_i·g_i/w_i from one tally per class, each of its own Gram:
+    the sum as it was before classes shared a form's tally, kept as the
+    reference."""
+    total = [Fraction(0)] * (D_max + 1)
+    for i, x in enumerate(weights, 1):
+        e = classes.e[i - 1]
+        total[0] += Fraction(x, e)
+        for D, c in counts_with_primitive(ternary_lattice(classes, i), D_max)[0].items():
+            total[D] += Fraction(x * c, e)
+    return tuple(total)
+
+
+@pytest.mark.parametrize("name, forms", SHARED_LEVELS)
+def test_shared_tallies_match_per_class_reference(monkeypatch, request, name, forms):
+    # a fresh copy of the class set, so no earlier test's tallies are read:
+    # cohen_H enumerates once per form, and H, every line's G and every
+    # embedding count equal the per-class reference
+    cs = request.getfixturevalue(name)
+    classes = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
+    D_max = 400
+    calls = []
+    real = counts_with_primitive
+    monkeypatch.setattr("ceisen.theta32.counts_with_primitive",
+                        lambda G, bound: calls.append(G) or real(G, bound))
+    assert cohen_H(classes, D_max) == per_class_theta(classes, (1,) * classes.n, D_max)
+    assert len(calls) == len(set(calls)) == forms
+    for _, v in rational_eigensystem(classes).lines:
+        assert cusp_G(classes, v, D_max) == per_class_theta(classes, v, D_max)
+    for i in range(1, classes.n + 1):
+        _, prim = counts_with_primitive(ternary_lattice(classes, i), D_max)
+        for d in _discriminants(D_max):
+            expect, rem = divmod(unit_factor(d) * prim.get(-d, 0), classes.w[i - 1])
+            assert rem == 0 and optimal_embedding_count(classes, i, d) == expect, (i, d)
+    assert len(calls) == forms
+
+
+@pytest.mark.parametrize("name, forms", SHARED_LEVELS)
+def test_form_key_is_signed_permutation_invariant(request, name, forms):
+    # a Gram and its random signed-permutation images P·G·Pᵀ share one key;
+    # for reduce_gram's output this always holds, since the image is reduced
+    # too and only its diagonal is sorted
+    classes = request.getfixturevalue(name)
+    rng = random.Random(SEED + classes.cfg.N)
+    for i in range(1, classes.n + 1):
+        G = ternary_lattice(classes, i)
+        key = _form_key(G)
+        for A in (G, reduce_gram(G)[0]):
+            for _ in range(8):
+                p = rng.sample(range(3), 3)
+                s = [rng.choice((1, -1)) for _ in range(3)]
+                image = [[s[k] * s[l] * A[p[k]][p[l]] for l in range(3)] for k in range(3)]
+                assert _form_key(image) == key, (i, p, s)
+
+
+@pytest.mark.parametrize("name, forms", SHARED_LEVELS)
+def test_equal_keys_give_equal_counts(request, name, forms):
+    # every class's own Gram, counted to 500: classes with one key have one
+    # tally, and the key's own tally is that tally
+    classes = request.getfixturevalue(name)
+    by_key = {}
+    for i in range(1, classes.n + 1):
+        G = ternary_lattice(classes, i)
+        by_key.setdefault(_form_key(G), []).append(counts_with_primitive(G, 500))
+    assert len(by_key) == forms
+    for key, tallies in by_key.items():
+        assert all(t == tallies[0] for t in tallies)
+        assert counts_with_primitive(key, 500) == tallies[0]
