@@ -1,5 +1,7 @@
 """Elementary number theory: primes, factorization, square-free kernels and
 the Kronecker symbol, and `certify`, the one check of an exact certificate.
+`CongruencePreconditionError` lives here too, so that the CLI catches it
+without importing `verify`, which raises it.
 
 Inputs live at desk scale (|values| well under 10^7), so factorization is
 plain trial division and symbols are computed by the classical reciprocity
@@ -14,6 +16,10 @@ from typing import NamedTuple
 
 class CertificateError(ArithmeticError):
     """An exact identity that a computed result must satisfy failed (a bug, not bad input)."""
+
+
+class CongruencePreconditionError(Exception):
+    """The congruence hypotheses fail before any comparison can run."""
 
 
 def certify(cond: bool, msg: str) -> None:

@@ -11,6 +11,11 @@ Subcommands:
 Exit codes: 0 success / all checks pass, 1 a verified identity failed,
 2 configuration or precondition error (an unwritable --out or --cache-dir too).  All arithmetic is exact; output is
 byte-identical across runs and thread counts for the same configuration.
+
+Each process imports only what its subcommand runs: hseries, classnum and
+the mass suite never import `brandt` or `verify`, which shatable and the
+other suites bind on first use, and `json` is imported by the snapshot
+reader and writer and by --format json alone.
 """
 
 from __future__ import annotations
@@ -18,15 +23,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import json
 import operator
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
 from math import gcd, isqrt
 
-from .arith import is_prime
-from .brandt import brandt_matrices_upto, expected_row_sum, rational_eigensystem
+from .arith import CongruencePreconditionError, is_prime
 from .linalg import mat_mul
 from .order import CacheError, build_class_set, classes_from_json, classes_to_json
 from .qform import (
@@ -39,16 +43,36 @@ from .qform import (
     mass,
     unit_factor,
 )
-from .theta32 import cohen_H, trace_identity_check
+from .theta32 import cohen_H
 from .theta32 import prefill_counts  # noqa: F401  no caller; benchmarks/tracer.py wraps it at this site
-from .verify import (
-    CongruencePreconditionError,
-    DivisibilityRow,
-    admissible_fundamental_Ds,
-    best_coefficient_congruence,
-    divisibility_table,
-    eigenvalue_congruence,
+
+# The Brandt-side names, by home module.  `cmd_shatable` and every verify
+# suite but mass bind them all with `_bind_brandt_side` before they read any,
+# so hseries, classnum and the mass suite never import brandt or verify.
+_BRANDT_SIDE = (
+    ("brandt", ("brandt_matrices_upto", "expected_row_sum", "rational_eigensystem")),
+    ("verify", ("DivisibilityRow", "admissible_fundamental_Ds", "best_coefficient_congruence",
+                "divisibility_table", "eigenvalue_congruence", "trace_identity_check")),
 )
+
+
+def _bind_brandt_side() -> None:
+    """Bind each Brandt-side name in this module, except one already bound:
+    a wrapper or monkeypatch set on the module before first use stays."""
+    g = globals()
+    for module, names in _BRANDT_SIDE:
+        home = import_module(f".{module}", __package__)
+        for name in names:
+            g.setdefault(name, getattr(home, name))
+
+
+def __getattr__(name: str):
+    """A Brandt-side name read from outside, as `getattr(cli, name)`, binds them all."""
+    if not any(name in names for _, names in _BRANDT_SIDE):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind_brandt_side()
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -106,6 +130,8 @@ def _emit(args: argparse.Namespace, header: list[str] | tuple[str, ...], columns
         if stderr_summary is not None:
             print(stderr_summary, file=sys.stderr)
     else:
+        import json
+
         obj = dict(json_extra)
         obj["rows"] = [dict(zip(header, row)) for row in zip(*columns, strict=True)]
         _write(json.dumps(obj, indent=2, default=str) + "\n", args.out)
@@ -140,6 +166,8 @@ def _get_classes(cache_dir: str | None, level: LevelConfig):
 def _load_or_build_classes(cache_dir: str | None, level: LevelConfig):
     if cache_dir is None:
         return build_class_set(level)
+    import json
+
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, level)
     if os.path.exists(path):
@@ -164,6 +192,8 @@ def _write_snapshot(path: str, classes) -> None:
     """Write the class-set snapshot so that readers see the old file or the
     whole new one: dump to a temp file in the same directory, then rename it
     onto `path`.  A failed or interrupted dump removes the temp file."""
+    import json
+
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
@@ -316,6 +346,8 @@ _SUITES = {
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.suite != "mass":
+        _bind_brandt_side()
     level = _level(args)
     if args.suite == "congruence" and args.l is None:
         raise ValueError("the congruence suite requires --l")
@@ -332,6 +364,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_shatable(args: argparse.Namespace) -> int:
+    _bind_brandt_side()
     level = _level(args)
     if args.l is None:
         raise ValueError("shatable requires --l")

@@ -16,10 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import permutations, product
 from math import lcm
-from typing import NamedTuple
 
 from .arith import certify
-from .brandt import brandt_matrices_upto
 from .lattice import counts_with_primitive, definite_echelon, reduce_gram
 from .linalg import hnf
 from .order import IdealClassSet
@@ -138,29 +136,3 @@ def embedding_count_identity(classes: IdealClassSet, d: int) -> tuple[int, int]:
     Σ_i h(O_d, R_i)  vs  h(d) times the local factor of d at the level."""
     lhs = sum(optimal_embedding_count(classes, i, d) for i in range(1, classes.n + 1))
     return lhs, class_number(d) * local_factors(classes.cfg, -d)[-d]
-
-
-class TraceCheckRow(NamedTuple):
-    m: int
-    lhs: int | Fraction  # Tr(B_m): an int for m ≥ 1, the mass at m = 0
-    rhs: Fraction  # Σ_{s² ≤ 4m} H(4m − s²)
-    ok: bool
-
-
-def trace_identity_check(classes: IdealClassSet, m_max: int) -> list[TraceCheckRow]:
-    """Exact comparison of Brandt traces against windowed sums of H coefficients."""
-    if m_max < 0:
-        raise ValueError("m_max must be >= 0")
-    mats = brandt_matrices_upto(classes, m_max)
-    H = cohen_H(classes, 4 * m_max if m_max else 0)
-    rows = []
-    for m in range(m_max + 1):
-        lhs = sum(mats[m][i][i] for i in range(classes.n))
-        rhs = Fraction(0)
-        s = 0
-        while s * s <= 4 * m:
-            term = H[4 * m - s * s]
-            rhs += term if s == 0 else 2 * term
-            s += 1
-        rows.append(TraceCheckRow(m, lhs, rhs, lhs == rhs))
-    return rows

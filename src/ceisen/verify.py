@@ -1,4 +1,4 @@
-"""Congruence suites and the divisibility study.
+"""Congruence suites, the divisibility study and the trace identity.
 
 Two congruences are checked mod an odd prime l: the eigenvalue congruence
 a_p ≡ (row sum) for good primes p, and the coefficient congruence
@@ -7,7 +7,9 @@ whose report keeps λ and the failures and reads its verdict from them.  The
 divisibility table then compares l | m_D against l | h(−D) over the
 admissible family of fundamental discriminants.  Every check takes the
 rational cusp line v as a plain integer vector; only the search for the best
-line reads the whole eigensystem.
+line reads the whole eigensystem.  The trace identity compares Tr(B_m) with
+windowed sums of the theta side's H, so the weight-3/2 module needs no
+Brandt matrix.
 """
 
 from __future__ import annotations
@@ -16,16 +18,12 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .arith import is_prime, primes_up_to
+from .arith import CongruencePreconditionError, is_prime, primes_up_to
 from .brandt import EigenSystem, brandt_matrices_upto, eigenvalue_of, expected_row_sum
 from .order import IdealClassSet
 from .qform import (LevelConfig, class_number, fundamental_parts, kronecker_condition,
                     s_ramified)
-from .theta32 import cusp_G
-
-
-class CongruencePreconditionError(Exception):
-    """The congruence hypotheses fail before any comparison can run."""
+from .theta32 import cohen_H, cusp_G
 
 
 class CongruenceReport(NamedTuple):
@@ -159,4 +157,30 @@ def divisibility_table(
             D=D, fundamental=True, s=s_ramified(D, cfg), h=h, h_mod_l=h % l,
             m_D=m_D, m_D_mod_l=m_D % l, agree=agree,
         ))
+    return rows
+
+
+class TraceCheckRow(NamedTuple):
+    m: int
+    lhs: int | Fraction  # Tr(B_m): an int for m ≥ 1, the mass at m = 0
+    rhs: Fraction  # Σ_{s² ≤ 4m} H(4m − s²)
+    ok: bool
+
+
+def trace_identity_check(classes: IdealClassSet, m_max: int) -> list[TraceCheckRow]:
+    """Exact comparison of Brandt traces against windowed sums of H coefficients."""
+    if m_max < 0:
+        raise ValueError("m_max must be >= 0")
+    mats = brandt_matrices_upto(classes, m_max)
+    H = cohen_H(classes, 4 * m_max if m_max else 0)
+    rows = []
+    for m in range(m_max + 1):
+        lhs = sum(mats[m][i][i] for i in range(classes.n))
+        rhs = Fraction(0)
+        s = 0
+        while s * s <= 4 * m:
+            term = H[4 * m - s * s]
+            rhs += term if s == 0 else 2 * term
+            s += 1
+        rows.append(TraceCheckRow(m, lhs, rhs, lhs == rhs))
     return rows

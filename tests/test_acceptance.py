@@ -44,12 +44,12 @@ from ceisen.theta32 import (
     optimal_embedding_count,
     prefill_counts,
     ternary_lattice,
-    trace_identity_check,
 )
 from ceisen.verify import (
     coefficient_congruence,
     divisibility_table,
     eigenvalue_congruence,
+    trace_identity_check,
 )
 
 D_MAX = 2000

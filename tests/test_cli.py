@@ -532,7 +532,7 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     with open(path, "rb") as fh:
         before = fh.read()
     classes = classes_from_json(json.loads(before))
-    monkeypatch.setattr(cli.json, "dump", _dump_then_fail)
+    monkeypatch.setattr(json, "dump", _dump_then_fail)
     # a rewrite that dies mid-dump leaves the valid snapshot untouched
     with pytest.raises(OSError, match="simulated"):
         cli._write_snapshot(path, classes)
@@ -547,10 +547,15 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     assert os.listdir(cold) == []
 
 
-def test_console_script_subprocess():
-    # children import the package this test imported, installed or not
+def _child_env():
+    """The environment of a child that imports the package this test imported,
+    installed or not."""
     src = os.path.dirname(os.path.dirname(ceisen.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_console_script_subprocess():
+    env = _child_env()
     proc = subprocess.run(
         [sys.executable, "-c",
          "from ceisen.cli import entry; entry()",
@@ -575,15 +580,108 @@ def test_console_script_subprocess():
     assert "computed=5/12;expected=5/12" in proc.stdout
 
 
-def test_startup_imports_no_dataclasses():
-    # every invocation is a fresh interpreter: importing the CLI must not pull
-    # in `dataclasses`, which imports `inspect` (and `ast`, `dis`, `tokenize`)
-    src = os.path.dirname(os.path.dirname(ceisen.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    code = "import sys, ceisen.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+def _fresh_python(code):
+    """Run code in a fresh interpreter that imports this package; its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    return proc.stdout
+
+
+_IMPORT_SETS = """
+import contextlib, io, sys
+import ceisen.cli
+
+def loaded():
+    tracked = {"ceisen.brandt", "ceisen.verify", "json", "dataclasses", "inspect"}
+    return sorted(tracked & set(sys.modules))
+
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        if ceisen.cli.main(list(argv)):
+            sys.exit(f"exit code not 0: {argv}")
+
+print(loaded())
+run("hseries", "--ramified", "11", "--dmax", "20")
+run("classnum", "--dmax", "20")
+run("verify", "--suite", "mass", "--ramified", "11")
+print(loaded())
+run("verify", "--suite", "hecke", "--ramified", "11", "--mmax", "4")
+print(loaded())
+"""
+
+
+def test_startup_imports_no_dataclasses():
+    # every invocation is a fresh interpreter that compiles what it imports:
+    # importing the CLI must not pull in `dataclasses`, which imports `inspect`
+    # (and `ast`, `dis`, `tokenize`), nor `json`, nor the Brandt side, which
+    # hseries, classnum and the mass suite never import; a Brandt-side suite does
+    assert _fresh_python(_IMPORT_SETS).splitlines() == [
+        "[]",
+        "[]",
+        "['ceisen.brandt', 'ceisen.verify']",
+    ]
+    # a bare `import ceisen` loads no submodule
+    code = "import sys, ceisen; print(sorted(m for m in sys.modules if m.startswith('ceisen.')))"
+    assert _fresh_python(code) == "[]\n"
+
+
+_EXPORTS = """
+import importlib, sys
+import ceisen
+try:
+    ceisen.no_such_name
+except AttributeError as exc:
+    print(exc)
+print(set(ceisen.__all__) <= set(dir(ceisen)))
+print(sorted(m for m in sys.modules if m.startswith("ceisen.")))
+# each export is its home module's own object, the one that defines it
+moved = [name for name in ceisen.__all__
+         if getattr(ceisen, name) is not getattr(
+             importlib.import_module(getattr(ceisen, name).__module__), name)]
+print(moved)
+print(ceisen.CongruencePreconditionError is importlib.import_module("ceisen.verify").CongruencePreconditionError)
+namespace = {}
+exec("from ceisen import *", namespace)
+print(sorted(set(namespace) - {"__builtins__"}) == sorted(ceisen.__all__))
+"""
+
+
+def test_package_exports_resolve_on_first_access():
+    assert _fresh_python(_EXPORTS).splitlines() == [
+        "module 'ceisen' has no attribute 'no_such_name'",
+        "True",
+        "[]",
+        "[]",
+        "True",
+        "True",
+    ]
+
+
+_WRAPPED_ON_FIRST_READ = """
+import contextlib, io, sys
+from ceisen import cli
+try:
+    cli.no_such_name
+except AttributeError as exc:
+    print(exc)
+# benchmarks/tracer.py reads each Brandt-side name with getattr, then sets its
+# wrapper on the module: the command's first-use binding must keep it
+real = getattr(cli, "rational_eigensystem")
+calls = []
+cli.rational_eigensystem = lambda classes: calls.append(classes.n) or real(classes)
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    rc = cli.main(["shatable", "--ramified", "11", "--l", "5", "--dmax", "20"])
+print(rc, calls)
+print(cli.divisibility_table is sys.modules["ceisen.verify"].divisibility_table)
+"""
+
+
+def test_cli_brandt_side_binding_keeps_a_wrapper():
+    assert _fresh_python(_WRAPPED_ON_FIRST_READ).splitlines() == [
+        "module 'ceisen.cli' has no attribute 'no_such_name'",
+        "0 [2]",
+        "True",
+    ]
 
 
 def test_readme_library_example_runs(readme_library_run):

@@ -23,8 +23,8 @@ from ceisen.theta32 import (
     optimal_embedding_count,
     prefill_counts,
     ternary_lattice,
-    trace_identity_check,
 )
+from ceisen.verify import trace_identity_check
 from test_linalg import SEED, mat_det, random_int_matrix  # the tests' shared references
 
 LEVELS = ["level11", "level66", "level210"]
