@@ -2,6 +2,10 @@
 
 The (i, j) entry of the m-th Brandt matrix counts lattice points of a fixed
 norm in the pairing lattice conj(I_j)·I_i, divided by the unit count e_j.
+Each class ideal is I_i = O·α_i + O·N_i (`order.ideal_generator`, one α_i
+per class, kept on classes.cache), and conj(I_j)·O = conj(I_j), the
+conjugate of O·I_j = I_j, so conj(I_j)·I_i = N_i·conj(I_j) + conj(I_j)·α_i:
+8 generators, the first 4 conj(I_j)'s own HNF rows scaled, not 16 products.
 A matrix is the list of its rows, as in `linalg`.  For m ≥ 1 the entries are
 integers, as `_pair_counts` certifies; B_0 holds the Fractions 1/e_j.  The
 counts are symmetric in (i, j), so every B_m is self-adjoint for
@@ -29,7 +33,7 @@ from .arith import certify, factorize
 from .lattice import counts_by_value
 from .linalg import charpoly  # noqa: F401  no caller; benchmarks/tracer.py wraps it at this site
 from .linalg import mat_mul, nullspace, primitive_vector, rref
-from .order import IdealClassSet, product_lattice
+from .order import IdealClassSet, ideal_generator, product_lattice
 from .qform import LevelConfig, good_primes
 
 
@@ -65,19 +69,27 @@ def _pair_counts(classes: IdealClassSet, bound: int) -> dict:
     bijection between the two pairing lattices), so only i ≤ j is enumerated.
     The units of both right orders act freely on each norm's vectors, so every
     count is checked to be a multiple of lcm(e_i, e_j): B_m (m ≥ 1) is integral.
-    Results live on classes.cache and are extended when a larger bound is
+    Each pairing lattice is formed once per sweep, from the 8 generators
+    N_i·conj(I_j) and conj(I_j)·α_i.  Results, and the α_i, live on
+    classes.cache, and the counts are extended when a larger bound is
     requested.
     """
     cache = classes.cache.setdefault("pair_counts", {"bound": 0, "counts": {}})
     if cache["bound"] >= bound:
         return cache["counts"]
+    if "alpha" not in classes.cache:
+        classes.cache["alpha"] = [ideal_generator(I) for I in classes.ideals]
+    alpha = classes.cache["alpha"]
     counts: dict = {}
     conjugates = [I.lattice.conjugate() for I in classes.ideals]
     for i in range(classes.n):
         Ii = classes.ideals[i]
+        # I_i = O·α_i + O·N_i, so W = conj(I_j)·I_i = N_i·conj(I_j) + conj(I_j)·α_i
+        den = Ii.lattice.den
+        gens = [(Ii.norm * den, 0, 0, 0), alpha[i]]
         for j in range(i, classes.n):
             Ij = classes.ideals[j]
-            W = product_lattice(conjugates[j], Ii.lattice)
+            W = product_lattice(conjugates[j], den, gens)
             # W's integer Gram is den_W² times its norm form, so norm m·N_i·N_j
             # is the value m·scale
             scale = Ii.norm * Ij.norm * W.den**2

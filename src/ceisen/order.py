@@ -33,7 +33,12 @@ Each step sets up one lattice: closure (`make_order`, and O·I ⊆ I in the
 snapshot reader) is the membership of every product of two basis rows, with
 no product lattice formed; the walk forms the candidate I·K for a class
 I with right order R as pI + I·x, 8 generators, since I·R = I; and a right
-order conj(I)·I/N(I) is spanned by 11 generators, not 16.
+order conj(I)·I/N(I) is spanned by 11 generators, not 16.  A class ideal is
+O·α + O·N(I) for one α per class (`ideal_generator`, certified), and
+conj(J)·O = conj(J), the conjugate of O·J = J, so the pairing lattice
+conj(J)·I is N(I)·conj(J) + conj(J)·α: `product_lattice` takes its right
+factor as a generator set, and these 8 rows start with conj(J)'s own,
+already in HNF.
 """
 
 from __future__ import annotations
@@ -82,7 +87,11 @@ class Lat4(NamedTuple):
         """den² times the Gram matrix of the reduced norm form on this basis:
         the integer norm form on the rows."""
         a, b, rows = self.algebra.a, self.algebra.b, self.rows
-        return [[norm_pair(a, b, u, v) for v in rows] for u in rows]
+        G = [[0] * 4 for _ in range(4)]
+        for k, u in enumerate(rows):
+            for l in range(k, 4):
+                G[k][l] = G[l][k] = norm_pair(a, b, u, rows[l])
+        return G
 
     def covolume(self) -> Fraction:
         """|det| of the basis over (1, i, j, k): the HNF pivots' product over den⁴."""
@@ -95,15 +104,15 @@ class Lat4(NamedTuple):
     def coords_of(self, d: int, v) -> list[int] | None:
         """The integer c with v/d = Σ c_k·b_k, or None if v/d is not in the
         lattice: d·c·H = den·v solved by forward substitution on the
-        upper-triangular rows H."""
-        c: list[int] = []
-        for m in range(4):
-            acc = self.den * v[m] - d * sum(ck * row[m] for ck, row in zip(c, self.rows))
-            ck, rem = divmod(acc, d * self.rows[m][m])
-            if rem:
-                return None
-            c.append(ck)
-        return c
+        upper-triangular rows H, written out; once a remainder is nonzero the
+        later ones do not matter."""
+        (h00, h01, h02, h03), (_, h11, h12, h13), (_, _, h22, h23), (_, _, _, h33) = self.rows
+        D, (v0, v1, v2, v3) = self.den, v
+        c0, r0 = divmod(D * v0, d * h00)
+        c1, r1 = divmod(D * v1 - d * c0 * h01, d * h11)
+        c2, r2 = divmod(D * v2 - d * (c0 * h02 + c1 * h12), d * h22)
+        c3, r3 = divmod(D * v3 - d * (c0 * h03 + c1 * h13 + c2 * h23), d * h33)
+        return None if r0 or r1 or r2 or r3 else [c0, c1, c2, c3]
 
     def conjugate(self) -> "Lat4":
         rows = [(r[0], -r[1], -r[2], -r[3]) for r in self.rows]
@@ -122,12 +131,14 @@ def _combine(c, rows) -> tuple[int, ...]:
     return tuple(sum(ck * row[m] for ck, row in zip(c, rows)) for m in range(4))
 
 
-def product_lattice(A: Lat4, B: Lat4) -> Lat4:
-    """Z-span of all products a·b over the two bases: the 16 integer row
-    products over A.den·B.den."""
+def product_lattice(A: Lat4, den: int, gens) -> Lat4:
+    """Z-span of all products a·g of A's basis rows and the integer rows gens
+    over den: the row products over A.den·den, generator by generator, so a
+    scalar first generator puts A's own HNF rows, scaled, first into the HNF,
+    already triangular.  A lattice B is the generator set (B.den, B.rows)."""
     a, b = A.algebra.a, A.algebra.b
-    rows = [quat_mul(a, b, u, v) for u in A.rows for v in B.rows]
-    return _canonical(A.algebra, A.den * B.den, rows)
+    rows = [quat_mul(a, b, u, g) for g in gens for u in A.rows]
+    return _canonical(A.algebra, A.den * den, rows)
 
 
 def _closed_under(A: Lat4, lat: Lat4) -> bool:
@@ -206,7 +217,7 @@ def _ring_closure(cur: Lat4) -> Lat4 | None:
     1, so cur ⊆ cur·cur: iterate cur ← cur·cur until it stabilizes within
     eight rounds (non-integral candidates blow up and return None)."""
     for _ in range(8):
-        nxt = product_lattice(cur, cur)
+        nxt = product_lattice(cur, cur.den, cur.rows)
         if nxt == cur:
             return cur
         cur = nxt
@@ -330,6 +341,38 @@ def right_order(I: LeftIdeal) -> Lat4:
     return make_order(_canonical(L.algebra, den, [*gens, (den, 0, 0, 0)]))
 
 
+def _generator_search(I: LeftIdeal) -> tuple[int, ...] | None:
+    """The first x = Σ c_k·rows_k of I, an integer row over den, with
+    gcd(nrd(x)/N(I), N(I)) = 1, taking c box by box, max|c_k| = h for
+    h = 0, 1, .., N(I)//2, each box in lexicographic order; None if none.
+
+    For x, y ∈ I, trd(x·conj(y)) = nrd(x + y) − nrd(x) − nrd(y) is a
+    multiple of N(I), so nrd(x)/N(I) mod N(I) depends on x mod N(I)·I alone,
+    and the boxes up to N(I)//2 meet every class of I/N(I)·I.  Only x = 0,
+    at h = 0, passes for N(I) = 1, where I = O.
+    """
+    L, N = I.lattice, I.norm
+    a, b, scale = L.algebra.a, L.algebra.b, L.den**2 * N
+    xs = (_combine(c, L.rows) for h in range(N // 2 + 1)
+          for c in product(range(-h, h + 1), repeat=4) if max(map(abs, c)) == h)
+    return next((x for x in xs if gcd(norm_pair(a, b, x, x) // scale, N) == 1), None)
+
+
+def ideal_generator(I: LeftIdeal) -> tuple[int, ...]:
+    """α ∈ I, an integer row over I.lattice.den, with I = O·α + O·N(I)
+    (`_generator_search`); CertificateError unless the 8 generators
+    N(I)·rows_k and rows_k·α of O (`_neighbor_lattice`) give I's lattice.
+
+    Such α exists, as I is locally principal: at p ∤ N(I) both sides are
+    O_p, and at p | N(I) with I_p = O_p·β, α = γ·β for a γ ∈ O_p of norm
+    prime to p, a unit, so O_p·α = I_p.
+    """
+    x = _generator_search(I)
+    certify(x is not None and _neighbor_lattice(I.order, I.norm, x, I.lattice.den) == I.lattice,
+            "each class ideal must be O·α + O·N(I)")
+    return x
+
+
 def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
     """Same left-ideal class: some x with J = I·x.
 
@@ -339,7 +382,7 @@ def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
     """
     if I.order != J.order:
         raise ValueError("ideals must share the same left order")
-    W = product_lattice(I.lattice.conjugate(), J.lattice)
+    W = product_lattice(I.lattice.conjugate(), J.lattice.den, J.lattice.rows)
     return exists_value(W.gram(), I.norm * J.norm * W.den**2)
 
 
@@ -441,7 +484,8 @@ class IdealClassSet:
     ideals[0] is the order, each e_i is even with e_i/2 | 12, each right order
     has level N, and sum(1/e_i) is the mass formula's value.  Unlike the value types, a class set is
     mutable: it owns `cache`, where `theta32` and `brandt` keep the ternary
-    vector counts and the pair counts they extend as bounds grow.
+    vector counts and the pair counts they extend as bounds grow, and
+    `brandt` the generators α_i of the class ideals.
     """
 
     def __init__(self, order: Lat4, ideals: list[LeftIdeal], right_orders: list[Lat4], e: list[int]):

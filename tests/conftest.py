@@ -23,6 +23,11 @@ def level66():
 
 
 @pytest.fixture(scope="session")
+def level197():
+    return build_class_set(LevelConfig.from_primes((197,), 1))
+
+
+@pytest.fixture(scope="session")
 def level210():
     return build_class_set(LevelConfig.from_primes((2, 3, 7), 5))
 

@@ -8,6 +8,7 @@ from ceisen.arith import CertificateError, factorize
 from ceisen.brandt import (
     _Block,
     _hyperplane,
+    _pair_counts,
     _split_block,
     brandt_matrices_upto,
     brandt_matrix,
@@ -17,8 +18,10 @@ from ceisen.brandt import (
 )
 from ceisen.lattice import counts_by_value
 from ceisen.linalg import charpoly, mat_mul, nullspace, rref
-from ceisen.order import IdealClassSet, build_class_set
+import ceisen.order as order_module
+from ceisen.order import IdealClassSet, Lat4, build_class_set, product_lattice
 from ceisen.qform import LevelConfig, good_primes, mass
+from ceisen.quatalg import quat_mul
 
 LEVELS = ["level11", "level66", "level210"]
 
@@ -271,9 +274,57 @@ def test_pair_count_certificate(monkeypatch):
         brandt_matrix(classes, 2)
 
 
-@pytest.fixture(scope="module")
-def level197():
-    return build_class_set(LevelConfig.from_primes((197,), 1))
+def sixteen_product_pairing(Ij, Ii):
+    """conj(I_j)·I_i as the span of all 16 products conj(b_jk)·b_il of the
+    two bases, in rational coordinates: the reference for the 8-row route."""
+    alg = Ii.lattice.algebra
+    basis = [[tuple(Fraction(x, I.lattice.den) for x in row) for row in I.lattice.rows] for I in (Ij, Ii)]
+    return Lat4.span(alg, [quat_mul(alg.a, alg.b, (u[0], -u[1], -u[2], -u[3]), v)
+                           for u in basis[0] for v in basis[1]])
+
+
+@pytest.mark.parametrize("name", ["level11", "level66", "level197", "level210", "level210_m2", "level389"])
+def test_pairing_lattices_from_two_generators(monkeypatch, request, name):
+    # the sweep forms each pairing lattice from the 8 generators
+    # N_i·conj(I_j) and conj(I_j)·α_i, once per unordered pair, through
+    # brandt's product_lattice (the site a tracer wraps): each is the span of
+    # all 16 products, and every pair count is that span's.  A fresh class
+    # set keeps the session fixtures' cached counts untouched.
+    cs = request.getfixturevalue(name)
+    fresh = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
+    formed = []
+
+    def recorded(A, den, gens):
+        formed.append(product_lattice(A, den, gens))
+        return formed[-1]
+
+    monkeypatch.setattr("ceisen.brandt.product_lattice", recorded)
+    bound, n = 6, cs.n
+    counts = _pair_counts(fresh, bound)
+    assert len(formed) == n * (n + 1) // 2
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    for (i, j), W in zip(pairs, formed):
+        Ii, Ij = cs.ideals[i], cs.ideals[j]
+        ref = sixteen_product_pairing(Ij, Ii)
+        assert W == ref
+        scale = Ii.norm * Ij.norm * ref.den**2
+        raw = counts_by_value(ref.gram(), bound * scale)
+        assert counts[(i, j)] == counts[(j, i)] == {v // scale: c for v, c in raw.items()}
+    _pair_counts(fresh, bound + 1)  # a larger bound is one more sweep
+    assert len(formed) == n * (n + 1)
+
+
+def test_a_non_generator_trips_the_two_generator_certificate(monkeypatch, level66):
+    # a search that hands back N(I)·α spans N(I)·O with N(I)·O, not I: the
+    # certificate must raise under any interpreter flags before any pair
+    # lattice is formed from it
+    search = order_module._generator_search
+    monkeypatch.setattr(order_module, "_generator_search",
+                        lambda I: tuple(I.norm * v for v in search(I)))
+    cs = level66
+    fresh = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
+    with pytest.raises(CertificateError, match=r"^each class ideal must be O·α \+ O·N\(I\)$"):
+        brandt_matrix(fresh, 2)
 
 
 def test_eigensystem_level197(level197):

@@ -11,6 +11,7 @@ from math import gcd, isqrt, lcm
 import pytest
 
 import ceisen.lattice as lattice_module
+from ceisen.arith import CertificateError
 from ceisen.lattice import (
     counts_by_value,
     counts_with_primitive,
@@ -21,6 +22,7 @@ from ceisen.lattice import (
     reduce_gram,
     vectors_up_to,
 )
+from ceisen.linalg import echelon
 from ceisen.order import product_lattice
 from ceisen.theta32 import ternary_lattice
 from test_linalg import mat_det  # the tests' determinant reference
@@ -228,6 +230,28 @@ def test_one_bareiss_per_consumer(monkeypatch):
                 assert calls[0] == 1
 
 
+def test_reduce_gram_certificates(monkeypatch):
+    # each of reduce_gram's two checks, tripped through the helper it reads:
+    # an elimination of T that reports a last pivot of 2 (det T = ±2), and a
+    # product that is off by one in every term of T·G·Tᵀ
+    G = [[5, 2, 1], [2, 6, 3], [1, 3, 7]]
+    assert reduce_gram(G)[0] == [[5, 2, 1], [2, 6, 3], [1, 3, 7]]
+
+    def doubled_last_pivot(rows):
+        U, pivots, sign = echelon(rows)
+        U[-1] = [2 * x for x in U[-1]]
+        return U, pivots, sign
+
+    with monkeypatch.context() as m:
+        m.setattr(lattice_module, "echelon", doubled_last_pivot)
+        with pytest.raises(CertificateError, match=r"^reduction certificate failed: det T != ±1$"):
+            reduce_gram(G)
+    with monkeypatch.context() as m:
+        m.setattr(lattice_module, "mul", lambda x, y: x * y + 1)
+        with pytest.raises(CertificateError, match=r"^reduction certificate failed: T·G·Tᵀ != G'$"):
+            reduce_gram(G)
+
+
 def rebuilt_rows_reduce_gram(G):
     """`reduce_gram` as it was before it updated its rows in place: each
     step rebuilds rows i of R and T, and each pass sorts by a fresh key on
@@ -380,6 +404,6 @@ def test_second_differences_exact_on_pairing_lattices(level210):
     ideals = level210.ideals
     for i, Ii in enumerate(ideals):
         for Ij in ideals[i:]:
-            W = product_lattice(Ij.lattice.conjugate(), Ii.lattice)
+            W = product_lattice(Ij.lattice.conjugate(), Ii.lattice.den, Ii.lattice.rows)
             bound = 12 * Ii.norm * Ij.norm * W.den ** 2
             assert check_against_reference(reduce_gram(W.gram())[0], bound) > 0

@@ -20,6 +20,7 @@ from ceisen.order import (
     classes_from_json,
     classes_to_json,
     eichler_order,
+    ideal_generator,
     is_equivalent,
     left_ideal_classes,
     level_config_of,
@@ -172,7 +173,7 @@ def test_right_order_from_eleven_generators(primes, M):
     cs = build_class_set(LevelConfig.from_primes(primes, M))
     read = classes_from_json(classes_to_json(cs))
     for I, R in [*zip(cs.ideals, cs.right_orders), *zip(read.ideals, read.right_orders)]:
-        P = product_lattice(I.lattice.conjugate(), I.lattice)
+        P = product_lattice(I.lattice.conjugate(), I.lattice.den, I.lattice.rows)
         assert R == right_order(I) == make_order(order_module._canonical(P.algebra, P.den * I.norm, P.rows))
 
 
@@ -301,7 +302,7 @@ def test_make_order_rejects_non_orders(hurwitz):
 def test_product_lattice_norm_multiplicative(classes11):
     I = classes11.ideals[1]
     K, _ = _neighbor_ideals(right_order(I), 2)[0]
-    J = LeftIdeal.of(classes11.order, product_lattice(I.lattice, K))
+    J = LeftIdeal.of(classes11.order, product_lattice(I.lattice, K.den, K.rows))
     assert J.norm == I.norm * K.norm()
 
 
@@ -365,12 +366,12 @@ def test_product_and_conjugate_match_quaternion_products():
     for A, B, _ in lattice_cases():
         alg = A.algebra
         As, Bs = rational_basis(A), rational_basis(B)
-        assert product_lattice(A, B) == Lat4.span(alg, [mul(alg, u, v) for u in As for v in Bs])
-        assert product_lattice(B, A) == Lat4.span(alg, [mul(alg, v, u) for v in Bs for u in As])
+        assert product_lattice(A, B.den, B.rows) == Lat4.span(alg, [mul(alg, u, v) for u in As for v in Bs])
+        assert product_lattice(B, A.den, A.rows) == Lat4.span(alg, [mul(alg, v, u) for v in Bs for u in As])
         assert A.conjugate() == Lat4.span(alg, [conj(b) for b in As])
     for a, b in LATTICE_ALGEBRAS:
         O = maximal_order(QuaternionAlgebra.create(a, b))
-        assert product_lattice(O, O) == O  # 1 ∈ O: the product over den² must reduce to O
+        assert product_lattice(O, O.den, O.rows) == O  # 1 ∈ O: the product over den² must reduce to O
         assert O.conjugate() == O
 
 
@@ -409,6 +410,70 @@ def test_coords_round_trip_and_non_members():
             assert any(k.denominator != 1 for k in cramer_coords(bs, off))
             assert A.coords_of(d, row) is None
             assert not A.holds(d, row) and not contains(A, off)
+
+
+def forward_substitution_coords(A: Lat4, d: int, v) -> list[int] | None:
+    """The general forward substitution d·c·H = den·v, column by column over
+    the triangular rows H: the reference for `coords_of`, written out."""
+    c: list[int] = []
+    for m in range(4):
+        acc = A.den * v[m] - d * sum(ck * row[m] for ck, row in zip(c, A.rows))
+        ck, rem = divmod(acc, d * A.rows[m][m])
+        if rem:
+            return None
+        c.append(ck)
+    return c
+
+
+@pytest.mark.parametrize("name", ["level197", "level210"])
+def test_straight_line_coords_match_forward_substitution(request, name):
+    # random members v/d of the class lattices and right orders, and of the
+    # random lattices, over several d, and the same rows nudged off the
+    # lattice: coords_of and the reference agree, None on non-members
+    cs = request.getfixturevalue(name)
+    lats = [I.lattice for I in cs.ideals] + cs.right_orders + [A for A, _, _ in lattice_cases()]
+    rng = random.Random(197)
+    members = non_members = 0
+    for A in lats:
+        for _ in range(6):
+            c = [rng.randint(-30, 30) for _ in range(4)]
+            k = rng.choice([1, 2, 3, 7])
+            row = tuple(k * x for x in order_module._combine(c, A.rows))
+            assert A.coords_of(k * A.den, row) == forward_substitution_coords(A, k * A.den, row) == c
+            nudged = tuple(x + (m == 3) for m, x in enumerate(row))
+            got = A.coords_of(k * A.den, nudged)
+            assert got == forward_substitution_coords(A, k * A.den, nudged)
+            members += 1
+            non_members += got is None
+    assert non_members > members // 2
+
+
+@pytest.mark.parametrize("name", ["level197", "level210"])
+def test_gram_mirrors_its_ten_distinct_entries(request, name):
+    # gram() computes the entries k <= l and mirrors them: the full 16-entry
+    # norm form on the rows, on every class lattice and right order
+    cs = request.getfixturevalue(name)
+    for L in [I.lattice for I in cs.ideals] + cs.right_orders:
+        a, b = L.algebra.a, L.algebra.b
+        assert L.gram() == [[norm_pair(a, b, u, v) for v in L.rows] for u in L.rows]
+
+
+@pytest.mark.parametrize("name", ["level11", "level66", "level197", "level210", "level389"])
+def test_ideal_generator_gives_two_generators(request, name):
+    # α lies in I with nrd(α)/N(I) prime to N(I), and N(I)·O + O·α is I's
+    # lattice; the order itself, N = 1, takes α = 0
+    cs = request.getfixturevalue(name)
+    for I in cs.ideals:
+        L, alpha = I.lattice, ideal_generator(I)
+        assert L.holds(L.den, alpha)
+        nrd = Fraction(norm_pair(L.algebra.a, L.algebra.b, alpha, alpha), L.den**2)
+        assert (nrd / I.norm).denominator == 1 and gcd(int(nrd / I.norm), I.norm) == 1
+        gens = [tuple(Fraction(x, cs.order.den) for x in row) for row in cs.order.rows]
+        x = tuple(Fraction(v, L.den) for v in alpha)
+        span = Lat4.span(L.algebra, [tuple(I.norm * v for v in g) for g in gens]
+                         + [mul(L.algebra, g, x) for g in gens])
+        assert span == L
+    assert ideal_generator(cs.ideals[0]) == (0, 0, 0, 0)
 
 
 def trace_pairing_discriminant(O) -> int:
@@ -818,7 +883,7 @@ def test_way_back_leads_to_the_parent(name, request):
             step = _neighbor_ideals(right_order(LeftIdeal.of(cs.order, C)), p)
             assert [L for L, _ in step].count(back) == 1
             scale = Fraction(p, J.lattice.den * J.norm)
-            assert product_lattice(C, back) == Lat4.span(
+            assert product_lattice(C, back.den, back.rows) == Lat4.span(
                 B, [tuple(scale * c for c in mul(B, b, conj(v))) for b in rational_basis(I.lattice)])
 
 
@@ -907,7 +972,7 @@ def test_membership_closure_matches_product_closure(order11, hurwitz, classes11,
         for L in scaled + [with_one(random_sublattice(rng, O)) for _ in range(12)]:
             # 1 ∈ L, so L·L ⊆ L exactly when L·L = L
             closed = _closed_under(L, L)
-            assert closed == (product_lattice(L, L) == L)
+            assert closed == (product_lattice(L, L.den, L.rows) == L)
             seen[closed] += 1
             if closed:
                 assert make_order(L) == L
@@ -919,7 +984,7 @@ def test_membership_closure_matches_product_closure(order11, hurwitz, classes11,
         for L in principal + [random_sublattice(rng, O) for _ in range(12)]:
             # 1 ∈ O, so O·L ⊆ L exactly when O·L = L
             closed = _closed_under(O, L)
-            assert closed == (product_lattice(O, L) == L)
+            assert closed == (product_lattice(O, L.den, L.rows) == L)
             seen[closed] += 1
             if O == order11 and not closed:
                 bad = {**snapshot, "classes": [dict(c) for c in snapshot["classes"]]}
@@ -937,7 +1002,7 @@ def test_walk_product_from_eight_generators(name, request):
     p = good_primes(cs.cfg, 1)[0]
     for I, R in zip(cs.ideals, cs.right_orders):
         for K, x in _neighbor_ideals(R, p):
-            assert _neighbor_lattice(I.lattice, p, x, R.den) == product_lattice(I.lattice, K)
+            assert _neighbor_lattice(I.lattice, p, x, R.den) == product_lattice(I.lattice, K.den, K.rows)
 
 
 def test_kernels_match_references_on_walk_inputs(monkeypatch):
