@@ -1,7 +1,7 @@
 """Orders and left ideals in definite quaternion algebras, with exact lattices.
 
-An element is a coordinate 4-tuple over the algebra basis (1, i, j, k), and
-`quatalg.quat_mul` and `quatalg.norm_pair` are its only product and norm form.
+An element is a coordinate 4-tuple over (1, i, j, k), and `quatalg`'s
+`quat_mul`, `conj` and `norm_pair` are its only product, conjugate and norm.
 A lattice is stored as a canonical pair (denominator, HNF integer rows), so
 equal lattices compare equal, and every order and ideal operation computes on
 that pair: products, conjugates, Gram matrices, norms, covolumes and
@@ -36,9 +36,10 @@ I with right order R as pI + I·x, 8 generators, since I·R = I; and a right
 order conj(I)·I/N(I) is spanned by 11 generators, not 16.  A class ideal is
 O·α + O·N(I) for one α per class (`ideal_generator`, certified), and
 conj(J)·O = conj(J), the conjugate of O·J = J, so the pairing lattice
-conj(J)·I is N(I)·conj(J) + conj(J)·α: `product_lattice` takes its right
-factor as a generator set, and these 8 rows start with conj(J)'s own,
-already in HNF.
+conj(J)·I is N(I)·conj(J) + conj(J)·α.  `product_lattice` forms every
+lattice spanned by a lattice's rows times a few generators: pairing
+lattices, ring closures, neighbours, candidates, the Eichler cut, the
+generator certificate and class forms.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .arith import CertificateError, certify, factorize, valuation
 from .lattice import counts_by_value, exists_value, minimal_vectors
 from .linalg import clear_denominators, hnf
 from .qform import LevelConfig, good_primes, mass
-from .quatalg import QuaternionAlgebra, norm_pair, quat_mul
+from .quatalg import QuaternionAlgebra, conj, norm_pair, quat_mul
 
 
 def _canonical(algebra: QuaternionAlgebra, den: int, rows) -> "Lat4":
@@ -115,8 +116,7 @@ class Lat4(NamedTuple):
         return None if r0 or r1 or r2 or r3 else [c0, c1, c2, c3]
 
     def conjugate(self) -> "Lat4":
-        rows = [(r[0], -r[1], -r[2], -r[3]) for r in self.rows]
-        return _canonical(self.algebra, self.den, rows)
+        return _canonical(self.algebra, self.den, [conj(r) for r in self.rows])
 
     def norm(self) -> Fraction:
         """gcd of the reduced norms of all lattice elements (a positive rational):
@@ -135,7 +135,8 @@ def product_lattice(A: Lat4, den: int, gens) -> Lat4:
     """Z-span of all products a·g of A's basis rows and the integer rows gens
     over den: the row products over A.den·den, generator by generator, so a
     scalar first generator puts A's own HNF rows, scaled, first into the HNF,
-    already triangular.  A lattice B is the generator set (B.den, B.rows)."""
+    already triangular.  A lattice B is the generator set (B.den, B.rows), and
+    pA + A·x the set [(p·den, 0, 0, 0), x]: every such lattice is formed here."""
     a, b = A.algebra.a, A.algebra.b
     rows = [quat_mul(a, b, u, g) for g in gens for u in A.rows]
     return _canonical(A.algebra, A.den * den, rows)
@@ -284,11 +285,11 @@ def _idempotent(L: Lat4, q: int) -> tuple[int, ...]:
 
 def _eichler_step(L: Lat4, q: int) -> Lat4:
     """The level-q suborder Z + qL + L·e of the order L, for q ∤ disc(L) and
-    e = `_idempotent(L, q)`: Z plus the q-neighbour qL + L·e (`_neighbor_lattice`).
+    e = `_idempotent(L, q)`: Z plus the q-neighbour qL + L·e (`product_lattice`).
     With e = E₁₁ in L/qL ≅ M_2(F_q), the preimage of {x : e·x·(1 − e) ≡ 0 mod q}
     and Z + qL + L·e are both the lower-triangular matrices.
     """
-    K = _neighbor_lattice(L, q, _idempotent(L, q), L.den)
+    K = product_lattice(L, L.den, [(q * L.den, 0, 0, 0), _idempotent(L, q)])
     sub = make_order(_canonical(L.algebra, K.den, [*K.rows, (K.den, 0, 0, 0)]))
     certify(all(L.holds(sub.den, r) for r in sub.rows), "the level-q suborder must lie in L")
     certify(reduced_discriminant(sub) == q * reduced_discriminant(L),
@@ -337,7 +338,7 @@ def right_order(I: LeftIdeal) -> Lat4:
     """
     L = I.lattice
     a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den**2 * I.norm
-    gens = [quat_mul(a, b, (u[0], -u[1], -u[2], -u[3]), v) for k, u in enumerate(rows) for v in rows[k:]]
+    gens = [quat_mul(a, b, conj(u), v) for k, u in enumerate(rows) for v in rows[k:]]
     return make_order(_canonical(L.algebra, den, [*gens, (den, 0, 0, 0)]))
 
 
@@ -361,14 +362,14 @@ def _generator_search(I: LeftIdeal) -> tuple[int, ...] | None:
 def ideal_generator(I: LeftIdeal) -> tuple[int, ...]:
     """α ∈ I, an integer row over I.lattice.den, with I = O·α + O·N(I)
     (`_generator_search`); CertificateError unless the 8 generators
-    N(I)·rows_k and rows_k·α of O (`_neighbor_lattice`) give I's lattice.
+    N(I)·rows_k and rows_k·α of O (`product_lattice`) give I's lattice.
 
     Such α exists, as I is locally principal: at p ∤ N(I) both sides are
     O_p, and at p | N(I) with I_p = O_p·β, α = γ·β for a γ ∈ O_p of norm
     prime to p, a unit, so O_p·α = I_p.
     """
-    x = _generator_search(I)
-    certify(x is not None and _neighbor_lattice(I.order, I.norm, x, I.lattice.den) == I.lattice,
+    x, d = _generator_search(I), I.lattice.den
+    certify(x is not None and product_lattice(I.order, d, [(I.norm * d, 0, 0, 0), x]) == I.lattice,
             "each class ideal must be O·α + O·N(I)")
     return x
 
@@ -389,7 +390,7 @@ def is_equivalent(I: LeftIdeal, J: LeftIdeal) -> bool:
 def _class_form(I: LeftIdeal) -> tuple[tuple, Lat4, int, tuple[int, ...]]:
     """(key, representative, e, x) of I's class, from the lattices
     I·conj(x)/N(I) over the minimal vectors x = Σ c_k·rows_k/den of I, one
-    per ± pair: the row products b_k·conj(x) over den²·N(I).
+    per ± pair: the row products b_k·conj(x) over den²·N(I) (`product_lattice`).
 
     Each lies in I's class, and J = I·y has the minimal vectors x·y with
     J·conj(xy)/N(J) = I·conj(x)/N(I), so the least (den, rows) among them,
@@ -401,12 +402,9 @@ def _class_form(I: LeftIdeal) -> tuple[tuple, Lat4, int, tuple[int, ...]]:
     e = |O_r(I)^×| = 2·pairs/lattices.
     """
     L = I.lattice
-    a, b = L.algebra.a, L.algebra.b
     vecs, _ = minimal_vectors(L.gram())
     xs = [_combine(c, L.rows) for c in vecs]
-    lats = [_canonical(L.algebra, L.den**2 * I.norm,
-                       [quat_mul(a, b, row, (x[0], -x[1], -x[2], -x[3])) for row in L.rows])
-            for x in xs]
+    lats = [product_lattice(L, L.den * I.norm, [conj(x)]) for x in xs]
     distinct = {(lat.den, lat.rows) for lat in lats}
     e, rem = divmod(2 * len(vecs), len(distinct))
     certify(rem == 0, "the minimal vectors must fall into orbits of one size")
@@ -429,7 +427,7 @@ def _neighbor_ideals(L: Lat4, p: int) -> list[tuple[Lat4, tuple[int, ...]]]:
     e = E₁₁ from `_idempotent` and f = e·y·(1 − e) for the first basis row y
     with f ∉ pL, f is a unit multiple of E₁₂, so the p+1 kernel lines are
     those of e + t·f (t ∈ F_p) and of f.  The ideal p·L + L·x is spanned by
-    p·den·rows_k and rows_k·x over den² (`_neighbor_lattice`), and the walk
+    p·den·rows_k and rows_k·x over den² (`product_lattice`), and the walk
     forms I·K as pI + I·x from the same x.  CertificateError unless the norm
     form is integral on L, the p+1 ideals are distinct and each has covolume
     p²·covol(L).
@@ -437,14 +435,14 @@ def _neighbor_ideals(L: Lat4, p: int) -> list[tuple[Lat4, tuple[int, ...]]]:
     a, b, rows, den = L.algebra.a, L.algebra.b, L.rows, L.den
     certify(L.norm().denominator == 1, "the norm form is not integral on the order")
     e = _idempotent(L, p)
-    one_minus_e = (den - e[0], -e[1], -e[2], -e[3])
+    one_minus_e = tuple(u - v for u, v in zip((den, 0, 0, 0), e))
     for y in rows:
         # e·y·(1 − e) lies in L, so den·f is an integer row
         f = tuple(v // (den * den) for v in quat_mul(a, b, quat_mul(a, b, e, y), one_minus_e))
         if any(c % p for c in L.coords_of(den, f)):
             break
     xs = [tuple(u + t * v for u, v in zip(e, f)) for t in range(p)] + [f]
-    found = {_neighbor_lattice(L, p, x, den): x for x in xs}
+    found = {product_lattice(L, den, [(p * den, 0, 0, 0), x]): x for x in xs}
     certify(len(found) == p + 1, f"expected {p + 1} neighbors, got {len(found)}")
     certify(all(K.covolume() == p * p * L.covolume() for K in found),
             "each neighbor must have covolume p²·covol(L)")
@@ -461,18 +459,8 @@ def _way_back(K: Lat4, x) -> Lat4:
     class.
     """
     a, b = K.algebra.a, K.algebra.b
-    xbar = (x[0], -x[1], -x[2], -x[3])
-    rows = [quat_mul(a, b, quat_mul(a, b, x, (k[0], -k[1], -k[2], -k[3])), xbar) for k in K.rows]
+    rows = [quat_mul(a, b, quat_mul(a, b, x, conj(k)), conj(x)) for k in K.rows]
     return _canonical(K.algebra, K.den * norm_pair(a, b, x, x), rows)
-
-
-def _neighbor_lattice(I: Lat4, p: int, x, xden: int) -> Lat4:
-    """pI + I·x for the integer row x over xden: the 8 generators
-    p·xden·rows_k and rows_k·x over I.den·xden."""
-    a, b = I.algebra.a, I.algebra.b
-    gens = [tuple(p * xden * v for v in row) for row in I.rows]
-    gens += [quat_mul(a, b, row, x) for row in I.rows]
-    return _canonical(I.algebra, I.den * xden, gens)
 
 
 class IdealClassSet:
@@ -482,19 +470,20 @@ class IdealClassSet:
     unit count e_i of that right order; w_i = e_i/2 is derived from e, and cfg
     from the order.  Every class set, walked or read, is certified here:
     ideals[0] is the order, each e_i is even with e_i/2 | 12, each right order
-    has level N, and sum(1/e_i) is the mass formula's value.  Unlike the value types, a class set is
-    mutable: it owns `cache`, where `theta32` and `brandt` keep the ternary
-    vector counts and the pair counts they extend as bounds grow, and
-    `brandt` the generators α_i of the class ideals.
+    has level N, and sum(1/e_i) is the mass formula's value.  `ideals`,
+    `right_orders` and `e` are tuples, no attribute can be rebound, and the
+    one mutable part is the dict `cache`, where `theta32` and `brandt` keep
+    the ternary vector counts and the pair counts they extend as bounds grow,
+    and `brandt` the generators α_i of the class ideals.
     """
 
+    __slots__ = ("order", "cfg", "ideals", "right_orders", "e", "cache")
+
     def __init__(self, order: Lat4, ideals: list[LeftIdeal], right_orders: list[Lat4], e: list[int]):
-        self.order = order
-        self.cfg = cfg = level_config_of(order)
-        self.ideals = ideals
-        self.right_orders = right_orders
-        self.e = e
-        self.cache: dict = {}
+        cfg = level_config_of(order)
+        for name, value in [("order", order), ("cfg", cfg), ("ideals", tuple(ideals)),
+                            ("right_orders", tuple(right_orders)), ("e", tuple(e)), ("cache", {})]:
+            object.__setattr__(self, name, value)
         certify(bool(ideals) and ideals[0].lattice == order, "the first class must be the order itself")
         certify(all(k % 2 == 0 and 12 % (k // 2) == 0 for k in e),
                 "each unit count e_i must be even, with e_i/2 dividing 12")
@@ -504,13 +493,18 @@ class IdealClassSet:
         certify(total == target, f"mass {total} {'exceeds' if total > target else 'falls short of'} "
                 f"formula value {target} after {self.n} classes")
 
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a class set's {name} is read-only")
+
+    __delattr__ = __setattr__
+
     @property
     def n(self) -> int:
         return len(self.ideals)
 
     @property
-    def w(self) -> list[int]:
-        return [e // 2 for e in self.e]
+    def w(self) -> tuple[int, ...]:
+        return tuple(e // 2 for e in self.e)
 
     @property
     def algebra(self) -> QuaternionAlgebra:
@@ -653,7 +647,7 @@ def left_ideal_classes(O: Lat4) -> IdealClassSet:
             if K == back:
                 continue
             # I·K = pI + I·x, as I·R = I
-            J = LeftIdeal.of(O, _neighbor_lattice(I, p, x, R.den))
+            J = LeftIdeal.of(O, product_lattice(I, R.den, [(p * R.den, 0, 0, 0), x]))
             key, rep, e, v = _class_form(J)
             bucket = buckets.setdefault(key, [])
             # rep = J·conj(v)/N(J) is in J's class by construction

@@ -1,14 +1,14 @@
 """Definite rational quaternion algebras (a, b) with exact element arithmetic.
 
 An algebra is generated by i, j with i² = a < 0, j² = b < 0, ij = -ji = k,
-for integers a, b.  An element is a coordinate 4-tuple over the basis
-(1, i, j, k), held as integer rows over one denominator.  The product and
-the bilinear norm form are written once, in `quat_mul` and `norm_pair`, and
-`order.Lat4` applies them to the integer rows of a lattice.  Ramified primes
-are certified by Hilbert symbols of integers, and algebras with a prescribed
-ramified set are found by a bounded deterministic search, which for each
-|a| + |b| tries only the |a| in the residue classes that make every odd
-ramified prime divide ab.
+for integers a, b.  An element is a coordinate 4-tuple over (1, i, j, k),
+held as integer rows over one denominator.  The product, the conjugate and
+the bilinear norm form are each written once, in `quat_mul`, `conj` and
+`norm_pair`, and `order` applies them to a lattice's integer rows.
+Ramified primes are certified by Hilbert symbols of integers, and algebras
+with a prescribed ramified set are found by a bounded deterministic search,
+which for each |a| + |b| tries only the |a| in the residue classes that
+make every odd ramified prime divide ab.
 """
 
 from __future__ import annotations
@@ -80,6 +80,11 @@ def quat_mul(a, b, x, y) -> tuple:
         x0 * y2 + x2 * y0 + a * x1 * y3 - a * x3 * y1,
         x0 * y3 + x3 * y0 + x1 * y2 - x2 * y1,
     )
+
+
+def conj(x) -> tuple:
+    """Coordinates of the conjugate x̄ = trd(x) − x of the coordinate 4-tuple x."""
+    return (x[0], -x[1], -x[2], -x[3])
 
 
 def norm_pair(a, b, x, y):

@@ -335,6 +335,40 @@ def test_src_imports_are_used():
     assert fraction_imports == []
 
 
+def _negates_entries_1_to_3(node) -> bool:
+    """Whether node is a 4-tuple (·, −v[1], −v[2], −v[3]) for one row v."""
+    if not (isinstance(node, ast.Tuple) and len(node.elts) == 4):
+        return False
+    rows = set()
+    for k, elt in enumerate(node.elts[1:], 1):
+        if not (isinstance(elt, ast.UnaryOp) and isinstance(elt.op, ast.USub)
+                and isinstance(elt.operand, ast.Subscript)
+                and isinstance(elt.operand.slice, ast.Constant) and elt.operand.slice.value == k):
+            return False
+        rows.add(ast.unparse(elt.operand.value))
+    return len(rows) == 1
+
+
+def _conjugate_tuples(node, func=None):
+    """(enclosing function, line) of every tuple that `_negates_entries_1_to_3`."""
+    for child in ast.iter_child_nodes(node):
+        if _negates_entries_1_to_3(child):
+            yield func, child.lineno
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+        yield from _conjugate_tuples(child, inner)
+
+
+def test_conjugate_is_written_once():
+    # the conjugate (x0, −x1, −x2, −x3) is spelled out in `quatalg.conj`
+    # alone: a tuple anywhere else in src that negates entries 1, 2 and 3 of
+    # one row, whatever its first entry, fails here
+    found = []
+    for path in sorted(Path(ceisen.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [(path.name, func, line) for func, line in _conjugate_tuples(tree)]
+    assert [(name, func) for name, func, _ in found] == [("quatalg.py", "conj")], found
+
+
 def test_noqa_imports_are_the_tracer_sites():
     # `# noqa: F401` exempts an import from the check above.  Only two imports
     # may carry it: the functions that no src code calls and that

@@ -381,7 +381,7 @@ def test_non_orthogonal_eigenspaces_are_caught_as_not_self_adjoint(monkeypatch, 
     # Σ x_i·y_i/e_i, which self-adjointness would force; so the split's
     # kernels need no orthogonality check of their own, and the self-adjointness
     # certificate must raise before the split, under any interpreter flags
-    assert level66.e == [6, 4, 4, 6]
+    assert level66.e == (6, 4, 4, 6)
     weights = [2, 3, 3, 2]
     B5 = [[-2, 3, 3, 2], [0, 1, 3, 2], [2, 3, -1, 2], [5, 0, 3, -2]]
     kernels, rest = _split_block(_Block(_hyperplane(weights), {}), B5, 5)

@@ -1,6 +1,7 @@
 """Orders, ideals, and class-set enumeration."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, isqrt, lcm
@@ -38,7 +39,6 @@ from ceisen.order import (
     _eichler_step,
     _idempotent,
     _neighbor_ideals,
-    _neighbor_lattice,
     _saturate_at,
 )
 from ceisen.qform import LevelConfig, good_primes, mass
@@ -101,8 +101,8 @@ def test_hurwitz_order(hurwitz):
 def test_hurwitz_single_class(hurwitz):
     cs = left_ideal_classes(hurwitz)
     assert cs.n == 1
-    assert cs.e == [24]
-    assert cs.w == [12]
+    assert cs.e == (24,)
+    assert cs.w == (12,)
     assert cs.total_mass() == Fraction(1, 24)
 
 
@@ -431,7 +431,7 @@ def test_straight_line_coords_match_forward_substitution(request, name):
     # random lattices, over several d, and the same rows nudged off the
     # lattice: coords_of and the reference agree, None on non-members
     cs = request.getfixturevalue(name)
-    lats = [I.lattice for I in cs.ideals] + cs.right_orders + [A for A, _, _ in lattice_cases()]
+    lats = [*(I.lattice for I in cs.ideals), *cs.right_orders, *(A for A, _, _ in lattice_cases())]
     rng = random.Random(197)
     members = non_members = 0
     for A in lats:
@@ -453,7 +453,7 @@ def test_gram_mirrors_its_ten_distinct_entries(request, name):
     # gram() computes the entries k <= l and mirrors them: the full 16-entry
     # norm form on the rows, on every class lattice and right order
     cs = request.getfixturevalue(name)
-    for L in [I.lattice for I in cs.ideals] + cs.right_orders:
+    for L in [*(I.lattice for I in cs.ideals), *cs.right_orders]:
         a, b = L.algebra.a, L.algebra.b
         assert L.gram() == [[norm_pair(a, b, u, v) for v in L.rows] for u in L.rows]
 
@@ -718,7 +718,7 @@ def test_neighbor_ideals_match_full_scan(order11, level210_m2, level389):
         step = _neighbor_ideals(R, p)
         assert [K for K, _ in step] == reference_neighbor_ideals(R, p)
         # each K is pR + R·x for the x it comes with
-        assert all(_neighbor_lattice(R, p, x, R.den) == K for K, x in step)
+        assert all(product_lattice(R, R.den, [(p * R.den, 0, 0, 0), x]) == K for K, x in step)
 
 
 def reference_idempotent(L, q: int) -> tuple:
@@ -820,7 +820,7 @@ def test_eichler_step_certificates(monkeypatch, order11, classes11):
     # it is an order, but not one inside L
     other = classes11.right_orders[1]
     assert other != order11
-    monkeypatch.setattr(order_module, "_neighbor_lattice", lambda L, q, x, xden: other)
+    monkeypatch.setattr(order_module, "product_lattice", lambda A, den, gens: other)
     with pytest.raises(CertificateError, match="^the level-q suborder must lie in L$"):
         _eichler_step(order11, 2)
 
@@ -877,7 +877,7 @@ def test_way_back_leads_to_the_parent(name, request):
     B, p = cs.algebra, good_primes(cs.cfg, 1)[0]
     for I, R in zip(cs.ideals, cs.right_orders):
         for K, x in _neighbor_ideals(R, p):
-            J = LeftIdeal.of(cs.order, _neighbor_lattice(I.lattice, p, x, R.den))
+            J = LeftIdeal.of(cs.order, product_lattice(I.lattice, R.den, [(p * R.den, 0, 0, 0), x]))
             _, C, _, v = order_module._class_form(J)
             back = order_module._way_back(K, v)
             step = _neighbor_ideals(right_order(LeftIdeal.of(cs.order, C)), p)
@@ -922,7 +922,7 @@ def test_class_set_certificates(level11, level66):
     # level 11's own data, changed in one way per case, no longer certifies
     cs = level11
     parts = {"order": cs.order, "ideals": cs.ideals, "right_orders": cs.right_orders, "e": cs.e}
-    assert IdealClassSet(**parts).e == [4, 6]
+    assert IdealClassSet(**parts).e == (4, 6)
     assert IdealClassSet(**parts).cfg == cs.cfg
     cases = [
         ("^the first class must be the order itself$",
@@ -936,6 +936,17 @@ def test_class_set_certificates(level11, level66):
     for message, changed in cases:
         with pytest.raises(CertificateError, match=message):
             IdealClassSet(**{**parts, **changed})
+
+
+def test_class_set_is_read_only(level11):
+    # no attribute can be rebound, added or removed, `cache` included, and
+    # the certified values are tuples, which cannot change in place
+    for name in ("order", "cfg", "ideals", "right_orders", "e", "cache", "weights"):
+        for change in (lambda: setattr(level11, name, (4, 12)), lambda: delattr(level11, name)):
+            with pytest.raises(AttributeError, match=f"^a class set's {name} is read-only$"):
+                change()
+    assert level11.e == (4, 6)
+    assert all(type(getattr(level11, name)) is tuple for name in ("ideals", "right_orders", "e"))
 
 
 def test_cache_reader_certifies_the_mass(level11):
@@ -994,6 +1005,67 @@ def test_membership_closure_matches_product_closure(order11, hurwitz, classes11,
     assert min(seen.values()) >= 10, seen
 
 
+def reference_neighbor_lattice(I: Lat4, p: int, x, xden: int) -> Lat4:
+    """pI + I·x for the integer row x over xden, written out: the 8 generators
+    p·xden·rows_k and rows_k·x over I.den·xden."""
+    a, b = I.algebra.a, I.algebra.b
+    gens = [tuple(p * xden * v for v in row) for row in I.rows]
+    gens += [quat_mul(a, b, row, x) for row in I.rows]
+    return order_module._canonical(I.algebra, I.den * xden, gens)
+
+
+def reference_class_lattice(L: Lat4, n: int, x) -> Lat4:
+    """I·conj(x)/N(I) for I's lattice L, N(I) = n and the integer row x over
+    L.den, written out: the row products b_k·conj(x) over den²·N(I)."""
+    a, b = L.algebra.a, L.algebra.b
+    return order_module._canonical(L.algebra, L.den**2 * n,
+                                   [quat_mul(a, b, row, (x[0], -x[1], -x[2], -x[3])) for row in L.rows])
+
+
+def _caller_name() -> str:
+    """The name of the function that called this function's caller, past any
+    comprehension frame."""
+    frame = sys._getframe(2)
+    while frame.f_code.co_name.startswith("<"):
+        frame = frame.f_back
+    return frame.f_code.co_name
+
+
+@pytest.mark.parametrize("primes, M", [((11,), 1), ((2, 3, 11), 1), ((3, 5, 7), 2), ((2, 3, 7), 5),
+                                       ((389,), 1), ((2, 3, 5, 7, 11), 1)],
+                         ids=["N11", "N66", "N210_M2", "N210_M5", "N389", "N2310"])
+def test_product_lattice_matches_references_on_build_inputs(monkeypatch, primes, M):
+    # every lattice the neighbour step, the walk's candidates, the Eichler cut
+    # and the generator certificate form as pI + I·x, and every class-form
+    # lattice I·conj(x)/N(I), recorded while the class set is built and its
+    # generators α_i certified, against the written-out references
+    calls = {}
+    real = product_lattice
+
+    def recorded(A, den, gens):
+        W = real(A, den, gens)
+        calls.setdefault(_caller_name(), []).append((A, den, list(gens), W))
+        return W
+
+    with monkeypatch.context() as m:
+        m.setattr(order_module, "product_lattice", recorded)
+        cs = build_class_set(LevelConfig.from_primes(primes, M))
+        for I in cs.ideals:
+            ideal_generator(I)
+    # the Eichler cut runs only at M > 1
+    eight = ["_neighbor_ideals", "left_ideal_classes", "ideal_generator"] + ["_eichler_step"] * (M > 1)
+    assert {*eight, "_class_form"} <= set(calls)
+    assert ("_eichler_step" in calls) == (M > 1)
+    for site in eight:
+        for A, den, ((s, *zeros), x), W in calls[site]:
+            assert zeros == [0, 0, 0] and s % den == 0
+            assert W == reference_neighbor_lattice(A, s // den, x, den)
+    for A, den, (y,), W in calls["_class_form"]:
+        assert den % A.den == 0
+        assert W == reference_class_lattice(A, den // A.den, conj(y))
+    assert len(calls["_class_form"]) > cs.n
+
+
 @pytest.mark.parametrize("name", ["level11", "level66", "level210_m2", "level389"])
 def test_walk_product_from_eight_generators(name, request):
     # I·K = pI + I·x for every class I, with right order R, and every
@@ -1002,7 +1074,9 @@ def test_walk_product_from_eight_generators(name, request):
     p = good_primes(cs.cfg, 1)[0]
     for I, R in zip(cs.ideals, cs.right_orders):
         for K, x in _neighbor_ideals(R, p):
-            assert _neighbor_lattice(I.lattice, p, x, R.den) == product_lattice(I.lattice, K.den, K.rows)
+            eight = product_lattice(I.lattice, R.den, [(p * R.den, 0, 0, 0), x])
+            assert eight == reference_neighbor_lattice(I.lattice, p, x, R.den)
+            assert eight == product_lattice(I.lattice, K.den, K.rows)
 
 
 def test_kernels_match_references_on_walk_inputs(monkeypatch):

@@ -8,11 +8,14 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ceisen.arith import CertificateError, is_prime, squarefree_kernel
 from ceisen.quatalg import (
     AlgebraSearchError,
     QuaternionAlgebra,
+    conj,
     construct_algebra,
     hilbert_symbol,
     norm_pair,
@@ -132,10 +135,6 @@ def test_element_arithmetic_identities():
     rng = random.Random(17)
     B = QuaternionAlgebra.create(-1, -11)
     mul, pair = partial(quat_mul, B.a, B.b), partial(norm_pair, B.a, B.b)
-
-    def conj(x):
-        return (x[0], -x[1], -x[2], -x[3])
-
     els = [tuple(Fraction(rng.randrange(-9, 10), rng.choice([1, 2])) for _ in range(4)) for _ in range(8)]
     one = (1, 0, 0, 0)
     for x in els:
@@ -155,6 +154,19 @@ def test_element_arithmetic_identities():
                 assert mul(mul(x, y), z) == mul(x, mul(y, z))
                 y_plus_z = tuple(u + v for u, v in zip(y, z))
                 assert mul(x, y_plus_z) == tuple(u + v for u, v in zip(mul(x, y), mul(x, z)))
+
+
+elements = st.tuples(*[st.integers(-10**6, 10**6)] * 4)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(-50, -1), st.integers(-50, -1), elements, elements)
+def test_conj_is_the_involution_of_the_norm_form(a, b, x, y):
+    # the conjugate is an anti-involution, and x·conj(x) is the scalar nrd(x)
+    # of the norm form, in every algebra (a, b) with a, b < 0
+    assert conj(conj(x)) == x
+    assert conj(quat_mul(a, b, x, y)) == quat_mul(a, b, conj(y), conj(x))
+    assert quat_mul(a, b, x, conj(x)) == (norm_pair(a, b, x, x), 0, 0, 0)
 
 
 def test_norm_positive_definite():

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 import ceisen
+import ceisen.theta32 as theta32
 from ceisen.arith import CertificateError
 from ceisen.brandt import rational_eigensystem
 from ceisen.lattice import counts_by_value, counts_with_primitive, reduce_gram
@@ -267,37 +268,33 @@ def test_plus_space_certificate(monkeypatch):
         cohen_H(classes, 10)
 
 
-def test_mass_certificate(level11):
-    # a class set whose unit counts changed after it was certified: e = (4, 12)
-    # gives H(0) = 1/3, not the mass 5/12, so cohen_H must raise under any
-    # interpreter flags
-    cs = level11
-    changed = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
-    changed.e = [4, 12]
+def test_mass_certificate(monkeypatch, level11):
+    # H(0) = Σ 1/e_i is summed apart from the class set's own mass check, so
+    # it is checked again: against a formula value of 1/3, what e = (4, 12)
+    # would sum to, level 11's H(0) = 5/12 must raise under any interpreter
+    # flags
+    monkeypatch.setattr(theta32, "mass", lambda cfg: Fraction(1, 3))
     with pytest.raises(CertificateError, match="^class-set mass disagrees with the formula$"):
-        cohen_H(changed, 4)
+        cohen_H(level11, 4)
 
 
-def test_embedding_count_certificate(level11):
-    # e_1 = 12 in place of 4 after the class set was certified: class 1's two
-    # primitive vectors of norm 4 give u(-4)·2/w_1 = 4/6 embeddings, so the
-    # count must raise under any interpreter flags
-    cs = level11
-    changed = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
-    changed.e = [12, 6]
-    with pytest.raises(CertificateError, match=r"^embedding count u\(d\)·2/w_1 is not an integer \(d=-4\)$"):
-        optimal_embedding_count(changed, 1, -4)
+def test_embedding_count_certificate(monkeypatch, level11):
+    # class 2 read from class 1's tally: its two primitive vectors of norm 4
+    # give u(-4)·2/w_2 = 4/3 embeddings, so the count must raise under any
+    # interpreter flags
+    counts = theta32._ternary_counts
+    monkeypatch.setattr(theta32, "_ternary_counts", lambda classes, i, bound: counts(classes, 1, bound))
+    with pytest.raises(CertificateError, match=r"^embedding count u\(d\)·2/w_2 is not an integer \(d=-4\)$"):
+        optimal_embedding_count(level11, 2, -4)
 
 
-def test_ternary_gram_certificate(level11):
-    # the first right order halved after the class set was certified: twice
-    # its pure part is the pure part of R, whose norm form is not integral
-    cs = level11
-    changed = IdealClassSet(cs.order, cs.ideals, cs.right_orders, cs.e)
-    R = cs.right_orders[0]
-    changed.right_orders = [Lat4(R.algebra, 2 * R.den, R.rows), *cs.right_orders[1:]]
+def test_ternary_gram_certificate(monkeypatch, level11):
+    # a norm form off by one: the first right order has den 2, so the Gram
+    # entries over den² = 4 of twice its pure part are not integers
+    assert level11.right_orders[0].den == 2
+    monkeypatch.setattr(theta32, "norm_pair", lambda a, b, x, y: norm_pair(a, b, x, y) + 1)
     with pytest.raises(CertificateError, match="^ternary Gram must be integral$"):
-        ternary_lattice(changed, 1)
+        ternary_lattice(level11, 1)
 
 
 def test_cusp_G_rejects_wrong_length(level11):
