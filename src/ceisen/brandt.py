@@ -11,21 +11,21 @@ integers, as `_pair_counts` certifies; B_0 holds the Fractions 1/e_j.  The
 counts are symmetric in (i, j), so every B_m is self-adjoint for
 ⟨x, y⟩ = Σ x_i·y_i/e_i, hence semisimple, and has the all-ones vector as an
 eigenvector, with eigenvalue the row sum b_m.  So the complement of the
-all-ones line for ⟨·,·⟩ is invariant and the split starts from it; both
-facts are certified at each prime.  Kernels are taken in Q^n, so a line is
-an eigenvector of each B_p that split it; the hecke suite checks that the
-B_m commute.  For a prime p ∤ N, a rational eigenvalue of B_p on the
-complement is the integer a_p of a weight-2 cusp form, with |a_p| ≤ 2√p by
-the Ramanujan–Petersson bound, which in weight 2 is a theorem
-(Eichler–Shimura, Weil).  So the rational cusp lines are kernels of B_p − a
-over those few a, prime by prime, with no characteristic polynomial, each
-handed on as a plain integer vector v.
+all-ones line for ⟨·,·⟩ is invariant, and the split starts from its
+`nullspace` basis; both facts are certified at each prime.  Kernels are
+taken in Q^n, so a line is an eigenvector of each B_p that split it; the
+hecke suite checks that the B_m commute.  For a prime p ∤ N, a rational
+eigenvalue of B_p on the complement is the integer a_p of a weight-2 cusp
+form, with |a_p| ≤ 2√p by the Ramanujan–Petersson bound, which in weight 2
+is a theorem (Eichler–Shimura, Weil).  So the rational cusp lines are
+kernels of B_p − a over those few a, prime by prime, with no characteristic
+polynomial, each handed on as a plain integer vector v.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -146,7 +146,7 @@ class EigenSystem(NamedTuple):
 
 
 class _Block(NamedTuple):
-    basis: list[list[int]]  # RREF rows, each primitive with a positive pivot
+    basis: list[list[int]]  # primitive, positive pivots; RREF except the start
     eigs: dict[int, int]
 
     @property
@@ -186,37 +186,23 @@ def _split_block(blk: _Block, B, p: int) -> tuple[list[_Block], int]:
     return out, k - consumed
 
 
-def _hyperplane(weights: list[int]) -> list[list[int]]:
-    """The scaled RREF of {x : Σ weights_i·x_i = 0} for positive weights, as
-    `rref(nullspace([weights]))` gives it, written down: row j < n − 1 is
-    (w·e_j − weights_j·e_{n−1})/gcd(w, weights_j) with w = weights_{n−1}."""
-    *head, w = weights
-    rows = []
-    for j, wj in enumerate(head):
-        g = gcd(w, wj)
-        row = [0] * len(weights)
-        row[j], row[-1] = w // g, -wj // g
-        rows.append(row)
-    return rows
-
-
 def rational_eigensystem(classes: IdealClassSet) -> EigenSystem:
     """Split Q^n into simultaneous rational eigenspaces of the Brandt matrices
     at the first five primes coprime to N.
 
-    The split starts from the complement of the all-ones line for
-    Σ x_i·y_i/e_i; at each p, before it, B_p must be self-adjoint for that
-    form and every row of B_p must sum to b_p (CertificateError otherwise),
-    so B_p keeps the complement.  Every one-dimensional piece of the
-    complement is reported with integer eigenvalues and its normalized vector;
-    kernels that stay higher-dimensional, and the parts set aside as holding
-    no rational line, are unresolved.
+    The split starts from `nullspace` of the weights lcm(e)/e_i, the
+    complement of the all-ones line for Σ x_i·y_i/e_i.  At each p, B_p must
+    first be self-adjoint for that form with every row summing to b_p, so
+    that it keeps the complement (CertificateError otherwise).  Each
+    one-dimensional piece is reported with integer eigenvalues and its
+    normalized vector; higher-dimensional kernels, and parts set aside as
+    holding no rational line, are unresolved.
     """
     cfg = classes.cfg
     primes = good_primes(cfg, 5)
     e_lcm = lcm(*classes.e)
     weights = [e_lcm // e for e in classes.e]
-    blocks = [_Block(_hyperplane(weights), {})]
+    blocks = [_Block(nullspace([weights]), {})]
     set_aside: list[tuple[int, dict[int, int]]] = []
     b = {p: expected_row_sum(p, cfg) for p in primes}
     _pair_counts(classes, max(primes))  # one sweep serves every B_p

@@ -180,8 +180,7 @@ def _load_or_build_classes(cache_dir: str | None, level: LevelConfig):
                 raise CacheError(f"snapshot is for P={got.P.value}, M={got.M.value}, "
                                  f"not P={level.P.value}, M={level.M.value}")
             return classes
-        except (CacheError, ValueError, KeyError, TypeError, OSError,
-                json.JSONDecodeError) as e:
+        except (CacheError, ValueError, KeyError, TypeError, OSError) as e:
             print(f"ceisen: rebuilding {path}: {type(e).__name__}: {e}", file=sys.stderr)
     classes = build_class_set(level)
     _write_snapshot(path, classes)

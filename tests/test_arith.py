@@ -235,14 +235,6 @@ def test_src_certificates_use_certify():
                       ("cli.py", "_write_snapshot", None)]
 
 
-# Certificates that no test trips, each with the reason no input reaches it.
-# The list may only shrink: a test that trips one of them, with an input or
-# through a patched helper, takes it off.
-UNTRIPPED_CERTIFICATES = {
-    "Faddeev-LeVerrier trace not divisible by k",  # charpoly over integer matrices
-}
-
-
 def _certificate_templates():
     """{template: longest literal piece} for every certify(...) call in src;
     an f-string's fields are written {}."""
@@ -288,7 +280,7 @@ def _certificate_patterns():
 def test_every_certificate_is_tripped():
     # a pattern trips a template when it finds the template's text or holds
     # its longest literal piece, and finds no other template; every template
-    # is tripped by some test or pinned on UNTRIPPED_CERTIFICATES
+    # is tripped by some test
     templates = _certificate_templates()
     tripped = set()
     for pattern in _certificate_patterns():
@@ -296,10 +288,8 @@ def test_every_certificate_is_tripped():
         hits = [t for t, piece in templates.items() if re.search(pattern, t) or piece in text]
         if len(hits) == 1:
             tripped.update(hits)
-    untested = sorted(set(templates) - tripped - UNTRIPPED_CERTIFICATES)
+    untested = sorted(set(templates) - tripped)
     assert untested == [], f"no test trips these certificates: {untested}"
-    assert UNTRIPPED_CERTIFICATES <= set(templates) - tripped
-    assert len(UNTRIPPED_CERTIFICATES) <= 1
 
 
 def _imported_names(tree, lines):

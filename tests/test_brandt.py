@@ -1,4 +1,4 @@
-import random
+import hashlib
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -7,7 +7,6 @@ import pytest
 from ceisen.arith import CertificateError, factorize
 from ceisen.brandt import (
     _Block,
-    _hyperplane,
     _pair_counts,
     _split_block,
     brandt_matrices_upto,
@@ -17,7 +16,7 @@ from ceisen.brandt import (
     rational_eigensystem,
 )
 from ceisen.lattice import counts_by_value
-from ceisen.linalg import charpoly, mat_mul, nullspace, rref
+from ceisen.linalg import charpoly, mat_mul, nullspace
 import ceisen.order as order_module
 from ceisen.order import IdealClassSet, Lat4, build_class_set, product_lattice
 from ceisen.qform import LevelConfig, good_primes, mass
@@ -350,6 +349,21 @@ def test_eigensystem_level389(level389):
     assert eig.unresolved == [(31, {})]
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("level11", "a66a353c70a738863fcb2f50b82f245ddd3dacb032bc7338ab936db7e06737fe"),
+    ("level66", "35a2ac86e08d75455e04778e37af759e3c6ee28ec5fd9e8dac1408044989ff06"),
+    ("level197", "1d67a684c64acffa82d1da59ead38189d75f9b4ff608d9b2167fe3d1f00242af"),
+    ("level210", "4eb5390f5c084a67080dfe1fcf0d5005e6e5fdf37baa2aac4ea0ed5d4f6900d6"),
+    ("level210_m2", "84350eb5e79e42080c0955e236f18d4a6b281472c5d882592422e952fbcfd906"),
+    ("level389", "45f0e826de5bd8f18f14f93b641c332aec3b0ea4ea50621cc0de811cc7a5ed0a"),
+])
+def test_eigensystem_repr_pinned(request, name, digest):
+    # every line, eigenvalue and unresolved part, byte for byte: a change of
+    # the split's start basis or kernel normalization shows here
+    eig = rational_eigensystem(request.getfixturevalue(name))
+    assert hashlib.sha256(repr(eig).encode("utf-8")).hexdigest() == digest
+
+
 def horner(coeffs: list[int], x: int) -> int:
     """Σ coeffs[i]·x^i, low degree first."""
     acc = 0
@@ -384,7 +398,7 @@ def test_non_orthogonal_eigenspaces_are_caught_as_not_self_adjoint(monkeypatch, 
     assert level66.e == (6, 4, 4, 6)
     weights = [2, 3, 3, 2]
     B5 = [[-2, 3, 3, 2], [0, 1, 3, 2], [2, 3, -1, 2], [5, 0, 3, -2]]
-    kernels, rest = _split_block(_Block(_hyperplane(weights), {}), B5, 5)
+    kernels, rest = _split_block(_Block(nullspace([weights]), {}), B5, 5)
     assert rest == 0 and [(blk.eigs[5], blk.dim) for blk in kernels] == [(-4, 2), (-2, 1)]
     assert any(sum(a * b * w for a, b, w in zip(x, y, weights))
                for x in kernels[0].basis for y in kernels[1].basis)
@@ -392,16 +406,6 @@ def test_non_orthogonal_eigenspaces_are_caught_as_not_self_adjoint(monkeypatch, 
     monkeypatch.setattr("ceisen.brandt.brandt_matrix", lambda c, m: B5 if m == 5 else real(c, m))
     with pytest.raises(CertificateError, match=r"^B_5 not self-adjoint for Σ x_i·y_i/e_i$"):
         rational_eigensystem(level66)
-
-
-def test_hyperplane_is_the_eliminated_rref():
-    # the complement of the all-ones line, written down, against the
-    # elimination it replaced: unit-count weights and arbitrary ones
-    rng = random.Random(5)
-    for _ in range(250):
-        n = rng.randint(1, 40)
-        weights = [rng.choice([1, 2, 3, 4, 6, 12, rng.randint(1, 10**6)]) for _ in range(n)]
-        assert _hyperplane(weights) == rref(nullspace([weights]))[0]
 
 
 def test_complement_must_be_invariant(monkeypatch, level11):

@@ -432,13 +432,19 @@ def test_cache_corruption_recovers(tmp_path):
     coords[k] = str(2 * Fraction(coords[k]))
     zero_den = json.loads(snapshot)
     zero_den["classes"][1]["basis"][0] = "1/0"
-    for corrupt in ['{"version": 99}', json.dumps(data), json.dumps(zero_den)]:
+    no_classes = {k: v for k, v in json.loads(snapshot).items() if k != "classes"}
+    for corrupt, reason in [('{"version": 99}', "CacheError"), (json.dumps(data), "CacheError"),
+                            (json.dumps(zero_den), "CacheError"),
+                            # an interrupted write, and fields missing or of the wrong type
+                            (snapshot[: len(snapshot) // 2], "JSONDecodeError"),
+                            (json.dumps(no_classes), "KeyError"),
+                            (json.dumps({**json.loads(snapshot), "M": "x"}), "TypeError")]:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(corrupt)
         rc, out, err = run(base)
-        assert (rc, out) == first[:2]
+        assert (rc, out) == first[:2] and rc == 0
         # one line on stderr names the snapshot and the reason for the rebuild
-        assert err.count("\n") == 1 and path in err and "CacheError: " in err
+        assert err.startswith(f"ceisen: rebuilding {path}: {reason}: ") and err.count("\n") == 1
         # the rebuild rewrote the valid snapshot
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == snapshot

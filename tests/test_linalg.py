@@ -6,6 +6,8 @@ from math import gcd
 
 import pytest
 
+import ceisen.linalg as linalg_module
+from ceisen.arith import CertificateError
 from ceisen.linalg import (
     charpoly,
     clear_denominators,
@@ -144,6 +146,15 @@ def test_charpoly_accepts_integral_fractions():
 def test_charpoly_rejects_non_integral(A):
     with pytest.raises(ValueError):
         charpoly(A)
+
+
+def test_charpoly_trace_certificate(monkeypatch):
+    # products off by one break the exact division by k at the second step
+    # (tr(A·M_2) = 27 with k = 2), so the remainder check must raise under
+    # any interpreter flags rather than return a floored coefficient
+    monkeypatch.setattr(linalg_module, "mul", lambda a, b: a * b + 1)
+    with pytest.raises(CertificateError, match=r"^Faddeev-LeVerrier trace not divisible by k$"):
+        charpoly([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
 
 
 # ---------------------------------------------------------------------------
